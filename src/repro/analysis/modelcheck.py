@@ -449,7 +449,11 @@ class ModelChecker:
     ) -> None:
         """Chaos-style bit-exact recovery at every crash point of one
         victim: each seal instant plus each inter-seal midpoint."""
-        from ..core.recovery import compare_state, replay_failed_node
+        from ..core.recovery import (
+            compare_state,
+            plan_victim,
+            replay_failed_node,
+        )
         from ..errors import LoggingProtocolError, RecoveryError
 
         victim = probe.node
@@ -462,14 +466,10 @@ class ModelChecker:
             (a + b) / 2.0 for a, b in zip(seal_times, seal_times[1:])
         ]
         for t in sorted(instants):
-            seals_done = sum(
-                1 for s in probe.snapshots.values() if s.time <= t)
-            view = log.durable_view(t)
-            lost = log.first_lost_interval(t)
-            stop_at = seals_done if lost is None else min(seals_done, lost)
+            plan = plan_victim(system, probe, t)
+            view, stop_at, snapshot = plan.plog, plan.stop_at, plan.snapshot
             if stop_at < 1:
                 continue  # restart-from-checkpoint: trivially bit-exact
-            snapshot = probe.snapshots[stop_at]
             fp = (
                 victim, stop_at, len(view._persistent),
                 snapshot.interval_index, repr(snapshot.vt),

@@ -8,9 +8,15 @@
   stable-storage log with byte-exact size accounting.
 * :mod:`repro.core.checkpoint` -- full + incremental checkpointing.
 * :mod:`repro.core.failure` -- crash-point specification and capture.
-* :mod:`repro.core.recovery` (+ :mod:`repro.core.ml_recovery`,
-  :mod:`repro.core.ccl_recovery`) -- replay engines and the two-phase
-  recovery experiment driver with bit-exact state verification.
+* :mod:`repro.core.logging_base` -- the scheme table: one row per
+  protocol (hooks, replay class, promotion, breakdown components) that
+  every name-based dispatch derives from.
+* :mod:`repro.core.recovery` -- the one recovery driver (plan -> world
+  -> victims -> verify) and the replay skeleton; the ML/CCL
+  materialise engines live in :mod:`repro.core.ml_recovery` and
+  :mod:`repro.core.ccl_recovery`, their per-interval mix in
+  :mod:`repro.core.adaptive_recovery`, and replica promotion, which
+  runs in the same phase-B world, in :mod:`repro.core.failover_recovery`.
 * :mod:`repro.core.chaos` -- the seeded fault-injection / arbitrary-
   instant-crash property suite (see docs/robustness.md).
 """

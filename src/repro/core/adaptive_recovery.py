@@ -1,4 +1,4 @@
-"""Adaptive recovery: dispatch each logged interval to ML or CCL replay.
+"""Adaptive recovery: materialise each logged interval by ML or CCL.
 
 An adaptive log is a sequence of interval segments, each written in the
 mode the cost model had picked at the previous seal, delimited by
@@ -6,40 +6,39 @@ mode the cost model had picked at the previous seal, delimited by
 time marker names interval 0's mode, every later marker the interval
 its switch takes effect at).  Replay reads the full marker list up
 front -- the markers are tiny and live in the metadata stream -- and
-then routes every protocol-specific step of the base replay skeleton
-to the engine matching the *current* interval's mode:
+the replay skeleton then asks :meth:`AdaptiveReplayNode.mode_at` which
+engine materialises the *current* interval:
 
 * ML-mode intervals replay purely locally
-  (:class:`~repro.core.ml_recovery.MlReplayNode`): boundary scan of the
+  (:class:`~repro.core.ml_recovery.MlEngine`): boundary scan of the
   logged contents, lazy page-copy reads at memory misses;
 * CCL-mode intervals replay coherence-centrically
-  (:class:`~repro.core.ccl_recovery.CclReplayNode`): one metadata scan,
+  (:class:`~repro.core.ccl_recovery.CclEngine`): one metadata scan,
   then a combined wave of writer-log diff fetches and home
   reconstructions.
 
-The dispatch must live in each overridable step (not just
-``_begin_interval``): CCL's interval-start path calls back into
-``_boundary_read``/``_prefetch_window``, and those calls must keep
-resolving to CCL behaviour for the whole interval even though the
-class inherits both engines.
+The choice is made per step, not once per interval start, so every
+step of an interval -- boundary read, mid-interval windows, faults --
+resolves to the engine of the mode that logged it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Tuple
+from typing import List, Tuple
 
-from .ccl_recovery import CclReplayNode
+from .ccl_recovery import CclEngine
 from .logrecords import ModeSwitchLogRecord
-from .ml_recovery import MlReplayNode
+from .ml_recovery import MlEngine
 from .recovery import ReplayNode
 
 __all__ = ["AdaptiveReplayNode"]
 
 
-class AdaptiveReplayNode(MlReplayNode, CclReplayNode):
-    """Replay engine for adaptive hybrid logs (per-interval dispatch)."""
+class AdaptiveReplayNode(ReplayNode):
+    """Replay node for adaptive hybrid logs (per-interval engine choice)."""
 
     protocol = "adaptive"
+    engines = {"ml": MlEngine, "ccl": CclEngine}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -66,46 +65,3 @@ class AdaptiveReplayNode(MlReplayNode, CclReplayNode):
             else:
                 break
         return mode
-
-    @property
-    def _ccl_interval(self) -> bool:
-        return self.mode_at(self.interval_index) == "ccl"
-
-    # ------------------------------------------------------------------
-    # per-interval dispatch of every protocol-specific step
-    # ------------------------------------------------------------------
-    def _begin_interval(self) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._begin_interval(self)
-        else:
-            yield from ReplayNode._begin_interval(self)
-
-    def _boundary_read(self) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._boundary_read(self)
-        else:
-            yield from MlReplayNode._boundary_read(self)
-
-    def _apply_boundary_updates(self) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._apply_boundary_updates(self)
-        else:
-            yield from MlReplayNode._apply_boundary_updates(self)
-
-    def _window_read(self, window: int, notices) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._window_read(self, window, notices)
-        else:
-            yield from MlReplayNode._window_read(self, window, notices)
-
-    def _prefetch_window(self, window: int) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._prefetch_window(self, window)
-        else:
-            yield from MlReplayNode._prefetch_window(self, window)
-
-    def _replay_fault(self, page: int) -> Generator[Any, Any, None]:
-        if self._ccl_interval:
-            yield from CclReplayNode._replay_fault(self, page)
-        else:
-            yield from MlReplayNode._replay_fault(self, page)

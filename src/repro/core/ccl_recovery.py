@@ -35,76 +35,48 @@ from ..errors import RecoveryError
 from ..memory.diff import apply_diff
 from ..memory.page import PageState
 from ..sim.network import NetMessage
-from .logrecords import (
-    FetchLogRecord,
-    NoticeLogRecord,
-    OwnDiffLogRecord,
-    UpdateEventLogRecord,
-)
-from .recovery import ReplayNode
+from .logrecords import FetchLogRecord, OwnDiffLogRecord, UpdateEventLogRecord
+from .recovery import ReplayEngine, ReplayNode
 
-__all__ = ["CclReplayNode"]
+__all__ = ["CclEngine", "CclReplayNode"]
 
 #: (page, interval, part) triples wanted from one writer.
 Wants = Dict[int, List[Tuple[int, int, int]]]
 
 
-class CclReplayNode(ReplayNode):
-    """Replay engine for coherence-centric logging."""
+class CclEngine(ReplayEngine):
+    """Materialise a CCL-logged interval from metadata + peers' diff logs."""
 
-    protocol = "ccl"
-
-    # ------------------------------------------------------------------
-    def _begin_interval(self) -> Generator[Any, Any, None]:
-        if self.restoring:
-            return
-        yield from self._boundary_read()
-        notices = self.plog.select(
-            NoticeLogRecord, interval=self.interval_index, window=0
-        )
-        for rec in notices:
-            self._apply_notices(rec.records)
-        yield from self._update_and_prefetch(window=0, with_events=True)
-
-    def _boundary_read(self) -> Generator[Any, Any, None]:
+    def begin_interval(self, node: ReplayNode) -> Generator[Any, Any, None]:
         """One batched disk read of the interval's coherence metadata.
 
         The log is organised as two streams -- coherence metadata
         (notices, update events, fetch records) and diff data -- so the
         per-interval boundary scan only pays for the small metadata;
         own diffs are pulled on demand when a reconstruction history
-        references this node as a writer.
+        references this node as a writer.  Nothing more is read per
+        window, and the home updates are folded into the interval-start
+        :meth:`prefetch` wave.
         """
         nbytes = sum(
             r.nbytes
-            for r in self.plog.bundle(self.interval_index)
+            for r in node.plog.bundle(node.interval_index)
             if not isinstance(r, OwnDiffLogRecord)
         )
-        yield from self._disk_read("log_read", nbytes)
+        yield from node._disk_read("log_read", nbytes)
 
-    def _apply_boundary_updates(self) -> Generator[Any, Any, None]:
-        """Folded into :meth:`_begin_interval`'s combined wave."""
-        return
-        yield  # pragma: no cover - generator marker
+    def prefetch(self, node: ReplayNode, window: int) -> Generator[Any, Any, None]:
+        """One combined wave of event-diff fetches + page reconstruction.
 
-    def _window_read(self, window: int, notices) -> Generator[Any, Any, None]:
-        """Nothing: the bundle metadata was read once at interval start."""
-        return
-        yield  # pragma: no cover - generator marker
-
-    def _prefetch_window(self, window: int) -> Generator[Any, Any, None]:
-        yield from self._update_and_prefetch(window=window, with_events=False)
-
-    # ------------------------------------------------------------------
-    def _update_and_prefetch(
-        self, window: int, with_events: bool
-    ) -> Generator[Any, Any, None]:
-        """One combined wave of event-diff fetches + page reconstruction."""
+        Update events only exist at interval granularity, so the
+        interval-start window (0) carries them and mid-interval
+        acquires (windows > 0) run the same wave without.
+        """
         event_wants: Wants = {}
-        if with_events:
+        if window == 0:
             seen = set()
-            for ev in self.plog.select(
-                UpdateEventLogRecord, interval=self.interval_index
+            for ev in node.plog.select(
+                UpdateEventLogRecord, interval=node.interval_index
             ):
                 for page in ev.pages:
                     key = (ev.writer, page, ev.writer_index, ev.part)
@@ -115,8 +87,8 @@ class CclReplayNode(ReplayNode):
                         (page, ev.writer_index, ev.part)
                     )
 
-        fetches = self.plog.select(
-            FetchLogRecord, interval=self.interval_index, window=window
+        fetches = node.plog.select(
+            FetchLogRecord, interval=node.interval_index, window=window
         )
         # split pages into *warm* (a stale frame with a known version is
         # still resident: reconstruct locally by range-querying exactly
@@ -128,11 +100,11 @@ class CclReplayNode(ReplayNode):
         recon_by_home: Dict[int, List] = {}
         for rec in fetches:
             assert rec.version is not None
-            entry = self.pagetable.entry(rec.page)
+            entry = node.pagetable.entry(rec.page)
             have = entry.version
             if have is not None:
                 warm.append((rec.page, rec.version))
-                for j in range(self.cfg.num_nodes):
+                for j in range(node.cfg.num_nodes):
                     if rec.version[j] > have[j]:
                         warm_ranges.setdefault(j, []).append(
                             (rec.page, have[j], rec.version[j] - 1)
@@ -146,32 +118,31 @@ class CclReplayNode(ReplayNode):
 
         # ---- wave 1: cold recon metadata + event diffs + warm deltas
         recon_sigs = []
-        if self.timed:
+        if node.timed:
             for home in sorted(recon_by_home):
-                req = ReconRequest(self.id, recon_by_home[home])
-                yield from self.net.send(
-                    NetMessage(self.id, home, "recon_req", req, req.nbytes)
+                req = ReconRequest(node.id, recon_by_home[home])
+                yield from node.net.send(
+                    NetMessage(node.id, home, "recon_req", req, req.nbytes)
                 )
                 recon_sigs.append(
-                    self.net.mailbox(self.id).get(
+                    node.net.mailbox(node.id).get(
                         lambda m, h=home: m.kind == "recon_reply"
                         and m.payload.home == h
                     )
                 )
-        wave1 = yield from self._gather_diffs(event_wants, warm_ranges)
+        wave1 = yield from node._gather_diffs(event_wants, warm_ranges)
 
-        if self.timed:
-            t0 = self.sim.now
+        if node.timed:
             items: List[ReconPage] = []
-            for sig in recon_sigs:
-                msg = yield sig
-                items.extend(msg.payload.items)
-            self.stats.charge("prefetch", self.sim.now - t0)
+            with node.stats.bracket(node.sim, "prefetch"):
+                for sig in recon_sigs:
+                    msg = yield sig
+                    items.extend(msg.payload.items)
         else:
             items = []
             for home in sorted(recon_by_home):
-                reply = self.responders[home].serve_recon(
-                    ReconRequest(self.id, recon_by_home[home])
+                reply = node.responders[home].serve_recon(
+                    ReconRequest(node.id, recon_by_home[home])
                 )
                 items.extend(reply.items)
 
@@ -179,28 +150,28 @@ class CclReplayNode(ReplayNode):
         # pages are homed here, warm pages are not, so split by home
         cpu_cost = 0.0
         by_page: Dict[int, list] = {}
-        for e in self.causal_sort(wave1):
+        for e in node.causal_sort(wave1):
             diff = e[0]
-            if self.pagetable.entry(diff.page).home == self.id:
-                apply_diff(diff, self.memory.page_bytes(diff.page))
-                entry = self.pagetable.entry(diff.page)
+            if node.pagetable.entry(diff.page).home == node.id:
+                apply_diff(diff, node.memory.page_bytes(diff.page))
+                entry = node.pagetable.entry(diff.page)
                 entry.version = entry.version.merge(e[4])
-                cpu_cost += self.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
-                self.stats.count("replay_diffs_applied")
+                cpu_cost += node.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
+                node.stats.count("replay_diffs_applied")
             else:
                 by_page.setdefault(diff.page, []).append(e)
 
         # ---- warm pages: apply the delta onto the retained stale frame
         for page, needed in warm:
-            frame = self.memory.page_bytes(page)
-            for diff, _w, _i, _p, _vt in self.causal_sort(by_page.get(page, [])):
+            frame = node.memory.page_bytes(page)
+            for diff, _w, _i, _p, _vt in node.causal_sort(by_page.get(page, [])):
                 apply_diff(diff, frame)
-                cpu_cost += self.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
-            entry = self.pagetable.entry(page)
+                cpu_cost += node.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
+            entry = node.pagetable.entry(page)
             entry.state = PageState.CLEAN
             entry.version = needed
-            self.stats.count("pages_prefetched")
-            self.stats.count("prefetch_delta")
+            node.stats.count("pages_prefetched")
+            node.stats.count("prefetch_delta")
 
         # ---- cold pages: direct installs, then checkpoint rebuilds
         needed_by_page = {rec.page: rec.version for rec in fetches}
@@ -208,23 +179,23 @@ class CclReplayNode(ReplayNode):
         histories: Wants = {}
         for item in items:
             if item.direct is not None:
-                self._install(item.page, item.direct, item.version)
-                self.stats.count("prefetch_direct")
+                self._install(node, item.page, item.direct, item.version)
+                node.stats.count("prefetch_direct")
                 continue
             assert item.checkpoint is not None
             rebuilds.append((item.page, needed_by_page[item.page], item.checkpoint))
-            self.stats.count("prefetch_rebuilt")
+            node.stats.count("prefetch_rebuilt")
             for writer, idx, part in dict.fromkeys(item.history):
                 histories.setdefault(writer, []).append((item.page, idx, part))
 
         if rebuilds:
-            entries = yield from self._gather_diffs(histories)
+            entries = yield from node._gather_diffs(histories)
             cold_by_page: Dict[int, list] = {}
             for e in entries:
                 cold_by_page.setdefault(e[0].page, []).append(e)
             for page, needed, base in rebuilds:
                 image = base.copy()
-                for diff, _w, _i, _p, vt in self.causal_sort(
+                for diff, _w, _i, _p, vt in node.causal_sort(
                     cold_by_page.get(page, [])
                 ):
                     # client-side version filter: a *failed* home serves
@@ -235,22 +206,30 @@ class CclReplayNode(ReplayNode):
                         continue
                     apply_diff(diff, image)
                     cpu_cost += (
-                        self.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
+                        node.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
                     )
-                self._install(page, image, needed)
-        yield from self._spend("diff", cpu_cost)
+                self._install(node, page, image, needed)
+        yield from node._spend("diff", cpu_cost)
 
-    def _install(self, page: int, contents: np.ndarray, version) -> None:
-        self.memory.page_bytes(page)[:] = contents
-        entry = self.pagetable.entry(page)
+    @staticmethod
+    def _install(node: ReplayNode, page: int, contents: np.ndarray, version) -> None:
+        node.memory.page_bytes(page)[:] = contents
+        entry = node.pagetable.entry(page)
         entry.state = PageState.CLEAN
         entry.version = version
-        self.stats.count("pages_prefetched")
+        node.stats.count("pages_prefetched")
 
     # ------------------------------------------------------------------
-    def _replay_fault(self, page: int) -> Generator[Any, Any, None]:
+    def fault(self, node: ReplayNode, page: int) -> Generator[Any, Any, None]:
         raise RecoveryError(
             f"CCL replay faulted on page {page} in interval "
-            f"{self.interval_index}: prefetch should have covered it"
+            f"{node.interval_index}: prefetch should have covered it"
         )
         yield  # pragma: no cover - generator marker
+
+
+class CclReplayNode(ReplayNode):
+    """Replay node for coherence-centric logging."""
+
+    protocol = "ccl"
+    engines = {"ccl": CclEngine}

@@ -59,10 +59,9 @@ from ..sim.faults import DiskFaultPlan, FaultPlan
 from ..sim.trace import Tracer
 from .failover_recovery import compare_mirror, recover_via_failover
 from .failure import CrashProbe
-from .logging_base import make_hooks_factory
-from .recovery import compare_state, replay_failed_node
+from .logging_base import SCHEMES, make_hooks_factory
+from .recovery import compare_state, plan_victim, replay_failed_node
 from .replication import ZoneFaultSpec, validate_replication
-from .salvage import salvage_log
 
 __all__ = ["ChaosCase", "ChaosReport", "run_chaos_run", "run_chaos_suite"]
 
@@ -225,9 +224,11 @@ def run_chaos_run(
     spec = ZoneFaultSpec(zone_kill=zone_kill, zone_partition=zone_partition)
     if spec.any:
         spec.validate(config)
-    if protocol == "failover" and replication < 2:
+    hooks_factory = make_hooks_factory(protocol)  # refuses unknown names
+    promotes = SCHEMES[protocol].promotes
+    if promotes and replication < 2:
         raise ConfigError(
-            "the failover protocol promotes a surviving replica, so it "
+            f"the {protocol} protocol promotes a surviving replica, so it "
             f"needs replication >= 2 (got {replication}); pass "
             "--replication 2 or higher"
         )
@@ -249,8 +250,8 @@ def run_chaos_run(
                 return exc
             exc = exc.__cause__
         return None
-    app = app_factory()
     if app_name is None:
+        app = app_factory()
         app_name = str(getattr(app, "name", type(app).__name__)).lower()
     if zone_kill is not None:
         victims = list(config.nodes_in_zone(zone_kill))
@@ -268,31 +269,32 @@ def run_chaos_run(
         return DsmSystem(
             app_factory(),
             config,
-            make_hooks_factory(protocol),
+            hooks_factory,
             tracer=tracer,
             fault_plan=plan,
             disk_fault_plan=_disk_plan(),
             replication=replication,
         )
 
-    def diagnosed(node: int, t: float, stop_at: int, exc: Exception,
+    def case(node: int, t: float, stop_at: int, ok: bool, detail: str = "",
+             mismatches=(), salvage: str = "") -> ChaosCase:
+        return ChaosCase(
+            app_name, protocol, seed, node, t, stop_at, live_kill, ok,
+            detail, list(mismatches), repro_extra=repro_extra,
+            salvage=salvage,
+        )
+
+    def diagnosed(node: int, t: float, stop_at: int, exc: BaseException,
                   salvage: str = "") -> ChaosCase:
         # fail-fast with a named cause is a *pass* under disk faults and
         # under failover quorum loss: the contract is bit-exact or
         # loudly refused, never silent
-        return ChaosCase(
-            app_name, protocol, seed, node, t, stop_at,
-            live_kill, True, f"diagnosed: {exc}", repro_extra=repro_extra,
-            salvage=salvage,
-        )
+        return case(node, t, stop_at, True, f"diagnosed: {exc}",
+                    salvage=salvage)
 
     def fail(node: int, t: float, stop_at: int, detail: str,
-             mismatches=None, salvage: str = "") -> ChaosCase:
-        return ChaosCase(
-            app_name, protocol, seed, node, t, stop_at,
-            live_kill, False, detail, list(mismatches or []),
-            repro_extra=repro_extra, salvage=salvage,
-        )
+             mismatches=(), salvage: str = "") -> ChaosCase:
+        return case(node, t, stop_at, False, detail, mismatches, salvage)
 
     # ---- pilot duration: kill times and partition windows must be ----
     # ---- sampled inside the run --------------------------------------
@@ -319,7 +321,6 @@ def run_chaos_run(
             part_window = (start, start + width)
 
     plan = FaultPlan.uniform(seed, **rates)
-    disk_plan = _disk_plan()
     if kill_time is not None:
         if zone_kill is not None:
             plan.kill_zone(victims, kill_time)
@@ -333,10 +334,8 @@ def run_chaos_run(
         )
     if tracer is None and sanitize:
         tracer = Tracer(enabled=True)
-    system_a = DsmSystem(
-        app, config, make_hooks_factory(protocol), tracer=tracer,
-        fault_plan=plan, disk_fault_plan=disk_plan, replication=replication,
-    )
+    system_a = build(plan, tracer)
+    app, disk_plan = system_a.app, system_a.disk_fault_plan
     probes = {v: CrashProbe(v, capture_all=True) for v in victims}
     for p in probes.values():
         system_a.add_probe(p)
@@ -384,13 +383,7 @@ def run_chaos_run(
             )
             return cases, plan, system_a.transport
 
-    home_pages = {
-        v: [p for p, h in enumerate(system_a.homes) if h == v]
-        for v in victims
-    }
-
-    def failover_case(v: int, t: float, view, stop_at: int,
-                      salv: str) -> ChaosCase:
+    def promote(v: int, t: float, vplan) -> Tuple[List[str], str]:
         """Recover one victim by replica promotion and verify the mirror.
 
         The chaos driver probes many counterfactual crash instants of
@@ -403,30 +396,31 @@ def run_chaos_run(
         try:
             promoted, _epoch, mirror, breakdown, _stats, _rp, _rf = (
                 recover_via_failover(
-                    config, system_a, v, view, stop_at,
+                    config, system_a, v, vplan.plog, vplan.stop_at,
                     dead=victims, at_time=t,
                 )
             )
-        except (RecoveryError, LoggingProtocolError, SimulationError) as exc:
-            cause = _diagnosable(exc)
-            if cause is None:
-                raise
-            return diagnosed(v, t, stop_at, cause, salvage=salv)
         finally:
             grp.promoted, grp.epoch = saved
         mismatches = compare_mirror(
             mirror, probes[v].snapshots[mirror.seal],
-            home_pages[v], config.page_size,
+            [p for p, h in enumerate(system_a.homes) if h == v],
+            config.page_size,
         )
         if "page_replay" in breakdown:
             # the scheme's whole point: page contents come from the
             # promoted replica, never from log replay
             mismatches.append("failover breakdown contains page_replay")
-        return ChaosCase(
-            app_name, protocol, seed, v, t, stop_at, live_kill,
-            not mismatches,
-            "" if not mismatches else f"mirror mismatch (promoted {promoted})",
-            mismatches, repro_extra=repro_extra, salvage=salv,
+        return mismatches, f"mirror mismatch (promoted {promoted})"
+
+    def replay(v: int, t: float, vplan) -> Tuple[List[str], str]:
+        node, _rt = replay_failed_node(
+            app, config, protocol, system_a, v, vplan.plog, vplan.stop_at,
+            salvage=vplan.salvage, dead=victims,
+        )
+        return (
+            compare_state(node, vplan.snapshot, config.page_size),
+            "state mismatch",
         )
 
     # ---- sample crash instants and verify recovery at each -----------
@@ -438,69 +432,40 @@ def run_chaos_run(
     else:
         instants = sorted(rng.uniform(0.0, horizon) for _ in range(crash_points))
 
+    # the scheme table says how this protocol recovers
+    recover = promote if promotes else replay
+    faulty_disks = disk_plan is not None and disk_plan.active
     for t in instants:
         for v in victims:
-            probe = probes[v]
-            log = getattr(system_a.nodes[v].hooks, "log")
-            seals_done = sum(
-                1 for s in probe.snapshots.values() if s.time <= t
-            )
-            view = log.durable_view(t)
-            salvage_report = None
-            if disk_plan is not None and disk_plan.active:
-                view, salvage_report = salvage_log(view)
-                # salvage keeps a prefix of the full persistent
-                # sequence, so the first unreplayable interval comes
-                # straight off its count
-                lost = log.first_lost_from(salvage_report.salvaged_count)
-            else:
-                lost = log.first_lost_interval(t)
-            salv = (
-                salvage_report.describe() if salvage_report is not None else ""
-            )
-            stop_at = seals_done if lost is None else min(seals_done, lost)
+            # what a crash at t leaves on disk, and the highest seal it
+            # can be rebuilt to: one planner shared with the experiments
+            vplan = plan_victim(system_a, probes[v], t)
+            stop_at = vplan.stop_at
+            salv = vplan.salvage.describe() if faulty_disks else ""
             if stop_at < 1:
                 # nothing recoverable was sealed: recovery degenerates
                 # to a restart from the initial checkpoint, trivially
                 # bit-exact
-                cases.append(
-                    ChaosCase(app_name, protocol, seed, v, t, 0,
-                              live_kill, True, "restart-from-checkpoint",
-                              repro_extra=repro_extra, salvage=salv)
-                )
-                continue
-            if protocol == "failover":
-                cases.append(failover_case(v, t, view, stop_at, salv))
+                cases.append(case(v, t, 0, True, "restart-from-checkpoint",
+                                  salvage=salv))
                 continue
             try:
-                replay, _rt = replay_failed_node(
-                    app, config, protocol, system_a, v,
-                    view, stop_at, salvage=salvage_report, dead=victims,
-                )
+                mismatches, what = recover(v, t, vplan)
             except (RecoveryError, LoggingProtocolError,
                     SimulationError) as exc:
                 cause = _diagnosable(exc)
                 if cause is None:
                     raise
-                if disk_plan is not None and disk_plan.active:
+                if promotes or faulty_disks:
                     cases.append(diagnosed(v, t, stop_at, cause, salvage=salv))
                 else:
                     cases.append(
                         fail(v, t, stop_at, f"replay error: {cause}")
                     )
                 continue
-            mismatches = compare_state(
-                replay, probe.snapshots[stop_at], config.page_size
-            )
             cases.append(
-                ChaosCase(
-                    app_name, protocol, seed, v, t, stop_at,
-                    live_kill, not mismatches,
-                    "" if not mismatches else "state mismatch",
-                    mismatches,
-                    repro_extra=repro_extra,
-                    salvage=salv,
-                )
+                case(v, t, stop_at, not mismatches,
+                     what if mismatches else "", mismatches, salv)
             )
     return cases, plan, system_a.transport
 

@@ -48,10 +48,11 @@ class CheckpointMeta:
 class CheckpointSnapshot:
     """The restorable state captured by one checkpoint."""
 
-    def __init__(self, node: HlrcNode, seal: int, nbytes: int):
+    def __init__(self, node: HlrcNode, seal: int, nbytes: int,
+                 image: np.ndarray):
         self.seal = seal
         self.nbytes = nbytes
-        self.memory: np.ndarray = node.memory.snapshot()
+        self.memory: np.ndarray = image
         self.vt: VectorClock = node.vt
         self.interval_index: int = node.interval_index
         self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = {
@@ -127,18 +128,19 @@ class Checkpointer:
             pages_written = int(changed.sum())
             full = False
         nbytes = pages_written * page + self.STATE_BYTES
-        t0 = node.sim.now
-        yield node.disk.write(nbytes)
-        node.stats.charge("checkpoint", node.sim.now - t0)
+        # the restorable state is what the image was taken from: home
+        # updates may arrive while the write is in flight, and the log
+        # tags those with the next interval
+        snapshot = CheckpointSnapshot(node, node.seal_count, nbytes, image)
+        with node.stats.bracket(node.sim, "checkpoint"):
+            yield node.disk.write(nbytes)
         node.stats.count("checkpoints")
         node.stats.count("checkpoint_bytes", nbytes)
         self._last_image = image
         self.metas.append(
             CheckpointMeta(node.seal_count, node.sim.now, nbytes, pages_written, full)
         )
-        self.snapshots[node.seal_count] = CheckpointSnapshot(
-            node, node.seal_count, nbytes
-        )
+        self.snapshots[node.seal_count] = snapshot
         if self.retention is not None:
             kept = sorted(self.snapshots)
             while len(kept) > self.retention:

@@ -31,7 +31,7 @@ of the victim's home pages; losing every follower of a group is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,19 +39,23 @@ import numpy as np
 from ..config import ClusterConfig
 from ..dsm.interval import VectorClock
 from ..dsm.messages import LogDiffReply, LogDiffRequest, PromoteRequest
-from ..dsm.system import DsmSystem, RunResult
+from ..dsm.system import DsmSystem
 from ..errors import RecoveryError
 from ..memory import LocalMemory
-from ..sim.disk import Disk
-from ..sim.engine import Simulator
 from ..sim.network import NetMessage, Network
 from ..sim.stats import NodeStats
 from .detector import FailureDetector
-from .failure import CrashProbe, FailureSnapshot
-from .logging_base import make_hooks_factory
+from .failure import FailureSnapshot
+from .logging_base import SCHEMES
 from .logrecords import OwnDiffLogRecord, UpdateEventLogRecord
+from .recovery import (
+    RecoveryResult,
+    RecoveryWorld,
+    check_crash,
+    plan_victim,
+    run_phase_a,
+)
 from .replication import MirrorState, validate_replication
-from .responder import FailedNodeResponder, SurvivorResponder
 from .stablelog import StableLog
 
 __all__ = [
@@ -64,24 +68,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class FailoverResult:
-    """Outcome of one failover-recovery experiment."""
+@dataclass(kw_only=True)
+class FailoverResult(RecoveryResult):
+    """Outcome of one failover-recovery experiment.
 
-    app_name: str
-    protocol: str
-    failed_node: int
-    #: Seal count of the crash-point snapshot the recovery targets.
-    at_seal: int
+    A :class:`~repro.core.recovery.RecoveryResult` whose
+    ``recovery_time`` runs from failure declaration to recovered home
+    state (promotion + metadata replay + diff refetch; detection is
+    excluded and reported separately, like the classic experiments do),
+    whose ``at_seal`` is the crash-point snapshot the recovery targets,
+    and whose ``replay_stats`` belong to the promoted node.
+    """
+
     #: Follower promoted to primary for the victim's home group.
     promoted: int
     #: Group epoch after the fencing round.
     epoch: int
     replication: int
-    #: Virtual seconds from failure declaration to recovered home state
-    #: (promotion + metadata replay + diff refetch; detection excluded,
-    #: reported separately like the classic experiments do).
-    recovery_time: float
     #: Crash-to-declaration latency of the heartbeat detector.
     detection_time: float
     #: Time per phase; keys are exactly ``detection``, ``promotion``,
@@ -93,15 +96,6 @@ class FailoverResult:
     replayed_events: int
     #: Diffs re-fetched from writers' logs for the replayed events.
     refetched_diffs: int
-    verified: bool
-    mismatches: List[str]
-    replay_stats: NodeStats
-    phase_a: RunResult = field(repr=False, default=None)
-
-    @property
-    def ok(self) -> bool:
-        """Failover completed and reproduced the crash-point home state."""
-        return self.verified and not self.mismatches
 
 
 # ======================================================================
@@ -278,6 +272,7 @@ def recover_via_failover(
     :class:`RecoveryError` when the victim's group lost every follower.
     """
     dead = tuple(sorted(set(dead) | {failed_node}))
+    check_crash(config.num_nodes, dead, stop_at)
     promoted = choose_candidate(system_a, failed_node, dead, at_time)
     group = system_a.replica_groups[failed_node]
     mirror = mirror_at(system_a, failed_node, promoted, at_time)
@@ -301,106 +296,76 @@ def recover_via_failover(
             "quorum acknowledged"
         )
 
-    sim_b = Simulator()
-    net_b = Network(sim_b, config.network, config.num_nodes)
-    disks_b = [
-        Disk(sim_b, config.disk, f"rdisk{i}") for i in range(config.num_nodes)
-    ]
+    # the same phase-B world replay runs in; what differs is the cost
+    # model on top -- the promoted node reads its *own* warm log with
+    # ``read_cached`` and awaits writer replies in arrival order, where
+    # replay scans a rebooted disk and awaits per writer
+    world = RecoveryWorld(config, system_a, dead)
+    sim_b, net_b, disks_b = world.sim, world.net, world.disks
     stats = NodeStats(promoted)
     survivors = [i for i in range(config.num_nodes) if i not in dead]
-    ckpt_image = LocalMemory(system_a.space)
-    responders: Dict[int, Any] = {}
-    for node in system_a.nodes:
-        if node.id == promoted:
-            continue
-        if node.id in dead:
-            log = getattr(node.hooks, "log", None)
-            if log is not None:
-                responders[node.id] = FailedNodeResponder(
-                    node, ckpt_image, log
-                )
-        else:
-            responders[node.id] = SurvivorResponder(node, ckpt_image)
-    responder_procs = [
-        sim_b.spawn(r.loop(net_b, disks_b[r.id]), name=f"responder{r.id}")
-        for r in responders.values()
-    ]
-    hb_procs = [
-        sim_b.spawn(
-            FailureDetector.responder_loop(net_b, s), name=f"hb{s}"
-        )
-        for s in survivors
-        if s != promoted
-    ]
-    fence_procs = [
-        sim_b.spawn(
-            _promote_responder(
-                net_b, s, getattr(system_a.nodes[s], "replicator", None)
-            ),
-            name=f"fence{s}",
-        )
-        for s in survivors
-        if s != promoted
-    ]
+    for s in survivors:
+        if s != promoted:
+            world.spawn(FailureDetector.responder_loop(net_b, s), f"hb{s}")
+            world.spawn(
+                _promote_responder(
+                    net_b, s, getattr(system_a.nodes[s], "replicator", None)
+                ),
+                f"fence{s}",
+            )
     detector = FailureDetector(
         sim_b, net_b, promoted,
         period_s=detector_period_s, misses_allowed=misses_allowed,
     )
-    monitor_proc = sim_b.spawn(detector.monitor_loop(), name="hb-monitor")
+    world.spawn(detector.monitor_loop(), "hb-monitor")
 
-    breakdown = {
-        "detection": 0.0, "promotion": 0.0,
-        "meta_replay": 0.0, "diff_refetch": 0.0,
-    }
     counts = {"replayed": 0, "refetched": 0}
-    done = {"ok": False}
     cpu = config.cpu
 
     def failover_main() -> Generator[Any, Any, None]:
         mbox = net_b.mailbox(promoted)
         # -- 1. detection ----------------------------------------------
-        yield detector.on_failure
-        breakdown["detection"] = sim_b.now
-        stats.charge("detection", sim_b.now)
+        with stats.bracket(sim_b, "detection"):
+            yield detector.on_failure
         # -- 2. promotion fencing round --------------------------------
-        t0 = sim_b.now
-        claim_epoch = group.epoch + 1
-        fence_targets = [s for s in survivors if s != promoted]
-        for s in fence_targets:
-            req = PromoteRequest(failed_node, promoted, claim_epoch)
-            yield from net_b.send(
-                NetMessage(promoted, s, "promote_req", req, req.nbytes)
-            )
-        acks = []
-        while len(acks) < len(fence_targets):
-            msg = yield mbox.get(lambda m: m.kind == "promote_ack")
-            acks.append(msg.payload)
-        if not all(a.accepted for a in acks):
-            deniers = [a.follower for a in acks if not a.accepted]
-            raise RecoveryError(
-                f"promotion of node {promoted} for home {failed_node} at "
-                f"epoch {claim_epoch} was fenced by {deniers}: a newer "
-                "epoch exists -- duplicate failover refused"
-            )
-        group.promote(promoted, dead)
-        mirror.epoch = group.epoch
-        breakdown["promotion"] = sim_b.now - t0
-        stats.charge("promotion", sim_b.now - t0)
+        with stats.bracket(sim_b, "promotion"):
+            claim_epoch = group.epoch + 1
+            fence_targets = [s for s in survivors if s != promoted]
+            for s in fence_targets:
+                req = PromoteRequest(failed_node, promoted, claim_epoch)
+                yield from net_b.send(
+                    NetMessage(promoted, s, "promote_req", req, req.nbytes)
+                )
+            acks = []
+            while len(acks) < len(fence_targets):
+                msg = yield mbox.get(lambda m: m.kind == "promote_ack")
+                acks.append(msg.payload)
+            if not all(a.accepted for a in acks):
+                deniers = [a.follower for a in acks if not a.accepted]
+                raise RecoveryError(
+                    f"promotion of node {promoted} for home {failed_node} "
+                    f"at epoch {claim_epoch} was fenced by {deniers}: a "
+                    "newer epoch exists -- duplicate failover refused"
+                )
+            group.promote(promoted, dead)
+            mirror.epoch = group.epoch
         # -- 3. metadata replay: scan the victim's durable log suffix --
-        t0 = sim_b.now
-        if scan_bytes:
-            # the victim's rebooted disk serves a cold sequential scan,
-            # then the metadata crosses the wire to the promoted node
-            yield disks_b[failed_node].read_seq(scan_bytes)
-            yield from net_b.send(
-                NetMessage(failed_node, promoted, "logdiff_reply",
-                           LogDiffReply([]), scan_bytes)
-            )
-            yield mbox.get(lambda m: m.kind == "logdiff_reply")
-        breakdown["meta_replay"] = sim_b.now - t0
-        stats.charge("meta_replay", sim_b.now - t0)
+        with stats.bracket(sim_b, "meta_replay"):
+            if scan_bytes:
+                # the victim's rebooted disk serves a cold sequential
+                # scan, then the metadata crosses the wire to the
+                # promoted node
+                yield disks_b[failed_node].read_seq(scan_bytes)
+                yield from net_b.send(
+                    NetMessage(failed_node, promoted, "logdiff_reply",
+                               LogDiffReply([]), scan_bytes)
+                )
+                yield mbox.get(lambda m: m.kind == "logdiff_reply")
         # -- 4. re-fetch update-event diffs from the writers' logs -----
-        t0 = sim_b.now
+        with stats.bracket(sim_b, "diff_refetch"):
+            yield from refetch_and_apply(mbox)
+
+    def refetch_and_apply(mbox) -> Generator[Any, Any, None]:
         wants: Dict[int, List[Tuple[int, int, int]]] = {}
         for rec in suffix:
             if isinstance(rec, UpdateEventLogRecord):
@@ -429,11 +394,6 @@ def recover_via_failover(
                 if read_bytes:
                     yield disks_b[promoted].read_cached(read_bytes)
                 continue
-            if writer not in responders:
-                raise RecoveryError(
-                    f"update events name writer {writer} but no responder "
-                    "serves its log; cannot re-fetch its diffs"
-                )
             req = LogDiffRequest(promoted, wants=triples)
             yield from net_b.send(
                 NetMessage(promoted, writer, "logdiff_req", req, req.nbytes)
@@ -472,20 +432,12 @@ def recover_via_failover(
         if apply_bytes:
             yield cpu.diff_apply_per_byte_s * apply_bytes
         mirror.seal, mirror.upto = target_seal, mirror.upto + len(suffix)
-        breakdown["diff_refetch"] = sim_b.now - t0
-        stats.charge("diff_refetch", sim_b.now - t0)
-        done["ok"] = True
-        monitor_proc.kill()
-        for proc in responder_procs + hb_procs + fence_procs:
-            proc.kill()
 
-    sim_b.spawn(failover_main(), name=f"failover{promoted}")
-    sim_b.run()
-    if not done["ok"]:
-        raise RecoveryError(
-            f"failover of home {failed_node} onto node {promoted} stalled "
-            "before the mirror was recovered"
-        )
+    world.run({f"failover{promoted}": failover_main()})
+    # the scheme's whole breakdown: there is no page-replay component
+    breakdown = {
+        c: stats.time.get(c) for c in SCHEMES["failover"].components
+    }
     system_a.nodes[promoted].replicator.failovers += 1
     return (
         promoted, group.epoch, mirror, breakdown, stats,
@@ -523,29 +475,15 @@ def run_failover_experiment(
             f"{replication}): with a single copy there is no replica to "
             "promote; use the classic replay schemes instead"
         )
-    if not (0 <= failed_node < config.num_nodes):
-        raise RecoveryError(
-            f"failed_node {failed_node} is not a valid rank; the cluster "
-            f"has nodes 0..{config.num_nodes - 1}"
-        )
-
-    system_a = DsmSystem(
-        app, config, make_hooks_factory("failover"), replication=replication
+    system_a, probes, result_a = run_phase_a(
+        app, config, "failover", (failed_node,), replication=replication
     )
-    probe = CrashProbe(failed_node)
-    system_a.add_probe(probe)
-    result_a = system_a.run()
-    probe.finalize()
-    snapshot = probe.snapshot
-    if snapshot is None:
-        raise RecoveryError(
-            f"node {failed_node} never sealed an interval; nothing to recover"
-        )
-    plog = getattr(system_a.nodes[failed_node].hooks, "log")
+    plan = plan_victim(system_a, probes[failed_node])
+    snapshot = plan.snapshot
 
     promoted, epoch, mirror, breakdown, stats, replayed, refetched = (
         recover_via_failover(
-            config, system_a, failed_node, plog, snapshot.seal_count,
+            config, system_a, failed_node, plan.plog, plan.stop_at,
             detector_period_s=detector_period_s,
             misses_allowed=misses_allowed,
         )
@@ -564,7 +502,7 @@ def run_failover_experiment(
         app_name=getattr(app, "name", type(app).__name__),
         protocol="failover",
         failed_node=failed_node,
-        at_seal=snapshot.seal_count,
+        at_seal=plan.stop_at,
         promoted=promoted,
         epoch=epoch,
         replication=replication,

@@ -1,36 +1,109 @@
-"""Logging-protocol registry and factories.
+"""The scheme table: one row per logging protocol and how it recovers.
 
 Re-exports the hook interface from the DSM layer (where it lives to
-keep the dependency graph acyclic) and provides the name-based factory
-the harness and the recovery driver use.  Every surface that offers a
-protocol choice (CLI flags, chaos matrices, recovery dispatch) derives
-it from :data:`PROTOCOL_NAMES` / :data:`RECOVERY_PROTOCOL_NAMES` here,
-so adding a protocol cannot silently miss one of them.
+keep the dependency graph acyclic) and holds :data:`SCHEMES`, the one
+registry every surface that offers a protocol choice derives from --
+:data:`PROTOCOL_NAMES` / :data:`RECOVERY_PROTOCOL_NAMES` (CLI flags,
+chaos matrices), :func:`make_hooks`, the replay-engine dispatch of
+:func:`~repro.core.recovery.replay_node_class`, the chaos suite's
+choice between replay and replica promotion, and the comparison table
+in docs/recovery.md -- so adding a protocol cannot silently miss one of
+them.  This module imports every implementation, which is why
+:mod:`repro.core.recovery` looks the table up lazily.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from ..dsm.logginghooks import LoggingHooks, NoLogging
 from ..errors import ConfigError
+from .adaptive import AdaptiveLogging
+from .adaptive_recovery import AdaptiveReplayNode
+from .ccl import CoherenceCentricLogging
+from .ccl_recovery import CclReplayNode
+from .ml import MessageLogging
+from .ml_recovery import MlReplayNode
+from .recovery import ReplayNode
+from .replication import FailoverLogging
 
 __all__ = [
     "LoggingHooks",
     "NoLogging",
+    "Scheme",
+    "SCHEMES",
     "PROTOCOL_NAMES",
     "RECOVERY_PROTOCOL_NAMES",
     "make_hooks",
     "make_hooks_factory",
 ]
 
+#: Recovery-time components every replay charges: re-executed compute,
+#: local synchronisation, diff/twin CPU, sequential log scans, plus the
+#: checkpoint restore read and the salvage CRC walk when they apply.
+_REPLAY = ("compute", "sync", "diff", "log_read", "ckpt_restore", "salvage_scan")
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One logging protocol and the way a node that ran it is recovered."""
+
+    name: str
+    #: Failure-free side: the logging hooks every node runs.
+    hooks: Type[LoggingHooks]
+    #: Engine replaying this scheme's log (None: nothing to recover from).
+    replay: Optional[Type[ReplayNode]] = None
+    #: Recovery-time breakdown components the scheme's recovery charges
+    #: (``NodeStats.time`` categories; docs/recovery.md lists the same).
+    components: Tuple[str, ...] = ()
+    #: Recovers by promoting a home replica (needs ``replication >= 2``);
+    #: ``replay`` is then the fallback when the quorum is lost.
+    promotes: bool = False
+    #: The hooks take the adaptive cost model's ``recovery_budget``.
+    budgeted: bool = False
+
+
 #: The three protocols of the evaluation (paper Section 4) plus the
 #: adaptive hybrid that switches between ML and CCL per interval and
-#: the failover scheme (CCL logging under quorum-replicated homes).
-PROTOCOL_NAMES = ("none", "ml", "ccl", "adaptive", "failover")
+#: the failover scheme (CCL logging under quorum-replicated homes, whose
+#: log format is CCL's plus content-free home-write records that apply
+#: as no-ops -- so a lost quorum still replays the classic CCL way).
+SCHEMES: Dict[str, Scheme] = {
+    s.name: s
+    for s in (
+        Scheme("none", NoLogging),
+        Scheme("ml", MessageLogging, MlReplayNode,
+               _REPLAY + ("fault", "miss_read")),
+        Scheme("ccl", CoherenceCentricLogging, CclReplayNode,
+               _REPLAY + ("prefetch",)),
+        Scheme("adaptive", AdaptiveLogging, AdaptiveReplayNode,
+               _REPLAY + ("fault", "miss_read", "prefetch"), budgeted=True),
+        Scheme("failover", FailoverLogging, CclReplayNode,
+               ("detection", "promotion", "meta_replay", "diff_refetch"),
+               promotes=True),
+    )
+}
+
+PROTOCOL_NAMES = tuple(SCHEMES)
 
 #: The subset whose logs a crashed node can be replayed from.
-RECOVERY_PROTOCOL_NAMES = ("ml", "ccl", "adaptive", "failover")
+RECOVERY_PROTOCOL_NAMES = tuple(n for n, s in SCHEMES.items() if s.replay)
+
+
+def _scheme(name: str, recovery_budget: Optional[float]) -> Scheme:
+    scheme = SCHEMES.get(name)
+    if scheme is None:
+        raise ConfigError(
+            f"unknown logging protocol {name!r}; know {PROTOCOL_NAMES}"
+        )
+    if recovery_budget is not None and not scheme.budgeted:
+        # a configuration error rather than a silently ignored knob
+        raise ConfigError(
+            f"recovery_budget only applies to the adaptive protocol, "
+            f"not {name!r}"
+        )
+    return scheme
 
 
 def make_hooks(
@@ -39,46 +112,20 @@ def make_hooks(
     """Instantiate a logging protocol by name.
 
     ``recovery_budget`` (virtual seconds) only applies to the adaptive
-    protocol; passing it with a static protocol is a configuration
-    error rather than a silently ignored knob.
+    protocol; passing it with a static protocol is refused.
     """
-    if recovery_budget is not None and name != "adaptive":
-        raise ConfigError(
-            f"recovery_budget only applies to the adaptive protocol, "
-            f"not {name!r}"
-        )
-    if name == "none":
-        return NoLogging()
-    if name == "ml":
-        from .ml import MessageLogging
-
-        return MessageLogging()
-    if name == "ccl":
-        from .ccl import CoherenceCentricLogging
-
-        return CoherenceCentricLogging()
-    if name == "adaptive":
-        from .adaptive import AdaptiveLogging
-
-        return AdaptiveLogging(recovery_budget=recovery_budget)
-    if name == "failover":
-        from .replication import FailoverLogging
-
-        return FailoverLogging()
-    raise ConfigError(f"unknown logging protocol {name!r}; know {PROTOCOL_NAMES}")
+    scheme = _scheme(name, recovery_budget)
+    if scheme.budgeted:
+        return scheme.hooks(recovery_budget=recovery_budget)
+    return scheme.hooks()
 
 
 def make_hooks_factory(
     name: str, recovery_budget: Optional[float] = None
 ) -> Callable[[int], LoggingHooks]:
-    """A per-node factory for :class:`~repro.dsm.system.DsmSystem`."""
-    if name not in PROTOCOL_NAMES:
-        raise ConfigError(
-            f"unknown logging protocol {name!r}; know {PROTOCOL_NAMES}"
-        )
-    if recovery_budget is not None and name != "adaptive":
-        raise ConfigError(
-            f"recovery_budget only applies to the adaptive protocol, "
-            f"not {name!r}"
-        )
+    """A per-node factory for :class:`~repro.dsm.system.DsmSystem`.
+
+    Validates the name and budget here, without constructing anything.
+    """
+    _scheme(name, recovery_budget)
     return lambda _node_id: make_hooks(name, recovery_budget=recovery_budget)

@@ -26,85 +26,83 @@ from .logrecords import (
     NoticeLogRecord,
     PageCopyLogRecord,
 )
-from .recovery import ReplayNode
+from .recovery import ReplayEngine, ReplayNode
 
-__all__ = ["MlReplayNode"]
+__all__ = ["MlEngine", "MlReplayNode"]
 
 
-class MlReplayNode(ReplayNode):
-    """Replay engine for traditional message logging."""
+class MlEngine(ReplayEngine):
+    """Materialise an ML-logged interval from the victim's own log."""
 
-    protocol = "ml"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
         self._page_queues: Dict[int, Deque[PageCopyLogRecord]] = {}
 
     # ------------------------------------------------------------------
-    def _boundary_read(self) -> Generator[Any, Any, None]:
-        """One disk read for the boundary records of the new interval."""
-        i = self.interval_index
+    def begin_interval(self, node: ReplayNode) -> Generator[Any, Any, None]:
+        """One disk read for the boundary records of the new interval,
+        then apply the logged incoming diff contents to home copies."""
+        i = node.interval_index
+        incoming = node.plog.select(IncomingDiffLogRecord, interval=i)
         nbytes = sum(
             r.nbytes
-            for r in self.plog.select(NoticeLogRecord, interval=i, window=0)
-        ) + sum(
-            r.nbytes for r in self.plog.select(IncomingDiffLogRecord, interval=i)
-        )
-        yield from self._disk_read("log_read", nbytes)
+            for r in node.plog.select(NoticeLogRecord, interval=i, window=0)
+        ) + sum(r.nbytes for r in incoming)
+        yield from node._disk_read("log_read", nbytes)
         # stage this interval's logged page copies for fault-time reads
         self._page_queues = {}
-        for rec in self.plog.select(PageCopyLogRecord, interval=i):
+        for rec in node.plog.select(PageCopyLogRecord, interval=i):
             self._page_queues.setdefault(rec.page, deque()).append(rec)
 
-    def _apply_boundary_updates(self) -> Generator[Any, Any, None]:
-        """Apply logged incoming diff contents to home copies."""
-        records = self.plog.select(
-            IncomingDiffLogRecord, interval=self.interval_index
-        )
-        cpu = self.cfg.cpu
+        cpu = node.cfg.cpu
         apply_cost = 0.0
-        for rec in records:
+        for rec in incoming:
             for d in rec.diffs:
-                entry = self.pagetable.entry(d.page)
-                if entry.home != self.id:
+                entry = node.pagetable.entry(d.page)
+                if entry.home != node.id:
                     raise RecoveryError(
                         f"logged incoming diff for non-home page {d.page}"
                     )
-                apply_diff(d, self.memory.page_bytes(d.page))
+                apply_diff(d, node.memory.page_bytes(d.page))
                 assert rec.vt is not None
                 entry.version = entry.version.merge(rec.vt)
-                self.stats.count("replay_diffs_applied")
+                node.stats.count("replay_diffs_applied")
             apply_cost += cpu.diff_apply_per_byte_s * sum(
                 4 * d.word_count for d in rec.diffs
             )
-        yield from self._spend("diff", apply_cost)
+        yield from node._spend("diff", apply_cost)
 
-    def _window_read(self, window: int, notices: List[NoticeLogRecord]
-                     ) -> Generator[Any, Any, None]:
-        """Mid-interval acquires pay their own disk read (window > 0)."""
+    def read_window(
+        self, node: ReplayNode, window: int, notices: List[NoticeLogRecord]
+    ) -> Generator[Any, Any, None]:
+        """Mid-interval acquires pay their own disk read (window > 0).
+
+        ML never prefetches; misses are served lazily at fault time.
+        """
         if window > 0:
             nbytes = sum(r.nbytes for r in notices)
-            yield from self._disk_read("log_read", nbytes)
+            yield from node._disk_read("log_read", nbytes)
 
-    def _prefetch_window(self, window: int) -> Generator[Any, Any, None]:
-        """ML never prefetches; misses are served lazily at fault time."""
-        return
-        yield  # pragma: no cover - generator marker
-
-    def _replay_fault(self, page: int) -> Generator[Any, Any, None]:
+    def fault(self, node: ReplayNode, page: int) -> Generator[Any, Any, None]:
         """A memory miss: read the logged page copy from disk."""
         queue = self._page_queues.get(page)
         if not queue:
             raise RecoveryError(
                 f"ML replay fault on page {page} with no logged copy "
-                f"(interval {self.interval_index})"
+                f"(interval {node.interval_index})"
             )
         rec = queue.popleft()
-        yield from self._spend("fault", self.cfg.cpu.page_fault_s)
-        yield from self._disk_read("miss_read", rec.nbytes)
+        yield from node._spend("fault", node.cfg.cpu.page_fault_s)
+        yield from node._disk_read("miss_read", rec.nbytes)
         assert rec.contents is not None
-        self.memory.page_bytes(page)[:] = rec.contents
-        entry = self.pagetable.entry(page)
+        node.memory.page_bytes(page)[:] = rec.contents
+        entry = node.pagetable.entry(page)
         entry.state = PageState.CLEAN
         entry.version = rec.version
-        self.stats.count("replay_faults")
+        node.stats.count("replay_faults")
+
+
+class MlReplayNode(ReplayNode):
+    """Replay node for traditional message logging."""
+
+    protocol = "ml"
+    engines = {"ml": MlEngine}

@@ -1,4 +1,4 @@
-"""Crash recovery: replay engine, orchestration, and verification.
+"""Crash recovery: the replay skeleton and the one recovery driver.
 
 Recovery re-executes the failed node's program deterministically from
 its most recent checkpoint (the initial state in the paper's
@@ -14,15 +14,19 @@ synchronisation (paper Figures 2-3, ``in_recovery`` branches):
   the logged page contents at each memory miss, CCL prefetches and
   reconstructs every page at each interval start.
 
-The experiment driver :func:`run_recovery_experiment` runs two
-simulations.  **Phase A** executes the application failure-free under
-the chosen logging protocol, with a :class:`~repro.core.failure.CrashProbe`
-capturing the victim's state at the crash point.  **Phase B** replays
-the victim in a fresh simulation against
-:class:`~repro.core.responder.SurvivorResponder` services built from the
-survivors' phase-A state, measures the replay's virtual duration, and
-verifies that the recovered memory image, page states, versions, and
-vector clock match the crash-point snapshot exactly.
+Every entry point runs the same four stages.  **Phase A** executes the
+application failure-free under the chosen logging protocol, with a
+:class:`~repro.core.failure.CrashProbe` capturing each victim's state at
+the crash point.  **Plan** (:func:`plan_victim`) turns a probed victim
+and a crash seal or instant into a :class:`VictimPlan`: the log replay
+may trust, how far it can go, and the checkpoint it starts from.
+**Phase B** builds one :class:`RecoveryWorld` -- a fresh simulation with
+a responder per node serving from its phase-A state -- and replays every
+planned victim in it concurrently; a single failure is the one-victim
+case.  **Verify** (:func:`compare_state`) checks the recovered memory
+image, page states, versions and vector clock against the crash-point
+snapshot bit for bit.  Replica promotion
+(:mod:`repro.core.failover_recovery`) runs in the same world.
 
 A note on in-flight messages: a diff acknowledged by the victim in the
 instant between its last flush and the crash would be absent from the
@@ -37,32 +41,42 @@ is exactly why CCL logs outgoing diffs durably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Type,
+)
 
 import numpy as np
 
 from ..config import ClusterConfig
 from ..dsm.api import Dsm
 from ..dsm.interval import IntervalRecord, VectorClock
+from ..dsm.messages import LogDiffRequest
 from ..dsm.system import DsmSystem, RunResult
 from ..errors import RecoveryError
 from ..memory import LocalMemory, PageState, PageTable
 from ..memory.diff import Diff
 from ..sim.disk import Disk
 from ..sim.engine import Simulator
-from ..sim.events import Signal
+from ..sim.events import AllOf
 from ..sim.network import NetMessage, Network
+from ..sim.process import SimProcess
 from ..sim.stats import NodeStats
 from .checkpoint import Checkpointer, CheckpointSnapshot
 from .failure import CrashProbe, FailureSnapshot
-from .logging_base import RECOVERY_PROTOCOL_NAMES, make_hooks_factory
 from .logrecords import NoticeLogRecord
 from .responder import FailedNodeResponder, SurvivorResponder
+from .salvage import SalvageReport, plan_recovery, salvage_log
 from .stablelog import StableLog
 
 __all__ = [
+    "ReplayEngine",
     "ReplayNode",
     "replay_node_class",
+    "VictimPlan",
+    "plan_victim",
+    "RecoveryWorld",
+    "check_crash",
+    "run_phase_a",
     "RecoveryResult",
     "MultiRecoveryResult",
     "replay_failed_node",
@@ -72,76 +86,268 @@ __all__ = [
 ]
 
 
-def replay_node_class(protocol: str):
-    """Explicit protocol-name → replay-class dispatch.
+def replay_node_class(protocol: str) -> Type["ReplayNode"]:
+    """Protocol name → replay class, read off the scheme table.
 
-    Raises :class:`~repro.errors.RecoveryError` on unknown names -- the
-    old ``ml-else-ccl`` fallback silently replayed any typo with the
-    CCL engine.
+    Raises :class:`~repro.errors.RecoveryError` on a name with no replay
+    engine -- an ``ml-else-ccl`` fallback would silently replay any typo
+    with the CCL engine.
     """
-    from .adaptive_recovery import AdaptiveReplayNode
-    from .ccl_recovery import CclReplayNode
-    from .ml_recovery import MlReplayNode
+    # the table imports the engines, which import this module
+    from .logging_base import RECOVERY_PROTOCOL_NAMES, SCHEMES
 
-    class FailoverReplayNode(CclReplayNode):
-        """Classic replay over a ``failover``-protocol log.
-
-        The failover scheme's log format is CCL's (plus content-free
-        home-write records, which apply as no-ops), so when failover
-        itself is impossible -- quorum lost, or no replication -- the
-        victim can still be replayed the classic way from its durable
-        log.  A distinct class keeps protocol names honest in results.
-        """
-
-        protocol = "failover"
-
-    classes = {
-        "ml": MlReplayNode,
-        "ccl": CclReplayNode,
-        "adaptive": AdaptiveReplayNode,
-        "failover": FailoverReplayNode,
-    }
-    if protocol not in classes:
+    scheme = SCHEMES.get(protocol)
+    if scheme is None or scheme.replay is None:
         raise RecoveryError(
             f"no replay engine for protocol {protocol!r}; "
             f"know {RECOVERY_PROTOCOL_NAMES}"
         )
-    return classes[protocol]
+    return scheme.replay
+
+
+def check_crash(num_nodes: int, down: Iterable[int], *stop_ats: int) -> None:
+    """Refuse, in one line, a crash no recovery entry point can serve.
+
+    Unchecked, a bad victim rank only surfaces after a full phase-A run
+    as "never reached seal", or as an ``IndexError`` from deep inside
+    the phase-B network.
+    """
+    down = set(down)
+    for rank in sorted(down):
+        if not (0 <= rank < num_nodes):
+            raise RecoveryError(
+                f"failed node {rank} is not a valid rank; the cluster has "
+                f"nodes 0..{num_nodes - 1}"
+            )
+    if len(down) >= num_nodes:
+        raise RecoveryError("at least one node must survive")
+    for stop_at in stop_ats:
+        if stop_at < 1:
+            raise RecoveryError(
+                f"recovery needs at least one sealed interval, got {stop_at}"
+            )
+
+
+# ======================================================================
+# plan: what one victim's recovery may trust and how far it can go
+# ======================================================================
+
+
+@dataclass
+class VictimPlan:
+    """Everything phase B needs to recover one victim."""
+
+    victim: int
+    #: The log replay consumes (full, or the crash instant's durable view).
+    plog: StableLog
+    #: Replay stops after this many seals (0: nothing recoverable).
+    stop_at: int
+    #: Seals before this one re-execute at zero cost (checkpoint restore).
+    free_until: int = 0
+    checkpoint: Optional[CheckpointSnapshot] = None
+    #: Salvage scan outcome; its scanned bytes are charged to the replay.
+    salvage: Optional[SalvageReport] = None
+    #: Phase-A state at ``stop_at``: what recovery is verified against.
+    snapshot: Optional[FailureSnapshot] = None
+
+
+def plan_victim(
+    system_a: DsmSystem, probe: CrashProbe, at_time: Optional[float] = None
+) -> VictimPlan:
+    """Plan one probed victim's recovery from a finished phase A.
+
+    ``at_time=None`` is the paper's seal-aligned crash: the probe's
+    snapshot names the seal, the full log is trusted, and replay starts
+    from the latest checkpoint strictly before the crash seal.  With
+    ``at_time`` the victim crashes at that arbitrary instant (the probe
+    must ``capture_all``): the log is cut to what the crash leaves on
+    disk, salvaged when the system's disks are faulty, and bounded by
+    :func:`~repro.core.salvage.plan_recovery`.  ``stop_at == 0`` means
+    nothing durable was sealed: recovery is a restart from scratch.
+    """
+    victim = probe.node
+    node = system_a.nodes[victim]
+    full: StableLog = getattr(node.hooks, "log")
+    ckpt: Optional[Checkpointer] = node.checkpointer
+    if at_time is None:
+        if probe.snapshot is None:
+            where = "a seal" if probe.at_seal is None else f"seal {probe.at_seal}"
+            raise RecoveryError(
+                f"node {victim} never reached {where}; cannot crash there"
+            )
+        plan = VictimPlan(victim, full, probe.snapshot.seal_count,
+                          snapshot=probe.snapshot)
+        base = ckpt.latest_before(plan.stop_at - 1) if ckpt is not None else None
+        if base is not None:
+            plan.free_until, plan.checkpoint = base.seal, base
+        return plan
+    seals_done = sum(1 for s in probe.snapshots.values() if s.time <= at_time)
+    view = full.durable_view(at_time)
+    faults = system_a.disk_fault_plan
+    if faults is not None and faults.active:
+        view, report = salvage_log(view)
+    else:
+        report = SalvageReport(
+            victim, salvaged_count=len(view.persistent_records)
+        )
+    stop_at, free_until, base = plan_recovery(full, report, seals_done, ckpt)
+    return VictimPlan(victim, view, stop_at, free_until, base, report,
+                      probe.snapshots.get(stop_at))
+
+
+# ======================================================================
+# world: the phase-B simulation every recovery runs in
+# ======================================================================
+
+
+class RecoveryWorld:
+    """A fresh simulation serving recovery from phase-A state.
+
+    Owns the simulator, the network, one disk per node and one responder
+    per node with its service loop running: survivors answer from live
+    state, nodes in ``down`` (the victims and any co-victims of a zone
+    kill) from their surviving logs alone -- with the simplification
+    that a down node serves its peers from its *full* phase-A log, not
+    subject to its own crash-time cut.  :meth:`run` adds the recovering
+    actors and a controller that reaps every process once they are done.
+    """
+
+    def __init__(self, config: ClusterConfig, system_a: DsmSystem,
+                 down: Iterable[int]):
+        down = set(down)
+        self.config = config
+        self.system_a = system_a
+        _refuse_drifted_homes(system_a, down)
+        self.sim = Simulator()
+        self.net = Network(self.sim, config.network, config.num_nodes)
+        self.disks = [
+            Disk(self.sim, config.disk, f"rdisk{i}")
+            for i in range(config.num_nodes)
+        ]
+        ckpt_image = LocalMemory(system_a.space)
+        self.responders: Dict[int, SurvivorResponder] = {}
+        for node in system_a.nodes:
+            if node.id not in down:
+                self.responders[node.id] = SurvivorResponder(node, ckpt_image)
+                continue
+            log = getattr(node.hooks, "log", None)
+            if log is None:
+                raise RecoveryError(
+                    f"node {node.id} is down but keeps no log to answer "
+                    "recovery requests from"
+                )
+            self.responders[node.id] = FailedNodeResponder(node, ckpt_image, log)
+        self._services: List[SimProcess] = []
+        for r in self.responders.values():
+            self.spawn(r.loop(self.net, self.disks[r.id]), f"responder{r.id}")
+
+    def spawn(self, gen: Generator[Any, Any, None], name: str) -> SimProcess:
+        """Start a service process; :meth:`run` kills it at the end."""
+        proc = self.sim.spawn(gen, name=name)
+        self._services.append(proc)
+        return proc
+
+    def run(self, actors: Dict[str, Generator[Any, Any, None]]) -> None:
+        """Run the recovering ``actors`` to completion, then reap the services."""
+        procs = [self.sim.spawn(gen, name=name) for name, gen in actors.items()]
+
+        def controller() -> Generator[Any, Any, None]:
+            yield AllOf([p.done for p in procs])
+            for proc in self._services:
+                proc.kill()
+
+        self.sim.spawn(controller(), name="recovery-controller")
+        self.sim.run()
+
+
+def _refuse_drifted_homes(system_a: DsmSystem, down: Iterable[int]) -> None:
+    # recovery assumes static homes: the responders and the replay node
+    # are both built from the construction-time home map.  If homes
+    # migrated during phase A (hlrc-migrate), page ownership in the live
+    # pagetables has drifted and replay would misdirect reconstruction
+    # requests -- diagnose that here instead of surfacing a KeyError
+    # deep inside a responder.
+    live_homes = [
+        system_a.nodes[0].pagetable.entry(p).home
+        for p in range(system_a.space.npages)
+    ]
+    if live_homes == list(system_a.homes):
+        return
+    moved = [
+        p for p, (a, b) in enumerate(zip(system_a.homes, live_homes)) if a != b
+    ]
+    involving = [
+        p for p in moved if live_homes[p] in down or system_a.homes[p] in down
+    ]
+    raise RecoveryError(
+        f"home map drifted during the run: {len(moved)} page(s) "
+        f"migrated (e.g. {moved[:6]}), {len(involving)} involving the "
+        f"failed node(s) {sorted(down)}; the paper's recovery protocol "
+        "assumes static homes, so replay after home migration is "
+        "refused rather than silently misdirected"
+    )
+
+
+# ======================================================================
+# victims: the replay skeleton and its per-interval engine
+# ======================================================================
+
+
+class _CrashPointReached(Exception):
+    """Unwinds the replayed program once the victim is back at its crash point."""
+
+
+class ReplayEngine:
+    """How one logged interval's data is materialised.
+
+    The only point at which ML and CCL replay differ (paper Figures
+    2-3): the :class:`ReplayNode` skeleton calls these four steps, with
+    itself as ``node``, on the engine of the current interval's logging
+    mode.  An engine keeps no reference to its node: a replay node must
+    stay free of reference cycles so its memory image is released the
+    moment the caller drops it.
+    """
+
+    def begin_interval(self, node: "ReplayNode") -> Generator[Any, Any, None]:
+        """Read the new interval's boundary records; update home copies."""
+        raise NotImplementedError
+
+    def read_window(self, node: "ReplayNode", window: int, notices) -> Iterable[Any]:
+        """Pay for a window's notices before they are applied."""
+        return ()
+
+    def prefetch(self, node: "ReplayNode", window: int) -> Iterable[Any]:
+        """Revalidate remote copies once a window's notices are applied."""
+        return ()
+
+    def fault(self, node: "ReplayNode", page: int) -> Generator[Any, Any, None]:
+        """Serve a memory miss on an invalid remote page."""
+        raise NotImplementedError
 
 
 class ReplayNode:
-    """Base recovery-mode node; protocol specifics live in subclasses.
+    """Recovery-mode node: the replay skeleton shared by every scheme.
 
     Presents the same surface as :class:`~repro.dsm.hlrc.HlrcNode` to
     the :class:`~repro.dsm.api.Dsm` facade, so unmodified application
-    code drives the replay.
+    code drives the replay.  Subclasses only name their engines.
     """
 
     protocol = "base"
+    #: Logging mode → engine class; a static scheme has exactly one.
+    engines: Dict[str, Type[ReplayEngine]] = {}
 
-    def __init__(
-        self,
-        sim: Simulator,
-        net: Network,
-        disk: Disk,
-        config: ClusterConfig,
-        space,
-        homes: List[int],
-        node_id: int,
-        plog: StableLog,
-        stop_at_seal: int,
-        responders: Dict[int, SurvivorResponder],
-        free_until_seal: int = 0,
-        checkpoint: Optional[CheckpointSnapshot] = None,
-    ):
-        self.sim = sim
-        self.net = net
-        self.disk = disk
+    def __init__(self, world: RecoveryWorld, plan: VictimPlan):
+        system_a, config = world.system_a, world.config
+        space = system_a.space
+        self.sim = world.sim
+        self.net = world.net
+        self.disk = world.disks[plan.victim]
         self.cfg = config
-        self.id = node_id
+        self.id = plan.victim
         self.memory = LocalMemory(space)
         self.pagetable = PageTable(
-            node_id, space.npages, homes, pool=space.buffer_pool
+            self.id, space.npages, system_a.homes, pool=space.buffer_pool
         )
         for p in self.pagetable.home_pages():
             self.pagetable.entry(p).version = VectorClock.zero(config.num_nodes)
@@ -149,26 +355,42 @@ class ReplayNode:
         self.interval_index = 0
         self.acq_seq = 0
         self.seal_count = 0
-        self.plog = plog
-        self.stop_at = stop_at_seal
-        self.responders = responders
-        self.free_until = free_until_seal
-        self.checkpoint = checkpoint
+        self.plog = plan.plog
+        self.stop_at = plan.stop_at
+        self.responders = {
+            i: r for i, r in world.responders.items() if i != self.id
+        }
+        self.free_until = plan.free_until
+        self.checkpoint = plan.checkpoint
+        self.salvage = plan.salvage
         #: Truncation makes pre-checkpoint intervals unqueryable, so the
         #: usual zero-cost fast-forward (which still *reads* the log)
         #: would trip the watermark guards.  Restore mode instead skips
         #: the truncated intervals outright and installs the checkpoint
         #: image verbatim when the replay reaches its seal.
         self.restore_mode = (
-            checkpoint is not None and plog.truncated_below > 0
+            plan.checkpoint is not None and plan.plog.truncated_below > 0
         )
-        self.stats = NodeStats(node_id)
-        #: Triggered with the virtual completion time when replay
-        #: reaches the crash point.
-        self.done = Signal(f"replay{node_id}.done")
-        self._halt = Signal(f"replay{node_id}.halt")  # never triggers
+        self.stats = NodeStats(self.id)
+        self._engines = {mode: cls() for mode, cls in self.engines.items()}
+        #: Virtual time at which replay reached the crash point (None
+        #: while replaying, or if the program ended before ``stop_at``).
+        self.finished_at: Optional[float] = None
 
     # ------------------------------------------------------------------
+    def mode_at(self, interval: int) -> str:
+        """The logging mode ``interval`` was written in.
+
+        The one dispatch hook: it selects the engine per interval.  A
+        static scheme logs every interval in its single mode.
+        """
+        (mode,) = self.engines
+        return mode
+
+    @property
+    def engine(self) -> ReplayEngine:
+        return self._engines[self.mode_at(self.interval_index)]
+
     @property
     def timed(self) -> bool:
         """False while fast-forwarding to the checkpoint (zero cost)."""
@@ -187,9 +409,8 @@ class ReplayNode:
     def _disk_read(self, category: str, nbytes: int) -> Generator[Any, Any, None]:
         """A sequential log-scan read (replay consumes the log in order)."""
         if self.timed and nbytes > 0:
-            t0 = self.sim.now
-            yield self.disk.read_seq(nbytes)
-            self.stats.charge(category, self.sim.now - t0)
+            with self.stats.bracket(self.sim, category):
+                yield self.disk.read_seq(nbytes)
             self.stats.count("log_reads")
             self.stats.count("log_read_bytes", nbytes)
 
@@ -227,7 +448,7 @@ class ReplayNode:
         for p in pages:
             entry = self.pagetable.entry(p)
             if entry.state is PageState.INVALID and entry.home != self.id:
-                yield from self._replay_fault(p)
+                yield from self.engine.fault(self, p)
 
     def ensure_write(self, pages) -> Generator[Any, Any, None]:
         if self.restoring:
@@ -239,7 +460,7 @@ class ReplayNode:
                 self.pagetable.mark_dirty(p)
                 continue
             if entry.state is PageState.INVALID:
-                yield from self._replay_fault(p)
+                yield from self.engine.fault(self, p)
             if entry.state is PageState.CLEAN:
                 # twins are still created for pages written in the next
                 # interval (Figure 2's in_recovery acquire branch)
@@ -253,9 +474,22 @@ class ReplayNode:
     # ------------------------------------------------------------------
     # replay skeleton
     # ------------------------------------------------------------------
-    def start(self) -> Generator[Any, Any, None]:
-        """Process the first interval's logged data before the app runs."""
-        yield from self._begin_interval()
+    def run(self, app) -> Generator[Any, Any, None]:
+        """The victim's phase-B process: the unmodified program, replayed.
+
+        Salvage is part of recovery time: the bytes its CRC walk read
+        are charged as a sequential scan before any interval is
+        processed; the first interval's logged data is then processed
+        before the application starts.
+        """
+        if self.salvage is not None and self.salvage.scan_bytes:
+            with self.stats.bracket(self.sim, "salvage_scan"):
+                yield self.disk.read_seq(self.salvage.scan_bytes)
+        try:
+            yield from self._begin_interval()
+            yield from app.program(Dsm(self, self.id, self.cfg.num_nodes))
+        except _CrashPointReached:
+            self.finished_at = self.sim.now
 
     def _seal_interval(self) -> Generator[Any, Any, None]:
         yield from self._spend("sync", self.cfg.cpu.sync_overhead_s)
@@ -289,12 +523,10 @@ class ReplayNode:
                 # checkpoint image is installed verbatim here
                 self._restore_checkpoint(self.checkpoint)
             # timed replay begins here: charge the checkpoint restore read
-            t0 = self.sim.now
-            yield self.disk.read(self.checkpoint.nbytes)
-            self.stats.charge("ckpt_restore", self.sim.now - t0)
+            with self.stats.bracket(self.sim, "ckpt_restore"):
+                yield self.disk.read(self.checkpoint.nbytes)
         if self.seal_count >= self.stop_at:
-            self.done.trigger(self.sim.now)
-            yield self._halt  # block forever; the controller reaps us
+            raise _CrashPointReached
         yield from self._begin_interval()
 
     def _restore_checkpoint(self, snap: CheckpointSnapshot) -> None:
@@ -316,20 +548,21 @@ class ReplayNode:
     def _begin_interval(self) -> Generator[Any, Any, None]:
         if self.restoring:
             return
-        yield from self._boundary_read()
-        yield from self._apply_boundary_updates()
+        yield from self.engine.begin_interval(self)
         yield from self._process_window(0)
 
     def _process_window(self, window: int) -> Generator[Any, Any, None]:
+        """Replay one window: interval start (0) or the n-th acquire."""
         if self.restoring:
             return
+        engine = self.engine
         notices = self.plog.select(
             NoticeLogRecord, interval=self.interval_index, window=window
         )
-        yield from self._window_read(window, notices)
+        yield from engine.read_window(self, window, notices)
         for rec in notices:
             self._apply_notices(rec.records)
-        yield from self._prefetch_window(window)
+        yield from engine.prefetch(self, window)
 
     def _apply_notices(self, records: List[IntervalRecord]) -> None:
         for r in records:
@@ -362,8 +595,6 @@ class ReplayNode:
         interval-range queries (delta reconstruction).  One request per
         writer carries both.
         """
-        from ..dsm.messages import LogDiffRequest
-
         ranges_by_writer = ranges_by_writer or {}
         entries: List[Tuple[Diff, int, int, int, VectorClock]] = []
         reply_sigs = []
@@ -403,9 +634,8 @@ class ReplayNode:
                     )
                 )
         for sig in reply_sigs:
-            t0 = self.sim.now
-            msg = yield sig
-            self.stats.charge("prefetch", self.sim.now - t0)
+            with self.stats.bracket(self.sim, "prefetch"):
+                msg = yield sig
             entries.extend(msg.payload.entries)
         return entries
 
@@ -422,48 +652,41 @@ class ReplayNode:
         """
         return sorted(entries, key=lambda e: (e[4].total, e[1], e[2], -e[3]))
 
-    # ------------------------------------------------------------------
-    # protocol-specific pieces
-    # ------------------------------------------------------------------
-    def _boundary_read(self) -> Generator[Any, Any, None]:
-        raise NotImplementedError
 
-    def _apply_boundary_updates(self) -> Generator[Any, Any, None]:
-        raise NotImplementedError
+def _replay_victims(
+    app,
+    config: ClusterConfig,
+    protocol: str,
+    system_a: DsmSystem,
+    plans: Sequence[VictimPlan],
+    dead: Iterable[int] = (),
+) -> Dict[int, ReplayNode]:
+    """Phase B: replay every planned victim, concurrently, in one world.
 
-    def _window_read(self, window: int, notices) -> Generator[Any, Any, None]:
-        raise NotImplementedError
-
-    def _prefetch_window(self, window: int) -> Generator[Any, Any, None]:
-        raise NotImplementedError
-
-    def _replay_fault(self, page: int) -> Generator[Any, Any, None]:
-        raise NotImplementedError
+    Each victim consumes its own log; survivors serve reconstruction
+    data from live state; the victims (and the ``dead`` co-victims of a
+    zone kill) serve *each other* from their surviving logs.  Returns
+    the replay nodes, each with ``finished_at`` set.
+    """
+    down = {plan.victim for plan in plans} | set(dead)
+    check_crash(config.num_nodes, down, *(plan.stop_at for plan in plans))
+    node_cls = replay_node_class(protocol)
+    world = RecoveryWorld(config, system_a, down)
+    replays = {plan.victim: node_cls(world, plan) for plan in plans}
+    world.run({f"replay{v}": r.run(app) for v, r in replays.items()})
+    for r in replays.values():
+        if r.finished_at is None:
+            raise RecoveryError(
+                f"victim {r.id} never reached its crash point: asked to "
+                f"replay to seal {r.stop_at}, but its program ended after "
+                f"seal {r.seal_count}"
+            )
+    return replays
 
 
 # ======================================================================
-# experiment driver
+# verify, and the entry points
 # ======================================================================
-
-
-@dataclass
-class RecoveryResult:
-    """Outcome of one recovery experiment."""
-
-    app_name: str
-    protocol: str
-    failed_node: int
-    at_seal: int
-    recovery_time: float
-    verified: bool
-    mismatches: List[str]
-    replay_stats: NodeStats
-    phase_a: RunResult = field(repr=False, default=None)
-
-    @property
-    def ok(self) -> bool:
-        """Recovery completed and reproduced the crash-point state."""
-        return self.verified and not self.mismatches
 
 
 def compare_state(
@@ -510,218 +733,83 @@ def replay_failed_node(
 ) -> Tuple[ReplayNode, float]:
     """Phase B: replay one victim in a fresh simulation, to ``stop_at`` seals.
 
-    ``plog`` is the log the replay consumes -- the victim's full
-    persistent log in the classic seal-aligned experiments, or a
+    The one-victim case of the shared victim loop, for callers that
+    built and planned phase A themselves (chaos, the model checker, the
+    benchmark).  ``plog`` is the log the replay consumes -- the victim's
+    full persistent log in the classic seal-aligned experiments, or a
     :meth:`~repro.core.stablelog.StableLog.durable_view` (possibly
-    salvaged) at an arbitrary crash instant in the chaos suite.  When a
+    salvaged) at an arbitrary crash instant.  When a
     :class:`~repro.core.salvage.SalvageReport` is supplied, the bytes
-    its CRC walk read are charged to the replay as a sequential scan
-    before any interval is processed -- salvage is part of recovery
-    time.  ``dead`` lists nodes down alongside the victim (a zone
-    kill): they answer from their logs via
-    :class:`~repro.core.responder.FailedNodeResponder` instead of live
-    state, with the multi-recovery simplification that co-victims serve
-    peers from their full phase-A logs.  Returns the replay node (for
-    state verification) and the replay's virtual duration.
+    its CRC walk read are charged to the replay.  ``dead`` lists nodes
+    down alongside the victim (a zone kill): they answer from their
+    logs instead of live state.  Returns the replay node (for state
+    verification) and the replay's virtual duration.
     """
-    if stop_at < 1:
-        raise RecoveryError(f"replay needs at least one seal, got {stop_at}")
-    # recovery assumes static homes: the responders and the replay node
-    # are both built from the construction-time home map.  If homes
-    # migrated during phase A (hlrc-migrate), page ownership in the live
-    # pagetables has drifted and replay would misdirect reconstruction
-    # requests -- diagnose that here instead of surfacing a KeyError
-    # deep inside a responder.
-    live_homes = [
-        system_a.nodes[0].pagetable.entry(p).home
-        for p in range(system_a.space.npages)
+    plan = VictimPlan(failed_node, plog, stop_at, free_until, checkpoint, salvage)
+    replay = _replay_victims(app, config, protocol, system_a, [plan], dead)[
+        failed_node
     ]
-    if live_homes != list(system_a.homes):
-        moved = [
-            p
-            for p, (a, b) in enumerate(zip(system_a.homes, live_homes))
-            if a != b
-        ]
-        involving = [
-            p
-            for p in moved
-            if live_homes[p] == failed_node or system_a.homes[p] == failed_node
-        ]
-        raise RecoveryError(
-            f"home map drifted during the run: {len(moved)} page(s) "
-            f"migrated (e.g. {moved[:6]}), {len(involving)} involving the "
-            f"failed node {failed_node}; the paper's recovery protocol "
-            "assumes static homes, so replay after home migration is "
-            "refused rather than silently misdirected"
-        )
-    sim_b = Simulator()
-    net_b = Network(sim_b, config.network, config.num_nodes)
-    disks_b = [
-        Disk(sim_b, config.disk, f"rdisk{i}") for i in range(config.num_nodes)
-    ]
-    ckpt_image = LocalMemory(system_a.space)
-    dead_peers = set(dead) - {failed_node}
-    responders: Dict[int, SurvivorResponder] = {}
-    for node in system_a.nodes:
-        if node.id == failed_node:
-            continue
-        if node.id in dead_peers:
-            peer_log = getattr(node.hooks, "log", None)
-            if peer_log is None:
-                raise RecoveryError(
-                    f"co-victim {node.id} crashed alongside node "
-                    f"{failed_node} but keeps no log to answer replay "
-                    "requests from"
-                )
-            responders[node.id] = FailedNodeResponder(
-                node, ckpt_image, peer_log
-            )
-        else:
-            responders[node.id] = SurvivorResponder(node, ckpt_image)
-
-    node_cls = replay_node_class(protocol)
-    replay = node_cls(
-        sim_b,
-        net_b,
-        disks_b[failed_node],
-        config,
-        system_a.space,
-        system_a.homes,
-        failed_node,
-        plog,
-        stop_at,
-        responders,
-        free_until_seal=free_until,
-        checkpoint=checkpoint,
-    )
-
-    responder_procs = [
-        sim_b.spawn(r.loop(net_b, disks_b[r.id]), name=f"responder{r.id}")
-        for r in responders.values()
-    ]
-
-    def replay_main() -> Generator[Any, Any, None]:
-        if salvage is not None and salvage.scan_bytes:
-            t0 = sim_b.now
-            yield disks_b[failed_node].read_seq(salvage.scan_bytes)
-            replay.stats.charge("salvage_scan", sim_b.now - t0)
-        yield from replay.start()
-        dsm = Dsm(replay, failed_node, config.num_nodes)
-        yield from app.program(dsm)
-
-    main = sim_b.spawn(replay_main(), name=f"replay{failed_node}")
-
-    def controller() -> Generator[Any, Any, None]:
-        yield replay.done
-        main.kill()
-        for proc in responder_procs:
-            proc.kill()
-
-    sim_b.spawn(controller(), name="recovery-controller")
-    sim_b.run()
-    if not replay.done.triggered:
-        raise RecoveryError("replay never reached the crash point")
-    return replay, float(replay.done.value)
+    return replay, replay.finished_at
 
 
-def run_recovery_experiment(
+def run_phase_a(
     app,
-    config: Optional[ClusterConfig] = None,
-    protocol: str = "ccl",
-    failed_node: int = 0,
+    config: ClusterConfig,
+    protocol: str,
+    victims: Sequence[int],
     at_seal: Optional[int] = None,
+    capture_all: bool = False,
     checkpoint_every: Optional[int] = None,
     checkpoint_mode: str = "seals",
     retention: Optional[int] = None,
-    verify: bool = True,
     recovery_budget: Optional[float] = None,
-) -> RecoveryResult:
-    """Run phase A (failure-free + probe) and phase B (timed replay).
+    **system_kwargs: Any,
+) -> Tuple[DsmSystem, Dict[int, CrashProbe], RunResult]:
+    """Phase A: the failure-free run, one finalized crash probe per victim."""
+    from .logging_base import make_hooks_factory  # see replay_node_class
 
-    ``at_seal=None`` crashes the victim at its final interval (the
-    paper's setting: maximum work to recover).  ``checkpoint_every``
-    enables periodic checkpoints -- independent per-node
-    (``checkpoint_mode="seals"``, the paper's default) or coordinated at
-    barrier episodes (``"barriers"``, the paper's noted extension);
-    replay then starts timed execution at the latest checkpoint before
-    the crash.  ``retention`` bounds how many checkpoints each node
-    keeps; retiring old ones truncates the log below the oldest retained
-    seal, so replay runs in *restore mode* (the checkpoint image is
-    installed verbatim instead of fast-forwarded to).
-    """
-    if protocol not in RECOVERY_PROTOCOL_NAMES:
-        raise RecoveryError(f"recovery requires a logging protocol, got {protocol!r}")
-    config = config or ClusterConfig.ultra5()
-    if not (0 <= failed_node < config.num_nodes):
-        # fail fast: without this check a bad victim rank only surfaces
-        # after a full phase-A run, as "never reached seal"
-        raise RecoveryError(
-            f"failed_node {failed_node} is not a valid rank; the cluster "
-            f"has nodes 0..{config.num_nodes - 1}"
-        )
-
-    # ---------------- phase A: failure-free run with probe -------------
+    # refuse what phase B would refuse before paying for a full run
+    replay_node_class(protocol)
+    check_crash(config.num_nodes, victims)
     system_a = DsmSystem(
-        app, config, make_hooks_factory(protocol, recovery_budget=recovery_budget)
+        app, config,
+        make_hooks_factory(protocol, recovery_budget=recovery_budget),
+        **system_kwargs,
     )
-    probe = CrashProbe(failed_node, at_seal)
-    system_a.add_probe(probe)
-    checkpointers: Dict[int, Checkpointer] = {}
+    probes = {
+        v: CrashProbe(v, at_seal, capture_all=capture_all) for v in victims
+    }
+    for probe in probes.values():
+        system_a.add_probe(probe)
     if checkpoint_every:
         for node in system_a.nodes:
-            checkpointers[node.id] = Checkpointer(
+            node.checkpointer = Checkpointer(
                 checkpoint_every, on=checkpoint_mode, retention=retention
             )
-            node.checkpointer = checkpointers[node.id]
     result_a = system_a.run()
-    probe.finalize()
-    snapshot = probe.snapshot
-    if snapshot is None:
-        raise RecoveryError(
-            f"node {failed_node} never reached seal {at_seal}; cannot crash there"
-        )
-    at_seal = snapshot.seal_count
-
-    # ---------------- phase B: timed replay ----------------------------
-    plog = getattr(system_a.nodes[failed_node].hooks, "log")
-    free_until = 0
-    ckpt_snapshot: Optional[CheckpointSnapshot] = None
-    if checkpoint_every and failed_node in checkpointers:
-        ckpt_snapshot = checkpointers[failed_node].latest_before(at_seal - 1)
-        if ckpt_snapshot is not None:
-            free_until = ckpt_snapshot.seal
-
-    replay, recovery_time = replay_failed_node(
-        app,
-        config,
-        protocol,
-        system_a,
-        failed_node,
-        plog,
-        at_seal,
-        free_until=free_until,
-        checkpoint=ckpt_snapshot,
-    )
-
-    mismatches: List[str] = []
-    if verify:
-        mismatches = compare_state(replay, snapshot, config.page_size)
-    return RecoveryResult(
-        app_name=getattr(app, "name", type(app).__name__),
-        protocol=protocol,
-        failed_node=failed_node,
-        at_seal=at_seal,
-        recovery_time=recovery_time,
-        verified=verify,
-        mismatches=mismatches,
-        replay_stats=replay.stats,
-        phase_a=result_a,
-    )
+    for probe in probes.values():
+        probe.finalize()
+    return system_a, probes, result_a
 
 
-# ======================================================================
-# multi-failure recovery (beyond the paper)
-# ======================================================================
+@dataclass
+class RecoveryResult:
+    """Outcome of one recovery experiment."""
+
+    app_name: str
+    protocol: str
+    failed_node: int
+    at_seal: int
+    recovery_time: float
+    verified: bool
+    mismatches: List[str]
+    replay_stats: NodeStats
+    phase_a: RunResult = field(repr=False, default=None)
+
+    @property
+    def ok(self) -> bool:
+        """Recovery completed and reproduced the crash-point state."""
+        return self.verified and not self.mismatches
 
 
 @dataclass
@@ -759,6 +847,78 @@ class MultiRecoveryResult:
         return all(not m for m in self.mismatches.values())
 
 
+def _experiment(
+    app, config: ClusterConfig, protocol: str, victims: Sequence[int],
+    verify: bool, at_time: Optional[float] = None, **phase_a: Any,
+) -> Tuple[RunResult, List[VictimPlan], Dict[int, ReplayNode], Dict[int, List[str]]]:
+    """Phase A, plan, phase B and verify, for any number of victims."""
+    system_a, probes, result_a = run_phase_a(
+        app, config, protocol, victims, capture_all=at_time is not None,
+        **phase_a,
+    )
+    plans = [plan_victim(system_a, probes[v], at_time) for v in victims]
+    for plan in plans:
+        if plan.stop_at < 1:
+            raise RecoveryError(
+                f"victim {plan.victim}: nothing recoverable at "
+                f"t={at_time!r} ({plan.salvage.describe()})"
+            )
+    replays = _replay_victims(app, config, protocol, system_a, plans)
+    mismatches = {
+        p.victim: (
+            compare_state(replays[p.victim], p.snapshot, config.page_size)
+            if verify else []
+        )
+        for p in plans
+    }
+    return result_a, plans, replays, mismatches
+
+
+def run_recovery_experiment(
+    app,
+    config: Optional[ClusterConfig] = None,
+    protocol: str = "ccl",
+    failed_node: int = 0,
+    at_seal: Optional[int] = None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_mode: str = "seals",
+    retention: Optional[int] = None,
+    verify: bool = True,
+    recovery_budget: Optional[float] = None,
+) -> RecoveryResult:
+    """Run phase A (failure-free + probe) and phase B (timed replay).
+
+    ``at_seal=None`` crashes the victim at its final interval (the
+    paper's setting: maximum work to recover).  ``checkpoint_every``
+    enables periodic checkpoints -- independent per-node
+    (``checkpoint_mode="seals"``, the paper's default) or coordinated at
+    barrier episodes (``"barriers"``, the paper's noted extension);
+    replay then starts timed execution at the latest checkpoint before
+    the crash.  ``retention`` bounds how many checkpoints each node
+    keeps; retiring old ones truncates the log below the oldest retained
+    seal, so replay runs in *restore mode* (the checkpoint image is
+    installed verbatim instead of fast-forwarded to).
+    """
+    result_a, (plan,), replays, mismatches = _experiment(
+        app, config or ClusterConfig.ultra5(), protocol, (failed_node,),
+        verify, at_seal=at_seal, checkpoint_every=checkpoint_every,
+        checkpoint_mode=checkpoint_mode, retention=retention,
+        recovery_budget=recovery_budget,
+    )
+    replay = replays[failed_node]
+    return RecoveryResult(
+        app_name=getattr(app, "name", type(app).__name__),
+        protocol=protocol,
+        failed_node=failed_node,
+        at_seal=plan.stop_at,
+        recovery_time=replay.finished_at,
+        verified=verify,
+        mismatches=mismatches[failed_node],
+        replay_stats=replay.stats,
+        phase_a=result_a,
+    )
+
+
 def run_multi_recovery_experiment(
     app,
     config: Optional[ClusterConfig] = None,
@@ -774,9 +934,8 @@ def run_multi_recovery_experiment(
 ) -> MultiRecoveryResult:
     """Crash several nodes at their final intervals and recover them all.
 
-    Victims replay **concurrently** in one simulation: each consumes its
-    own log; survivors serve reconstruction data from live state; the
-    victims serve *each other* from their surviving logs.  ML victims
+    Victims replay **concurrently** in one simulation (the same victim
+    loop a single failure runs through with one victim).  ML victims
     replay purely locally, so ML supports multiple failures trivially;
     CCL needs the failed-node responders -- which only exist because CCL
     writers log their outgoing diffs durably.
@@ -787,174 +946,25 @@ def run_multi_recovery_experiment(
     replayed to its own recoverable seal (victims may stop at different
     seals).  ``checkpoint_every``/``retention`` add periodic checkpoints
     with bounded retention; a victim whose salvaged log no longer covers
-    its replay window falls back to an earlier retained checkpoint via
-    :func:`~repro.core.salvage.plan_recovery`.  Simplification: victim
-    responders serve peers from their *full* phase-A logs -- peer-served
-    data is not subject to this victim's salvage cut.
+    its replay window falls back to an earlier retained checkpoint
+    (:func:`plan_victim`).
     """
-    from .salvage import SalvageReport, plan_recovery, salvage_log
-
-    if protocol not in RECOVERY_PROTOCOL_NAMES:
-        raise RecoveryError(f"recovery requires a logging protocol, got {protocol!r}")
     if len(set(failed_nodes)) != len(failed_nodes) or not failed_nodes:
         raise RecoveryError(f"bad failed-node set: {failed_nodes}")
-    config = config or ClusterConfig.ultra5()
-    for f in failed_nodes:
-        if not (0 <= f < config.num_nodes):
-            raise RecoveryError(
-                f"failed node {f} is not a valid rank; the cluster has "
-                f"nodes 0..{config.num_nodes - 1}"
-            )
-    if len(failed_nodes) >= config.num_nodes:
-        raise RecoveryError("at least one node must survive")
-
-    # ---------------- phase A: failure-free run with one probe each ----
-    use_instant = at_time is not None
-    system_a = DsmSystem(
-        app, config, make_hooks_factory(protocol, recovery_budget=recovery_budget),
-        disk_fault_plan=disk_fault_plan,
+    result_a, plans, replays, mismatches = _experiment(
+        app, config or ClusterConfig.ultra5(), protocol, failed_nodes,
+        verify, at_time, checkpoint_every=checkpoint_every,
+        checkpoint_mode=checkpoint_mode, retention=retention,
+        recovery_budget=recovery_budget, disk_fault_plan=disk_fault_plan,
     )
-    probes = {f: CrashProbe(f, capture_all=use_instant) for f in failed_nodes}
-    for probe in probes.values():
-        system_a.add_probe(probe)
-    checkpointers: Dict[int, Checkpointer] = {}
-    if checkpoint_every:
-        for node in system_a.nodes:
-            checkpointers[node.id] = Checkpointer(
-                checkpoint_every, on=checkpoint_mode, retention=retention
-            )
-            node.checkpointer = checkpointers[node.id]
-    result_a = system_a.run()
-
-    # ---------------- per-victim recovery plan -------------------------
-    snapshots: Dict[int, FailureSnapshot] = {}
-    stop_ats: Dict[int, int] = {}
-    free_untils: Dict[int, int] = {}
-    ckpt_snaps: Dict[int, Optional[CheckpointSnapshot]] = {}
-    plogs: Dict[int, StableLog] = {}
-    salvage_reports: Dict[int, Any] = {}
-    for f, probe in probes.items():
-        probe.finalize()
-        full = getattr(system_a.nodes[f].hooks, "log")
-        ckpt = checkpointers.get(f)
-        if not use_instant:
-            if probe.snapshot is None:
-                raise RecoveryError(f"node {f} never sealed an interval")
-            stop_ats[f] = probe.snapshot.seal_count
-            snapshots[f] = probe.snapshot
-            plogs[f] = full
-            free_untils[f], ckpt_snaps[f] = 0, None
-            if ckpt is not None:
-                snap = ckpt.latest_before(stop_ats[f] - 1)
-                if snap is not None:
-                    free_untils[f], ckpt_snaps[f] = snap.seal, snap
-            continue
-        seals_done = sum(
-            1 for s in probe.snapshots.values() if s.time <= at_time
-        )
-        view = full.durable_view(at_time)
-        if disk_fault_plan is not None and disk_fault_plan.active:
-            view, report = salvage_log(view)
-        else:
-            report = SalvageReport(
-                f, salvaged_count=len(view.persistent_records)
-            )
-        salvage_reports[f] = report
-        stop_at, free_until, snap = plan_recovery(
-            full, report, seals_done, ckpt
-        )
-        if stop_at < 1:
-            raise RecoveryError(
-                f"victim {f}: nothing recoverable at t={at_time!r} "
-                f"({report.describe()})"
-            )
-        stop_ats[f], free_untils[f], ckpt_snaps[f] = stop_at, free_until, snap
-        snapshots[f] = probe.snapshots[stop_at]
-        plogs[f] = view
-
-    # ---------------- phase B: concurrent replays ----------------------
-    sim_b = Simulator()
-    net_b = Network(sim_b, config.network, config.num_nodes)
-    disks_b = [
-        Disk(sim_b, config.disk, f"rdisk{i}") for i in range(config.num_nodes)
-    ]
-    ckpt_image = LocalMemory(system_a.space)
-    responders: Dict[int, SurvivorResponder] = {}
-    for node in system_a.nodes:
-        if node.id in snapshots:
-            responders[node.id] = FailedNodeResponder(
-                node, ckpt_image, getattr(node.hooks, "log")
-            )
-        else:
-            responders[node.id] = SurvivorResponder(node, ckpt_image)
-
-    node_cls = replay_node_class(protocol)
-    replays: Dict[int, ReplayNode] = {}
-    for f in failed_nodes:
-        peer_responders = {i: r for i, r in responders.items() if i != f}
-        replays[f] = node_cls(
-            sim_b,
-            net_b,
-            disks_b[f],
-            config,
-            system_a.space,
-            system_a.homes,
-            f,
-            plogs[f],
-            stop_ats[f],
-            peer_responders,
-            free_until_seal=free_untils[f],
-            checkpoint=ckpt_snaps[f],
-        )
-
-    responder_procs = [
-        sim_b.spawn(r.loop(net_b, disks_b[r.id]), name=f"responder{r.id}")
-        for r in responders.values()
-    ]
-
-    def replay_main(f: int) -> Generator[Any, Any, None]:
-        report = salvage_reports.get(f)
-        if report is not None and report.scan_bytes:
-            t0 = sim_b.now
-            yield disks_b[f].read_seq(report.scan_bytes)
-            replays[f].stats.charge("salvage_scan", sim_b.now - t0)
-        yield from replays[f].start()
-        dsm = Dsm(replays[f], f, config.num_nodes)
-        yield from app.program(dsm)
-
-    mains = {f: sim_b.spawn(replay_main(f), name=f"replay{f}") for f in failed_nodes}
-
-    def controller() -> Generator[Any, Any, None]:
-        from ..sim.events import AllOf as _AllOf
-
-        yield _AllOf([replays[f].done for f in failed_nodes])
-        for proc in mains.values():
-            proc.kill()
-        for proc in responder_procs:
-            proc.kill()
-
-    sim_b.spawn(controller(), name="multi-recovery-controller")
-    sim_b.run()
-
-    recovery_times: Dict[int, float] = {}
-    mismatches: Dict[int, List[str]] = {}
-    for f in failed_nodes:
-        if not replays[f].done.triggered:
-            raise RecoveryError(f"victim {f} never reached its crash point")
-        recovery_times[f] = float(replays[f].done.value)
-        mismatches[f] = (
-            compare_state(replays[f], snapshots[f], config.page_size)
-            if verify
-            else []
-        )
     return MultiRecoveryResult(
         app_name=getattr(app, "name", type(app).__name__),
         protocol=protocol,
         failed_nodes=tuple(failed_nodes),
-        at_seals={f: stop_ats[f] for f in failed_nodes},
-        recovery_times=recovery_times,
+        at_seals={p.victim: p.stop_at for p in plans},
+        recovery_times={f: r.finished_at for f, r in replays.items()},
         mismatches=mismatches,
         phase_a=result_a,
-        free_untils=dict(free_untils),
-        salvage=dict(salvage_reports),
+        free_untils={p.victim: p.free_until for p in plans},
+        salvage={p.victim: p.salvage for p in plans if p.salvage is not None},
     )

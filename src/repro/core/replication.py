@@ -384,8 +384,8 @@ class Replicator:
 
         The pending entries (and the apply-event counter) are captured
         **synchronously**, at the same instant the seal's failure probe
-        snapshots the node -- the caller runs this right after
-        ``_fire_probes()`` with no yield in between -- so mirror ``s``
+        snapshots the node -- ``HlrcNode._sealed`` runs this right after
+        the probes with no yield in between -- so mirror ``s``
         is bit-identical to the home state the seal-``s`` probe sees.
         Only then does the generator absorb backpressure from the
         previous mirror (quorum acks outstanding) and post the new

@@ -557,13 +557,7 @@ class HlrcNode:
             yield from self.hooks.sync_entry_flush()
             self._span_end(fsid)
         yield from self._end_interval()
-        self._fire_probes()
-        # ship the sealed home-state delta to this home's replica group;
-        # the entries are captured synchronously at the probe instant, so
-        # the mirror a follower holds for seal s is bit-identical to the
-        # home state the seal-s failure probe snapshots
-        if self.replicator is not None:
-            yield from self.replicator.seal_mirror(self)
+        yield from self._sealed()
         if self._tracing:
             self._trace(
                 Ev.LOCK_RELEASED,
@@ -593,10 +587,7 @@ class HlrcNode:
             yield from self.hooks.sync_entry_flush()
             self._span_end(fsid)
         yield from self._end_interval()
-        self._fire_probes()
-        # see release(): mirror capture is synchronous with the probe
-        if self.replicator is not None:
-            yield from self.replicator.seal_mirror(self)
+        yield from self._sealed()
         ep = self.barrier_episode
         if self._tracing:
             self._trace(
@@ -953,12 +944,25 @@ class HlrcNode:
         self.acq_seq = 0
         self.interval_parts = 0
         self.seal_count += 1
-        if self.checkpointer is not None:
-            yield from self.checkpointer.maybe_take(self)
 
-    def _fire_probes(self) -> None:
+    def _sealed(self) -> Generator[Any, Any, None]:
+        """What follows every seal: crash probes, mirror, checkpoint.
+
+        The probes fire first, at the seal instant: a crash "at seal s"
+        is the state the log tags with intervals below ``s``, and every
+        later step here yields, letting home updates in that the log
+        tags with the *next* interval.
+        """
         for probe in self.probes:
             probe(self, self.seal_count)
+        # ship the sealed home-state delta to this home's replica group;
+        # the entries are captured synchronously at the probe instant, so
+        # the mirror a follower holds for seal s is bit-identical to the
+        # home state the seal-s failure probe snapshots
+        if self.replicator is not None:
+            yield from self.replicator.seal_mirror(self)
+        if self.checkpointer is not None:
+            yield from self.checkpointer.maybe_take(self)
 
     # ==================================================================
     # page access (explicit annotations standing in for VM traps)

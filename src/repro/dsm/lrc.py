@@ -235,8 +235,6 @@ class LrcNode(HlrcNode):
         self.acq_seq = 0
         self.interval_parts = 0
         self.seal_count += 1
-        if self.checkpointer is not None:
-            yield from self.checkpointer.maybe_take(self)
 
     # ==================================================================
     # faults: gather diffs from writers and apply onto the local frame

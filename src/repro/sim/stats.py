@@ -10,7 +10,8 @@ stalls, synchronisation waits, and log-flush stalls.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Mapping
 
 from ..obs.latency import LatencyRecorder
 
@@ -99,6 +100,18 @@ class NodeStats:
     def charge(self, category: str, seconds: float) -> None:
         """Shorthand for ``self.time.add``."""
         self.time.add(category, seconds)
+
+    @contextmanager
+    def bracket(self, clock: Any, category: str) -> Iterator[None]:
+        """Charge the virtual time a ``with`` block spans to ``category``.
+
+        ``clock`` is anything with a ``now`` (the simulator); the block
+        may yield to it.  A block left by an exception -- a killed
+        process included -- charges nothing.
+        """
+        t0 = clock.now
+        yield
+        self.time.add(category, clock.now - t0)
 
     def recorder(self, op: str) -> LatencyRecorder:
         """The (lazily created) latency recorder for one operation."""

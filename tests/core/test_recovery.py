@@ -6,9 +6,18 @@ clock **bit-for-bit** as they were at the crash point -- and do so
 faster than re-executing the program.
 """
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core import run_recovery_experiment
+from repro.core import (
+    CrashProbe,
+    make_hooks_factory,
+    replay_failed_node,
+    run_recovery_experiment,
+)
+from repro.core.failover_recovery import recover_via_failover
 from repro.dsm import DsmSystem
 from repro.errors import RecoveryError
 from tests.core.conftest import BarrierApp, LockApp
@@ -135,3 +144,81 @@ class TestRecoveryErrors:
                 BarrierApp(iters=2), small_cluster, "ccl",
                 failed_node=0, at_seal=999,
             )
+
+
+class TestEntryPointValidation:
+    """The two functions chaos, the model checker and the benchmark call
+    on a system they built refuse a bad crash in one line, up front."""
+
+    @pytest.fixture(scope="class")
+    def phase_a(self):
+        from repro.config import ClusterConfig
+
+        config = ClusterConfig.ultra5(num_nodes=4, page_size=256)
+        system = DsmSystem(
+            BarrierApp(iters=2), config, make_hooks_factory("failover"),
+            replication=2,
+        )
+        probe = CrashProbe(1)
+        system.add_probe(probe)
+        system.run()
+        probe.finalize()
+        return config, system, probe.snapshot.seal_count
+
+    @pytest.mark.parametrize("victim, dead, stop_at, match", [
+        (9, (), None, "failed node 9 is not a valid rank"),
+        (-1, (), None, "failed node -1 is not a valid rank"),
+        (1, (7,), None, "failed node 7 is not a valid rank"),
+        (1, (0, 2, 3), None, "at least one node must survive"),
+        (1, (), 0, "at least one sealed interval"),
+    ])
+    @pytest.mark.parametrize("entry", ["replay", "failover"])
+    def test_bad_crash_is_a_one_line_refusal(
+        self, phase_a, entry, victim, dead, stop_at, match
+    ):
+        config, system, seals = phase_a
+        stop_at = seals if stop_at is None else stop_at
+        plog = system.nodes[1].hooks.log
+        with pytest.raises(RecoveryError, match=match) as err:
+            if entry == "replay":
+                replay_failed_node(
+                    BarrierApp(iters=2), config, "failover", system, victim,
+                    plog, stop_at, dead=dead,
+                )
+            else:
+                recover_via_failover(
+                    config, system, victim, plog, stop_at, dead=dead
+                )
+        assert "\n" not in str(err.value)
+
+    def test_unreachable_stop_at_names_victim_and_seals(self, phase_a):
+        """A replay asked for more seals than the program has ends in a
+        diagnosis, not a DeadlockError listing responder processes."""
+        config, system, seals = phase_a
+        with pytest.raises(RecoveryError) as err:
+            replay_failed_node(
+                BarrierApp(iters=2), config, "failover", system, 1,
+                system.nodes[1].hooks.log, stop_at=10**6,
+            )
+        message = str(err.value)
+        assert "victim 1" in message and "seal 1000000" in message
+        assert f"after seal {seals}" in message
+        assert "responder" not in message
+
+    def test_replay_node_is_freed_without_the_cycle_collector(self, phase_a):
+        """A replay node carries a whole memory image; a reference cycle
+        (an engine pointing back at its node, say) would keep every
+        replay of a sweep alive until a full collection."""
+        config, system, seals = phase_a
+        gc.collect()
+        gc.disable()
+        try:
+            replay, _seconds = replay_failed_node(
+                BarrierApp(iters=2), config, "failover", system, 1,
+                system.nodes[1].hooks.log, seals,
+            )
+            ref = weakref.ref(replay)
+            del replay
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -1,4 +1,4 @@
-"""Golden pin of recovery's simulated results, plus single == multi.
+"""Golden pin of recovery's simulated results, single == multi, docs == table.
 
 ``golden_recovery_contract.json`` holds, for every recovery scheme on
 two real applications, the exact simulated outputs of the public entry
@@ -26,6 +26,8 @@ from repro.core import (
     run_recovery_experiment,
 )
 from repro.core.chaos import DEFAULT_RATES
+from repro.core.logging_base import SCHEMES
+from repro.core.recovery import plan_victim
 from repro.core.failover_recovery import (
     recover_via_failover,
     run_failover_experiment,
@@ -111,18 +113,14 @@ def _lagging_mirror_promotion():
     probe = CrashProbe(1, capture_all=True)
     system.add_probe(probe)
     t = 0.3 * system.run().total_time
-    log = system.nodes[1].hooks.log
-    stop_at = sum(1 for s in probe.snapshots.values() if s.time <= t)
-    lost = log.first_lost_interval(t)
-    if lost is not None:
-        stop_at = min(stop_at, lost)
+    plan = plan_victim(system, probe, t)
     promoted, epoch, mirror, breakdown, stats, replayed, refetched = (
         recover_via_failover(
-            config, system, 1, log.durable_view(t), stop_at, at_time=t
+            config, system, 1, plan.plog, plan.stop_at, at_time=t
         )
     )
     return {
-        "stop_at": stop_at,
+        "stop_at": plan.stop_at,
         "promoted": promoted,
         "epoch": epoch,
         "mirror_seal": mirror.seal,
@@ -167,6 +165,65 @@ def test_simulated_results_match_golden(case):
 
 def test_golden_has_no_stale_cases():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("app, scheme, checkpoint_every, victim", [
+    ("sor", "ml", None, 0),
+    ("sor", "ccl", 2, 2),
+    ("water", "ccl", None, 2),
+    ("water", "adaptive", 2, 0),
+    ("shallow", "failover", None, 0),
+    ("shallow", "ml", 2, 2),
+])
+def test_single_victim_is_multi_victim_with_one_victim(
+    app, scheme, checkpoint_every, victim
+):
+    """The two drivers share one victim loop and must not fork again."""
+    single = run_recovery_experiment(
+        _app(app), _config(), scheme, failed_node=victim,
+        checkpoint_every=checkpoint_every,
+    )
+    multi = run_multi_recovery_experiment(
+        _app(app), _config(), scheme, failed_nodes=(victim,),
+        checkpoint_every=checkpoint_every,
+    )
+    assert single.ok and multi.ok
+    assert single.recovery_time == multi.recovery_times[victim]
+    assert single.at_seal == multi.at_seals[victim]
+
+
+def _doc_table_row(label):
+    """Cells of one row of docs/recovery.md's scheme comparison table."""
+    doc = Path(__file__).parents[2] / "docs" / "recovery.md"
+    for line in doc.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] == label:
+            return cells[1:]
+    raise AssertionError(f"docs/recovery.md has no table row {label!r}")
+
+
+def test_docs_comparison_table_matches_scheme_table():
+    """Documented <=> registered: one column per recoverable scheme, and
+    the breakdown-component row lists exactly what the table registers."""
+    recoverable = [s for s in SCHEMES.values() if s.replay is not None]
+    assert _doc_table_row("scheme") == [f"`{s.name}`" for s in recoverable]
+    documented = [
+        cell.replace("`", "").split(", ")
+        for cell in _doc_table_row("breakdown components")
+    ]
+    assert documented == [list(s.components) for s in recoverable]
+
+
+@pytest.mark.parametrize("case", sorted(
+    c for c in CASES if c.startswith(("replay/", "checkpointed/", "promotion"))
+))
+def test_recovery_charges_only_registered_components(case):
+    """Registered <=> emitted, on the golden's own runs."""
+    row = SCHEMES["failover" if case.startswith("promotion") else case.split("/")[1]]
+    if row.promotes and case.startswith("replay/"):
+        row = SCHEMES["ccl"]  # replaying its log is the quorum-loss fallback
+    charged = json.loads(GOLDEN.read_text())[case]["time"]
+    assert set(charged) <= set(row.components)
 
 
 if __name__ == "__main__":

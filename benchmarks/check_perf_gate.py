@@ -1,13 +1,18 @@
 """The CI perf gate: fail on regression against the committed trajectory.
 
-Re-times the hot kernels and the simulator event loop, then compares
-against the most recent entries of ``benchmark_results/history.jsonl``
-(the committed perf trajectory that every ``python -m repro perf`` run
-appends to) that recorded each metric.  The gate fails (exit 1) when,
-beyond ``--tolerance`` (default 10%):
+Re-times the hot kernels, the simulator event loop and the long-run
+headline, then compares against the most recent entries of
+``benchmark_results/history.jsonl`` (the committed perf trajectory that
+every ``python -m repro perf`` run appends to) that recorded each
+metric.  The gate fails (exit 1) when, beyond ``--tolerance`` (default
+10%):
 
 * ``sim_event_throughput`` (events/s) dropped -- the event-loop
   rewrite's headline number; or
+* ``longrun_wall_s`` rose -- the host wall-clock of the long
+  application run ``repro perf --target`` records (64-node ``sor/ccl``:
+  where vector-clock and notice bookkeeping, not the engine, is the
+  cost); or
 * any *parity-gated* kernel (the diff/encode kernels that have a
   preserved reference oracle, see ``bench_micro.py --check``) got
   slower in ns/op.
@@ -34,7 +39,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro.harness.perf import run_kernel_benchmarks  # noqa: E402
+from repro.harness.perf import run_kernel_benchmarks, time_app_run  # noqa: E402
 
 #: Kernels with a preserved pre-vectorisation reference oracle; these
 #: are the ones whose speedups the campaign claims, so they are the
@@ -56,14 +61,15 @@ PARITY_GATED_KERNELS = [
 SUPPORTED_HISTORY_SCHEMAS = {1}
 
 
-def load_baseline(path: str) -> tuple:
-    """Baseline (kernel entry, throughput entry) from the trajectory.
+#: Row name of the long-run headline in a measurement pass.
+LONGRUN = "longrun_wall"
 
-    Headline-only ``repro perf --target`` entries carry no kernel
-    timings (and pre-campaign entries carry no events/s), so each
-    metric family baselines against the most recent entry that actually
-    recorded it.  Entries with an unknown ``schema`` are skipped with a
-    warning -- a newer writer must not brick an older gate.
+
+def readable_entries(path: str) -> list:
+    """The trajectory's entries this gate can read, oldest first.
+
+    Entries with an unknown ``schema`` are skipped with a warning -- a
+    newer writer must not brick an older gate.
     """
     with open(path) as fh:
         entries = [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
@@ -83,13 +89,39 @@ def load_baseline(path: str) -> tuple:
             f"perf-gate: no readable entries in {path} -- every entry has an "
             f"unknown schema; update the checkout or re-run `python -m repro perf`"
         )
-    kernels = next(
-        (e for e in reversed(readable) if e.get("kernels_ns_per_op")), {}
+    return readable
+
+
+def select_baselines(readable: list) -> tuple:
+    """Baseline (kernel, throughput, long-run) entries of a trajectory.
+
+    Headline-only ``repro perf --target`` entries carry no kernel
+    timings, only they carry ``target.longrun_wall_s``, and
+    pre-campaign entries carry no events/s, so each metric family
+    baselines against the most recent entry that actually recorded it
+    (``{}`` when none did; the gate then reports the metric as absent).
+    """
+    def latest(recorded):
+        return next((e for e in reversed(readable) if recorded(e)), {})
+
+    return (
+        latest(lambda e: e.get("kernels_ns_per_op")),
+        latest(lambda e: e.get("sim_events_per_sec")),
+        latest(lambda e: (e.get("target") or {}).get("longrun_wall_s")),
     )
-    sim = next(
-        (e for e in reversed(readable) if e.get("sim_events_per_sec")), {}
-    )
-    return kernels, sim
+
+
+def load_baseline(path: str) -> tuple:
+    """Baseline (kernel entry, throughput entry) read from ``path``."""
+    return select_baselines(readable_entries(path))[:2]
+
+
+def measure_longrun(base_l: dict) -> dict:
+    """Re-time the run the baseline entry timed (same app and size)."""
+    tgt = base_l["target"]
+    return {"wall_s": time_app_run(
+        tgt["longrun_app"], tgt["longrun_protocol"],
+        tgt["longrun_nodes"], tgt["longrun_scale"])}
 
 
 def merge_best(best: dict, cur: dict) -> dict:
@@ -108,12 +140,16 @@ def merge_best(best: dict, cur: dict) -> dict:
         if name == "sim_event_throughput":
             if row["events_per_sec"] > out[name]["events_per_sec"]:
                 out[name] = row
+        elif name == LONGRUN:
+            if row["wall_s"] < out[name]["wall_s"]:
+                out[name] = row
         elif row.get("ns_per_op", 1e18) < out.get(name, {}).get("ns_per_op", 1e18):
             out[name] = row
     return out
 
 
-def evaluate(current: dict, base_k: dict, base_s: dict, tolerance: float):
+def evaluate(current: dict, base_k: dict, base_s: dict, base_l: dict,
+             tolerance: float):
     """Compare one merged measurement against the baseline entries."""
     failures = []
     rows = []
@@ -131,6 +167,20 @@ def evaluate(current: dict, base_k: dict, base_s: dict, tolerance: float):
     else:
         rows.append(("sim_event_throughput [events/s]",
                      "(absent)", f"{cur_eps:,.0f}", None, True))
+
+    # Headline: long application run (lower wall-clock is better).
+    tgt = base_l.get("target") or {}
+    if tgt:
+        label = (f"longrun {tgt['longrun_app']}/{tgt['longrun_protocol']} x"
+                 f"{tgt['longrun_nodes']} [wall s]")
+        base_wall, cur_wall = tgt["longrun_wall_s"], current[LONGRUN]["wall_s"]
+        delta = cur_wall / base_wall - 1.0
+        ok = delta <= tolerance
+        rows.append((label, f"{base_wall:.2f}", f"{cur_wall:.2f}", delta, ok))
+        if not ok:
+            failures.append("longrun_wall_s")
+    else:
+        rows.append(("longrun [wall s]", "(absent)", "(not timed)", None, True))
 
     # Parity-gated kernels (lower ns/op is better).
     base_kernels = base_k.get("kernels_ns_per_op", {})
@@ -164,15 +214,19 @@ def main(argv=None) -> int:
                         "survives them all)")
     args = p.parse_args(argv)
 
-    base_k, base_s = load_baseline(args.history)
+    base_k, base_s, base_l = select_baselines(readable_entries(args.history))
     print(f"perf-gate: baselining against {args.history} -- kernels from "
           f"rev {base_k.get('git_rev')} ({base_k.get('ts')}), events/s from "
-          f"rev {base_s.get('git_rev')} ({base_s.get('ts')})")
+          f"rev {base_s.get('git_rev')} ({base_s.get('ts')}), long run from "
+          f"rev {base_l.get('git_rev')} ({base_l.get('ts')})")
 
     best = None
     for attempt in range(1 + max(0, args.retries)):
-        best = merge_best(best, run_kernel_benchmarks(repeat=args.repeat))
-        failures, rows = evaluate(best, base_k, base_s, args.tolerance)
+        cur = run_kernel_benchmarks(repeat=args.repeat)
+        if base_l:
+            cur[LONGRUN] = measure_longrun(base_l)
+        best = merge_best(best, cur)
+        failures, rows = evaluate(best, base_k, base_s, base_l, args.tolerance)
         if not failures:
             break
         if attempt < args.retries:

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..dsm.interval import IntervalRecord, VectorClock
+from ..dsm.messages import records_nbytes
 from ..memory.diff import Diff
 
 __all__ = [
@@ -73,12 +74,10 @@ class NoticeLogRecord(LogRecord):
 
     @property
     def nbytes(self) -> int:
-        # u32 record count; per record: (node, index, page count) metadata
-        # + length-prefixed vector + u32 per notice page
-        return FRAME_HEADER_BYTES + 4 + sum(
-            IntervalRecord.META_BYTES + _vt_nbytes(r.vt) + 4 * len(r.pages)
-            for r in self.records
-        )
+        # u32 record count; per record its wire size (metadata + vector
+        # + u32 per notice page) plus the vector's u32 length prefix
+        return (FRAME_HEADER_BYTES + 4 + 4 * len(self.records)
+                + records_nbytes(self.records))
 
 
 @dataclass

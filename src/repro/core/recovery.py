@@ -565,9 +565,13 @@ class ReplayNode:
         yield from engine.prefetch(self, window)
 
     def _apply_notices(self, records: List[IntervalRecord]) -> None:
+        # one clock join per batch -- see HlrcNode._apply_notices
+        have = self.vt
+        applied: List[VectorClock] = []
         for r in records:
-            if self.vt.covers_interval(r.node, r.index):
+            if have.covers_interval(r.node, r.index):
                 continue
+            applied.append(r.vt)
             if r.node != self.id:
                 for p in r.pages:
                     entry = self.pagetable.entry(p)
@@ -578,7 +582,7 @@ class ReplayNode:
                     if entry.version is not None and entry.version.dominates(r.vt):
                         continue
                     self.pagetable.invalidate(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = have.join(applied)
 
     # ------------------------------------------------------------------
     # diff gathering shared by home updates and page reconstruction

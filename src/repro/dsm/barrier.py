@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SynchronizationError
 from ..obs.latency import LatencyRecorder
+from ..sim import trace as _trc
 from ..sim.events import Signal
 from ..sim.trace import Ev
 from .interval import VectorClock
@@ -56,9 +57,11 @@ class BarrierState:
         self.gather = gather
         self._first_checkin: Optional[float] = None
 
-    def _emit(self, event: str, detail: dict) -> None:
-        if self.on_event is not None:
-            self.on_event(event, detail)
+    @property
+    def _tracing(self) -> bool:
+        """Whether an event's detail dict will be consumed; checked
+        *before* building it, so a tracing-off run allocates nothing."""
+        return _trc.TRACING_ACTIVE and self.on_event is not None
 
     def checkin(self, node: int, vt: VectorClock, episode: int) -> Signal:
         """Record an arrival for ``episode``; returns the completion signal
@@ -82,15 +85,18 @@ class BarrierState:
         self._arrived[node] = vt
         if self.clock is not None and self._first_checkin is None:
             self._first_checkin = self.clock()
-        self._emit(Ev.BARRIER_CHECKIN, {"node": node, "episode": self.episode,
-                                        "vt": list(vt.as_tuple())})
+        if self._tracing:
+            self.on_event(Ev.BARRIER_CHECKIN,
+                          {"node": node, "episode": self.episode,
+                           "vt": list(vt.as_tuple())})
         sig = self._all_in
         if len(self._arrived) == self.num_nodes:
             if self.clock is not None and self._first_checkin is not None:
                 if self.gather is not None:
                     self.gather.observe(self.clock() - self._first_checkin)
                 self._first_checkin = None
-            self._emit(Ev.BARRIER_ALL_IN, {"episode": self.episode})
+            if self._tracing:
+                self.on_event(Ev.BARRIER_ALL_IN, {"episode": self.episode})
             sig.trigger(self.episode)
         return sig
 

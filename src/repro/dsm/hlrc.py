@@ -520,10 +520,9 @@ class HlrcNode:
             msg = yield sig
             self._span_end(wsid, detail={"lock": lock_id, "eid": msg.obs_eid})
             records = msg.payload.records
-            known = self.peer_known_vt[mgr]
-            for r in records:
-                known = known.merge(r.vt)
-            self.peer_known_vt[mgr] = known
+            self.peer_known_vt[mgr] = self.peer_known_vt[mgr].join(
+                [r.vt for r in records]
+            )
         self.stats.charge("sync", self.sim.now - t0)
         self.stats.observe("lock_acquire", self.sim.now - t0)
         self.stats.count("lock_acquires")
@@ -670,12 +669,26 @@ class HlrcNode:
         is diffed to its home first -- the "early diff flush" of
         TreadMarks-style protocols -- so local modifications survive the
         invalidation.
+
+        The node's clock advances once per batch, not once per record:
+        a record is skipped iff the clock *at batch entry* covers it,
+        and the clocks of the applied records are joined in one fold.
+        That equals skipping against the running clock because batches
+        arrive in the order of :meth:`IntervalTable.records_not_covered_by`
+        -- a linear extension of happens-before -- so applying a record
+        can only cover records that happened before it, and those sit
+        earlier in the batch.  (A record repeated within a batch is
+        applied twice, which changes nothing: the table knows it and its
+        pages are already in ``seen``.)
         """
         to_invalidate: List[int] = []
         seen: set[int] = set()
+        have = self.vt
+        applied: List[VectorClock] = []
         for r in records:
-            if self.vt.covers_interval(r.node, r.index):
+            if have.covers_interval(r.node, r.index):
                 continue
+            applied.append(r.vt)
             self.table.add(r)
             if r.node != self.id:
                 for p in r.pages:
@@ -690,7 +703,7 @@ class HlrcNode:
                         continue  # copy already includes these updates
                     seen.add(p)
                     to_invalidate.append(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = have.join(applied)
         dirty_hit = [
             p
             for p in to_invalidate

@@ -16,7 +16,8 @@ storage, and what recovery uses to rebuild the failed node's timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import ge
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ProtocolError
@@ -30,36 +31,77 @@ class VectorClock:
     Component ``vt[p]`` counts the completed intervals of node ``p``
     whose effects are covered.  Standard partial order:
     ``a.dominates(b)`` iff ``a[i] >= b[i]`` for every ``i``.
+
+    The public constructor validates its input (it is what decodes
+    untrusted log bytes); ``tick``/``merge``/``join`` derive clocks from
+    already-validated ones and build them through :meth:`_trusted`.
+    Because clocks are immutable, ``merge`` and ``join`` hand back an
+    operand that already is the result instead of a copy.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "_total")
 
     def __init__(self, values: Iterable[int]):
-        self._v: Tuple[int, ...] = tuple(int(x) for x in values)
-        if any(x < 0 for x in self._v):
-            raise ProtocolError(f"negative vector clock component: {self._v}")
+        v = tuple(int(x) for x in values)
+        if any(x < 0 for x in v):
+            raise ProtocolError(f"negative vector clock component: {v}")
+        self._v: Tuple[int, ...] = v
+        self._total: int = sum(v)
+
+    @classmethod
+    def _trusted(cls, v: Tuple[int, ...]) -> "VectorClock":
+        """Wrap a tuple derived from validated clocks (no re-validation)."""
+        self = object.__new__(cls)
+        self._v = v
+        self._total = sum(v)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "VectorClock":
         """The origin timestamp for an ``n``-node system."""
-        return cls((0,) * n)
+        return cls._trusted((0,) * n)
 
     # ------------------------------------------------------------------
     def tick(self, node: int) -> "VectorClock":
         """A copy with component ``node`` incremented (interval completion)."""
         v = list(self._v)
         v[node] += 1
-        return VectorClock(v)
+        return VectorClock._trusted(tuple(v))
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Component-wise maximum (causal join)."""
-        self._check_width(other)
-        return VectorClock(max(a, b) for a, b in zip(self._v, other._v))
+        a, b = self._v, other._v
+        if len(a) != len(b):
+            raise _width_mismatch(a, b)
+        m = tuple(map(max, a, b))
+        if m == a:
+            return self
+        if m == b:
+            return other
+        return VectorClock._trusted(m)
+
+    def join(self, clocks: Iterable["VectorClock"]) -> "VectorClock":
+        """Causal join of this clock with a whole batch, in one fold.
+
+        Equal to ``merge`` folded left over ``clocks``; the join is
+        associative, commutative and idempotent, so only the *set* of
+        clocks matters, never their order or multiplicity.
+        """
+        a = self._v
+        vs = [c._v for c in clocks]
+        if not vs:
+            return self
+        if set(map(len, vs)) != {len(a)}:
+            raise _width_mismatch(a, next(v for v in vs if len(v) != len(a)))
+        m = tuple(map(max, a, *vs))
+        return self if m == a else VectorClock._trusted(m)
 
     def dominates(self, other: "VectorClock") -> bool:
         """True iff ``self >= other`` component-wise."""
-        self._check_width(other)
-        return all(a >= b for a, b in zip(self._v, other._v))
+        a, b = self._v, other._v
+        if len(a) != len(b):
+            raise _width_mismatch(a, b)
+        return all(map(ge, a, b))
 
     def covers_interval(self, node: int, index: int) -> bool:
         """Whether interval ``index`` of ``node`` is within this history."""
@@ -84,7 +126,7 @@ class VectorClock:
     @property
     def total(self) -> int:
         """Sum of components; strictly increases along happens-before."""
-        return sum(self._v)
+        return self._total
 
     @property
     def nbytes(self) -> int:
@@ -95,11 +137,9 @@ class VectorClock:
         """The raw component tuple."""
         return self._v
 
-    def _check_width(self, other: "VectorClock") -> None:
-        if len(self._v) != len(other._v):
-            raise ProtocolError(
-                f"vector clock width mismatch: {len(self._v)} vs {len(other._v)}"
-            )
+
+def _width_mismatch(a: Tuple[int, ...], b: Tuple[int, ...]) -> ProtocolError:
+    return ProtocolError(f"vector clock width mismatch: {len(a)} vs {len(b)}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +151,19 @@ class IntervalRecord:
     vt: VectorClock
     #: Pages written during the interval (sorted page ids).
     pages: Tuple[int, ...]
+    #: Encoded wire/log size: metadata + vector + 4 bytes per notice.
+    #: Derived once at construction -- a record is immutable and is sized
+    #: again by every message and log record that carries it.
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     #: Encoded bytes for (node, index, page count) metadata.
     META_BYTES = 12
 
-    @property
-    def nbytes(self) -> int:
-        """Encoded wire/log size: metadata + vector + 4 bytes per notice."""
-        return self.META_BYTES + self.vt.nbytes + 4 * len(self.pages)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "nbytes",
+            self.META_BYTES + self.vt.nbytes + 4 * len(self.pages),
+        )
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -151,9 +196,22 @@ class IntervalTable:
         #: gaps are transient and only ever at the tail).
         self._by_node: Dict[int, List[Optional[IntervalRecord]]] = {}
         self._count = 0
+        #: Join of every clock passed to :meth:`prune_covered_by` (raw
+        #: components): slots below it are pruned for good, so each prune
+        #: only visits the slots between the old floor and the new one.
+        self._floor: Tuple[int, ...] = ()
 
     def add(self, record: IntervalRecord) -> bool:
-        """Insert a record; returns False if it was already known."""
+        """Insert a record; returns False if it was already known.
+
+        A record below the prune floor counts as known: every node's
+        history already covers it, so no grant or check-in can ask for
+        it again, and a late duplicate (a lock release overtaken by the
+        barrier that pruned its records) must not resurrect it.
+        """
+        floor = self._floor
+        if record.node < len(floor) and record.index < floor[record.node]:
+            return False
         lst = self._by_node.setdefault(record.node, [])
         if record.index < len(lst):
             if lst[record.index] is not None:
@@ -192,19 +250,20 @@ class IntervalTable:
         of happens-before, so recipients can apply notices in a causally
         safe order.
         """
+        have = vt._v
         out: List[IntervalRecord] = []
         for node, lst in self._by_node.items():
-            start = vt[node] if node < len(vt) else 0
+            start = have[node] if node < len(have) else 0
             for r in lst[start:]:
                 if r is not None:
                     out.append(r)
-        out.sort(key=lambda r: (r.vt.total, r.node, r.index))
+        out.sort(key=_causal_key)
         return out
 
     def all_records(self) -> List[IntervalRecord]:
         """Every known record in causal order."""
         out = [r for lst in self._by_node.values() for r in lst if r is not None]
-        out.sort(key=lambda r: (r.vt.total, r.node, r.index))
+        out.sort(key=_causal_key)
         return out
 
     def prune_covered_by(self, vt: VectorClock) -> int:
@@ -216,11 +275,24 @@ class IntervalTable:
         entries become ``None``, keeping interval indices stable).
         Recovery never consults interval tables (it replays notices from
         the log), so pruning does not affect recoverability.
+
+        Everything below the floor left by earlier prunes is already
+        gone (``add`` keeps it that way), so only the slots the floor
+        moves over are visited -- a barrier costs its new records, not
+        the run so far.
         """
+        old = self._floor
+        new = vt._v
+        if old:
+            if len(old) != len(new):
+                raise _width_mismatch(old, new)
+            new = tuple(map(max, old, new))
+        self._floor = new
         dropped = 0
         for node, lst in self._by_node.items():
-            limit = min(vt[node] if node < len(vt) else 0, len(lst))
-            for i in range(limit):
+            if node >= len(new):
+                continue
+            for i in range(old[node] if old else 0, min(new[node], len(lst))):
                 if lst[i] is not None:
                     lst[i] = None
                     dropped += 1
@@ -236,3 +308,8 @@ class IntervalTable:
             for r in lst
             if r is not None
         )
+
+
+def _causal_key(r: IntervalRecord) -> Tuple[int, int, int]:
+    """Sort key whose order is a linear extension of happens-before."""
+    return (r.vt._total, r.node, r.index)

@@ -15,6 +15,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import SynchronizationError
 from ..obs.latency import LatencyRecorder
+from ..sim import trace as _trc
 from ..sim.trace import Ev
 from .interval import VectorClock
 
@@ -58,9 +59,11 @@ class LockState:
         #: Grant order -- the lock's holder chain.
         self.holders: List[int] = []
 
-    def _emit(self, event: str, detail: dict) -> None:
-        if self.on_event is not None:
-            self.on_event(event, detail)
+    @property
+    def _tracing(self) -> bool:
+        """Whether an event's detail dict will be consumed; checked
+        *before* building it, so a tracing-off run allocates nothing."""
+        return _trc.TRACING_ACTIVE and self.on_event is not None
 
     def try_acquire(self, requester: int, vt: VectorClock) -> bool:
         """Grant immediately if free; otherwise enqueue.  Returns granted?"""
@@ -71,13 +74,16 @@ class LockState:
             self.holders.append(requester)
             if self.waits is not None:
                 self.waits.observe(0.0)
-            self._emit(Ev.LOCK_GRANT, {"lock": self.lock_id, "to": requester,
-                                       "queued": False})
+            if self._tracing:
+                self.on_event(Ev.LOCK_GRANT, {"lock": self.lock_id,
+                                              "to": requester, "queued": False})
             return True
         self.queue.append((requester, vt))
         if self.clock is not None:
             self._queued_at[requester] = self.clock()
-        self._emit(Ev.LOCK_QUEUE, {"lock": self.lock_id, "requester": requester})
+        if self._tracing:
+            self.on_event(Ev.LOCK_QUEUE,
+                          {"lock": self.lock_id, "requester": requester})
         return False
 
     def release(self, releaser: int) -> Optional[Tuple[int, VectorClock]]:
@@ -99,10 +105,13 @@ class LockState:
                 t_enq = self._queued_at.pop(nxt, None)
                 if t_enq is not None and self.waits is not None:
                     self.waits.observe(self.clock() - t_enq)
-            self._emit(Ev.LOCK_GRANT, {"lock": self.lock_id, "to": nxt,
-                                       "queued": True})
+            if self._tracing:
+                self.on_event(Ev.LOCK_GRANT, {"lock": self.lock_id,
+                                              "to": nxt, "queued": True})
             return (nxt, vt)
         self.held = False
         self.holder = None
-        self._emit(Ev.LOCK_FREE, {"lock": self.lock_id, "releaser": releaser})
+        if self._tracing:
+            self.on_event(Ev.LOCK_FREE,
+                          {"lock": self.lock_id, "releaser": releaser})
         return None

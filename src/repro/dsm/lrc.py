@@ -152,9 +152,13 @@ class LrcNode(HlrcNode):
         self, records: List[IntervalRecord]
     ) -> Generator[Any, Any, None]:
         to_invalidate: List[int] = []
+        # one clock join per batch -- see HlrcNode._apply_notices
+        have = self.vt
+        applied: List[VectorClock] = []
         for r in records:
-            if self.vt.covers_interval(r.node, r.index):
+            if have.covers_interval(r.node, r.index):
                 continue
+            applied.append(r.vt)
             self.table.add(r)
             if r.node != self.id:
                 for p in r.pages:
@@ -164,7 +168,7 @@ class LrcNode(HlrcNode):
                     self.pending.setdefault(p, []).append(r)
                     if entry.state is not PageState.INVALID:
                         to_invalidate.append(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = have.join(applied)
         dirty_hit = [
             p for p in dict.fromkeys(to_invalidate)
             if self.pagetable.entry(p).state is PageState.DIRTY

@@ -47,7 +47,7 @@ MSG_FIXED_BYTES = 16
 
 def records_nbytes(records: List[IntervalRecord]) -> int:
     """Encoded size of a record list."""
-    return sum(r.nbytes for r in records)
+    return sum([r.nbytes for r in records])
 
 
 @dataclass(slots=True)

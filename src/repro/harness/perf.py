@@ -51,6 +51,7 @@ __all__ = [
     "run_app_benchmarks",
     "run_log_truncation_bench",
     "run_target_headline",
+    "time_app_run",
     "check_kernels",
     "write_perf_json",
     "append_perf_history",
@@ -251,14 +252,8 @@ def run_target_headline(
     :func:`run_perf_suite` (so :func:`append_perf_history` accepts it)
     with an extra ``target`` block.
     """
-    from ..config import ClusterConfig
-    from .runner import run_application
-
     sim_row = _sim_event_bench(repeat)
-    config = ClusterConfig.ultra5(num_nodes=nodes)
-    t0 = time.perf_counter()  # lint: ignore[DET001] - benchmarks real work
-    run_application(app, protocol, config, scale)
-    wall = round(time.perf_counter() - t0, 4)  # lint: ignore[DET001]
+    wall = time_app_run(app, protocol, nodes, scale)
     return {
         "schema": 1,
         "python": sys.version.split()[0],
@@ -280,21 +275,29 @@ def run_target_headline(
 # end-to-end application wall times
 # ----------------------------------------------------------------------
 
+def time_app_run(app: str, protocol: str, nodes: int, scale: str) -> float:
+    """Host wall-clock seconds of one full simulated application run.
+
+    At 64 nodes this is the headline ``target.longrun_wall_s``, which
+    ``check_perf_gate.py`` re-times against the committed trajectory.
+    """
+    from ..config import ClusterConfig
+    from .runner import run_application
+
+    config = ClusterConfig.ultra5(num_nodes=nodes)
+    t0 = time.perf_counter()  # lint: ignore[DET001] - benchmarks real work
+    run_application(app, protocol, config, scale)
+    return round(time.perf_counter() - t0, 4)  # lint: ignore[DET001]
+
+
 def run_app_benchmarks(
     apps: Optional[List[str]] = None, scale: str = "test", protocol: str = "ccl"
 ) -> Dict[str, float]:
     """Host wall-clock seconds for one full simulated run per app."""
-    from ..config import ClusterConfig
-    from .runner import run_application
-
-    apps = apps or ["sor", "mg"]
-    config = ClusterConfig.ultra5(num_nodes=8)
-    out: Dict[str, float] = {}
-    for name in apps:
-        t0 = time.perf_counter()  # lint: ignore[DET001] - benchmarks real work
-        run_application(name, protocol, config, scale)
-        out[name] = round(time.perf_counter() - t0, 4)  # lint: ignore[DET001]
-    return out
+    return {
+        name: time_app_run(name, protocol, 8, scale)
+        for name in apps or ["sor", "mg"]
+    }
 
 
 # ----------------------------------------------------------------------

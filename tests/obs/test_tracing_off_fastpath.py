@@ -7,13 +7,17 @@ disabled, a complete application run must never call the tracer's
 allocating entry points (``begin``/``end``/``edge_send``/``edge_recv``)
 and must leave the span/edge/event buffers empty.  ``record()`` may be
 *called* on the no-allocation path only through guarded sites, so it is
-counted too.
+counted too.  The manager-side lock/barrier state machines hand their
+event ``detail`` dicts to ``HlrcNode._manager_event``; that sink is
+counted as well, because a dict that reaches it has already been built
+(for a barrier check-in, with a fresh list of the whole vector clock).
 """
 
 import pytest
 
 from repro.config import ClusterConfig
 from repro.dsm import DsmSystem
+from repro.dsm.hlrc import HlrcNode
 from repro.harness.runner import run_application
 from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer
@@ -80,11 +84,22 @@ def test_full_run_allocates_no_spans_or_edges(monkeypatch, request):
         original_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DsmSystem, "__init__", patched_init)
+    manager_details = []
+    monkeypatch.setattr(
+        HlrcNode, "_manager_event",
+        lambda self, event, detail: manager_details.append((event, detail)))
     result, system = run_application(
         "water", "ccl", ClusterConfig.ultra5(num_nodes=4), "test")
 
     assert system.tracer is counting
     assert result.completed
+    # the lock and barrier managers ran (water takes locks and barriers)
+    # without building a single event detail for the dropped trace
+    assert result.aggregate.counters["lock_acquires"] > 0
+    assert result.aggregate.counters["barriers"] > 0
+    assert manager_details == [], (
+        f"{len(manager_details)} manager event details built with tracing "
+        f"disabled, first: {manager_details[:1]}")
     # water exercises locks, barriers, faults, diffs, and log flushes --
     # every instrumented path -- yet nothing was allocated:
     assert len(counting.spans) == 0

@@ -4,10 +4,16 @@ Runs the same application three ways and reports wall-clock seconds:
 
 * ``off``      -- tracer disabled, the default: every span/edge guard
   short-circuits on ``Tracer.enabled``;
-* ``spans``    -- causal spans + message edges recorded;
+* ``spans``    -- events, causal spans and message edges recorded;
 * ``exported`` -- spans recorded, then the Chrome-trace export, the
   critical-path walk, and the flush-overlap metric computed (what
   ``repro timeline`` / ``repro critical-path`` pay per run).
+
+Each variant is run once untimed (imports, allocator and caches warm),
+then :data:`ROUNDS` times with the order of the three rotating from
+round to round, and the *median* is reported: a single cold ``off``
+followed by a single ``spans`` -- what this bench used to time -- read
++40 % on a build whose warm, interleaved overhead was +60-170 %.
 
 The bound that matters is ``off`` vs an untraced build: tracing-off
 must be free, which the pinned golden test
@@ -16,6 +22,8 @@ bounds for *wall time* -- recording must also stay cheap enough that
 ``--sanitize`` and the chaos suite's failure dumps remain usable.
 """
 
+import gc
+import statistics
 import time
 
 from repro.apps import make_app
@@ -25,70 +33,87 @@ from repro.harness import app_kwargs, render_sweep, sweep
 from repro.obs import LatencyRecorder, chrome_trace, critical_path, flush_overlap
 from repro.sim.trace import Tracer
 
+#: ``sor`` writes dense rows (one run per diff); ``shallow`` writes
+#: column halos (tens of runs per diff), the shape that made recording a
+#: diff's runs the dominant tracing cost.
+APPS = ("sor", "shallow")
+VARIANTS = ("off", "spans", "exported")
+ROUNDS = 5
 
-def _build(ultra5, traced: bool) -> DsmSystem:
-    return DsmSystem(
-        make_app("sor", **app_kwargs("sor", "bench")),
-        ultra5,
-        lambda _i: CoherenceCentricLogging(),
-        tracer=Tracer(enabled=traced),
-    )
+
+def _run(app: str, ultra5, variant: str) -> Tracer:
+    tracer = Tracer(enabled=variant != "off")
+    try:
+        DsmSystem(
+            make_app(app, **app_kwargs(app, "bench")),
+            ultra5,
+            lambda _i: CoherenceCentricLogging(),
+            tracer=tracer,
+        ).run()
+        if variant == "exported":
+            chrome_trace(tracer)
+            critical_path(tracer)
+            flush_overlap(tracer)
+    finally:
+        tracer.enabled = False
+    return tracer
+
+
+def _measure(app: str, ultra5) -> dict:
+    """Median wall seconds per variant over warm, interleaved rounds."""
+    for variant in VARIANTS:
+        recorded = _run(app, ultra5, variant)
+    counts = {"spans": len(recorded.spans), "edges": len(recorded.edges)}
+    del recorded
+    samples = {variant: [] for variant in VARIANTS}
+    for r in range(ROUNDS):
+        for k in range(len(VARIANTS)):
+            variant = VARIANTS[(r + k) % len(VARIANTS)]
+            gc.collect()  # the previous system is cyclic garbage: not ours
+            t0 = time.perf_counter()
+            _run(app, ultra5, variant)
+            samples[variant].append(time.perf_counter() - t0)
+    times = {f"{v}_s": statistics.median(samples[v]) for v in VARIANTS}
+    return {**times, **counts}
 
 
 def test_obs_overhead(benchmark, ultra5, save_artifact):
-    def timed(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    def body():
-        off = timed(lambda: _build(ultra5, False).run())
-
-        spans_system = _build(ultra5, True)
-        spans = timed(lambda: spans_system.run())
-
-        export_system = _build(ultra5, True)
-
-        def run_and_export():
-            export_system.run()
-            chrome_trace(export_system.tracer)
-            critical_path(export_system.tracer)
-            flush_overlap(export_system.tracer)
-
-        exported = timed(run_and_export)
-        return {
-            "off_s": off,
-            "spans_s": spans,
-            "exported_s": exported,
-            "spans": len(spans_system.tracer.spans),
-            "edges": len(spans_system.tracer.edges),
-        }
-
-    times = benchmark.pedantic(body, rounds=1, iterations=1)
-
-    points = sweep(
-        [("off", {}), ("spans", {}), ("exported", {})],
-        lambda label, _p: {
-            "wall_s": times[f"{label}_s"],
-            "overhead_pct": 100 * (times[f"{label}_s"] / times["off_s"] - 1),
-        },
+    results = benchmark.pedantic(
+        lambda: {app: _measure(app, ultra5) for app in APPS},
+        rounds=1, iterations=1,
     )
-    text = render_sweep(
-        "telemetry overhead (sor/ccl, bench scale, "
-        f"{times['spans']} spans, {times['edges']} edges)",
-        points,
-    )
+
+    blocks = []
+    for app, times in results.items():
+        points = sweep(
+            [(variant, {}) for variant in VARIANTS],
+            lambda label, _p: {
+                "wall_s": times[f"{label}_s"],
+                "overhead_pct": 100 * (times[f"{label}_s"] / times["off_s"] - 1),
+            },
+        )
+        blocks.append(render_sweep(
+            f"telemetry overhead ({app}/ccl, bench scale, median of {ROUNDS} "
+            f"warm interleaved rounds, {times['spans']} spans, "
+            f"{times['edges']} edges)",
+            points,
+        ))
+        benchmark.extra_info.update({
+            f"{app}_{k}": round(v, 3) if isinstance(v, float) else v
+            for k, v in times.items()
+        })
+    text = "\n\n".join(blocks)
     print(text)
     save_artifact("obs_overhead", text)
 
-    benchmark.extra_info.update(
-        {k: round(v, 3) if isinstance(v, float) else v for k, v in times.items()}
-    )
-    # With lazy span construction (module-level TRACING_ACTIVE flag plus
-    # site-level guards on detail-dict builds), recording costs <2x the
-    # untraced run locally; bound at 3x/5x for shared CI runners.
-    assert times["spans_s"] < 3 * max(times["off_s"], 0.05)
-    assert times["exported_s"] < 5 * max(times["off_s"], 0.05)
+    # A traced diff costs one run-table array whatever its run count and
+    # the critical-path walk is indexed: recording reads about +25 %
+    # (sor) and +30-55 % (shallow) locally, the export 10-15 points more
+    # (the parent of that change: +43 % and +173 %).
+    for app, times in results.items():
+        off = max(times["off_s"], 0.05)
+        assert times["spans_s"] < 1.7 * off, (app, times)
+        assert times["exported_s"] < 2.0 * off, (app, times)
 
 
 def test_latency_recorder_overhead(benchmark):

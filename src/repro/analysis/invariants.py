@@ -138,6 +138,10 @@ class RaceDetector:
         runs: Iterable[Iterable[int]],
         label: str,
     ) -> None:
+        # a live trace carries the diff's run table itself, not lists
+        tolist = getattr(runs, "tolist", None)
+        if tolist is not None:
+            runs = tolist()
         ranges = tuple((int(off), int(off) + int(n)) for off, n in runs)
         if ranges:
             self._by_page.setdefault(page, []).append(

@@ -738,7 +738,7 @@ class HlrcNode:
                         "page": p,
                         "part": part,
                         "vt": list(early_vt.as_tuple()),
-                        "runs": [[off, len(words)] for off, words in d.runs],
+                        "runs": d.run_table(),
                     },
                 )
             self.hooks.notify_early_diff(d, part, early_vt)
@@ -943,10 +943,7 @@ class HlrcNode:
                         "vt": list(new_vt.as_tuple()),
                         "pages": list(record.pages),
                         "writes": [
-                            {
-                                "page": d.page,
-                                "runs": [[off, len(words)] for off, words in d.runs],
-                            }
+                            {"page": d.page, "runs": d.run_table()}
                             for d in remote_diffs + home_diffs
                         ],
                     },

@@ -16,10 +16,18 @@ encoded sizes.
 Representation
 --------------
 
-A diff is stored *flat*: one sorted ``offsets`` integer array naming
-every modified word and one parallel ``words`` ``uint32`` array with
-the new contents.  The run-length view (:attr:`Diff.runs`) is derived
-lazily for code that walks runs (tracing, log inspection); the hot
+A diff is stored *flat*: one sorted, read-only ``offsets`` integer
+array naming every modified word and one parallel ``words`` ``uint32``
+array with the new contents.  The run structure is derived from
+``offsets`` in one place, :meth:`Diff.run_table` -- a ``(start,
+length)`` row per coalesced run, built by vectorised code -- and
+everything that speaks in runs reads it: the wire encoding, the trace
+details of ``early_diff``/``interval_end`` (which keep the table itself,
+not a Python list per run) and the test-facing :attr:`Diff.runs` view.
+What a diff *retains* of its run structure is integers -- the run count
+behind :attr:`Diff.nbytes`, computed at most once because ``offsets``
+cannot change afterwards, and the :meth:`Diff.span` bounds -- so the
+thousands of diffs a log keeps alive cost no array each.  The hot
 kernels -- :func:`create_diff`, :func:`merge_diffs`, :func:`apply_diff`
 -- operate on the flat arrays with pure NumPy run algebra and never
 loop per word or per run in Python.  :func:`encode_diff` /
@@ -67,18 +75,21 @@ class Diff:
     ``offsets`` holds the ascending word offsets of every modified word
     and ``words`` the corresponding new ``uint32`` contents; both own
     their data (safe to keep after the source page mutates).  An empty
-    pair is a legal "no changes" diff.  :attr:`runs` presents the same
-    data as ``(word_offset, words)`` pairs, built on first access; the
-    per-run arrays are views into :attr:`words`, so mutating them (the
-    tests do) stays coherent with the flat form.
+    pair is a legal "no changes" diff.  ``offsets`` is read-only from
+    construction on -- the cached run count and span are functions of
+    it -- while ``words`` stays writable.  :attr:`runs` presents the
+    same data as ``(word_offset, words)`` pairs, built on first access;
+    the per-run arrays are views into :attr:`words`, so mutating them
+    (the tests do) stays coherent with the flat form.
     """
 
-    __slots__ = ("page", "offsets", "words", "_runs", "_span")
+    __slots__ = ("page", "offsets", "words", "_runs", "_span", "_run_count")
 
     def __init__(self, page: int, runs: Optional[List[Tuple[int, np.ndarray]]] = None):
         self.page = page
         self._runs: Optional[List[Tuple[int, np.ndarray]]] = None
         self._span: Optional[Tuple[int, int, bool]] = None
+        self._run_count: Optional[int] = None
         if not runs:
             self.offsets = _EMPTY_OFFSETS
             self.words = _EMPTY_WORDS
@@ -90,6 +101,7 @@ class Diff:
             off_parts.append(np.arange(off, off + len(w), dtype=np.int64))
             word_parts.append(w)
         self.offsets = np.concatenate(off_parts)
+        self.offsets.setflags(write=False)
         self.words = np.concatenate(word_parts)
 
     @classmethod
@@ -97,14 +109,17 @@ class Diff:
         """Wrap pre-built flat arrays (must be sorted, strictly increasing).
 
         The arrays are adopted without copying; callers hand over
-        ownership.  This is the constructor the vectorised kernels use.
+        ownership, and ``offsets`` is made read-only.  This is the
+        constructor the vectorised kernels use.
         """
         d = cls.__new__(cls)
         d.page = page
+        offsets.setflags(write=False)
         d.offsets = offsets
         d.words = words
         d._runs = None
         d._span = None
+        d._run_count = None
         return d
 
     def span(self) -> Tuple[int, int, bool]:
@@ -134,10 +149,43 @@ class Diff:
 
     @property
     def run_count(self) -> int:
-        """Number of coalesced runs of consecutive modified words."""
-        if self.offsets.size == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(self.offsets) > 1)) + 1
+        """Number of coalesced runs of consecutive modified words.
+
+        Derived from ``offsets`` the first time it is asked for and kept:
+        every message and log record that carries the diff sums its
+        :attr:`nbytes`, several times over one diff's life.
+        """
+        count = self._run_count
+        if count is None:
+            offsets = self.offsets
+            if offsets.size == 0:
+                count = 0
+            else:
+                count = int(np.count_nonzero(offsets[1:] - offsets[:-1] > 1)) + 1
+            self._run_count = count
+        return count
+
+    def run_table(self) -> np.ndarray:
+        """``(start, length)`` per coalesced run, ascending.
+
+        An ``int32`` array of shape ``(run_count, 2)`` -- the run block
+        of the wire layout -- built fresh by vectorised code and not
+        retained; the caller owns it.  (The run count it reveals is.)
+        """
+        offsets = self.offsets
+        if offsets.size == 0:
+            return np.empty((0, 2), dtype=np.int32)
+        # bounds[i]: index of run i's first word; the last entry closes the last run
+        ends = (offsets[1:] - offsets[:-1] > 1).nonzero()[0]
+        bounds = np.empty(ends.size + 2, dtype=np.intp)
+        bounds[0] = 0
+        bounds[-1] = offsets.size
+        np.add(ends, 1, out=bounds[1:-1])
+        table = np.empty((ends.size + 1, 2), dtype=np.int32)
+        table[:, 0] = offsets[bounds[:-1]]
+        table[:, 1] = bounds[1:] - bounds[:-1]
+        self._run_count = ends.size + 1
+        return table
 
     @property
     def nbytes(self) -> int:
@@ -157,15 +205,13 @@ class Diff:
     def runs(self) -> List[Tuple[int, np.ndarray]]:
         """Run-length view: ``(word_offset, words)`` pairs, ascending."""
         if self._runs is None:
-            if self.offsets.size == 0:
-                self._runs = []
-            else:
-                breaks = np.flatnonzero(np.diff(self.offsets) > 1) + 1
-                starts = self.offsets[np.concatenate(([0], breaks))]
-                self._runs = [
-                    (int(s), seg)
-                    for s, seg in zip(starts, np.split(self.words, breaks))
-                ]
+            words = self.words
+            runs = []
+            lo = 0
+            for start, length in self.run_table().tolist():
+                runs.append((start, words[lo : lo + length]))
+                lo += length
+            self._runs = runs
         return self._runs
 
     def word_offsets(self) -> np.ndarray:
@@ -174,7 +220,10 @@ class Diff:
 
     def copy(self) -> "Diff":
         """Deep copy (the recovery path replays diffs multiple times)."""
-        return Diff.from_flat(self.page, self.offsets.copy(), self.words.copy())
+        d = Diff.from_flat(self.page, self.offsets.copy(), self.words.copy())
+        d._run_count = self._run_count
+        d._span = self._span
+        return d
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -203,7 +252,7 @@ def create_diff(page: int, twin: np.ndarray, current: np.ndarray) -> Diff:
         raise DiffError(f"twin/current shape mismatch: {twin.shape} vs {current.shape}")
     tw = _as_words(twin)
     cw = _as_words(current)
-    changed = np.flatnonzero(tw != cw)
+    changed = (tw != cw).nonzero()[0]
     if changed.size == 0:
         return Diff(page)
     # fancy indexing copies, so the diff owns its words
@@ -276,20 +325,15 @@ def encode_diff(diff: Diff) -> np.ndarray:
         int32 (start, length) per run
         uint32 word per modified word
 
-    The run table is derived with vectorised run algebra and the words
-    block is the diff's ``words`` array viewed as bytes (no per-word
-    Python work anywhere).
+    The run block is :meth:`Diff.run_table` and the words block is the
+    diff's ``words`` array viewed as bytes (no per-word Python work
+    anywhere).
     """
     wc = diff.word_count
     if wc == 0:
         header = np.array([diff.page, 0, 0, 0], dtype=np.uint32)
         return header.view(np.uint8).copy()
-    offsets = diff.offsets
-    breaks = np.flatnonzero(np.diff(offsets) > 1) + 1
-    bounds = np.concatenate(([0], breaks, [wc]))
-    run_table = np.empty((bounds.size - 1, 2), dtype=np.int32)
-    run_table[:, 0] = offsets[bounds[:-1]]
-    run_table[:, 1] = np.diff(bounds)
+    run_table = diff.run_table()
     header = np.array([diff.page, wc, run_table.shape[0], 0], dtype=np.uint32)
     return np.concatenate(
         [

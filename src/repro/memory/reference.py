@@ -24,11 +24,26 @@ from ..errors import DiffError
 from .diff import Diff, _as_words
 
 __all__ = [
+    "reference_runs",
     "reference_create_diff",
     "reference_merge_diffs",
     "reference_apply_diff",
     "reference_encode_diff",
 ]
+
+
+def reference_runs(diff: Diff) -> List[Tuple[int, np.ndarray]]:
+    """Original ``Diff.runs``: ``np.split`` of the words at every gap.
+
+    The oracle for :meth:`Diff.run_table`, which replaced it: one array
+    view and one tuple per run, which is what made tracing a diff cost
+    in proportion to its run count.
+    """
+    if diff.offsets.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(diff.offsets) > 1) + 1
+    starts = diff.offsets[np.concatenate(([0], breaks))]
+    return [(int(s), seg) for s, seg in zip(starts, np.split(diff.words, breaks))]
 
 
 def reference_create_diff(page: int, twin: np.ndarray, current: np.ndarray) -> Diff:

@@ -27,7 +27,9 @@ numbers are compared against.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -62,57 +64,114 @@ class Segment:
 # critical path
 # ----------------------------------------------------------------------
 
-def _active_span(spans_at: Dict[Tuple[int, str], List[Any]], node: int,
+#: Strands the walk attributes time to, in tie-break order.
+_STRANDS = ("main", "server", "disk")
+
+#: One ``(node, strand)``'s closed spans, ordered for :func:`_innermost`:
+#: ``(starts, spans, outer)``.
+_StrandIndex = Tuple[List[float], List[Any], List[int]]
+
+
+def _index_strand(spans: List[Any]) -> _StrandIndex:
+    """Order one strand's closed spans (given in list order) for bisect.
+
+    Ascending ``t0`` -- a recorded trace already is, spans are appended
+    as they begin -- with spans that start together in *reverse* list
+    order, so the rightmost active entry is the one the tie-break
+    wants: latest ``t0``, then earliest in the list.  ``outer[j]`` is
+    the nearest entry left of ``j`` that ends later than ``j`` does (-1
+    for none): everything between the two ends no later than ``j``, so
+    when ``j`` is over by ``t`` the search resumes at ``outer[j]`` --
+    one hop per nesting level, not one per closed sibling.
+    """
+    ordered = sorted(reversed(spans), key=attrgetter("t0"))  # stable
+    outer: List[int] = []
+    later: List[int] = []  # entries whose end nothing to their right beats yet
+    for j, span in enumerate(ordered):
+        while later and ordered[later[-1]].t1 <= span.t1:
+            later.pop()
+        outer.append(later[-1] if later else -1)
+        later.append(j)
+    return [span.t0 for span in ordered], ordered, outer
+
+
+def _innermost(index: _StrandIndex, t: float) -> Optional[Any]:
+    """The strand's span with the latest ``t0`` among ``t0 < t <= t1``."""
+    starts, ordered, outer = index
+    j = bisect_left(starts, t) - 1
+    while j >= 0 and ordered[j].t1 < t:
+        j = outer[j]
+    return ordered[j] if j >= 0 else None
+
+
+def _active_span(strands: Dict[Tuple[int, str], _StrandIndex], node: int,
                  t: float) -> Optional[Any]:
     """Innermost span active at (node, t) across strands.
 
     Active means ``t0 < t <= t1`` (strict start keeps the walk
-    strictly decreasing); innermost is the latest ``t0``.  Open spans
-    (``t1 < 0``) never participate -- they were cut off by a crash.
+    strictly decreasing); innermost is the latest ``t0``, the earlier
+    strand of :data:`_STRANDS` and then the earlier span in the list
+    winning ties.  Open spans (``t1 < 0``) never participate -- they
+    were cut off by a crash.
     """
     best = None
-    for strand in ("main", "server", "disk"):
-        for span in spans_at.get((node, strand), ()):
-            if span.t0 < t and span.t1 >= t:
-                if best is None or span.t0 > best.t0:
-                    best = span
+    for strand in _STRANDS:
+        index = strands.get((node, strand))
+        if index is not None:
+            span = _innermost(index, t)
+            if span is not None and (best is None or span.t0 > best.t0):
+                best = span
     return best
 
 
-def _edge_for_wait(span: Any, t_hi: float, edges_by_dst: Dict[int, List[Any]],
+def _edge_for_wait(span: Any, t_hi: float,
+                   arrivals: Dict[int, Tuple[List[float], List[Any]]],
                    edges: List[Any]) -> Optional[Any]:
     """The delivered edge that ended a wait span (detail eid, else the
-    latest delivery into the node inside the wait window)."""
+    latest delivery into the node inside the wait window, the earliest
+    sent of those that arrived together)."""
     if isinstance(span.detail, dict):
         eid = span.detail.get("eid", -1)
         if isinstance(eid, int) and 0 <= eid < len(edges):
             edge = edges[eid]
             if edge.t_recv >= 0:
                 return edge
-    best = None
-    for edge in edges_by_dst.get(span.node, ()):
-        if span.t0 <= edge.t_recv <= t_hi:
-            if best is None or edge.t_recv > best.t_recv:
-                best = edge
-    return best
+    recvs, delivered = arrivals.get(span.node, ((), ()))
+    i = bisect_right(recvs, t_hi)
+    if i == 0 or recvs[i - 1] < span.t0:
+        return None
+    return delivered[bisect_left(recvs, recvs[i - 1])]
 
 
 def critical_path(tracer: Any, end_node: Optional[int] = None) -> List[Segment]:
     """The span chain bounding the run's wall time, chronological.
 
     ``end_node`` picks which node's last activity anchors the walk
-    (default: the node whose main strand finishes last).
+    (default: the node whose main strand finishes last).  Spans and
+    delivered edges are indexed once, by ``(node, strand)`` start and by
+    destination arrival, so each step of the walk is a bisect rather
+    than a scan of the node's spans.
     """
     closed = [s for s in tracer.spans if s.t1 >= 0]
     if not closed:
         return []
-    spans_at: Dict[Tuple[int, str], List[Any]] = {}
+    by_strand: Dict[Tuple[int, str], List[Any]] = {}
+    ends_by_node: Dict[int, List[float]] = {}
     for s in closed:
-        spans_at.setdefault((s.node, s.strand), []).append(s)
+        by_strand.setdefault((s.node, s.strand), []).append(s)
+        ends_by_node.setdefault(s.node, []).append(s.t1)
+    strands = {key: _index_strand(spans) for key, spans in by_strand.items()
+               if key[1] in _STRANDS}
+    for ends in ends_by_node.values():
+        ends.sort()
     edges_by_dst: Dict[int, List[Any]] = {}
     for e in tracer.edges:
         if e.t_recv >= 0:
             edges_by_dst.setdefault(e.dst, []).append(e)
+    arrivals = {}
+    for dst, delivered in edges_by_dst.items():
+        delivered.sort(key=attrgetter("t_recv"))  # stable: send order among ties
+        arrivals[dst] = ([e.t_recv for e in delivered], delivered)
 
     if end_node is None:
         mains = [s for s in closed if s.strand == "main"]
@@ -127,20 +186,20 @@ def critical_path(tracer: Any, end_node: Optional[int] = None) -> List[Segment]:
     budget = 4 * (len(closed) + len(tracer.edges)) + 64
     while t > _EPS and budget > 0:
         budget -= 1
-        span = _active_span(spans_at, node, t)
+        span = _active_span(strands, node, t)
         if span is None:
             # gap before/between spans: attribute to untracked node time
-            prev_end = max(
-                (s.t1 for s in closed if s.node == node and s.t1 < t),
-                default=0.0,
-            )
+            # up to the latest span end (on any strand) before t
+            ends = ends_by_node.get(node, ())
+            i = bisect_left(ends, t)
+            prev_end = ends[i - 1] if i else 0.0
             segments.append(Segment(prev_end, t, node, "untracked", "cpu"))
             if prev_end <= _EPS:
                 break
             t = prev_end
             continue
         if span.cat == "wait":
-            edge = _edge_for_wait(span, t, edges_by_dst, tracer.edges)
+            edge = _edge_for_wait(span, t, arrivals, tracer.edges)
             if edge is not None and edge.t_send < t:
                 if t > edge.t_recv:
                     segments.append(Segment(edge.t_recv, t, node,

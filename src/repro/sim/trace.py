@@ -10,7 +10,14 @@ carry a JSON-serialisable ``detail`` dict (vector clocks as plain int
 lists, page states as their string values), so a whole trace can round-
 trip through JSON Lines via :meth:`Tracer.to_jsonl` /
 :meth:`Tracer.from_jsonl` and be analysed offline with
-``python -m repro analyze <trace>``.
+``python -m repro analyze <trace>``.  One value travels by reference:
+the ``runs`` of ``interval_end``/``early_diff`` are the diff's
+``(start, length)`` run table as the array
+:meth:`~repro.memory.diff.Diff.run_table` built, so recording a diff
+costs the same whether it has one run or five hundred.
+:meth:`TraceEvent.to_json` writes it as the nested int lists a loaded
+trace holds; whoever reads ``runs`` from a live trace calls
+``.tolist()`` first (the race detector does).
 
 The legacy scalar events (``acquire``/``release``/``barrier``/``seal``/
 ``fault`` with a bare id as detail) are retained unchanged; the
@@ -128,6 +135,17 @@ class Ev:
     )
 
 
+def _by_reference(obj: Any) -> Any:
+    """``json.dumps`` hook: nested lists for an array a detail carries."""
+    try:
+        return obj.tolist()
+    except AttributeError:
+        raise TypeError(
+            f"trace detail value of type {type(obj).__name__} "
+            "is not JSON serialisable"
+        ) from None
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One timestamped protocol event."""
@@ -141,7 +159,7 @@ class TraceEvent:
         """Encode as one JSON Lines record."""
         return json.dumps(
             {"t": self.time, "n": self.node, "e": self.event, "d": self.detail},
-            separators=(",", ":"),
+            separators=(",", ":"), default=_by_reference,
         )
 
     @classmethod

@@ -11,6 +11,9 @@ counted too.  The manager-side lock/barrier state machines hand their
 event ``detail`` dicts to ``HlrcNode._manager_event``; that sink is
 counted as well, because a dict that reaches it has already been built
 (for a barrier check-in, with a fresh list of the whole vector clock).
+So is ``Diff.run_table``: the run table exists for the trace detail (and
+for the wire encoding, which a failure-free run never asks for), so an
+untraced run must not build a single one.
 """
 
 import pytest
@@ -19,6 +22,7 @@ from repro.config import ClusterConfig
 from repro.dsm import DsmSystem
 from repro.dsm.hlrc import HlrcNode
 from repro.harness.runner import run_application
+from repro.memory import Diff
 from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer
 
@@ -88,11 +92,20 @@ def test_full_run_allocates_no_spans_or_edges(monkeypatch, request):
     monkeypatch.setattr(
         HlrcNode, "_manager_event",
         lambda self, event, detail: manager_details.append((event, detail)))
+    run_tables = []
+    run_table = Diff.run_table
+    monkeypatch.setattr(
+        Diff, "run_table",
+        lambda self: run_tables.append(self) or run_table(self))
     result, system = run_application(
         "water", "ccl", ClusterConfig.ultra5(num_nodes=4), "test")
 
     assert system.tracer is counting
     assert result.completed
+    assert result.aggregate.counters["diffs_created"] > 0
+    assert run_tables == [], (
+        f"{len(run_tables)} run tables built with tracing disabled: a "
+        "trace site derives its detail outside the `_tracing` guard")
     # the lock and barrier managers ran (water takes locks and barriers)
     # without building a single event detail for the dropped trace
     assert result.aggregate.counters["lock_acquires"] > 0

@@ -7,6 +7,11 @@ invariants the paper's correctness argument rests on:
 * **vt-monotonic** -- a node's applied vector timestamp only grows
   along its own execution (Section 2: interval timestamps capture a
   monotonically growing causal history).
+* **vt-causal-closure** -- a timestamp that covers interval ``(p, i)``
+  dominates the timestamp that interval was sealed with: clocks grow
+  only by sealing and by merging clocks that are closed already.  The
+  protocol merges one joined clock per notice batch on the strength of
+  this (:func:`repro.dsm.interval.cut_of`).
 * **lock-hb** -- the timestamp a node holds after acquiring a lock
   dominates the timestamp the previous holder had when it released it
   (write notices travel the lock chain, Section 2).
@@ -193,8 +198,13 @@ class InvariantChecker:
         self._last_vt: Dict[int, Tuple[int, ...]] = {}
         #: lock -> vt at its most recent release.
         self._release_vt: Dict[int, Tuple[int, ...]] = {}
+        #: (node, interval) -> the vt that interval was sealed with.
+        self._sealed_vt: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         #: episode -> [(node, vt)] check-ins (from the manager's events).
         self._checkins: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        #: episode -> join of its check-in vts, what every exit must
+        #: dominate (None once widths disagree: only a corrupt trace).
+        self._checkin_join: Dict[int, Optional[Tuple[int, ...]]] = {}
         #: node -> {(index, part): set of homes} outstanding diff sends.
         self._sends: Dict[int, Dict[Tuple[int, int], Set[int]]] = {}
         #: node -> {(index, part)} acknowledged flushes.
@@ -210,15 +220,22 @@ class InvariantChecker:
         self.report.events_checked += 1
         e, d = ev.event, ev.detail
         if e in Ev.OWN_VT_EVENTS:
-            self._check_monotonic(ev, tuple(d["vt"]))
+            vt = tuple(d["vt"])
+            if e == Ev.INTERVAL_END:
+                self._sealed_vt[(ev.node, d["interval"])] = vt
+            self._check_causal_closure(ev, vt)
+            self._check_monotonic(ev, vt)
         if e == Ev.LOCK_ACQUIRED:
             self._check_lock_hb(ev, d["lock"], tuple(d["vt"]))
         elif e == Ev.LOCK_RELEASED:
             self._release_vt[d["lock"]] = tuple(d["vt"])
         elif e == Ev.BARRIER_CHECKIN:
-            self._checkins.setdefault(d["episode"], []).append(
-                (d["node"], tuple(d["vt"]))
-            )
+            cvt = tuple(d["vt"])
+            self._checkins.setdefault(d["episode"], []).append((d["node"], cvt))
+            join = self._checkin_join.get(d["episode"], cvt)
+            if join is not None:
+                join = tuple(map(max, join, cvt)) if len(join) == len(cvt) else None
+            self._checkin_join[d["episode"]] = join
         elif e == Ev.BARRIER_EXIT:
             self._check_barrier_hb(ev, d["episode"], tuple(d["vt"]))
         elif e == Ev.PAGE_STATE:
@@ -258,6 +275,32 @@ class InvariantChecker:
             )
         self._last_vt[ev.node] = vt
 
+    def _check_causal_closure(self, ev: TraceEvent, vt: Tuple[int, ...]) -> None:
+        """Each component that moved must bring its interval's history.
+
+        Components that stood still were checked when they moved (and
+        ``vt-monotonic`` guards the rest), so an event costs the
+        intervals it newly covers, not the cluster width.
+        """
+        last = self._last_vt.get(ev.node, ())
+        moved = [
+            (q, sealed)
+            for q, covered in enumerate(vt)
+            if covered and (q >= len(last) or covered > last[q])
+            and (sealed := self._sealed_vt.get((q, covered - 1))) is not None
+        ]
+        if not moved or _dominates(vt, tuple(map(max, *(s for _q, s in moved), vt))):
+            return
+        for q, sealed in moved:
+            if not _dominates(vt, sealed):
+                self._flag(
+                    "vt-causal-closure",
+                    ev,
+                    f"{ev.event} vt {list(vt)} covers interval {vt[q] - 1} of "
+                    f"node {q} but not the vt {list(sealed)} it was sealed "
+                    "with: a clock advanced past a record without its history",
+                )
+
     def _check_lock_hb(self, ev: TraceEvent, lock: int, vt: Tuple[int, ...]) -> None:
         rel = self._release_vt.get(lock)
         if rel is not None and not _dominates(vt, rel):
@@ -270,6 +313,9 @@ class InvariantChecker:
             )
 
     def _check_barrier_hb(self, ev: TraceEvent, episode: int, vt: Tuple[int, ...]) -> None:
+        join = self._checkin_join.get(episode, vt)
+        if join is not None and _dominates(vt, join):
+            return  # dominates the join, so every check-in; name one only on failure
         for node, cvt in self._checkins.get(episode, []):
             if not _dominates(vt, cvt):
                 self._flag(

@@ -40,7 +40,7 @@ from ..sim.stats import NodeStats
 from ..sim import trace as _trc
 from ..sim.trace import Ev
 from .barrier import BarrierState
-from .interval import IntervalRecord, IntervalTable, VectorClock
+from .interval import IntervalRecord, IntervalTable, NoticeBatch, VectorClock, cut_of
 from .locks import LockState
 from .logginghooks import LoggingHooks, NoLogging
 from .messages import (
@@ -440,8 +440,9 @@ class HlrcNode:
     # ------------------------------------------------------------------
     # lock management (manager side)
     # ------------------------------------------------------------------
-    def _grant_records(self, requester_vt: VectorClock) -> List[IntervalRecord]:
-        return self.table.records_not_covered_by(requester_vt)
+    def _grant(self, lock_id: int, requester_vt: VectorClock) -> LockGrant:
+        records = self.table.records_not_covered_by(requester_vt)
+        return LockGrant(lock_id, records, cut_of(records, self.cfg.num_nodes))
 
     def _manage_lock_request(self, req: LockRequest) -> Generator[Any, Any, None]:
         state = self._lock_state(req.lock_id)
@@ -458,7 +459,7 @@ class HlrcNode:
     def _hand_lock(
         self, state: LockState, to: int, requester_vt: VectorClock
     ) -> Generator[Any, Any, None]:
-        records = self._grant_records(requester_vt)
+        grant = self._grant(state.lock_id, requester_vt)
         if to == self.id:
             # the manager itself is acquiring: short-circuit locally
             sig = self._expected.pop(("local_grant", state.lock_id), None)
@@ -467,9 +468,9 @@ class HlrcNode:
                     f"manager {self.id} granted own lock {state.lock_id} "
                     "without a local waiter"
                 )
-            sig.trigger(records)
+            sig.trigger(grant)
         else:
-            yield from self._send(to, "lock_grant", LockGrant(state.lock_id, records))
+            yield from self._send(to, "lock_grant", grant)
 
     # ------------------------------------------------------------------
     # barrier management (manager side)
@@ -499,19 +500,23 @@ class HlrcNode:
         self._span_end(sid)
 
     # ------------------------------------------------------------------
-    def acquire(self, lock_id: int) -> Generator[Any, Any, None]:
-        """Lock acquire: fetch ownership + apply piggybacked notices."""
-        osid = -1 if not self._tracing else self._span("acquire", "sync", detail={"lock": lock_id})
+    def _sync_entry(self) -> Generator[Any, Any, None]:
+        """Every sync operation's start: overhead, then ML's synchronous flush."""
         yield self.cfg.cpu.sync_overhead_s
         if self.hooks.flush_at_sync_entry:
             fsid = -1 if not self._tracing else self._span("log_flush", "disk", detail={"mode": "sync"})
             yield from self.hooks.sync_entry_flush()
             self._span_end(fsid)
+
+    def acquire(self, lock_id: int) -> Generator[Any, Any, None]:
+        """Lock acquire: fetch ownership + apply piggybacked notices."""
+        osid = -1 if not self._tracing else self._span("acquire", "sync", detail={"lock": lock_id})
+        yield from self._sync_entry()
         t0 = self.sim.now
         mgr = self.lock_manager(lock_id)
         wsid = -1 if not self._tracing else self._span("lock_wait", "wait", detail={"lock": lock_id})
         if mgr == self.id:
-            records = yield from self._acquire_local(lock_id)
+            grant = yield from self._acquire_local(lock_id)
             self._span_end(wsid)
         else:
             sig = self.expect("lock_grant", lock_id)
@@ -519,42 +524,34 @@ class HlrcNode:
                                   LockRequest(lock_id, self.id, self.vt))
             msg = yield sig
             self._span_end(wsid, detail={"lock": lock_id, "eid": msg.obs_eid})
-            records = msg.payload.records
-            self.peer_known_vt[mgr] = self.peer_known_vt[mgr].join(
-                [r.vt for r in records]
-            )
+            grant = msg.payload
+            self.peer_known_vt[mgr] = self.peer_known_vt[mgr].merge(grant.cut)
         self.stats.charge("sync", self.sim.now - t0)
         self.stats.observe("lock_acquire", self.sim.now - t0)
         self.stats.count("lock_acquires")
         if self._tracing:
             self._trace("acquire", lock_id)
-        yield from self._apply_notices(records)
+        yield from self._apply_notices(grant.records, grant.cut)
         self.acq_seq += 1
         if self._tracing:
             self._trace(
                 Ev.LOCK_ACQUIRED,
                 {"lock": lock_id, "vt": list(self.vt.as_tuple())},
             )
-        self.hooks.notify_notices_received(records, self.acq_seq)
+        self.hooks.notify_notices_received(grant.records, self.acq_seq)
         self._span_end(osid)
 
-    def _acquire_local(self, lock_id: int) -> Generator[Any, Any, List[IntervalRecord]]:
+    def _acquire_local(self, lock_id: int) -> Generator[Any, Any, LockGrant]:
         state = self._lock_state(lock_id)
         if state.try_acquire(self.id, self.vt):
-            return self._grant_records(self.vt)
-        sig = self.expect("local_grant", lock_id)
-        records = yield sig
-        return records
+            return self._grant(lock_id, self.vt)
+        return (yield self.expect("local_grant", lock_id))
 
     # ------------------------------------------------------------------
     def release(self, lock_id: int) -> Generator[Any, Any, None]:
         """Lock release: close the interval, flush diffs + log, hand off."""
         osid = -1 if not self._tracing else self._span("release", "sync", detail={"lock": lock_id})
-        yield self.cfg.cpu.sync_overhead_s
-        if self.hooks.flush_at_sync_entry:
-            fsid = -1 if not self._tracing else self._span("log_flush", "disk", detail={"mode": "sync"})
-            yield from self.hooks.sync_entry_flush()
-            self._span_end(fsid)
+        yield from self._sync_entry()
         yield from self._end_interval()
         yield from self._sealed()
         if self._tracing:
@@ -564,8 +561,7 @@ class HlrcNode:
             )
         mgr = self.lock_manager(lock_id)
         if mgr == self.id:
-            rel = LockRelease(lock_id, self.id, [])
-            yield from self._manage_lock_release(rel)
+            yield from self._manage_lock_release(LockRelease(lock_id, self.id, []))
         else:
             records = self.table.records_not_covered_by(self.peer_known_vt[mgr])
             yield from self._send(mgr, "lock_rel",
@@ -580,11 +576,7 @@ class HlrcNode:
     def barrier(self, barrier_id: int = 0) -> Generator[Any, Any, None]:
         """Barrier: close the interval, then all-to-all notice exchange."""
         osid = -1 if not self._tracing else self._span("barrier", "sync", detail={"barrier": barrier_id})
-        yield self.cfg.cpu.sync_overhead_s
-        if self.hooks.flush_at_sync_entry:
-            fsid = -1 if not self._tracing else self._span("log_flush", "disk", detail={"mode": "sync"})
-            yield from self.hooks.sync_entry_flush()
-            self._span_end(fsid)
+        yield from self._sync_entry()
         yield from self._end_interval()
         yield from self._sealed()
         ep = self.barrier_episode
@@ -595,10 +587,8 @@ class HlrcNode:
                  "vt": list(self.vt.as_tuple())},
             )
         t0 = self.sim.now
-        if self.id == 0:
-            yield from self._barrier_as_manager(barrier_id)
-        else:
-            yield from self._barrier_as_worker(barrier_id)
+        role = self._barrier_as_manager if self.id == 0 else self._barrier_as_worker
+        records = yield from role(barrier_id)
         if self._tracing:
             self._trace(
                 Ev.BARRIER_EXIT,
@@ -611,33 +601,37 @@ class HlrcNode:
         if self._tracing:
             self._trace("barrier", barrier_id)
         # after a barrier every node's history covers the global cut, so
-        # interval records at or below it can never be requested again
-        pruned = self.table.prune_covered_by(self.vt)
+        # interval records at or below it can never be requested again.
+        # The release's records are counted, not inserted and dropped: no
+        # table query can tell, for nothing yields since the apply (no page
+        # is dirty right after a seal) and every requester covers the cut
+        pruned = self.table.prune_covered_by(self.vt, records)
         if pruned:
             self.stats.count("records_pruned", pruned)
         if self.checkpointer is not None:
             yield from self.checkpointer.maybe_take_barrier(self)
         self._span_end(osid)
 
-    def _barrier_as_worker(self, barrier_id: int) -> Generator[Any, Any, None]:
+    def _barrier_as_worker(self, barrier_id: int) -> Generator[Any, Any, List[IntervalRecord]]:
         mgr = 0
         records = self.table.records_not_covered_by(self.peer_known_vt[mgr])
         sig = self.expect("barrier_release", barrier_id)
         wsid = -1 if not self._tracing else self._span("barrier_wait", "wait", detail={"barrier": barrier_id})
-        yield from self._send(
-            mgr, "barrier_checkin",
-            BarrierCheckin(barrier_id, self.id, self.barrier_episode,
-                           self.vt, records),
-        )
+        checkin = BarrierCheckin(barrier_id, self.id, self.barrier_episode, self.vt,
+                                 records, self._propose_migrations())
+        yield from self._send(mgr, "barrier_checkin", checkin)
         msg = yield sig
         self._span_end(wsid, detail={"barrier": barrier_id, "eid": msg.obs_eid})
         self.barrier_episode += 1
-        yield from self._apply_notices(msg.payload.records)
-        self.hooks.notify_notices_received(msg.payload.records, 0)
+        release: BarrierRelease = msg.payload
+        self._apply_migrations(release.migrations)
+        yield from self._apply_notices(release.records, release.cut, barrier=True)
+        self.hooks.notify_notices_received(release.records, 0)
         # after a barrier everyone's history is global: the manager covers it
         self.peer_known_vt[mgr] = self.vt
+        return release.records
 
-    def _barrier_as_manager(self, barrier_id: int) -> Generator[Any, Any, None]:
+    def _barrier_as_manager(self, barrier_id: int) -> Generator[Any, Any, List[IntervalRecord]]:
         assert self.barrier_state is not None
         all_in = self.barrier_state.checkin(self.id, self.vt, self.barrier_episode)
         self.barrier_episode += 1
@@ -645,22 +639,39 @@ class HlrcNode:
         yield all_in
         self._span_end(wsid)
         participants = self.barrier_state.participant_vts()
+        # One immutable batch per episode: what the table holds now that
+        # all are in, sorted once, its clocks joined once; a release is
+        # its in-order filter against a check-in clock.  A fast node's
+        # *next* records may arrive while this loop sends: next episode's.
+        batch = NoticeBatch(self.table.all_records(), self.cfg.num_nodes)
+        migrations = self._decide_migrations(batch.records)
         for node, vt in participants:
-            if node == self.id:
-                continue
-            records = self.table.records_not_covered_by(vt)
-            yield from self._send(node, "barrier_release",
-                                  BarrierRelease(barrier_id, records))
-        own = self.table.records_not_covered_by(self.vt)
-        yield from self._apply_notices(own)
+            if node != self.id:
+                release = BarrierRelease(barrier_id, batch.lacking(vt), batch.cut, migrations)
+                yield from self._send(node, "barrier_release", release)
+        own = batch.lacking(self.vt)
+        self._apply_migrations(migrations)
+        yield from self._apply_notices(own, batch.cut, barrier=True)
         self.hooks.notify_notices_received(own, 0)
         for node, _vt in participants:
             self.peer_known_vt[node] = self.peer_known_vt[node].merge(self.vt)
         self.barrier_state.next_episode()
+        return own
+
+    # home-migration seam (:mod:`repro.dsm.migration`): proposals ride
+    # check-ins, decisions ride releases; plain HLRC has neither
+    def _propose_migrations(self) -> List[Tuple[int, int]]:
+        return []
+
+    def _decide_migrations(self, episode_records: List[IntervalRecord]) -> List[Tuple[int, int]]:
+        return []
+
+    def _apply_migrations(self, migrations: List[Tuple[int, int]]) -> None:
+        pass
 
     # ------------------------------------------------------------------
     def _apply_notices(
-        self, records: List[IntervalRecord]
+        self, records: List[IntervalRecord], cut: VectorClock, barrier: bool = False
     ) -> Generator[Any, Any, None]:
         """Invalidate remote copies named by uncovered interval records.
 
@@ -670,32 +681,36 @@ class HlrcNode:
         TreadMarks-style protocols -- so local modifications survive the
         invalidation.
 
-        The node's clock advances once per batch, not once per record:
-        a record is skipped iff the clock *at batch entry* covers it,
-        and the clocks of the applied records are joined in one fold.
-        That equals skipping against the running clock because batches
-        arrive in the order of :meth:`IntervalTable.records_not_covered_by`
-        -- a linear extension of happens-before -- so applying a record
-        can only cover records that happened before it, and those sit
-        earlier in the batch.  (A record repeated within a batch is
-        applied twice, which changes nothing: the table knows it and its
-        pages are already in ``seen``.)
+        The clock advances once per batch, by one merge with the batch's
+        ``cut`` (:func:`~repro.dsm.interval.cut_of`), and a record is
+        skipped iff the clock *at batch entry* covers it.  That equals
+        skipping against the running clock because batches arrive in the
+        order of :meth:`IntervalTable.records_not_covered_by` -- a linear
+        extension of happens-before -- so applying a record can only
+        cover records that happened before it, which sit earlier in the
+        batch.  (A record repeated within a batch is applied twice, which
+        changes nothing: its pages are already in ``seen``.)
+
+        A lock grant's records enter the table, to travel on with this
+        node's next release; a ``barrier`` release's do not, because
+        :meth:`barrier` prunes everything the new clock covers next.
         """
         to_invalidate: List[int] = []
         seen: set[int] = set()
-        have = self.vt
-        applied: List[VectorClock] = []
+        have = self.vt.as_tuple()
+        me = self.id
+        entry_of = self.pagetable.entry
         for r in records:
-            if have.covers_interval(r.node, r.index):
-                continue
-            applied.append(r.vt)
-            self.table.add(r)
-            if r.node != self.id:
+            if have[r.node] > r.index:
+                continue  # already covered
+            if not barrier:
+                self.table.add(r)
+            if r.node != me:
                 for p in r.pages:
                     if p in seen:
                         continue
-                    entry = self.pagetable.entry(p)
-                    if entry.home == self.id:
+                    entry = entry_of(p)
+                    if entry.home == me:
                         continue  # home copies are always valid
                     if entry.state is PageState.INVALID:
                         continue
@@ -703,7 +718,7 @@ class HlrcNode:
                         continue  # copy already includes these updates
                     seen.add(p)
                     to_invalidate.append(p)
-        self.vt = have.join(applied)
+        self.vt = self.vt.merge(cut)
         dirty_hit = [
             p
             for p in to_invalidate
@@ -753,22 +768,7 @@ class HlrcNode:
         if not by_home:
             return
         self.interval_parts = part
-        ack_sigs: List[Signal] = []
-        for home, diffs in sorted(by_home.items()):
-            batch = DiffBatch(self.id, vt_index, early_vt, diffs, part=part)
-            if self._tracing:
-                self._trace(
-                    Ev.DIFF_SEND,
-                    {
-                        "home": home,
-                        "index": vt_index,
-                        "part": part,
-                        "pages": [d.page for d in diffs],
-                        "vt": list(early_vt.as_tuple()),
-                    },
-                )
-            ack_sigs.append(self.expect("diff_ack", home))
-            yield from self._send(home, "diff", batch)
+        ack_sigs = yield from self._send_diffs(by_home, vt_index, early_vt, part)
         t0 = self.sim.now
         wsid = self._span("diff_wait", "wait",
                           detail={"interval": vt_index, "part": part})
@@ -780,6 +780,21 @@ class HlrcNode:
                 Ev.DIFF_ACKED,
                 {"index": vt_index, "part": part, "homes": sorted(by_home)},
             )
+
+    def _send_diffs(self, by_home: Dict[int, List[Diff]], index: int, vt: VectorClock,
+                    part: int) -> Generator[Any, Any, List[Signal]]:
+        """One diff batch per home, in home order; returns the ACK signals."""
+        ack_sigs: List[Signal] = []
+        for home, diffs in sorted(by_home.items()):
+            if self._tracing:
+                self._trace(
+                    Ev.DIFF_SEND,
+                    {"home": home, "index": index, "part": part,
+                     "pages": [d.page for d in diffs], "vt": list(vt.as_tuple())},
+                )
+            ack_sigs.append(self.expect("diff_ack", home))
+            yield from self._send(home, "diff", DiffBatch(self.id, index, vt, diffs, part))
+        return ack_sigs
 
     # ------------------------------------------------------------------
     def _end_interval(self) -> Generator[Any, Any, None]:
@@ -874,21 +889,7 @@ class HlrcNode:
             for d in remote_diffs:
                 by_home.setdefault(self.pagetable.entry(d.page).home, []).append(d)
             assert new_vt is not None and record is not None
-            for home, diffs in sorted(by_home.items()):
-                batch = DiffBatch(self.id, record.index, new_vt, diffs)
-                if self._tracing:
-                    self._trace(
-                        Ev.DIFF_SEND,
-                        {
-                            "home": home,
-                            "index": record.index,
-                            "part": 0,
-                            "pages": [d.page for d in diffs],
-                            "vt": list(new_vt.as_tuple()),
-                        },
-                    )
-                ack_sigs.append(self.expect("diff_ack", home))
-                yield from self._send(home, "diff", batch)
+            ack_sigs = yield from self._send_diffs(by_home, record.index, new_vt, 0)
 
         # Double-buffered logging: one flush may be in flight.  If the
         # previous interval's flush has not yet drained, the disk is the
@@ -1023,7 +1024,6 @@ class HlrcNode:
         self.stats.observe("page_fetch", self.sim.now - t0)
         if self._tracing:
             self._trace("fault", page)
-        if self._tracing:
             self._trace(
                 Ev.PAGE_FETCH,
                 {

@@ -16,13 +16,15 @@ storage, and what recovery uses to rebuild the failed node's timeline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import ge
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import compress
+from operator import attrgetter, ge
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 
-__all__ = ["VectorClock", "IntervalRecord", "IntervalTable"]
+__all__ = ["VectorClock", "IntervalRecord", "IntervalTable", "NoticeBatch", "cut_of"]
 
 
 class VectorClock:
@@ -73,12 +75,13 @@ class VectorClock:
         a, b = self._v, other._v
         if len(a) != len(b):
             raise _width_mismatch(a, b)
-        m = tuple(map(max, a, b))
-        if m == a:
+        # most merges meet a clock that already is the result, and the
+        # dominance test costs a fifth of building the maximum
+        if all(map(ge, a, b)):
             return self
-        if m == b:
+        if all(map(ge, b, a)):
             return other
-        return VectorClock._trusted(m)
+        return VectorClock._trusted(tuple(map(max, a, b)))
 
     def join(self, clocks: Iterable["VectorClock"]) -> "VectorClock":
         """Causal join of this clock with a whole batch, in one fold.
@@ -174,6 +177,45 @@ class IntervalRecord:
         return f"<IR n{self.node}i{self.index} {self.vt} pages={list(self.pages)}>"
 
 
+def cut_of(records: Sequence[IntervalRecord], width: int) -> VectorClock:
+    """Join of a notice batch's clocks, folded once per batch.
+
+    By *causal closure* -- a clock that covers interval ``(p, i)``
+    dominates that interval's own clock, because clocks grow only by
+    ``tick`` and by merging clocks that are closed already -- merging
+    this into a recipient's clock equals merging in only the clocks of
+    the records the recipient had not covered yet.
+    """
+    return VectorClock.zero(width).join([r.vt for r in records])
+
+
+class NoticeBatch:
+    """One barrier episode's notices: sorted once, joined once, shared.
+
+    ``records`` is everything the manager's table holds once all are in
+    (:meth:`IntervalTable.all_records`: it was pruned to the previous
+    barrier's cut), in causal order; ``cut`` joins its clocks.
+    """
+
+    __slots__ = ("records", "cut", "_writers", "_indices")
+
+    def __init__(self, records: List[IntervalRecord], width: int):
+        self.records = records
+        self.cut = cut_of(records, width)
+        self._writers = [r.node for r in records]
+        self._indices = [r.index for r in records]
+
+    def lacking(self, vt: VectorClock) -> List[IntervalRecord]:
+        """The batch's records outside ``vt``'s history, in batch order.
+
+        Record for record what ``records_not_covered_by(vt)`` returns on
+        the table the batch came from: the same filter of the same
+        records, and the sort key is a total order.
+        """
+        known = map(vt._v.__getitem__, self._writers)
+        return list(compress(self.records, map(ge, self._indices, known)))
+
+
 class IntervalTable:
     """A node's store of every interval record it knows about.
 
@@ -266,7 +308,9 @@ class IntervalTable:
         out.sort(key=_causal_key)
         return out
 
-    def prune_covered_by(self, vt: VectorClock) -> int:
+    def prune_covered_by(
+        self, vt: VectorClock, incoming: Sequence[IntervalRecord] = ()
+    ) -> int:
         """Drop records covered by ``vt``; returns the number dropped.
 
         Safe after a barrier: every node's applied timestamp then
@@ -280,24 +324,36 @@ class IntervalTable:
         gone (``add`` keeps it that way), so only the slots the floor
         moves over are visited -- a barrier costs its new records, not
         the run so far.
+
+        ``incoming`` is the barrier's notice batch: causally sorted
+        records above the old floor that ``vt`` covers.  Table and count
+        come out as if they had been ``add``-ed first; they would all be
+        dropped again here, so they are only counted -- except those
+        already held (a lock release that reached this manager before
+        the barrier did), which are dropped once.
         """
         old = self._floor
         new = vt._v
         if old:
             if len(old) != len(new):
                 raise _width_mismatch(old, new)
-            new = tuple(map(max, old, new))
+            if not all(map(ge, new, old)):  # a node's clock only grows
+                new = tuple(map(max, old, new))
         self._floor = new
-        dropped = 0
+        dropped = known = 0
         for node, lst in self._by_node.items():
             if node >= len(new):
                 continue
             for i in range(old[node] if old else 0, min(new[node], len(lst))):
-                if lst[i] is not None:
+                r = lst[i]
+                if r is not None:
                     lst[i] = None
                     dropped += 1
+                    k = _causal_key(r)
+                    at = bisect_left(incoming, k, key=_causal_key)
+                    known += at < len(incoming) and _causal_key(incoming[at]) == k
         self._count -= dropped
-        return dropped
+        return dropped + len(incoming) - known
 
     @property
     def nbytes(self) -> int:
@@ -310,6 +366,7 @@ class IntervalTable:
         )
 
 
-def _causal_key(r: IntervalRecord) -> Tuple[int, int, int]:
-    """Sort key whose order is a linear extension of happens-before."""
-    return (r.vt._total, r.node, r.index)
+#: Sort key of every notice batch, read without a Python frame; its
+#: order is a linear extension of happens-before (``vt.total`` strictly
+#: increases along it).
+_causal_key = attrgetter("vt._total", "node", "index")

@@ -149,17 +149,16 @@ class LrcNode(HlrcNode):
     # notices: queue per page instead of relying on an up-to-date home
     # ==================================================================
     def _apply_notices(
-        self, records: List[IntervalRecord]
+        self, records: List[IntervalRecord], cut: VectorClock, barrier: bool = False
     ) -> Generator[Any, Any, None]:
         to_invalidate: List[int] = []
-        # one clock join per batch -- see HlrcNode._apply_notices
-        have = self.vt
-        applied: List[VectorClock] = []
+        # one clock merge per batch -- see HlrcNode._apply_notices
+        have = self.vt.as_tuple()
         for r in records:
-            if have.covers_interval(r.node, r.index):
+            if have[r.node] > r.index:
                 continue
-            applied.append(r.vt)
-            self.table.add(r)
+            if not barrier:
+                self.table.add(r)
             if r.node != self.id:
                 for p in r.pages:
                     entry = self.pagetable.entry(p)
@@ -168,7 +167,7 @@ class LrcNode(HlrcNode):
                     self.pending.setdefault(p, []).append(r)
                     if entry.state is not PageState.INVALID:
                         to_invalidate.append(p)
-        self.vt = have.join(applied)
+        self.vt = self.vt.merge(cut)
         dirty_hit = [
             p for p in dict.fromkeys(to_invalidate)
             if self.pagetable.entry(p).state is PageState.DIRTY

@@ -92,6 +92,10 @@ class LockGrant:
 
     lock_id: int
     records: List[IntervalRecord]
+    #: Join of the records' clocks, folded once by the sender: a
+    #: host-side cache of what the recipient could fold from ``records``
+    #: itself, so not wire content and not in ``nbytes``.
+    cut: VectorClock
 
     @property
     def nbytes(self) -> int:
@@ -200,10 +204,17 @@ class BarrierCheckin:
 
 @dataclass(slots=True)
 class BarrierRelease:
-    """Manager's check-out, carrying the records the recipient lacks."""
+    """Manager's check-out, carrying the records the recipient lacks.
+
+    ``records`` is the recipient's slice of the episode's one shared
+    batch and ``cut`` the join of the *whole* batch's clocks; merged into
+    the recipient's clock it equals the join of the slice, so like
+    :attr:`LockGrant.cut` it is a host-side cache and not counted.
+    """
 
     barrier_id: int
     records: List[IntervalRecord]
+    cut: VectorClock
     #: Home-migration decisions broadcast with the release (extension).
     migrations: List[Tuple[int, int]] = field(default_factory=list)
 

@@ -34,7 +34,8 @@ from typing import Any, Dict, Generator, List, Set, Tuple
 
 from ..errors import ProtocolError
 from .hlrc import HlrcNode
-from .messages import BarrierCheckin, BarrierRelease, DiffBatch
+from .interval import IntervalRecord, VectorClock
+from .messages import BarrierCheckin, DiffBatch
 
 __all__ = ["MigratingHlrcNode"]
 
@@ -61,11 +62,8 @@ class MigratingHlrcNode(HlrcNode):
         #: proposal against the in-between episode's interval records.
         self.phase_writers: Dict[int, Set[int]] = {}
         self.last_phase_writers: Dict[int, Set[int]] = {}
-        from .interval import VectorClock
-
-        #: The global cut of the previous barrier (manager only):
-        #: episode records = table records beyond this cut.
-        self._last_barrier_vt = VectorClock.zero(self.cfg.num_nodes)
+        #: Proposals received with this episode's check-ins (manager only).
+        self._pending_migrations: Migrations = []
 
     # ------------------------------------------------------------------
     # track who writes each home page during the phase
@@ -93,14 +91,11 @@ class MigratingHlrcNode(HlrcNode):
         self.last_phase_writers = {}
         return out
 
-    def _rotate_phase(self) -> None:
-        """At barrier completion the phase's writer sets are complete."""
+    def _apply_migrations(self, migrations: Migrations) -> None:
+        # the release follows every check-in, so the phase's writer sets
+        # are complete: rotate them into the next barrier's proposals
         self.last_phase_writers = self.phase_writers
         self.phase_writers = {}
-
-    def _apply_migrations(self, migrations: Migrations) -> None:
-        from .interval import VectorClock
-
         for page, new_home in migrations:
             entry = self.pagetable.entry(page)
             entry.home = new_home
@@ -115,45 +110,21 @@ class MigratingHlrcNode(HlrcNode):
 
     # ------------------------------------------------------------------
     # barrier flow: proposals ride check-ins, decisions ride releases
+    # (the release loop itself is HlrcNode's)
     # ------------------------------------------------------------------
-    def _barrier_as_worker(self, barrier_id: int) -> Generator[Any, Any, None]:
-        mgr = 0
-        records = self.table.records_not_covered_by(self.peer_known_vt[mgr])
-        sig = self.expect("barrier_release", barrier_id)
-        checkin = BarrierCheckin(barrier_id, self.id, self.barrier_episode,
-                                 self.vt, records)
-        checkin.migrations = self._propose_migrations()
-        yield from self._send(mgr, "barrier_checkin", checkin)
-        msg = yield sig
-        self.barrier_episode += 1
-        self._rotate_phase()
-        self._apply_migrations(getattr(msg.payload, "migrations", []))
-        yield from self._apply_notices(msg.payload.records)
-        self.hooks.notify_notices_received(msg.payload.records, 0)
-        self.peer_known_vt[mgr] = self.vt
-
     def _manage_barrier_checkin(self, msg: BarrierCheckin) -> None:
-        pending = getattr(self, "_pending_migrations", None)
-        if pending is None:
-            pending = self._pending_migrations = []
-        pending.extend(getattr(msg, "migrations", []))
+        self._pending_migrations.extend(msg.migrations)
         super()._manage_barrier_checkin(msg)
 
-    def _barrier_as_manager(self, barrier_id: int) -> Generator[Any, Any, None]:
-        assert self.barrier_state is not None
-        own = self._propose_migrations()
-        all_in = self.barrier_state.checkin(self.id, self.vt, self.barrier_episode)
-        self.barrier_episode += 1
-        yield all_in
-        proposals = list(getattr(self, "_pending_migrations", [])) + own
+    def _decide_migrations(self, episode_records: List[IntervalRecord]) -> Migrations:
+        proposals = self._pending_migrations + self._propose_migrations()
         self._pending_migrations = []
         # validate against the episode's COMPLETE write history: every
-        # check-in has arrived, so the interval records beyond the last
-        # barrier cut name every page written this phase.  A proposal
-        # survives only if nobody but the prospective new home wrote the
-        # page -- this closes the race where a diff was still in flight
-        # when the old home proposed.
-        episode_records = self.table.records_not_covered_by(self._last_barrier_vt)
+        # check-in has arrived, and the table was pruned to the previous
+        # barrier's cut, so the barrier's batch names every page written
+        # this phase.  A proposal survives only if nobody but the
+        # prospective new home wrote the page -- this closes the race
+        # where a diff was still in flight when the old home proposed.
         migrations = []
         for page, new_home in proposals:
             writers = {r.node for r in episode_records if page in r.pages}
@@ -165,20 +136,4 @@ class MigratingHlrcNode(HlrcNode):
                 migrations.append((page, new_home))
             else:
                 self.stats.count("migrations_rejected")
-        participants = self.barrier_state.participant_vts()
-        for node, vt in participants:
-            if node == self.id:
-                continue
-            records = self.table.records_not_covered_by(vt)
-            release = BarrierRelease(barrier_id, records)
-            release.migrations = migrations
-            yield from self._send(node, "barrier_release", release)
-        self._apply_migrations(migrations)
-        own_records = self.table.records_not_covered_by(self.vt)
-        yield from self._apply_notices(own_records)
-        self.hooks.notify_notices_received(own_records, 0)
-        for node, _vt in participants:
-            self.peer_known_vt[node] = self.peer_known_vt[node].merge(self.vt)
-        self._last_barrier_vt = self.vt
-        self._rotate_phase()
-        self.barrier_state.next_episode()
+        return migrations

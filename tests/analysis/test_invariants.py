@@ -165,3 +165,65 @@ class TestTamperedTraces:
                        {"page": 4, "home": 0, "crc": 0x2222, "version": [1, 0]}),
         ])
         assert [v.rule for v in report.violations] == ["serve-fetch"]
+
+    def test_barrier_exit_names_only_the_checkin_it_misses(self):
+        checkins = [
+            TraceEvent(0.0, 0, Ev.BARRIER_CHECKIN,
+                       {"node": q, "episode": 0, "vt": vt})
+            for q, vt in enumerate([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+        ]
+        good = TraceEvent(1.0, 0, Ev.BARRIER_EXIT,
+                          {"barrier": 0, "episode": 0, "vt": [1, 2, 1]})
+        bad = TraceEvent(1.0, 2, Ev.BARRIER_EXIT,
+                         {"barrier": 0, "episode": 0, "vt": [1, 1, 1]})
+        assert check_trace(checkins + [good]).ok
+        report = check_trace(checkins + [good, bad])
+        assert [v.rule for v in report.violations] == ["barrier-hb"]
+        assert "node 1's check-in vt [0, 2, 0]" in report.violations[0].message
+
+    def test_clock_covering_an_interval_without_its_history(self):
+        seals = [
+            # node 0 seals interval 0 having seen node 1's first interval
+            TraceEvent(0.0, 1, Ev.INTERVAL_END,
+                       {"interval": 0, "vt": [0, 1, 0], "pages": [], "writes": []}),
+            TraceEvent(1.0, 0, Ev.INTERVAL_END,
+                       {"interval": 0, "vt": [1, 1, 0], "pages": [], "writes": []}),
+        ]
+        closed = TraceEvent(2.0, 2, Ev.LOCK_ACQUIRED, {"lock": 0, "vt": [1, 1, 0]})
+        torn = TraceEvent(2.0, 2, Ev.LOCK_ACQUIRED, {"lock": 0, "vt": [1, 0, 0]})
+        assert check_trace(seals + [closed]).ok
+        report = check_trace(seals + [torn])
+        assert [v.rule for v in report.violations] == ["vt-causal-closure"]
+        assert "interval 0 of node 0" in report.violations[0].message
+
+
+class TestCausalClosureOnRealTraces:
+    def test_forgetting_what_a_covered_interval_had_seen_is_caught(self):
+        def program(dsm):
+            for _ in range(3):
+                yield from dsm.acquire(0)
+                yield from dsm.write("x", 0, 1)
+                dsm.arr("x")[0] += 1
+                yield from dsm.release(0)
+            yield from dsm.barrier()
+
+        system = build_system(program, nprocs=3, homes=homed_at_last)
+        assert raw_run(system).completed
+        events = list(system.tracer.events)
+        assert check_trace(events).ok
+        # a grant down the lock chain: the acquirer's clock covers the
+        # releaser's interval and, through it, an earlier holder's
+        at, ev = next(
+            (i, e) for i, e in enumerate(events)
+            if e.event == Ev.LOCK_ACQUIRED and sum(c > 0 for c in e.detail["vt"]) > 1
+        )
+        caught = set()
+        for q, covered in enumerate(ev.detail["vt"]):
+            if covered:
+                vt = list(ev.detail["vt"])
+                vt[q] -= 1
+                torn = TraceEvent(ev.time, ev.node, ev.event, {**ev.detail, "vt": vt})
+                report = check_trace(events[:at] + [torn])
+                assert not report.ok
+                caught |= {v.rule for v in report.violations}
+        assert "vt-causal-closure" in caught

@@ -317,3 +317,78 @@ class TestProtocolBookkeeping:
         for node in sys_.nodes:
             assert node.interval_index == 4
             assert node.seal_count == 4
+
+
+class TestSharedBarrierBatch:
+    """One notice batch per barrier leaves every simulated byte alone."""
+
+    def test_a_release_is_the_all_in_snapshot_when_a_fast_node_runs_ahead(
+            self, monkeypatch):
+        """Rank 1 seals its next interval and checks in again while the
+        manager is still sending this episode's releases.  Every release
+        is the per-node table query as of all-in; the early record waits
+        for its own episode.  (Querying the live table per node let it
+        into the later releases and the manager's own clock, whose prune
+        then dropped it before the nodes released earlier ever got it.)"""
+        from repro.dsm.hlrc import HlrcNode
+
+        nprocs, ahead = 32, []
+        send = HlrcNode._send
+
+        def checking(self, dst, kind, payload):
+            if kind == "barrier_release":
+                live = self.table.records_not_covered_by(
+                    self.barrier_state._arrived[dst])
+                early = [r for r in live if r not in payload.records]
+                assert payload.records == [r for r in live if r not in early]
+                assert not any(payload.cut.covers_interval(r.node, r.index)
+                               for r in early)
+                ahead.extend(early)
+            return send(self, dst, kind, payload)
+
+        monkeypatch.setattr(HlrcNode, "_send", checking)
+
+        def alloc(space, _nprocs):
+            space.allocate("x", (nprocs * ELEMS,), np.int32)
+
+        def program(dsm):
+            for it in range(6):
+                if dsm.rank == 1:  # a cheap write to a page homed here
+                    mine = next(iter(dsm._node.pagetable.home_pages()))
+                    yield from dsm.write_pages([mine])
+                    dsm._node.memory.page_bytes(mine)[0] = it + 1
+                yield from dsm.barrier()
+
+        _result, system = run_app(alloc, program, nprocs=nprocs)
+        assert ahead and {r.node for r in ahead} == {1}  # it did run ahead
+        assert {n.vt.as_tuple() for n in system.nodes} == {(0, 6) + (0,) * 30}
+        assert [n.stats.counters["records_pruned"] for n in system.nodes] == [6] * 32
+
+    def test_water_logs_the_same_notice_bytes_per_node(self):
+        """Lock chains + barriers: ``(records, notices, bytes)`` of each
+        node's ``NoticeLogRecord`` stream, pinned from the per-node-list
+        implementation this one replaced."""
+        from repro.apps import make_app
+        from repro.config import ClusterConfig
+        from repro.core import make_hooks_factory
+        from repro.core.logrecords import NoticeLogRecord
+        from repro.dsm import DsmSystem
+        from repro.harness.scales import app_kwargs
+
+        system = DsmSystem(
+            make_app("water", **app_kwargs("water", "test")),
+            ClusterConfig.ultra5(num_nodes=8),
+            make_hooks_factory("ccl"), protocol_name="ccl",
+        )
+        system.run()
+        logged = []
+        for node in system.nodes:
+            recs = [r for r in node.hooks.log.all_records
+                    if isinstance(r, NoticeLogRecord)]
+            logged.append((len(recs), sum(len(r.records) for r in recs),
+                           sum(r.nbytes for r in recs)))
+        assert logged == [
+            (24, 120, 6804), (21, 123, 6900), (24, 120, 6804), (21, 123, 6900),
+            (18, 126, 6996), (15, 129, 7092), (12, 132, 7188), (9, 135, 7284),
+        ]
+        assert [n.stats.counters["records_pruned"] for n in system.nodes] == [144] * 8

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsm import DsmSystem, IntervalRecord, IntervalTable, VectorClock
+from repro.dsm.interval import NoticeBatch, cut_of
 from repro.errors import ProtocolError
 from repro.memory import PageState
 from tests.dsm.conftest import MiniApp, small_config
@@ -299,12 +300,13 @@ def test_property_prune_floor_matches_full_rescan(ops, probe):
 
 
 # ----------------------------------------------------------------------
-# one clock join per notice batch == the per-record loop it replaced
+# one clock merge per notice batch == the per-record loop it replaced
 # ----------------------------------------------------------------------
 def per_record_apply_notices(node, records):
     """The per-record reference: skip against, and advance, the *running*
-    clock one record at a time (what ``HlrcNode._apply_notices`` did
-    before it folded a batch with one ``join``)."""
+    clock one record at a time, inserting every applied record (what
+    ``HlrcNode._apply_notices`` did before it merged a batch's ``cut``
+    once and stopped inserting what the barrier prunes next)."""
     to_invalidate, seen = [], set()
     for r in records:
         if node.vt.covers_interval(r.node, r.index):
@@ -376,10 +378,10 @@ def test_batch_join_matches_per_record_reference(seed):
     ref, ref_log = fresh_node0()
     peers = {q: Peer(q, NODES) for q in range(1, NODES)}
     history = []
-    delivered = skipped = 0
-    for _step in range(120):
+    delivered = skipped = barriers = 0
+    for _step in range(180):
         kind = rng.choice(["seal", "seal", "gossip", "deliver", "deliver",
-                           "own", "refetch", "prune"])
+                           "barrier", "own", "refetch", "prune"])
         if kind == "seal":
             peer = peers[rng.randrange(1, NODES)]
             history.append(
@@ -399,8 +401,19 @@ def test_batch_join_matches_per_record_reference(seed):
             records.sort(key=lambda r: (r.vt.total, r.node, r.index))
             delivered += len(records)
             skipped += sum(ref.vt.covers_interval(*r.key) for r in records)
-            assert list(batch._apply_notices(list(records))) == []
+            assert list(batch._apply_notices(
+                list(records), cut_of(records, NODES))) == []
             per_record_apply_notices(ref, records)
+        elif kind == "barrier":
+            # a release: merged and counted, never inserted, then pruned
+            src = peers[rng.randrange(1, NODES)]
+            records = src.table.records_not_covered_by(ref.vt)
+            barriers += bool(records)
+            assert list(batch._apply_notices(
+                records, cut_of(records, NODES), barrier=True)) == []
+            per_record_apply_notices(ref, records)
+            assert (batch.table.prune_covered_by(batch.vt, records)
+                    == ref.table.prune_covered_by(ref.vt))
         elif kind == "own":
             for node in (batch, ref):
                 index = node.vt[0]
@@ -426,4 +439,102 @@ def test_batch_join_matches_per_record_reference(seed):
         assert (batch.stats.counters.get("invalidations", 0)
                 == ref.stats.counters.get("invalidations", 0))
     assert delivered > 50 and skipped > 0  # the noise was really there
+    assert barriers > 0
     assert any(reason == "invalidate" for *_x, reason in ref_log)
+
+
+# ----------------------------------------------------------------------
+# one shared batch per barrier == one table query per participant
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(25))
+def test_shared_batch_matches_per_node_queries(seed):
+    """Every participant's slice of the shared batch is its own table
+    query, record for record, and merging the shared cut is merging the
+    clocks of that slice."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    peers = [Peer(q, n) for q in range(n)]
+    manager = IntervalTable()
+    filtered = 0
+    for _episode in range(6):
+        for _step in range(rng.randint(0, 30)):
+            if rng.random() < 0.5:
+                rng.choice(peers).seal(rng.sample(range(PAGES), rng.randint(0, 3)))
+            else:  # a lock hand-off: dst learns what src knows
+                dst, src = rng.sample(peers, 2)
+                dst.receive(src.table.records_not_covered_by(dst.vt))
+        for peer in peers:  # check-in
+            manager.add_all(peer.table.all_records())
+        batch = NoticeBatch(manager.all_records(), n)
+        assert batch.cut == reduce(VectorClock.merge, [r.vt for r in batch.records],
+                                   VectorClock.zero(n))
+        for peer in peers:
+            lacking = batch.lacking(peer.vt)
+            assert lacking == manager.records_not_covered_by(peer.vt)
+            filtered += len(batch.records) - len(lacking)
+            assert peer.vt.merge(batch.cut) == peer.vt.join([r.vt for r in lacking])
+        for peer in peers:  # release: everyone leaves with the same history
+            peer.receive(batch.lacking(peer.vt))
+            peer.table.prune_covered_by(peer.vt)
+        assert len({p.vt for p in peers}) == 1
+        manager.prune_covered_by(peers[0].vt)
+        assert len(manager) == 0
+    assert filtered > 0  # some slice really was a proper subset
+
+
+# ----------------------------------------------------------------------
+# prune_covered_by(vt, incoming) == add_all(incoming) + prune_covered_by(vt)
+# ----------------------------------------------------------------------
+def unit_record(node, index, width=3):
+    vt = [0] * width
+    vt[node] = index + 1
+    return IntervalRecord(node, index, VectorClock(vt), (index,))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counting_a_release_matches_inserting_then_pruning(seed):
+    rng = random.Random(seed)
+    counted, inserted = IntervalTable(), IntervalTable()
+    floor = [rng.randint(0, 3) for _ in range(3)]
+    for table in (counted, inserted):
+        assert table.prune_covered_by(VectorClock(floor)) == 0
+    # what the node holds at check-in: some of it the release repeats
+    # (a lock release reached this manager before the barrier did),
+    # some of it stays above the new floor
+    held = [unit_record(q, floor[q] + rng.randint(0, 4))
+            for q in range(3) for _ in range(rng.randint(0, 3))]
+    for table in (counted, inserted):
+        table.add_all(held)
+    top = [floor[q] + rng.randint(0, 4) for q in range(3)]
+    incoming = sorted(
+        (unit_record(q, i) for q in range(3) for i in range(floor[q], top[q])
+         if rng.random() < 0.8),
+        key=lambda r: (r.vt.total, r.node, r.index),
+    )
+    vt = VectorClock(top)
+    added = inserted.add_all(incoming)
+    assert counted.prune_covered_by(vt, incoming) == inserted.prune_covered_by(vt)
+    assert added <= len(incoming)
+    assert len(counted) == len(inserted)
+    assert counted._floor == inserted._floor == tuple(top)
+    assert counted.all_records() == inserted.all_records()
+    # afterwards: a late duplicate below the floor, a repeat, a new record
+    late = [unit_record(q, rng.randint(0, top[q] + 2)) for q in range(3)]
+    for r in incoming[:2] + late + late:
+        assert counted.add(r) == inserted.add(r)
+    probe = VectorClock([rng.randint(0, 6) for _ in range(3)])
+    assert counted.records_not_covered_by(probe) == inserted.records_not_covered_by(probe)
+    assert counted.nbytes == inserted.nbytes
+
+
+def test_counting_a_release_names_both_corner_cases():
+    table = IntervalTable()
+    early = unit_record(1, 0)          # arrived with a lock release
+    table.add(early)
+    release = [unit_record(0, 0), early, unit_record(2, 0)]
+    release.sort(key=lambda r: (r.vt.total, r.node, r.index))
+    # three records leave the table's history: two counted, one dropped once
+    assert table.prune_covered_by(VectorClock((1, 1, 1)), release) == 3
+    assert len(table) == 0
+    assert not table.add(unit_record(2, 0))  # late duplicate below the floor
+    assert table.add(unit_record(2, 1))

@@ -55,10 +55,9 @@ class CheckpointSnapshot:
         self.memory: np.ndarray = image
         self.vt: VectorClock = node.vt
         self.interval_index: int = node.interval_index
-        self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = {
-            p: (node.pagetable.entry(p).state, node.pagetable.entry(p).version)
-            for p in range(node.pagetable.npages)
-        }
+        self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = (
+            node.pagetable.states()
+        )
 
 
 class Checkpointer:

@@ -58,16 +58,20 @@ class FailureSnapshot:
 
     def __init__(self, node: HlrcNode, seal_count: int):
         self.node_id = node.id
+        self.memory: np.ndarray = np.empty_like(node.memory.buffer)
+        self.refresh(node, seal_count)
+
+    def refresh(self, node: HlrcNode, seal_count: int) -> None:
+        """Overwrite with ``node``'s state now: no new image is allocated."""
         self.seal_count = seal_count
         self.time = node.sim.now
-        self.memory: np.ndarray = node.memory.snapshot()
+        np.copyto(self.memory, node.memory.buffer)
         self.vt: VectorClock = node.vt
         self.interval_index = node.interval_index
         #: page -> (state, version) at the crash point.
-        self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = {}
-        for p in range(node.pagetable.npages):
-            e = node.pagetable.entry(p)
-            self.page_states[p] = (e.state, e.version)
+        self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = (
+            node.pagetable.states()
+        )
 
 
 class CrashProbe:
@@ -80,15 +84,15 @@ class CrashProbe:
     where recovery has the most to replay).  ``capture_all=True``
     additionally retains every seal's snapshot in :attr:`snapshots`,
     which lets one phase-A run serve many crash instants (the chaos
-    suite's amortisation).
+    suite's amortisation).  An overwritten snapshot is refreshed in
+    place, so :attr:`snapshot` is only meaningful once the run is over
+    (``plan_victim`` is its one reader); under ``capture_all`` it is the
+    retained ``snapshots[seal]`` itself, not a second copy.
 
     Observing is side-effect-free.  The paper's crash-point seal -- the
     volatile tail of the crash interval is considered flushed -- is
     applied exactly once by :meth:`finalize`, after the run, and only
     to the records that were volatile at the chosen crash point.
-    Earlier revisions force-sealed inside the probe, which with
-    ``at_seal=None`` zero-cost-persisted *every* interval's tail and
-    biased the victim's flush/log-size statistics.
     """
 
     def __init__(
@@ -114,7 +118,12 @@ class CrashProbe:
             self.snapshots[seal_count] = FailureSnapshot(node, seal_count)
         if self.at_seal is not None and seal_count != self.at_seal:
             return
-        self.snapshot = FailureSnapshot(node, seal_count)
+        if self.capture_all:
+            self.snapshot = self.snapshots[seal_count]
+        elif self.snapshot is None:
+            self.snapshot = FailureSnapshot(node, seal_count)
+        else:
+            self.snapshot.refresh(node, seal_count)
         self._log = getattr(node.hooks, "log", None)
         if self._log is not None:
             # remember the crash interval's volatile tail by identity;

@@ -202,7 +202,7 @@ class StableLog:
         records = self._volatile
         n = len(records)
         if n:
-            self._new_segment(records, sealed=True)
+            self._new_segment(records, self._volatile_nbytes, sealed=True)
         self._retire(records)
         self._flush_marks.append((len(self._persistent), self.disk.sim.now))
         return n
@@ -223,22 +223,23 @@ class StableLog:
         if not sealed:
             return 0
         remaining = [r for r in self._volatile if id(r) not in ids]
-        self._new_segment(sealed, sealed=True)
+        self._new_segment(sealed, sum(r.nbytes for r in sealed), sealed=True)
         self._retire(sealed)
         self._volatile = remaining
         self._volatile_nbytes = sum(r.nbytes for r in remaining)
         self._flush_marks.append((len(self._persistent), self.disk.sim.now))
         return len(sealed)
 
-    def _new_segment(self, records: List[LogRecord],
+    def _new_segment(self, records: List[LogRecord], framed_nbytes: int,
                      sealed: bool = False) -> LogSegment:
-        """Build the segment for records about to retire (not yet moved)."""
+        """Build the segment for records about to retire (not yet moved);
+        ``framed_nbytes`` is their summed ``nbytes``, which a flush knows."""
         now = self.disk.sim.now
         seg = LogSegment(
             seq=self._next_seq,
             start=len(self._persistent),
             count=len(records),
-            nbytes=SEGMENT_HEADER_BYTES + sum(r.nbytes for r in records),
+            nbytes=SEGMENT_HEADER_BYTES + framed_nbytes,
             interval_lo=min(r.interval for r in records),
             interval_hi=max(r.interval for r in records),
             issue_time=now,
@@ -265,7 +266,7 @@ class StableLog:
             records.clear()
 
     def _begin_flush(self, nbytes: int) -> Signal:
-        seg = self._new_segment(self._volatile)
+        seg = self._new_segment(self._volatile, nbytes)
         self.num_flushes += 1
         # byte accounting is the on-disk size: segment header included
         self.bytes_flushed += seg.nbytes

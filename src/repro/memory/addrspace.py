@@ -14,7 +14,8 @@ only checkpoint is the initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +35,11 @@ class SharedVar:
     nbytes: int
     shape: Tuple[int, ...]
     dtype: np.dtype
+    #: Element count, derived once: every access annotation checks against it.
+    count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "count", int(math.prod(self.shape)))
 
     @property
     def end(self) -> int:
@@ -42,11 +48,10 @@ class SharedVar:
 
     def byte_range(self, start_elem: int, stop_elem: int) -> Tuple[int, int]:
         """Global byte range of flat elements ``[start_elem, stop_elem)``."""
-        count = int(np.prod(self.shape)) if self.shape else 1
-        if not (0 <= start_elem <= stop_elem <= count):
+        if not (0 <= start_elem <= stop_elem <= self.count):
             raise MemoryLayoutError(
                 f"element range [{start_elem}, {stop_elem}) outside {self.name}"
-                f" of {count} elements"
+                f" of {self.count} elements"
             )
         item = self.dtype.itemsize
         return (self.offset + start_elem * item, self.offset + stop_elem * item)

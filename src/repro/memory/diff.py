@@ -16,24 +16,27 @@ encoded sizes.
 Representation
 --------------
 
-A diff is stored *flat*: one sorted, read-only ``offsets`` integer
-array naming every modified word and one parallel ``words`` ``uint32``
-array with the new contents.  The run structure is derived from
-``offsets`` in one place, :meth:`Diff.run_table` -- a ``(start,
-length)`` row per coalesced run, built by vectorised code -- and
-everything that speaks in runs reads it: the wire encoding, the trace
-details of ``early_diff``/``interval_end`` (which keep the table itself,
-not a Python list per run) and the test-facing :attr:`Diff.runs` view.
-What a diff *retains* of its run structure is integers -- the run count
-behind :attr:`Diff.nbytes`, computed at most once because ``offsets``
-cannot change afterwards, and the :meth:`Diff.span` bounds -- so the
-thousands of diffs a log keeps alive cost no array each.  The hot
-kernels -- :func:`create_diff`, :func:`merge_diffs`, :func:`apply_diff`
--- operate on the flat arrays with pure NumPy run algebra and never
-loop per word or per run in Python.  :func:`encode_diff` /
-:func:`decode_diff` translate between the flat form and the packed
-run-length wire/log byte layout; the words block is shared zero-copy
-in both directions.
+A diff *stores* two arrays: ``words``, the new ``uint32`` contents of
+every modified word in ascending offset order, and ``mask``, a
+read-only packed bitmap (``np.packbits``, one bit per word of the page,
+128 B for a 4 KB page) whose set bits say which words those are.  A log
+keeps thousands of diffs alive, so a diff costs its words plus an
+eighth of a byte per page word -- not an integer offset beside every
+word.  The run count behind :attr:`Diff.nbytes` is an integer taken
+from the same comparison that produced the mask.  Everything else a
+diff can say about itself is *derived* from the mask on demand and
+never retained: :attr:`Diff.offsets` (one integer per modified word),
+:meth:`Diff.run_table` (a ``(start, length)`` row per coalesced run --
+the wire encoding's run block, the trace details of
+``early_diff``/``interval_end`` and the test-facing :attr:`Diff.runs`
+view all read it) and :meth:`Diff.span`.  The hot kernels work on the
+unpacked mask with whole-page NumPy operations and never loop per word
+or per run in Python: :func:`create_diff` is compare, mask-index,
+``packbits``; :func:`apply_diff` is ``unpackbits``, mask-assign;
+:func:`merge_diffs` is two mask-assigns into a scratch page and the OR
+of the masks.  :func:`encode_diff` / :func:`decode_diff` translate
+between the stored form and the packed run-length wire/log byte layout;
+the words block is shared zero-copy in both directions.
 
 The pre-vectorisation implementations are preserved verbatim in
 :mod:`repro.memory.reference` and serve as oracles for the property
@@ -63,128 +66,128 @@ DIFF_HEADER_BYTES = 16
 #: Encoded bytes per run header (word offset, run length).
 RUN_HEADER_BYTES = 8
 
-_EMPTY_OFFSETS = np.empty(0, dtype=np.int64)
+#: Largest word offset a diff may name (a 4 MB page).  Bounds what a
+#: corrupt run table can make :func:`decode_diff` allocate.
+MAX_PAGE_WORDS = 1 << 20
+
+_EMPTY_MASK = np.empty(0, dtype=np.uint8)
 _EMPTY_WORDS = np.empty(0, dtype=np.uint32)
-_EMPTY_OFFSETS.setflags(write=False)
+_EMPTY_MASK.setflags(write=False)
 _EMPTY_WORDS.setflags(write=False)
+
+
+def _bits_of_runs(table: np.ndarray) -> np.ndarray:
+    """One bool per word up to the last run's end, True inside a run.
+
+    ``table`` is a non-empty ``(start, length)`` array; anything but
+    ascending, disjoint, non-empty runs inside ``[0, MAX_PAGE_WORDS)``
+    raises :class:`DiffError`.  Adjacent runs are legal and coalesce.
+    """
+    starts = table[:, 0]
+    counts = np.empty(2 * len(table), dtype=np.int64)  # gap, run, gap, run, ...
+    counts[1::2] = table[:, 1]
+    ends = counts[1::2] + starts
+    counts[0] = starts[0]
+    counts[2::2] = starts[1:] - ends[:-1]
+    if counts.min() < 0 or counts[1::2].min() < 1 or ends[-1] > MAX_PAGE_WORDS:
+        raise DiffError(
+            "malformed diff runs: not ascending, disjoint and non-empty "
+            f"below word {MAX_PAGE_WORDS}"
+        )
+    inside = np.zeros(counts.size, dtype=bool)
+    inside[1::2] = True
+    return np.repeat(inside, counts)
 
 
 class Diff:
     """A summary of modifications to one page.
 
-    ``offsets`` holds the ascending word offsets of every modified word
-    and ``words`` the corresponding new ``uint32`` contents; both own
-    their data (safe to keep after the source page mutates).  An empty
-    pair is a legal "no changes" diff.  ``offsets`` is read-only from
-    construction on -- the cached run count and span are functions of
-    it -- while ``words`` stays writable.  :attr:`runs` presents the
-    same data as ``(word_offset, words)`` pairs, built on first access;
-    the per-run arrays are views into :attr:`words`, so mutating them
-    (the tests do) stays coherent with the flat form.
+    ``mask`` is the packed changed-word bitmap (bit ``i``, in
+    ``np.packbits`` order, set when word ``i`` is modified; zero-padded
+    to a whole byte) and ``words`` the new ``uint32`` contents of those
+    words in ascending order; both own their data (safe to keep after
+    the source page mutates).  An empty pair is a legal "no changes"
+    diff.  ``mask`` is read-only from construction on -- ``run_count``
+    is a function of it -- while ``words`` stays writable.
+    :attr:`offsets`, :meth:`run_table`, :attr:`runs` and :meth:`span`
+    are derived from the mask each time they are asked for; the per-run
+    arrays of :attr:`runs` are views into :attr:`words`, so mutating
+    them (the tests do) stays coherent with the stored form.
     """
 
-    __slots__ = ("page", "offsets", "words", "_runs", "_span", "_run_count")
+    __slots__ = ("page", "mask", "words", "run_count")
 
     def __init__(self, page: int, runs: Optional[List[Tuple[int, np.ndarray]]] = None):
         self.page = page
-        self._runs: Optional[List[Tuple[int, np.ndarray]]] = None
-        self._span: Optional[Tuple[int, int, bool]] = None
-        self._run_count: Optional[int] = None
         if not runs:
-            self.offsets = _EMPTY_OFFSETS
+            self.mask = _EMPTY_MASK
             self.words = _EMPTY_WORDS
+            #: Number of coalesced runs of consecutive modified words.
+            self.run_count = 0
             return
-        off_parts = []
-        word_parts = []
-        for off, words in runs:
-            w = np.ascontiguousarray(words, dtype=np.uint32)
-            off_parts.append(np.arange(off, off + len(w), dtype=np.int64))
-            word_parts.append(w)
-        self.offsets = np.concatenate(off_parts)
-        self.offsets.setflags(write=False)
-        self.words = np.concatenate(word_parts)
+        parts = [np.ascontiguousarray(words, dtype=np.uint32) for _off, words in runs]
+        table = np.array([(off, len(w)) for (off, _words), w in zip(runs, parts)])
+        self._adopt(_bits_of_runs(table), np.concatenate(parts))
+
+    def _adopt(self, bits: np.ndarray, words: np.ndarray) -> None:
+        """Store ``words`` (not copied) as the contents of ``bits``'s True cells."""
+        self.mask = np.packbits(bits)
+        self.mask.setflags(write=False)
+        self.words = words
+        # a run starts wherever a changed word follows an unchanged one
+        self.run_count = int(np.count_nonzero(bits[1:] > bits[:-1])) + bool(bits[0])
 
     @classmethod
     def from_flat(cls, page: int, offsets: np.ndarray, words: np.ndarray) -> "Diff":
-        """Wrap pre-built flat arrays (must be sorted, strictly increasing).
+        """Build from sorted, strictly increasing word ``offsets`` and
+        their parallel ``words`` (adopted without copying)."""
+        if offsets.size != words.size:
+            raise DiffError(f"{offsets.size} offsets for {words.size} words")
+        if offsets.size == 0:
+            return cls(page)
+        one_word_runs = np.stack((offsets, np.ones_like(offsets)), axis=1)
+        return _diff_of_bits(page, _bits_of_runs(one_word_runs), words)
 
-        The arrays are adopted without copying; callers hand over
-        ownership, and ``offsets`` is made read-only.  This is the
-        constructor the vectorised kernels use.
-        """
-        d = cls.__new__(cls)
-        d.page = page
+    @property
+    def offsets(self) -> np.ndarray:
+        """Ascending offsets of the modified words (derived, read-only)."""
+        offsets = np.unpackbits(self.mask).nonzero()[0]
         offsets.setflags(write=False)
-        d.offsets = offsets
-        d.words = words
-        d._runs = None
-        d._span = None
-        d._run_count = None
-        return d
+        return offsets
 
     def span(self) -> Tuple[int, int, bool]:
-        """``(first, last, dense)`` word-offset bounds, cached.
+        """``(first, last, dense)`` word-offset bounds.
 
-        ``dense`` is True when the diff is one contiguous run.  The same
-        diff is applied more than once on the hot path (home copy and
-        twin, plus recovery replays), so the numpy-scalar extraction is
-        paid once per diff instead of once per apply.  ``(0, -1, False)``
-        for an empty diff.
+        ``dense`` is True when the diff is one contiguous run;
+        ``(0, -1, False)`` for an empty diff.
         """
-        span = self._span
-        if span is None:
-            if self.offsets.size == 0:
-                span = (0, -1, False)
-            else:
-                first = int(self.offsets[0])
-                last = int(self.offsets[-1])
-                span = (first, last, last - first + 1 == self.offsets.size)
-            self._span = span
-        return span
+        offsets = self.offsets
+        if offsets.size == 0:
+            return (0, -1, False)
+        return (int(offsets[0]), int(offsets[-1]), self.run_count == 1)
 
     @property
     def word_count(self) -> int:
         """Total modified words across all runs."""
-        return int(self.offsets.size)
-
-    @property
-    def run_count(self) -> int:
-        """Number of coalesced runs of consecutive modified words.
-
-        Derived from ``offsets`` the first time it is asked for and kept:
-        every message and log record that carries the diff sums its
-        :attr:`nbytes`, several times over one diff's life.
-        """
-        count = self._run_count
-        if count is None:
-            offsets = self.offsets
-            if offsets.size == 0:
-                count = 0
-            else:
-                count = int(np.count_nonzero(offsets[1:] - offsets[:-1] > 1)) + 1
-            self._run_count = count
-        return count
+        return self.words.size
 
     def run_table(self) -> np.ndarray:
         """``(start, length)`` per coalesced run, ascending.
 
         An ``int32`` array of shape ``(run_count, 2)`` -- the run block
         of the wire layout -- built fresh by vectorised code and not
-        retained; the caller owns it.  (The run count it reveals is.)
+        retained; the caller owns it.
         """
-        offsets = self.offsets
-        if offsets.size == 0:
+        if self.run_count == 0:
             return np.empty((0, 2), dtype=np.int32)
-        # bounds[i]: index of run i's first word; the last entry closes the last run
-        ends = (offsets[1:] - offsets[:-1] > 1).nonzero()[0]
-        bounds = np.empty(ends.size + 2, dtype=np.intp)
-        bounds[0] = 0
-        bounds[-1] = offsets.size
-        np.add(ends, 1, out=bounds[1:-1])
-        table = np.empty((ends.size + 1, 2), dtype=np.int32)
-        table[:, 0] = offsets[bounds[:-1]]
-        table[:, 1] = bounds[1:] - bounds[:-1]
-        self._run_count = ends.size + 1
+        bits = np.unpackbits(self.mask)
+        # the zero-padded bit string flips at every run start and run end
+        flips = np.empty(bits.size + 1, dtype=bool)
+        flips[0] = bits[0]
+        flips[-1] = bits[-1]
+        np.not_equal(bits[1:], bits[:-1], out=flips[1:-1])
+        table = flips.nonzero()[0].reshape(-1, 2).astype(np.int32)
+        table[:, 1] -= table[:, 0]
         return table
 
     @property
@@ -193,36 +196,37 @@ class Diff:
         return (
             DIFF_HEADER_BYTES
             + RUN_HEADER_BYTES * self.run_count
-            + WORD_SIZE * self.word_count
+            + WORD_SIZE * self.words.size
         )
 
     @property
     def is_empty(self) -> bool:
         """True when no words changed."""
-        return self.offsets.size == 0
+        return self.words.size == 0
 
     @property
     def runs(self) -> List[Tuple[int, np.ndarray]]:
         """Run-length view: ``(word_offset, words)`` pairs, ascending."""
-        if self._runs is None:
-            words = self.words
-            runs = []
-            lo = 0
-            for start, length in self.run_table().tolist():
-                runs.append((start, words[lo : lo + length]))
-                lo += length
-            self._runs = runs
-        return self._runs
+        words = self.words
+        runs = []
+        lo = 0
+        for start, length in self.run_table().tolist():
+            runs.append((start, words[lo : lo + length]))
+            lo += length
+        return runs
 
     def word_offsets(self) -> np.ndarray:
         """All modified word offsets, ascending (for overlap checks)."""
         return self.offsets
 
     def copy(self) -> "Diff":
-        """Deep copy (the recovery path replays diffs multiple times)."""
-        d = Diff.from_flat(self.page, self.offsets.copy(), self.words.copy())
-        d._run_count = self._run_count
-        d._span = self._span
+        """A diff with its own ``words`` (the recovery path replays diffs
+        multiple times); the immutable mask is shared."""
+        d = Diff.__new__(Diff)
+        d.page = self.page
+        d.mask = self.mask
+        d.words = self.words.copy()
+        d.run_count = self.run_count
         return d
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -230,6 +234,15 @@ class Diff:
             f"Diff(page={self.page}, words={self.word_count}, "
             f"runs={self.run_count})"
         )
+
+
+def _diff_of_bits(page: int, bits: np.ndarray, words: np.ndarray) -> Diff:
+    """The diff whose modified words are ``bits``'s True cells (the
+    constructor the kernels use; ``words`` is adopted, not copied)."""
+    d = Diff.__new__(Diff)
+    d.page = page
+    d._adopt(bits, words)
+    return d
 
 
 def _as_words(buf: np.ndarray) -> np.ndarray:
@@ -250,15 +263,12 @@ def create_diff(page: int, twin: np.ndarray, current: np.ndarray) -> Diff:
     """
     if twin.shape != current.shape:
         raise DiffError(f"twin/current shape mismatch: {twin.shape} vs {current.shape}")
-    tw = _as_words(twin)
     cw = _as_words(current)
-    changed = (tw != cw).nonzero()[0]
-    if changed.size == 0:
+    changed = _as_words(twin) != cw
+    words = cw[changed]  # mask indexing copies, so the diff owns its words
+    if words.size == 0:
         return Diff(page)
-    # fancy indexing copies, so the diff owns its words
-    return Diff.from_flat(
-        page, changed.astype(np.int64, copy=False), cw[changed]
-    )
+    return _diff_of_bits(page, changed, words)
 
 
 def merge_diffs(first: Diff, second: Diff) -> Diff:
@@ -270,9 +280,8 @@ def merge_diffs(first: Diff, second: Diff) -> Diff:
     the page was refetched and written again.  The log keeps one merged
     diff per (page, interval) so recovery lookups stay unambiguous.
 
-    Pure run algebra on the flat arrays: concatenate, stable-sort by
-    offset, and keep the last entry of every duplicate offset (which is
-    ``second``'s, because it was concatenated after ``first``).
+    Both diffs are written onto one scratch page, ``first`` first, and
+    the words under the OR of the masks are read back.
     """
     if first.page != second.page:
         raise DiffError(
@@ -282,34 +291,33 @@ def merge_diffs(first: Diff, second: Diff) -> Diff:
         return second.copy()
     if second.is_empty:
         return first.copy()
-    offsets = np.concatenate([first.offsets, second.offsets])
-    words = np.concatenate([first.words, second.words])
-    order = np.argsort(offsets, kind="stable")
-    offsets = offsets[order]
-    words = words[order]
-    keep = np.empty(offsets.size, dtype=bool)
-    keep[-1] = True
-    np.not_equal(offsets[1:], offsets[:-1], out=keep[:-1])
-    return Diff.from_flat(first.page, offsets[keep], words[keep])
+    nbits = 8 * max(first.mask.size, second.mask.size)
+    in_first = np.unpackbits(first.mask, count=nbits).view(np.bool_)
+    in_second = np.unpackbits(second.mask, count=nbits).view(np.bool_)
+    scratch = np.empty(nbits, dtype=np.uint32)
+    scratch[in_first] = first.words
+    scratch[in_second] = second.words
+    merged = in_first | in_second
+    return _diff_of_bits(first.page, merged, scratch[merged])
 
 
 def apply_diff(diff: Diff, target: np.ndarray) -> int:
     """Write the diff's words into ``target`` (1-D uint8); returns words applied."""
     tw = _as_words(target)
-    first, last, dense = diff.span()
-    if last < 0:
+    words = diff.words
+    if words.size == 0:
         return 0
-    if first < 0 or last >= tw.size:
-        raise DiffError(
-            f"diff words [{first}, {last}] outside page of {tw.size} words"
-        )
-    if dense:
-        # one dense run (the common shape for array-section writes):
-        # a straight slice copy beats fancy indexing
-        tw[first : last + 1] = diff.words
-        return last - first + 1
-    tw[diff.offsets] = diff.words
-    return int(diff.offsets.size)
+    bits = np.unpackbits(diff.mask).view(np.bool_)
+    if bits.size > tw.size:
+        # longer than the page: byte padding, or words the page lacks
+        if bits[tw.size :].any():
+            first, last, _dense = diff.span()
+            raise DiffError(
+                f"diff words [{first}, {last}] outside page of {tw.size} words"
+            )
+        bits = bits[: tw.size]
+    tw[: bits.size][bits] = words
+    return words.size
 
 
 # ----------------------------------------------------------------------
@@ -329,12 +337,10 @@ def encode_diff(diff: Diff) -> np.ndarray:
     diff's ``words`` array viewed as bytes (no per-word Python work
     anywhere).
     """
-    wc = diff.word_count
-    if wc == 0:
-        header = np.array([diff.page, 0, 0, 0], dtype=np.uint32)
-        return header.view(np.uint8).copy()
     run_table = diff.run_table()
-    header = np.array([diff.page, wc, run_table.shape[0], 0], dtype=np.uint32)
+    header = np.array(
+        [diff.page, diff.word_count, run_table.shape[0], 0], dtype=np.uint32
+    )
     return np.concatenate(
         [
             header.view(np.uint8),
@@ -348,8 +354,9 @@ def decode_diff(buf: np.ndarray) -> Diff:
     """Unpack :func:`encode_diff` output back into a :class:`Diff`.
 
     The words array of the returned diff is a zero-copy view into
-    ``buf``; the offsets are rebuilt from the run table with one
-    ``repeat``/``cumsum`` pass.
+    ``buf``; the mask is rebuilt from the run table, and a buffer whose
+    size, word count or run table is inconsistent raises
+    :class:`DiffError`.
     """
     if buf.dtype != np.uint8 or buf.ndim != 1 or buf.size < DIFF_HEADER_BYTES:
         raise DiffError("malformed packed diff: bad buffer")
@@ -360,16 +367,10 @@ def decode_diff(buf: np.ndarray) -> Diff:
         raise DiffError(
             f"malformed packed diff: {buf.size} bytes, header implies {expected}"
         )
-    if wc == 0:
+    if wc == 0 and rc == 0:
         return Diff(page)
     run_end = DIFF_HEADER_BYTES + RUN_HEADER_BYTES * rc
     run_table = buf[DIFF_HEADER_BYTES:run_end].view(np.int32).reshape(rc, 2)
-    starts = run_table[:, 0].astype(np.int64)
-    lengths = run_table[:, 1].astype(np.int64)
-    if int(lengths.sum()) != wc:
+    if int(run_table[:, 1].sum(dtype=np.int64)) != wc:
         raise DiffError("malformed packed diff: run lengths != word count")
-    # offsets = for each run, start + 0..length-1, concatenated
-    base = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
-    offsets = base + np.arange(wc, dtype=np.int64)
-    words = buf[run_end:].view(np.uint32)
-    return Diff.from_flat(page, offsets, words)
+    return _diff_of_bits(page, _bits_of_runs(run_table), buf[run_end:].view(np.uint32))

@@ -9,7 +9,7 @@ harness's fault statistics.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,10 @@ class PageTable:
         if not (0 <= page < self.npages):
             raise PageError(f"page {page} out of range [0, {self.npages})")
         return self._entries[page]
+
+    def states(self) -> Dict[int, Tuple[PageState, Any]]:
+        """``page -> (state, version)`` of every page, in one pass (snapshots)."""
+        return {e.page: (e.state, e.version) for e in self._entries}
 
     def is_home(self, page: int) -> bool:
         """Whether this node is the home of ``page``."""

@@ -10,8 +10,6 @@ the access-annotation API needs.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import MemoryLayoutError
@@ -89,16 +87,12 @@ class SharedArray:
     @property
     def flat_size(self) -> int:
         """Total element count."""
-        return int(np.prod(self.var.shape))
+        return self.var.count
 
     def pages_for_elements(self, start: int, stop: int) -> range:
         """Page ids covering flat elements ``[start, stop)``."""
         lo, hi = self.var.byte_range(start, stop)
         return pages_in_byte_range(lo, hi, self.memory.page_size)
-
-    def element_range_bytes(self, start: int, stop: int) -> Tuple[int, int]:
-        """Global byte range of flat elements ``[start, stop)``."""
-        return self.var.byte_range(start, stop)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedArray {self.var.name} {self.var.shape} {self.var.dtype}>"

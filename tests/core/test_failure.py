@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CrashProbe, FailureSpec, make_hooks_factory
+from repro.core import CrashProbe, FailureSnapshot, FailureSpec, make_hooks_factory
 from repro.dsm import DsmSystem
 from repro.memory import PageState
 from tests.core.conftest import BarrierApp
@@ -131,3 +131,42 @@ class TestCrashProbe:
         assert sorted(probe.snapshots) == [1, 2, 3, 4, 5, 6]
         times = [probe.snapshots[k].time for k in sorted(probe.snapshots)]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("capture_all", [False, True])
+    def test_refreshed_snapshot_equals_a_fresh_one_at_every_seal(
+        self, small_cluster, capture_all
+    ):
+        """The overwritten snapshot is refreshed in place; it must read
+        exactly as a newly built one, seal after seal."""
+        system = DsmSystem(
+            BarrierApp(iters=3), small_cluster, make_hooks_factory("ccl")
+        )
+        probe = CrashProbe(node=1, capture_all=capture_all)
+        fresh = {}
+        images = set()
+
+        def check(node, seal_count):
+            if node.id != 1:
+                return
+            want = fresh[seal_count] = FailureSnapshot(node, seal_count)
+            got = probe.snapshot
+            images.add(id(got.memory))
+            assert vars(got).keys() == vars(want).keys()
+            for field, value in vars(want).items():
+                if field == "memory":
+                    assert np.array_equal(got.memory, value)
+                else:
+                    assert getattr(got, field) == value, field
+
+        system.add_probe(probe)
+        system.add_probe(check)  # runs after the CrashProbe at each seal
+        system.run()
+        assert sorted(fresh) == [1, 2, 3, 4, 5, 6]
+        if capture_all:
+            # the retained snapshots are the only copies, and stay untouched
+            assert probe.snapshot is probe.snapshots[6]
+            for seal, want in fresh.items():
+                assert np.array_equal(probe.snapshots[seal].memory, want.memory)
+                assert probe.snapshots[seal].page_states == want.page_states
+        else:
+            assert len(images) == 1, "a new image was allocated for an overwrite"

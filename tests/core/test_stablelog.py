@@ -187,6 +187,36 @@ class TestSegments:
             r.nbytes for r in seg.records
         )
 
+    def test_the_running_size_and_the_summed_size_agree(self):
+        """The flush paths size a segment from the buffer's running
+        ``volatile_bytes``; ``seal_records`` sums its subset.  Either
+        way the segment reads what its records sum and encode to."""
+        log, sim = make_log()
+        for interval in range(4):
+            log.append(notice(interval, npages=interval + 1))
+            log.append(own_diff(interval, interval, page=interval))
+            log.append(own_diff(interval, interval, page=9, home=True))
+            if interval < 2:
+                log.flush_async()
+            elif interval == 2:
+                kept = log._volatile[-1]
+                log.seal_records(log._volatile[:2])
+                assert log._volatile == [kept]
+                assert log.volatile_bytes == kept.nbytes
+            else:
+                log.force_seal()
+        log.append(notice(4))
+        sim.spawn(log.flush_sync(), name="sync")
+        sim.run()
+        assert [s.count for s in log._segments] == [3, 3, 2, 4, 1]
+        assert [s.sealed for s in log._segments] == [False, False, True, True, False]
+        for seg in log._segments:
+            assert seg.nbytes == len(seg.encoded())
+            assert seg.nbytes == SEGMENT_HEADER_BYTES + sum(
+                r.nbytes for r in seg.records
+            )
+        assert log.volatile_bytes == 0
+
     def test_golden_framed_byte_accounting(self):
         """Pin the exact on-disk sizes of the framed format.
 

@@ -5,14 +5,14 @@ deterministic run makes does not.  A traced 4-node ``shallow/ccl`` run
 at test scale is profiled under ``cProfile`` and the calls *into*
 ``repro/memory/diff.py``, plus the calls ``diff.py`` itself makes into
 numpy, are divided by the diffs created.  With one vectorised run table
-per traced diff and a run count derived once, that ratio is 44; when
-the trace detail was built from ``Diff.runs`` (an ``np.split`` of the
-words: one array view and one tuple per run, ``swapaxes`` twice per
-run inside numpy) and every ``nbytes`` re-ran ``np.diff``, it was 70
-here before counting what ``np.split`` did per run -- 49 runs a diff on
-average at benchmark scale, where that was most of the traced run.
-(Cached accessors are cheap frames but frames: 17 of the 44 are
-``nbytes`` -> ``run_count``/``word_count`` reading integers.)
+per traced diff and a run count taken from the mask ``create_diff``
+builds anyway, that ratio is 35; when the trace detail was built from
+``Diff.runs`` (an ``np.split`` of the words: one array view and one
+tuple per run, ``swapaxes`` twice per run inside numpy) and every
+``nbytes`` re-ran ``np.diff``, it was 70 here before counting what
+``np.split`` did per run -- 49 runs a diff on average at benchmark
+scale, where that was most of the traced run.  (Accessors are cheap
+frames but frames: 4 of the 35 are ``nbytes`` reading two integers.)
 
 The second guard is the same property stated on one event: the Python
 objects reachable from an ``interval_end`` detail are as many for a
@@ -33,19 +33,20 @@ from repro.sim.trace import Ev, Tracer
 from tests.dsm.conftest import MiniApp
 
 #: Calls into ``diff.py`` and from it into numpy allowed per diff created
-#: (measured 43.8; deriving the run structure once more per diff -- a
-#: second ``run_table``, or ``run_count`` uncached -- adds 6 to 20).
-BUDGET_PER_DIFF = 48.0
+#: (measured 34.7; deriving the run structure once more per diff -- a
+#: second ``run_table``, or a run count re-derived per ``nbytes`` -- adds
+#: 7 to 20).
+BUDGET_PER_DIFF = 39.0
 
 #: Measured calls per diff created, by function, when the budget was set
 #: -- what a failure is compared against to name the culprit.
 MEASURED = {
-    "word_count": 6.67, "run_count": 5.67, "nbytes": 5.67, "_as_words": 3.77,
-    "ndarray.view": 3.77, "ndarray.nonzero": 2.72, "numpy.empty": 2.67,
-    "create_diff": 1.39, "is_empty": 1.39, "count_nonzero": 1.33,
-    "_count_nonzero_dispatcher": 1.33, "run_table": 1.33, "from_flat": 1.33,
-    "ndarray.astype": 1.33, "ndarray.setflags": 1.33, "span": 1.0,
-    "apply_diff": 1.0, "__init__": 0.05,
+    "ndarray.view": 4.77, "nbytes": 4.33, "_as_words": 3.77, "unpackbits": 2.33,
+    "is_empty": 1.39, "create_diff": 1.39, "count_nonzero": 1.33,
+    "_count_nonzero_dispatcher": 1.33, "run_table": 1.33, "_adopt": 1.33,
+    "_diff_of_bits": 1.33, "ndarray.astype": 1.33, "ndarray.nonzero": 1.33,
+    "ndarray.reshape": 1.33, "ndarray.setflags": 1.33, "numpy.empty": 1.33,
+    "packbits": 1.33, "apply_diff": 1.0, "word_count": 1.0, "__init__": 0.05,
 }
 
 

@@ -1,10 +1,11 @@
-"""A diff's run structure: derived in one place, cached as integers.
+"""A diff's run structure: derived from the stored mask, kept as one integer.
 
 :meth:`Diff.run_table` replaced the ``np.split``-per-diff derivation of
 ``Diff.runs`` (kept as :func:`repro.memory.reference.reference_runs`)
 and feeds the wire encoding, the trace details and the ``runs`` view;
-``run_count``/``nbytes`` cache an integer that must therefore never go
-stale -- which is why ``offsets`` is read-only from every constructor.
+``run_count`` (so ``nbytes``) is an integer taken when the mask is
+stored and must therefore never go stale -- which is why ``mask``, and
+the ``offsets`` derived from it, are read-only from every constructor.
 """
 
 import numpy as np
@@ -116,17 +117,42 @@ def test_derived_diffs_report_their_own_run_count(name, d):
     assert merge_diffs(Diff(d.page), d).run_count == d.run_count
 
 
+def array_bytes(value) -> int:
+    """Bytes of array storage ``value`` keeps alive: an array counts as
+    the buffer it (transitively) views, containers as their contents."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(array_bytes(v) for v in value)
+    if isinstance(value, dict):
+        return sum(array_bytes(v) for v in value.values())
+    return 0
+
+
 def test_reading_nbytes_retains_an_integer_and_nothing_else():
-    """A log keeps thousands of diffs alive and every one has had its
-    ``nbytes`` read: a span tuple cached on the way (an earlier draft
-    took a dense-run shortcut through ``span()``) read +12 % peak RSS on
-    the ``chaos4`` benchmark workload, a run table per diff +3-4 % on
-    the paper apps."""
-    (_name, d), = [c for c in CASES if c[0] == "random 0.5 #0"]
-    fresh = Diff.from_flat(d.page, d.offsets.copy(), d.words.copy())
-    assert fresh.nbytes == d.nbytes
-    assert fresh._run_count == d.run_count
-    assert fresh._span is None and fresh._runs is None
+    """The retained-size guard.  A log keeps thousands of diffs alive
+    and every one has had its ``nbytes`` read: a diff may hold its words
+    and one bit per page word, however it was built and whatever has
+    been asked of it since.  (An ``int64`` offset per word read 304 MB
+    peak RSS on the ``paper8_ccl`` benchmark workload where the mask
+    reads 169 MB; a span tuple cached per diff +12 % on ``chaos4``; a
+    run table per diff +3-4 % on the paper apps.)"""
+    for i, (name, base) in enumerate(CASES):
+        other = CASES[(i + 7) % len(CASES)][1]
+        for how, d in _constructors(base, other).items():
+            d.nbytes, d.span(), d.run_table(), d.offsets, d.word_offsets(), d.runs
+            allowed = 4 * d.word_count + -(-PAGE_WORDS // 8)
+            if how == "decode_diff" and not d.is_empty:
+                # ``words`` is a zero-copy view: it keeps the packed buffer,
+                # wire header and run block included, alive -- not an index
+                allowed += DIFF_HEADER_BYTES + RUN_HEADER_BYTES * d.run_count
+            held = {slot: array_bytes(getattr(d, slot)) for slot in Diff.__slots__}
+            assert sum(held.values()) <= allowed, (
+                f"{name} / {how}: a diff of {d.word_count} words retains "
+                f"{held} bytes of arrays, allowed {allowed}")
+            assert not hasattr(d, "__dict__")
 
 
 def test_adjacent_runs_handed_to_the_constructor_coalesce():
@@ -136,10 +162,12 @@ def test_adjacent_runs_handed_to_the_constructor_coalesce():
     _assert_runs_consistent(d)
 
 
-def _constructors():
+def _constructors(base=None, other=None):
+    """The seven ways to get a diff, by name."""
     rng = np.random.default_rng(7)
-    base = _diff_of(rng.random(PAGE_WORDS) < 0.3, rng)
-    other = _diff_of(rng.random(PAGE_WORDS) < 0.3, rng)
+    if base is None:
+        base = _diff_of(rng.random(PAGE_WORDS) < 0.3, rng)
+        other = _diff_of(rng.random(PAGE_WORDS) < 0.3, rng)
     return {
         "create_diff": base,
         "__init__": Diff(base.page, base.runs),
@@ -158,6 +186,8 @@ def test_offsets_are_read_only_and_words_are_not(how):
     count = d.run_count
     with pytest.raises(ValueError, match="read-only"):
         d.offsets[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        d.mask[0] = 0
     assert d.run_count == count
     # words stay writable, and the runs view writes through to them
     d.words[0] = 0xDEADBEEF

@@ -73,7 +73,7 @@ def _app_trace(app: str, protocol: str) -> Tracer:
     ))
 
 
-def _early_diff_trace() -> Tracer:
+def early_diff_system(**system_kwargs) -> DsmSystem:
     """Rank 1 dirties a page, then acquires the lock rank 0 wrote the
     same page under: the write notice hits a dirty page (early diff)."""
 
@@ -95,11 +95,15 @@ def _early_diff_trace() -> Tracer:
             yield from dsm.release(1)
         yield from dsm.barrier()
 
-    return _traced(lambda tracer: DsmSystem(
+    return DsmSystem(
         MiniApp(alloc, program, lambda space, nprocs: [2] * space.npages),
         small_config(3), make_hooks_factory("ccl"), protocol_name="ccl",
-        tracer=tracer,
-    ))
+        **system_kwargs,
+    )
+
+
+def _early_diff_trace() -> Tracer:
+    return _traced(lambda tracer: early_diff_system(tracer=tracer))
 
 
 def generate() -> dict:

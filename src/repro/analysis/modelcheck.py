@@ -473,7 +473,9 @@ class ModelChecker:
             fp = (
                 victim, stop_at, len(view._persistent),
                 snapshot.interval_index, repr(snapshot.vt),
-                hash(snapshot.memory.tobytes()),
+                hash(tuple(snapshot.page_states.items())),
+                hash(b"".join(
+                    snapshot.frames[p].tobytes() for p in sorted(snapshot.frames))),
             )
             if fp in self._recovery_seen:
                 report.recovery_deduped += 1

@@ -51,7 +51,6 @@ from ..core.logrecords import (
     UpdateEventLogRecord,
 )
 from ..errors import LoggingProtocolError, RecoverabilityError
-from ..memory import LocalMemory
 from ..memory.diff import Diff, apply_diff
 from ..sim.trace import Ev, Tracer
 
@@ -264,7 +263,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
                     (d, node.id, rec.vt_index, part, evt)
                 )
 
-    pristine = LocalMemory(system.space)
+    pristine = system.space.initial_image().reshape(-1, system.space.page_size)
 
     from ..core.recovery import ReplayNode
 
@@ -286,7 +285,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
             if traced_version != version.as_tuple():
                 continue
             report.fetches_checked += 1
-            frame = pristine.page_bytes(rec.page).copy()
+            frame = pristine[rec.page].copy()
             entries = [
                 e for e in by_page.get(rec.page, ())
                 if version.dominates(e[4])

@@ -155,7 +155,7 @@ class CclEngine(ReplayEngine):
             if node.pagetable.entry(diff.page).home == node.id:
                 apply_diff(diff, node.memory.page_bytes(diff.page))
                 entry = node.pagetable.entry(diff.page)
-                entry.version = entry.version.merge(e[4])
+                node.pagetable.set_version(diff.page, entry.version.merge(e[4]))
                 cpu_cost += node.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
                 node.stats.count("replay_diffs_applied")
             else:
@@ -167,9 +167,8 @@ class CclEngine(ReplayEngine):
             for diff, _w, _i, _p, _vt in node.causal_sort(by_page.get(page, [])):
                 apply_diff(diff, frame)
                 cpu_cost += node.cfg.cpu.diff_apply_per_byte_s * 4 * diff.word_count
-            entry = node.pagetable.entry(page)
-            entry.state = PageState.CLEAN
-            entry.version = needed
+            node.pagetable.set_state(page, PageState.CLEAN, "fetch")
+            node.pagetable.set_version(page, needed)
             node.stats.count("pages_prefetched")
             node.stats.count("prefetch_delta")
 
@@ -214,9 +213,8 @@ class CclEngine(ReplayEngine):
     @staticmethod
     def _install(node: ReplayNode, page: int, contents: np.ndarray, version) -> None:
         node.memory.page_bytes(page)[:] = contents
-        entry = node.pagetable.entry(page)
-        entry.state = PageState.CLEAN
-        entry.version = version
+        node.pagetable.set_state(page, PageState.CLEAN, "fetch")
+        node.pagetable.set_version(page, version)
         node.stats.count("pages_prefetched")
 
     # ------------------------------------------------------------------

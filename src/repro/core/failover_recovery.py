@@ -41,7 +41,6 @@ from ..dsm.interval import VectorClock
 from ..dsm.messages import LogDiffReply, LogDiffRequest, PromoteRequest
 from ..dsm.system import DsmSystem
 from ..errors import RecoveryError
-from ..memory import LocalMemory
 from ..sim.network import NetMessage, Network
 from ..sim.stats import NodeStats
 from .detector import FailureDetector
@@ -117,10 +116,10 @@ def mirror_at(
     """
     live = system_a.nodes[follower].replicator.mirrors[primary]
     st = MirrorState(primary, epoch=live.epoch)
-    base = LocalMemory(system_a.space)
+    base = system_a.space.initial_image().reshape(-1, system_a.config.page_size)
     n = system_a.config.num_nodes
     for p in live.frames:
-        st.frames[p] = base.page_bytes(p).copy()
+        st.frames[p] = base[p].copy()
         st.versions[p] = VectorClock.zero(n)
     for seal, upto, t, entries in live.journal:
         if at_time is not None and t > at_time:
@@ -218,8 +217,7 @@ def compare_mirror(
         if frame is None:
             mismatches.append(f"page {p}: missing from the mirror")
             continue
-        lo = p * page_size
-        if not np.array_equal(frame, snapshot.memory[lo : lo + page_size]):
+        if not np.array_equal(frame, snapshot.frames[p]):
             mismatches.append(f"page {p}: contents differ")
         _state, ver = snapshot.page_states[p]
         if mirror.versions[p] != ver:

@@ -18,7 +18,7 @@ against which the recovered state is verified bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,24 +54,45 @@ class FailureSpec:
 
 
 class FailureSnapshot:
-    """The victim's externally-visible state at the crash point."""
+    """The victim's externally-visible state at the crash point.
 
-    def __init__(self, node: HlrcNode, seal_count: int):
-        self.node_id = node.id
-        self.memory: np.ndarray = np.empty_like(node.memory.buffer)
-        self.refresh(node, seal_count)
+    :attr:`frames` holds a read-only copy of every *live* frame -- a
+    valid copy or a home page, the only frames the protocol lets a node
+    read -- and :attr:`page_states` the ``(state, version)`` of every
+    page.  Dead frames are not kept: they carry no meaning and no
+    recovery check reads them.
+    """
 
-    def refresh(self, node: HlrcNode, seal_count: int) -> None:
-        """Overwrite with ``node``'s state now: no new image is allocated."""
-        self.seal_count = seal_count
-        self.time = node.sim.now
-        np.copyto(self.memory, node.memory.buffer)
-        self.vt: VectorClock = node.vt
-        self.interval_index = node.interval_index
+    def __init__(self, node_id: int, base: Optional["FailureSnapshot"] = None):
+        """Empty, or ``base``'s maps copied: the frames stay shared."""
+        self.node_id = node_id
+        #: live page -> its 1-D uint8 frame (``writeable=False``).
+        self.frames: Dict[int, np.ndarray] = dict(base.frames) if base else {}
         #: page -> (state, version) at the crash point.
         self.page_states: Dict[int, Tuple[PageState, Optional[VectorClock]]] = (
-            node.pagetable.states()
+            dict(base.page_states) if base else {}
         )
+
+    def advance(self, node: HlrcNode, seal_count: int, pages: Iterable[int]) -> None:
+        """Move to ``node``'s state now, re-reading only ``pages``.
+
+        ``pages`` must name every page whose entry or frame was written
+        since the snapshot last advanced (``PageTable.watchers``).
+        """
+        self.seal_count = seal_count
+        self.time = node.sim.now
+        self.vt: VectorClock = node.vt
+        self.interval_index = node.interval_index
+        entry_of, frame_of = node.pagetable.entry, node.memory.page_bytes
+        for p in pages:
+            entry = entry_of(p)
+            self.page_states[p] = (entry.state, entry.version)
+            if entry.state is not PageState.INVALID or entry.home == node.id:
+                frame = frame_of(p).copy()
+                frame.flags.writeable = False
+                self.frames[p] = frame
+            else:
+                self.frames.pop(p, None)
 
 
 class CrashProbe:
@@ -84,10 +105,15 @@ class CrashProbe:
     where recovery has the most to replay).  ``capture_all=True``
     additionally retains every seal's snapshot in :attr:`snapshots`,
     which lets one phase-A run serve many crash instants (the chaos
-    suite's amortisation).  An overwritten snapshot is refreshed in
-    place, so :attr:`snapshot` is only meaningful once the run is over
-    (``plan_victim`` is its one reader); under ``capture_all`` it is the
-    retained ``snapshots[seal]`` itself, not a second copy.
+    suite's amortisation).
+
+    The first capture reads every page; from then on the probe holds a
+    watch set on the victim's page table, and a seal re-reads only the
+    pages that landed in it.  An overwritten snapshot advances in place,
+    so :attr:`snapshot` is only meaningful once the run is over
+    (``plan_victim`` is its one reader); under ``capture_all`` each seal
+    advances a copy of the previous snapshot's maps, sharing every
+    untouched frame, and :attr:`snapshot` is the retained ``snapshots[seal]``.
 
     Observing is side-effect-free.  The paper's crash-point seal -- the
     volatile tail of the crash interval is considered flushed -- is
@@ -107,29 +133,39 @@ class CrashProbe:
         self.snapshot: Optional[FailureSnapshot] = None
         #: seal_count -> snapshot at that seal (``capture_all`` mode).
         self.snapshots: Dict[int, FailureSnapshot] = {}
+        #: The most recent capture and the pages written since.
+        self._latest: Optional[FailureSnapshot] = None
+        self._watched: set[int] = set()
         self._log = None
-        self._volatile_ids: Tuple[int, ...] = ()
+        self._crash_tail: List[Any] = []
         self._finalized = False
 
     def __call__(self, node: HlrcNode, seal_count: int) -> None:
         if node.id != self.node:
             return
-        if self.capture_all:
-            self.snapshots[seal_count] = FailureSnapshot(node, seal_count)
-        if self.at_seal is not None and seal_count != self.at_seal:
+        chosen = self.at_seal is None or seal_count == self.at_seal
+        if not (chosen or self.capture_all):
             return
+        pages: Iterable[int] = self._watched
+        if self._latest is None:
+            node.pagetable.watchers.append(self._watched)
+            pages = range(node.pagetable.npages)
+        if self._latest is None or self.capture_all:
+            self._latest = FailureSnapshot(node.id, self._latest)
+        self._latest.advance(node, seal_count, pages)
+        self._watched.clear()
         if self.capture_all:
-            self.snapshot = self.snapshots[seal_count]
-        elif self.snapshot is None:
-            self.snapshot = FailureSnapshot(node, seal_count)
-        else:
-            self.snapshot.refresh(node, seal_count)
+            self.snapshots[seal_count] = self._latest
+        if not chosen:
+            return
+        self.snapshot = self._latest
         self._log = getattr(node.hooks, "log", None)
         if self._log is not None:
-            # remember the crash interval's volatile tail by identity;
-            # finalize() seals whatever of it a later natural flush has
-            # not already persisted
-            self._volatile_ids = tuple(id(r) for r in self._log._volatile)
+            # hold the crash interval's volatile tail itself, not its
+            # ids: a record the log truncates and frees could hand its id
+            # to a later one.  finalize() seals whatever of it a later
+            # natural flush has not already persisted
+            self._crash_tail = list(self._log._volatile)
 
     def finalize(self) -> None:
         """Apply the crash point's seal effect, once, after phase A.
@@ -142,7 +178,4 @@ class CrashProbe:
         if self._finalized or self._log is None or self.snapshot is None:
             return
         self._finalized = True
-        ids = set(self._volatile_ids)
-        chosen = [r for r in self._log._volatile if id(r) in ids]
-        if chosen:
-            self._log.seal_records(chosen)
+        self._log.seal_records(self._crash_tail)

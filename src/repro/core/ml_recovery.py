@@ -64,7 +64,7 @@ class MlEngine(ReplayEngine):
                     )
                 apply_diff(d, node.memory.page_bytes(d.page))
                 assert rec.vt is not None
-                entry.version = entry.version.merge(rec.vt)
+                node.pagetable.set_version(d.page, entry.version.merge(rec.vt))
                 node.stats.count("replay_diffs_applied")
             apply_cost += cpu.diff_apply_per_byte_s * sum(
                 4 * d.word_count for d in rec.diffs
@@ -95,9 +95,8 @@ class MlEngine(ReplayEngine):
         yield from node._disk_read("miss_read", rec.nbytes)
         assert rec.contents is not None
         node.memory.page_bytes(page)[:] = rec.contents
-        entry = node.pagetable.entry(page)
-        entry.state = PageState.CLEAN
-        entry.version = rec.version
+        node.pagetable.set_state(page, PageState.CLEAN, "fetch")
+        node.pagetable.set_version(page, rec.version)
         node.stats.count("replay_faults")
 
 

@@ -224,7 +224,7 @@ class RecoveryWorld:
             Disk(self.sim, config.disk, f"rdisk{i}")
             for i in range(config.num_nodes)
         ]
-        ckpt_image = LocalMemory(system_a.space)
+        ckpt_image = system_a.space.initial_image()
         self.responders: Dict[int, SurvivorResponder] = {}
         for node in system_a.nodes:
             if node.id not in down:
@@ -345,12 +345,11 @@ class ReplayNode:
         self.disk = world.disks[plan.victim]
         self.cfg = config
         self.id = plan.victim
-        self.memory = LocalMemory(space)
         self.pagetable = PageTable(
             self.id, space.npages, system_a.homes, pool=space.buffer_pool
         )
         for p in self.pagetable.home_pages():
-            self.pagetable.entry(p).version = VectorClock.zero(config.num_nodes)
+            self.pagetable.set_version(p, VectorClock.zero(config.num_nodes))
         self.vt = VectorClock.zero(config.num_nodes)
         self.interval_index = 0
         self.acq_seq = 0
@@ -370,6 +369,11 @@ class ReplayNode:
         #: image verbatim when the replay reaches its seal.
         self.restore_mode = (
             plan.checkpoint is not None and plan.plog.truncated_below > 0
+        )
+        # the skipped intervals still run the program, over frames nothing
+        # fetches: those must read as the initial image, not as zeros
+        self.memory = LocalMemory(
+            space, live=None if self.restore_mode else self.pagetable.home_pages()
         )
         self.stats = NodeStats(self.id)
         self._engines = {mode: cls() for mode, cls in self.engines.items()}
@@ -468,7 +472,7 @@ class ReplayNode:
                     "diff", cpu.twin_copy_per_byte_s * self.cfg.page_size
                 )
                 self.pagetable.make_twin(p, self.memory.page_bytes(p))
-                entry.state = PageState.DIRTY
+                self.pagetable.set_state(p, PageState.DIRTY, "write")
             self.pagetable.mark_dirty(p)
 
     # ------------------------------------------------------------------
@@ -499,16 +503,16 @@ class ReplayNode:
             for p in dirty:
                 entry = self.pagetable.entry(p)
                 if entry.home == self.id:
-                    entry.version = entry.version.merge(new_vt)
+                    self.pagetable.set_version(p, entry.version.merge(new_vt))
                 elif entry.state is PageState.INVALID:
                     # early-flushed mid-interval (notice hit a dirty
                     # page) and not refetched: mirrors phase A exactly
                     continue
                 else:
                     self.pagetable.drop_twin(p)
-                    entry.state = PageState.CLEAN
-                    entry.version = (
-                        entry.version.merge(new_vt) if entry.version else new_vt
+                    self.pagetable.set_state(p, PageState.CLEAN, "seal")
+                    self.pagetable.set_version(
+                        p, entry.version.merge(new_vt) if entry.version else new_vt
                     )
             self.vt = new_vt
         self.interval_index += 1
@@ -536,12 +540,12 @@ class ReplayNode:
         self.interval_index = snap.interval_index
         for p, (state, version) in snap.page_states.items():
             entry = self.pagetable.entry(p)
-            entry.version = version
+            self.pagetable.set_version(p, version)
             if state is PageState.DIRTY and entry.home != self.id:
                 # checkpoints land on seal boundaries, so dirty pages
                 # are rare -- but a restored one needs its twin back
                 self.pagetable.make_twin(p, self.memory.page_bytes(p))
-            entry.state = state
+            self.pagetable.set_state(p, state, "restore")
             if state is PageState.DIRTY:
                 self.pagetable.mark_dirty(p)
 
@@ -711,11 +715,7 @@ def compare_state(
             continue
         if s_state is PageState.INVALID and entry.home != replay.id:
             continue  # dead frames carry no meaning
-        lo = p * page_size
-        if not np.array_equal(
-            replay.memory.buffer[lo : lo + page_size],
-            snapshot.memory[lo : lo + page_size],
-        ):
+        if not np.array_equal(replay.memory.page_bytes(p), snapshot.frames[p]):
             mismatches.append(f"page {p}: contents differ")
         if s_ver != entry.version:
             mismatches.append(f"page {p}: version {entry.version} != {s_ver}")

@@ -316,9 +316,9 @@ class Replicator:
     ) -> None:
         """Adopt the initial image of ``primary``'s home pages.
 
-        Called at system construction, before anything runs, when every
-        node's memory still holds the pristine shared image -- so the
-        mirror base equals the primary's initial home-page state.
+        Called at system construction, before anything runs, with the
+        primary's memory -- so the mirror base equals the primary's
+        initial home-page state.
         """
         st = MirrorState(primary)
         for p in pages:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Tuple
 
+import numpy as np
+
 from ..dsm.hlrc import HlrcNode
 from ..dsm.interval import VectorClock
 from ..dsm.messages import (
@@ -35,7 +37,6 @@ from ..dsm.messages import (
     ReconRequest,
 )
 from ..errors import RecoveryError
-from ..memory import LocalMemory
 from ..sim.disk import Disk
 from ..sim.network import NetMessage, Network
 
@@ -45,7 +46,7 @@ __all__ = ["SurvivorResponder", "FailedNodeResponder"]
 class SurvivorResponder:
     """One survivor's recovery service, built from its phase-A state."""
 
-    def __init__(self, node: HlrcNode, checkpoint_memory: LocalMemory):
+    def __init__(self, node: HlrcNode, checkpoint_image: np.ndarray):
         self.id = node.id
         self.page_size = node.cfg.page_size
         self.log = getattr(node.hooks, "log", None)
@@ -54,10 +55,10 @@ class SurvivorResponder:
         self.final_versions: Dict[int, VectorClock] = {
             p: node.pagetable.entry(p).version for p in node.pagetable.home_pages()
         }
-        #: The survivor's most recent checkpoint image of its home pages
-        #: (the initial image in the paper's no-intermediate-checkpoint
+        #: The survivor's most recent checkpoint image, by page (the
+        #: shared initial image in the paper's no-intermediate-checkpoint
         #: experiments).
-        self.checkpoint_memory = checkpoint_memory
+        self.checkpoint_pages = checkpoint_image.reshape(-1, self.page_size)
         self.requests_served = 0
 
     # ------------------------------------------------------------------
@@ -101,7 +102,7 @@ class SurvivorResponder:
             items.append(
                 ReconPage(
                     page,
-                    checkpoint=self.checkpoint_memory.page_bytes(page).copy(),
+                    checkpoint=self.checkpoint_pages[page].copy(),
                     history=history,
                 )
             )
@@ -175,14 +176,14 @@ class FailedNodeResponder(SurvivorResponder):
       -- every diff travels with its timestamp).
     """
 
-    def __init__(self, node, checkpoint_memory: LocalMemory, log):
+    def __init__(self, node, checkpoint_image: np.ndarray, log):
         # note: deliberately NOT calling super().__init__ -- the frozen
         # memory/state of `node` must not be touched (it is "lost")
         self.id = node.id
         self.page_size = node.cfg.page_size
         self.log = log
         self.home_pages = set(node.pagetable.home_pages())
-        self.checkpoint_memory = checkpoint_memory
+        self.checkpoint_pages = checkpoint_image.reshape(-1, self.page_size)
         self.requests_served = 0
 
     def serve_recon(self, req: ReconRequest) -> ReconReply:
@@ -207,7 +208,7 @@ class FailedNodeResponder(SurvivorResponder):
                 items.append(
                     ReconPage(
                         page,
-                        checkpoint=self.checkpoint_memory.page_bytes(page).copy(),
+                        checkpoint=self.checkpoint_pages[page].copy(),
                         history=history,
                     )
                 )

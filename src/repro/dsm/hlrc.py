@@ -30,7 +30,6 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
-
 from ..errors import ProtocolError
 from ..memory import LocalMemory, PageState, PageTable, create_diff, apply_diff
 from ..memory.diff import Diff
@@ -104,11 +103,12 @@ class HlrcNode:
         # active, and the bare network otherwise (identical surface)
         self.net = getattr(system, "transport", None) or system.network
         self.disk = system.disks[node_id]
-        self.memory = LocalMemory(system.space)
         self.pagetable = PageTable(
             node_id, system.space.npages, system.homes,
             pool=system.space.buffer_pool,
         )
+        # only a home frame starts valid; the rest materialise when fetched
+        self.memory = LocalMemory(system.space, live=self.pagetable.home_pages())
         self.pagetable.on_transition = self._on_page_transition
         self.stats = NodeStats(node_id)
         self.hooks = hooks or NoLogging()
@@ -134,7 +134,7 @@ class HlrcNode:
         #: page -> [(writer, vt_index, part, vt)].
         self.home_events: Dict[int, List[Tuple[int, int, int, VectorClock]]] = {}
         for p in self.pagetable.home_pages():
-            self.pagetable.entry(p).version = VectorClock.zero(n)
+            self.pagetable.set_version(p, VectorClock.zero(n))
             self.home_events[p] = []
 
         #: Under-approximation of what each peer's interval table covers
@@ -379,7 +379,7 @@ class HlrcNode:
                 # and so the end-of-interval home diff captures only the
                 # home's own words
                 apply_diff(d, entry.twin)
-            entry.version = entry.version.merge(batch.vt)
+            self.pagetable.set_version(d.page, entry.version.merge(batch.vt))
             self.home_events[d.page].append(
                 (batch.writer, batch.interval_index, batch.part, batch.vt)
             )
@@ -835,7 +835,7 @@ class HlrcNode:
                             )
                     else:
                         self.home_events[p].append((self.id, vt_index, 0, new_vt))
-                    entry.version = entry.version.merge(new_vt)
+                    self.pagetable.set_version(p, entry.version.merge(new_vt))
                 elif entry.state is PageState.INVALID:
                     # the page was early-flushed (diffed + invalidated by
                     # a mid-interval notice) and not touched since; its
@@ -850,7 +850,7 @@ class HlrcNode:
                     d = create_diff(p, entry.twin, self.memory.page_bytes(p))
                     self.pagetable.drop_twin(p)
                     self.pagetable.set_state(p, PageState.CLEAN, "seal")
-                    entry.version = entry.version.merge(new_vt) if entry.version else new_vt
+                    self.pagetable.set_version(p, entry.version.merge(new_vt) if entry.version else new_vt)
                     if not d.is_empty:
                         remote_diffs.append(d)
             if scan_cost:
@@ -1017,7 +1017,7 @@ class HlrcNode:
         reply: PageReply = msg.payload
         self.memory.page_bytes(page)[:] = reply.contents
         self.pagetable.set_state(page, PageState.CLEAN, "fetch")
-        entry.version = reply.version
+        self.pagetable.set_version(page, reply.version)
         self.stats.count("page_faults")
         self.stats.count("page_bytes_fetched", len(reply.contents))
         self.stats.charge("fault", self.sim.now - t0)

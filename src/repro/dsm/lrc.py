@@ -102,11 +102,11 @@ class LrcNode(HlrcNode):
         # replicated initial image); no page has a home (home = -1
         # disarms the home-copy guards)
         n = self.cfg.num_nodes
+        self.memory.restore(system.space.initial_image())
         for p in range(self.pagetable.npages):
-            entry = self.pagetable.entry(p)
-            entry.version = VectorClock.zero(n)
-            entry.state = PageState.CLEAN
-            entry.home = -1
+            self.pagetable.set_version(p, VectorClock.zero(n))
+            self.pagetable.set_state(p, PageState.CLEAN, "init")
+            self.pagetable.set_home(p, -1)
         self.home_events.clear()
 
     # ==================================================================
@@ -216,7 +216,7 @@ class LrcNode(HlrcNode):
                 d = create_diff(p, entry.twin, self.memory.page_bytes(p))
                 self.pagetable.drop_twin(p)
                 self.pagetable.set_state(p, PageState.CLEAN, "seal")
-                entry.version = entry.version.merge(new_vt)
+                self.pagetable.set_version(p, entry.version.merge(new_vt))
                 if not d.is_empty:
                     self._store_diff(p, vt_index, 0, new_vt, d)
                     self.stats.count("diffs_created")
@@ -302,7 +302,7 @@ class LrcNode(HlrcNode):
         if apply_cost:
             yield apply_cost
         self.pagetable.set_state(page, PageState.CLEAN, "fill")
-        entry.version = version
+        self.pagetable.set_version(page, version)
         self.stats.count("page_faults")
         self.stats.count("diff_fetch_round_trips", len(sigs))
         self.stats.charge("fault", self.sim.now - t0)

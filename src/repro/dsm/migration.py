@@ -98,13 +98,13 @@ class MigratingHlrcNode(HlrcNode):
         self.phase_writers = {}
         for page, new_home in migrations:
             entry = self.pagetable.entry(page)
-            entry.home = new_home
+            self.pagetable.set_home(page, new_home)
             if new_home == self.id:
                 # the sole writer's copy *is* the home copy (see module
                 # docstring); it only needs the home bookkeeping
                 self.home_events.setdefault(page, [])
                 if entry.version is None:  # pragma: no cover - defensive
-                    entry.version = VectorClock.zero(self.cfg.num_nodes)
+                    self.pagetable.set_version(page, VectorClock.zero(self.cfg.num_nodes))
                 self.stats.count("homes_gained")
             self.stats.count("migrations_seen")
 

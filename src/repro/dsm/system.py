@@ -193,8 +193,8 @@ class DsmSystem:
         self._protocol_name = protocol_name or self.nodes[0].hooks.name
 
         # quorum-replicated homes: plan the replica groups and seed every
-        # follower's mirror from the pristine initial image (all node
-        # memories are identical until the first simulated event)
+        # follower's mirror from the primary's pristine home frames
+        # (nothing has run yet, and only home frames start materialised)
         self.replication = replication
         self.replica_groups: Dict[int, Any] = {}
         if replication >= 2:
@@ -212,7 +212,7 @@ class DsmSystem:
             for primary, group in self.replica_groups.items():
                 for f in group.followers:
                     self.nodes[f].replicator.init_follower(
-                        primary, pages_of[primary], self.nodes[f].memory, n
+                        primary, pages_of[primary], self.nodes[primary].memory, n
                     )
 
     # ------------------------------------------------------------------

@@ -69,6 +69,7 @@ class SharedAddressSpace:
         self._end = 0
         self._sealed = False
         self._pool: Optional[BufferPool] = None
+        self._image: Optional[np.ndarray] = None
 
     @property
     def buffer_pool(self) -> BufferPool:
@@ -149,9 +150,21 @@ class SharedAddressSpace:
         except KeyError:
             raise MemoryLayoutError(f"no shared variable named {name!r}") from None
 
-    def initial_contents(self, name: str) -> Optional[np.ndarray]:
-        """The ``init`` array registered for ``name``, if any."""
-        return self._initial.get(name)
+    def initial_image(self) -> np.ndarray:
+        """The whole segment's initial contents: built once, read-only.
+
+        Every node image starts from it, and it is the initial
+        checkpoint recovery rolls back to; asking for it seals the space.
+        """
+        if self._image is None:
+            self.seal()
+            image = np.zeros(self.total_bytes, dtype=np.uint8)
+            for name, init in self._initial.items():
+                var = self._vars[name]
+                image[var.offset : var.end] = init.reshape(-1).view(np.uint8)
+            image.flags.writeable = False
+            self._image = image
+        return self._image
 
     def pages_of(self, var: SharedVar) -> range:
         """All page ids the variable touches."""

@@ -68,6 +68,10 @@ class PageTable:
         #: Optional observer of state-machine transitions (the coherence
         #: sanitizer's tracer hook); None keeps transitions free.
         self.on_transition: Optional[TransitionFn] = None
+        #: Sets fed every page whose entry (state, version, home) or
+        #: frame (:meth:`mark_dirty`) is written: an incremental crash
+        #: snapshot registers one and re-reads only what lands in it.
+        self.watchers: List[set[int]] = []
 
     # ------------------------------------------------------------------
     def entry(self, page: int) -> PageEntry:
@@ -100,9 +104,28 @@ class PageTable:
         old = entry.state
         if old is not state:
             entry.state = state
+            for watched in self.watchers:
+                watched.add(page)
             if self.on_transition is not None:
                 self.on_transition(page, old, state, reason)
         return entry
+
+    def set_version(self, page: int, version: Any) -> None:
+        """Stamp ``page`` with a new coherence version.
+
+        Every change of a frame's contents by the protocol (fetch, diff
+        application, seal) comes with one, which is what lets
+        :attr:`watchers` stand for "the frame may have changed".
+        """
+        self.entry(page).version = version
+        for watched in self.watchers:
+            watched.add(page)
+
+    def set_home(self, page: int, home: int) -> None:
+        """Re-home ``page`` (home migration)."""
+        self.entry(page).home = home
+        for watched in self.watchers:
+            watched.add(page)
 
     def invalidate(self, page: int) -> bool:
         """Drop the local copy of a non-home page; returns True if it was valid.
@@ -152,6 +175,8 @@ class PageTable:
     def mark_dirty(self, page: int) -> None:
         """Add ``page`` to the current interval's dirty set."""
         self.dirty_pages.add(page)
+        for watched in self.watchers:
+            watched.add(page)
 
     def take_dirty(self) -> List[int]:
         """Return and clear the dirty set (called at release/barrier)."""

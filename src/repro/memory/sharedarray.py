@@ -1,14 +1,16 @@
 """Node-local memory images and NumPy views of shared variables.
 
-Every node holds a full image of the shared segment
+Every node maps the full range of the shared segment
 (:class:`LocalMemory`), exactly as a page-based DSM maps the same
-virtual range on every host.  :class:`SharedArray` binds a
+virtual range on every host; a frame materialises when it becomes valid.  :class:`SharedArray` binds a
 :class:`~repro.memory.addrspace.SharedVar` to one node's image and
 exposes it as a NumPy array, plus the element-range -> page-set mapping
 the access-annotation API needs.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,20 +30,27 @@ def pages_in_byte_range(byte_lo: int, byte_hi: int, page_size: int) -> range:
 class LocalMemory:
     """One node's image of the shared segment.
 
-    The image starts from the replicated initial contents registered in
-    the address space, which double as the initial checkpoint that
-    recovery rolls back to.
+    The image spans the whole range, but only the ``live`` pages -- the
+    frames that start out valid -- are copied from the replicated
+    initial contents (:meth:`SharedAddressSpace.initial_image`, which
+    doubles as the initial checkpoint recovery rolls back to).  The
+    rest stay the untouched zero pages of ``np.zeros``, which the OS
+    does not back until the protocol makes them valid by writing them.
+    ``live=None`` starts every frame valid.
     """
 
-    def __init__(self, space: SharedAddressSpace):
-        space.seal()
+    def __init__(self, space: SharedAddressSpace, live: Optional[Iterable[int]] = None):
+        image = space.initial_image()
         self.space = space
         self.page_size = space.page_size
-        self.buffer = np.zeros(space.total_bytes, dtype=np.uint8)
-        for var in space.variables:
-            init = space.initial_contents(var.name)
-            if init is not None:
-                self._var_bytes(var)[:] = init.reshape(-1).view(np.uint8)
+        if live is None:
+            self.buffer = image.copy()
+        else:
+            pages = list(live)
+            self.buffer = np.zeros(space.total_bytes, dtype=np.uint8)
+            self.buffer.reshape(-1, self.page_size)[pages] = image.reshape(
+                -1, self.page_size
+            )[pages]
 
     # ------------------------------------------------------------------
     def page_bytes(self, page: int) -> np.ndarray:

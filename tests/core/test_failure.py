@@ -1,9 +1,19 @@
 """Tests for failure specification and crash-point capture."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core import CrashProbe, FailureSnapshot, FailureSpec, make_hooks_factory
+from repro.core import (
+    Checkpointer,
+    CrashProbe,
+    FailureSnapshot,
+    FailureSpec,
+    make_hooks_factory,
+)
 from repro.dsm import DsmSystem
 from repro.memory import PageState
 from tests.core.conftest import BarrierApp
@@ -34,7 +44,15 @@ class TestCrashProbe:
         assert snap.node_id == 1
         assert snap.seal_count == 2
         assert snap.time > 0
-        assert isinstance(snap.memory, np.ndarray)
+        # one read-only frame per live page (valid copy or home), no image
+        live = {
+            p for p, (state, _v) in snap.page_states.items()
+            if state is not PageState.INVALID or system.homes[p] == 1
+        }
+        assert set(snap.frames) == live and 0 < len(live) < system.space.npages
+        for frame in snap.frames.values():
+            assert frame.shape == (small_cluster.page_size,)
+            assert not frame.flags.writeable
 
     def test_none_seal_keeps_last(self, small_cluster):
         system = DsmSystem(
@@ -121,6 +139,53 @@ class TestCrashProbe:
         # natural flush already retired them
         assert after_once >= records_before
 
+    def test_finalize_never_seals_a_record_that_recycled_a_freed_id(
+        self, small_cluster
+    ):
+        """The probe must hold the crash interval's volatile tail itself.
+
+        Checkpoint retention truncates the log past the crash interval;
+        a log that then frees what it reclaimed lets CPython hand the
+        freed records' ids to later ones, and a probe that remembered
+        the tail by ``id`` would seal those strangers in ``finalize()``.
+        Whether an id is recycled is the allocator's choice, so the test
+        pins the cause: the tail records outlive everything but the probe.
+        """
+        system = DsmSystem(
+            BarrierApp(iters=3), small_cluster, make_hooks_factory("ccl")
+        )
+        system.nodes[1].checkpointer = Checkpointer(1, retention=1)
+        tail = []
+
+        def watch_tail(node, seal_count):
+            if node.id == 1 and seal_count == 3:
+                tail.extend(weakref.ref(r) for r in node.hooks.log._volatile)
+
+        probe = CrashProbe(node=1, at_seal=3)
+        system.add_probe(probe)
+        system.add_probe(watch_tail)
+        system.run()
+        log = system.nodes[1].hooks.log
+        assert tail, "nothing was volatile at the crash point"
+        assert log.truncated_below > 3, "the crash interval was not reclaimed"
+        # what a reclaiming truncation is entitled to do: forget the records
+        strangers = [copy.copy(r) for r in log.all_records]
+        log._persistent.clear()
+        log._volatile.clear()
+        log._by_interval.clear()
+        log._own_by_vtidx.clear()
+        for segment in log._segments:
+            segment.records.clear()
+        gc.collect()
+        assert all(ref() is not None for ref in tail), (
+            "the crash tail was freed under the probe: its ids can be recycled"
+        )
+        log._volatile.extend(strangers)
+        probe.finalize()
+        assert log._volatile == strangers and not log._persistent, (
+            "finalize() sealed records appended after the crash point"
+        )
+
     def test_capture_all_retains_every_seal(self, small_cluster):
         system = DsmSystem(
             BarrierApp(iters=3), small_cluster, make_hooks_factory("ccl")
@@ -136,27 +201,32 @@ class TestCrashProbe:
     def test_refreshed_snapshot_equals_a_fresh_one_at_every_seal(
         self, small_cluster, capture_all
     ):
-        """The overwritten snapshot is refreshed in place; it must read
-        exactly as a newly built one, seal after seal."""
+        """A snapshot advanced over the watched pages only must read
+        exactly as one built from every page, seal after seal."""
         system = DsmSystem(
             BarrierApp(iters=3), small_cluster, make_hooks_factory("ccl")
         )
         probe = CrashProbe(node=1, capture_all=capture_all)
         fresh = {}
-        images = set()
+        objects = set()
+
+        def same(got, want):
+            assert vars(got).keys() == vars(want).keys()
+            for field, value in vars(want).items():
+                if field == "frames":
+                    assert got.frames.keys() == value.keys()
+                    for p, frame in value.items():
+                        assert np.array_equal(got.frames[p], frame), p
+                else:
+                    assert getattr(got, field) == value, field
 
         def check(node, seal_count):
             if node.id != 1:
                 return
-            want = fresh[seal_count] = FailureSnapshot(node, seal_count)
-            got = probe.snapshot
-            images.add(id(got.memory))
-            assert vars(got).keys() == vars(want).keys()
-            for field, value in vars(want).items():
-                if field == "memory":
-                    assert np.array_equal(got.memory, value)
-                else:
-                    assert getattr(got, field) == value, field
+            want = fresh[seal_count] = FailureSnapshot(node.id)
+            want.advance(node, seal_count, range(node.pagetable.npages))
+            objects.add(id(probe.snapshot))
+            same(probe.snapshot, want)
 
         system.add_probe(probe)
         system.add_probe(check)  # runs after the CrashProbe at each seal
@@ -166,7 +236,6 @@ class TestCrashProbe:
             # the retained snapshots are the only copies, and stay untouched
             assert probe.snapshot is probe.snapshots[6]
             for seal, want in fresh.items():
-                assert np.array_equal(probe.snapshots[seal].memory, want.memory)
-                assert probe.snapshots[seal].page_states == want.page_states
+                same(probe.snapshots[seal], want)
         else:
-            assert len(images) == 1, "a new image was allocated for an overwrite"
+            assert len(objects) == 1, "an overwrite built a new snapshot"

@@ -12,7 +12,6 @@ from repro.core import (
 from repro.dsm import DsmSystem, VectorClock
 from repro.dsm.messages import LogDiffRequest, ReconRequest
 from repro.errors import RecoveryError
-from repro.memory import LocalMemory
 from tests.core.conftest import BarrierApp
 
 
@@ -38,7 +37,7 @@ class TestSurvivorResponder:
     def test_direct_path_for_frozen_version(self, phase_a):
         node = phase_a.nodes[1]
         page, _events = some_home_page(phase_a, 1)
-        resp = SurvivorResponder(node, LocalMemory(phase_a.space))
+        resp = SurvivorResponder(node, phase_a.space.initial_image())
         frozen = node.pagetable.entry(page).version
         reply = resp.serve_recon(ReconRequest(0, [(page, frozen, None)]))
         item = reply.items[0]
@@ -49,7 +48,7 @@ class TestSurvivorResponder:
     def test_checkpoint_path_for_old_version(self, phase_a):
         node = phase_a.nodes[1]
         page, events = some_home_page(phase_a, 1)
-        resp = SurvivorResponder(node, LocalMemory(phase_a.space))
+        resp = SurvivorResponder(node, phase_a.space.initial_image())
         zero = VectorClock.zero(4)
         reply = resp.serve_recon(ReconRequest(0, [(page, zero, None)]))
         item = reply.items[0]
@@ -61,7 +60,7 @@ class TestSurvivorResponder:
         page, events = some_home_page(phase_a, 1)
         if len(events) < 2:
             pytest.skip("need at least two update events")
-        resp = SurvivorResponder(node, LocalMemory(phase_a.space))
+        resp = SurvivorResponder(node, phase_a.space.initial_image())
         # an intermediate version: newer than `have`, older than frozen
         needed = events[-2][3]
         have = events[0][3]
@@ -82,7 +81,7 @@ class TestSurvivorResponder:
         foreign = next(
             p for p in range(phase_a.space.npages) if phase_a.homes[p] != 1
         )
-        resp = SurvivorResponder(node, LocalMemory(phase_a.space))
+        resp = SurvivorResponder(node, phase_a.space.initial_image())
         with pytest.raises(RecoveryError):
             resp.serve_recon(
                 ReconRequest(0, [(foreign, VectorClock.zero(4), None)])
@@ -97,7 +96,7 @@ class TestSurvivorResponder:
         assert own
         target = own[0]
         page = target.diffs[0].page
-        resp = SurvivorResponder(node, LocalMemory(phase_a.space))
+        resp = SurvivorResponder(node, phase_a.space.initial_image())
         reply, nbytes = resp.serve_logdiff(
             LogDiffRequest(1, wants=[(page, target.vt_index, 0)])
         )
@@ -114,7 +113,7 @@ class TestFailedNodeResponder:
     def test_history_rederived_from_log(self, phase_a):
         node = phase_a.nodes[1]
         page, events = some_home_page(phase_a, 1)
-        failed = FailedNodeResponder(node, LocalMemory(phase_a.space),
+        failed = FailedNodeResponder(node, phase_a.space.initial_image(),
                                      node.hooks.log)
         frozen = node.pagetable.entry(page).version
         reply = failed.serve_recon(ReconRequest(0, [(page, frozen, None)]))
@@ -129,7 +128,7 @@ class TestFailedNodeResponder:
     def test_delta_history_is_unfiltered(self, phase_a):
         node = phase_a.nodes[1]
         page, _events = some_home_page(phase_a, 1)
-        failed = FailedNodeResponder(node, LocalMemory(phase_a.space),
+        failed = FailedNodeResponder(node, phase_a.space.initial_image(),
                                      node.hooks.log)
         frozen = node.pagetable.entry(page).version
         have = VectorClock.zero(4)

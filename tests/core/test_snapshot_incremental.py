@@ -22,7 +22,9 @@ import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
 from repro.core import CrashProbe
+from repro.errors import SimulationError
 from repro.harness.scales import app_kwargs
+from repro.memory import PageTable
 from tests.core.reference_snapshot import ReferenceSnapshot
 from tests.dsm.conftest import small_config
 from tests.dsm.test_migration import sole_writer_app
@@ -30,11 +32,6 @@ from tests.obs.test_trace_contract import early_diff_system
 
 APPS = ("sor", "fft3d", "mg", "shallow", "water")
 SCHEMES = ("ccl", "ml", "adaptive", "failover")
-
-
-def _frame(snapshot, page, page_size):
-    """The snapshot's copy of one frame (the one shape-dependent read)."""
-    return snapshot.memory[page * page_size:(page + 1) * page_size]
 
 
 def _differences(snapshot, ref, page_size):
@@ -50,11 +47,17 @@ def _differences(snapshot, ref, page_size):
             for p, want in ref.page_states.items()
             if snapshot.page_states.get(p) != want
         ))
+    if set(snapshot.frames) != ref.live:
+        out.append(f"frames kept for {sorted(set(snapshot.frames) ^ ref.live)} "
+                   "disagree with liveness")
     out += [
         f"page {p}: frame bytes differ"
-        for p in sorted(ref.live)
-        if not np.array_equal(_frame(snapshot, p, page_size),
-                              ref.frame(p, page_size))
+        for p in sorted(ref.live & set(snapshot.frames))
+        if not np.array_equal(snapshot.frames[p], ref.frame(p, page_size))
+    ]
+    out += [
+        f"page {p}: frame is writeable"
+        for p, frame in snapshot.frames.items() if frame.flags.writeable
     ]
     return out
 
@@ -106,16 +109,32 @@ def _checked(system):
     return oracle.check_retained()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("app", APPS)
-def test_snapshot_equals_reference_at_every_seal(app, scheme):
-    system = DsmSystem(
+def _app_system(app, scheme):
+    return DsmSystem(
         make_app(app, **app_kwargs(app, "test")),
         ClusterConfig.ultra5(num_nodes=4),
         make_hooks_factory(scheme), protocol_name=scheme,
         replication=2 if scheme == "failover" else 1,
     )
-    assert _checked(system) >= 8
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("app", APPS)
+def test_snapshot_equals_reference_at_every_seal(app, scheme):
+    assert _checked(_app_system(app, scheme)) >= 8
+
+
+def test_a_version_written_behind_the_watchers_back_is_caught(monkeypatch):
+    """Mutation guard: the oracle must notice a frame the page table
+    changed (a diff applied at the home) without reporting the page."""
+
+    def set_version_unwatched(self, page, version):
+        self.entry(page).version = version
+
+    monkeypatch.setattr(PageTable, "set_version", set_version_unwatched)
+    # the probe runs inside a simulated process, which wraps what it raises
+    with pytest.raises(SimulationError, match="departs from the whole-image"):
+        _checked(_app_system("shallow", "ccl"))
 
 
 def test_homeless_lrc_every_page_is_live():

@@ -345,6 +345,9 @@ class ReplayNode:
         self.disk = world.disks[plan.victim]
         self.cfg = config
         self.id = plan.victim
+        # every frame starts from the initial image: a restoring replay runs
+        # the program over frames nothing fetches before the checkpoint lands
+        self.memory = LocalMemory(space)
         self.pagetable = PageTable(
             self.id, space.npages, system_a.homes, pool=space.buffer_pool
         )
@@ -369,11 +372,6 @@ class ReplayNode:
         #: image verbatim when the replay reaches its seal.
         self.restore_mode = (
             plan.checkpoint is not None and plan.plog.truncated_below > 0
-        )
-        # the skipped intervals still run the program, over frames nothing
-        # fetches: those must read as the initial image, not as zeros
-        self.memory = LocalMemory(
-            space, live=None if self.restore_mode else self.pagetable.home_pages()
         )
         self.stats = NodeStats(self.id)
         self._engines = {mode: cls() for mode, cls in self.engines.items()}
@@ -713,8 +711,8 @@ def compare_state(
         if entry.state is not s_state:
             mismatches.append(f"page {p}: state {entry.state} != {s_state}")
             continue
-        if s_state is PageState.INVALID and entry.home != replay.id:
-            continue  # dead frames carry no meaning
+        if p not in snapshot.frames:
+            continue  # dead frames carry no meaning: the snapshot keeps none
         if not np.array_equal(replay.memory.page_bytes(p), snapshot.frames[p]):
             mismatches.append(f"page {p}: contents differ")
         if s_ver != entry.version:

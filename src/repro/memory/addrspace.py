@@ -162,6 +162,7 @@ class SharedAddressSpace:
             for name, init in self._initial.items():
                 var = self._vars[name]
                 image[var.offset : var.end] = init.reshape(-1).view(np.uint8)
+            self._initial.clear()  # the image holds the same bytes from here on
             image.flags.writeable = False
             self._image = image
         return self._image

@@ -152,9 +152,10 @@ class TestCrashProbe:
         pins the cause: the tail records outlive everything but the probe.
         """
         system = DsmSystem(
-            BarrierApp(iters=3), small_cluster, make_hooks_factory("ccl")
+            BarrierApp(iters=3), small_cluster, make_hooks_factory("ml")
         )
-        system.nodes[1].checkpointer = Checkpointer(1, retention=1)
+        for node in system.nodes:
+            node.checkpointer = Checkpointer(1, retention=1)
         tail = []
 
         def watch_tail(node, seal_count):

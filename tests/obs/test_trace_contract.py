@@ -73,9 +73,25 @@ def _app_trace(app: str, protocol: str) -> Tracer:
     ))
 
 
-def early_diff_system(**system_kwargs) -> DsmSystem:
+def _reread(dsm):
+    yield from dsm.read("x", 0, 4)
+
+
+def _rewrite(dsm):
+    yield from dsm.write("x", 40, 42)
+    dsm.arr("x")[40:42] = 3
+
+
+#: What rank 1 does to the early-diffed page once it holds the lock:
+#: nothing (the traced program), read it back, or write it again.
+REACCESS = {"reread": _reread, "rewrite": _rewrite}
+
+
+def early_diff_app(reaccess=None) -> MiniApp:
     """Rank 1 dirties a page, then acquires the lock rank 0 wrote the
-    same page under: the write notice hits a dirty page (early diff)."""
+    same page under: the write notice hits a dirty page (early diff).
+    ``reaccess`` (a :data:`REACCESS` value) runs on rank 1 under the
+    lock, touching the page again in the interval that flushed it."""
 
     def alloc(space, nprocs):
         space.allocate("x", (64,), np.int32, init=np.zeros(64, np.int32))
@@ -92,12 +108,19 @@ def early_diff_system(**system_kwargs) -> DsmSystem:
                 yield from dsm.write("x", lo, lo + 3)
                 dsm.arr("x")[lo:lo + 3] = 2
             yield from dsm.acquire(1)
+            if reaccess is not None:
+                yield from reaccess(dsm)
             yield from dsm.release(1)
         yield from dsm.barrier()
 
+    return MiniApp(alloc, program, lambda space, nprocs: [2] * space.npages)
+
+
+def early_diff_system(protocol="ccl", reaccess=None, **system_kwargs) -> DsmSystem:
+    """:func:`early_diff_app` on 3 small-page nodes under ``protocol``."""
     return DsmSystem(
-        MiniApp(alloc, program, lambda space, nprocs: [2] * space.npages),
-        small_config(3), make_hooks_factory("ccl"), protocol_name="ccl",
+        early_diff_app(reaccess), small_config(3),
+        make_hooks_factory(protocol), protocol_name=protocol,
         **system_kwargs,
     )
 

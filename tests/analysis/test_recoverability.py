@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import audit_recoverability
 from repro.analysis.sanitize import install, is_installed
-from repro.core import CoherenceCentricLogging, MessageLogging
+from repro.core import CoherenceCentricLogging, CrashProbe, MessageLogging
 from repro.core.logrecords import (
     NoticeLogRecord,
     OwnDiffLogRecord,
@@ -13,9 +13,12 @@ from repro.core.logrecords import (
     UpdateEventLogRecord,
 )
 from repro.dsm import DsmSystem
+from repro.core.recovery import _replay_victims, compare_state, plan_victim
 from repro.errors import RecoverabilityError
+from repro.sim.trace import Tracer
 
 from tests.analysis.conftest import build_system, raw_run
+from tests.obs.test_trace_contract import REACCESS, early_diff_system
 
 
 def writer_program(dsm):
@@ -67,6 +70,48 @@ class TestCleanRuns:
         report = audit_recoverability(system)
         assert report.ok
         assert report.skipped_reason is not None
+
+
+class TestEarlyDiffReaccess:
+    """The fetch constraint: a logged fetch at version V is rebuilt from
+    the diffs V covers that existed when the fetch happened.  The
+    fetcher's own end-of-interval diff carries the same clock as an
+    early diff and a version fetched in that interval, but is sealed
+    after the fetch, so it must not enter the rebuild."""
+
+    @pytest.mark.parametrize("protocol", ["ccl", "ml"])
+    @pytest.mark.parametrize("reaccess", sorted(REACCESS))
+    def test_audit_is_clean(self, reaccess, protocol):
+        system = early_diff_system(protocol, REACCESS[reaccess],
+                                   tracer=Tracer(enabled=True))
+        assert raw_run(system).completed
+        report = audit_recoverability(system)
+        assert report.ok, [str(p) for p in report.problems]
+        assert report.fetches_checked == 3
+        assert report.content_checked
+
+    @pytest.mark.parametrize("protocol", ["ccl", "ml"])
+    def test_crash_at_every_traced_instant_recovers(self, protocol):
+        """The clean audit is right: rank 1 recovers bit-exactly from a
+        crash at any traced instant after its first seal, each replay
+        re-fetching the version the audit rebuilds."""
+        system = early_diff_system(protocol, REACCESS["rewrite"],
+                                   tracer=Tracer(enabled=True))
+        probe = CrashProbe(1, capture_all=True)
+        system.add_probe(probe)
+        assert raw_run(system).completed
+        probe.finalize()
+        recovered = 0
+        for t in sorted({ev.time for ev in system.tracer.events}):
+            plan = plan_victim(system, probe, t)
+            if plan.stop_at < 1:
+                continue  # nothing sealed yet: a restart, not a replay
+            replay = _replay_victims(system.app, system.config, protocol,
+                                     system, [plan])[1]
+            assert compare_state(replay, plan.snapshot,
+                                 system.config.page_size) == [], t
+            recovered += 1
+        assert recovered >= 5
 
 
 class TestSeededCorruption:

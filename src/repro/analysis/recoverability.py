@@ -21,9 +21,12 @@ every crash point).  The auditor therefore:
    from the pristine initial image (the checkpoint every node holds at
    interval zero), it applies -- in the same causal order recovery uses
    (:meth:`ReplayNode.causal_sort`) -- every logged diff of that page
-   whose timestamp the fetched version covers, and compares the result,
-   by CRC, against the bytes the fetcher actually installed (recorded
-   by the tracer's ``page_fetch`` events).  The first version that
+   whose timestamp the fetched version covers and that existed when the
+   fetch happened -- the fetcher's own end-of-interval diffs of the
+   bundle it fetched in are sealed later, even when their clock equals
+   the fetched version -- and compares the result, by CRC, against the
+   bytes the fetcher actually installed (recorded by the tracer's
+   ``page_fetch`` events).  The first version that
    cannot be rebuilt bit-exactly is reported as a hard error naming the
    page and version.
 
@@ -244,23 +247,20 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
         )
         return report
 
-    # index every logged diff once: page -> [(diff, writer, index, part, vt)]
-    by_page: Dict[int, List[Tuple[Diff, int, int, int, object]]] = {}
+    # index every logged diff once: page -> [(diff, writer, index, part,
+    # vt, bundle)]; the writer's bundle locates its end-of-interval parts
+    by_page: Dict[int, List[Tuple[Diff, int, int, int, object, int]]] = {}
     for node in system.nodes:
         for rec in logs[node.id].all_records:
             if not isinstance(rec, OwnDiffLogRecord):
                 continue
-            for d in rec.diffs:
+            for d in (*rec.diffs, *rec.home_diffs):
                 by_page.setdefault(d.page, []).append(
-                    (d, node.id, rec.vt_index, 0, rec.vt)
-                )
-            for d in rec.home_diffs:
-                by_page.setdefault(d.page, []).append(
-                    (d, node.id, rec.vt_index, 0, rec.vt)
+                    (d, node.id, rec.vt_index, 0, rec.vt, rec.interval)
                 )
             for part, d, evt in rec.early:
                 by_page.setdefault(d.page, []).append(
-                    (d, node.id, rec.vt_index, part, evt)
+                    (d, node.id, rec.vt_index, part, evt, rec.interval)
                 )
 
     pristine = system.space.initial_image().reshape(-1, system.space.page_size)
@@ -286,9 +286,15 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
                 continue
             report.fetches_checked += 1
             frame = pristine[rec.page].copy()
+            # the fetch constraint: version V holds the diffs V covers that
+            # existed at the fetch.  The fetcher's own end-of-interval
+            # diffs of the bundle it fetched in are sealed after the fetch,
+            # though their clock may equal V (an early diff of that bundle
+            # carried the same tick to the home), so they are not in it
             entries = [
-                e for e in by_page.get(rec.page, ())
+                e[:5] for e in by_page.get(rec.page, ())
                 if version.dominates(e[4])
+                and not (e[1] == node.id and e[3] == 0 and e[5] == rec.interval)
             ]
             for d, _w, _i, _p, _vt in ReplayNode.causal_sort(entries):
                 apply_diff(d, frame)

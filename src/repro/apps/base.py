@@ -81,56 +81,19 @@ def owner_homes(
 def gather_global(system: "DsmSystem", name: str) -> np.ndarray:
     """Reassemble a shared variable's authoritative global contents.
 
-    Home-based systems: after a final barrier every home copy is up to
-    date (all diffs flushed and acknowledged), so home pages are
-    stitched together.  Homeless systems have no authoritative copy;
-    there a page is taken from any node still holding it valid (a valid
-    copy covers every known write), or reconstructed from a stale frame
-    plus the pending diffs sitting in the writers' repositories.
+    After a final barrier every home copy is up to date (all diffs
+    flushed and acknowledged), so home pages are stitched together.
     """
     var = system.space.var(name)
     page_size = system.config.page_size
     out = np.empty(var.nbytes, dtype=np.uint8)
-    homeless = getattr(system, "coherence", "hlrc") == "lrc"
     for page in system.space.pages_of(var):
-        if homeless:
-            frame = _lrc_page_contents(system, page)
-        else:
-            # consult the live page table, not the initial map: homes
-            # may have migrated (adaptive-home extension)
-            home = system.nodes[0].pagetable.entry(page).home
-            frame = system.nodes[home].memory.page_bytes(page)
+        frame = system.nodes[system.homes[page]].memory.page_bytes(page)
         page_lo = page * page_size
         lo = max(page_lo, var.offset)
         hi = min(page_lo + page_size, var.end)
         out[lo - var.offset : hi - var.offset] = frame[lo - page_lo : hi - page_lo]
     return out.view(var.dtype).reshape(var.shape)
-
-
-def _lrc_page_contents(system: "DsmSystem", page: int) -> np.ndarray:
-    """Current contents of a page in a homeless system (see gather_global)."""
-    from ..memory.diff import apply_diff
-    from ..memory.page import PageState
-
-    for node in system.nodes:
-        if node.pagetable.entry(page).state is not PageState.INVALID:
-            return node.memory.page_bytes(page)
-    # no valid copy: rebuild from node 0's frame + its pending diffs
-    node = system.nodes[0]
-    frame = node.memory.page_bytes(page).copy()
-    have = node.pagetable.entry(page).version
-    entries = []
-    for r in node.pending.get(page, []):
-        if have.dominates(r.vt):
-            continue
-        writer = system.nodes[r.node]
-        for part, vt, diff in writer.diff_repo.get((page, r.index), []):
-            entries.append((diff, r.node, r.index, part, vt))
-    for diff, _w, _i, _p, _vt in sorted(
-        entries, key=lambda e: (e[4].total, e[1], e[2], -e[3])
-    ):
-        apply_diff(diff, frame)
-    return frame
 
 
 class DsmApplication(abc.ABC):

@@ -18,8 +18,6 @@ from .home import (
 )
 from .logginghooks import LoggingHooks, NoLogging
 from .hlrc import HlrcNode
-from .lrc import LrcNode
-from .migration import MigratingHlrcNode
 from .api import Dsm
 from .system import DsmSystem, RunResult
 
@@ -35,8 +33,6 @@ __all__ = [
     "LoggingHooks",
     "NoLogging",
     "HlrcNode",
-    "LrcNode",
-    "MigratingHlrcNode",
     "Dsm",
     "DsmSystem",
     "RunResult",

@@ -189,17 +189,10 @@ class BarrierCheckin:
     episode: int
     vt: VectorClock
     records: List[IntervalRecord]
-    #: Home-migration proposals (adaptive-home extension): (page, new_home).
-    migrations: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def nbytes(self) -> int:
-        return (
-            MSG_FIXED_BYTES
-            + self.vt.nbytes
-            + records_nbytes(self.records)
-            + 8 * len(self.migrations)
-        )
+        return MSG_FIXED_BYTES + self.vt.nbytes + records_nbytes(self.records)
 
 
 @dataclass(slots=True)
@@ -215,16 +208,10 @@ class BarrierRelease:
     barrier_id: int
     records: List[IntervalRecord]
     cut: VectorClock
-    #: Home-migration decisions broadcast with the release (extension).
-    migrations: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def nbytes(self) -> int:
-        return (
-            MSG_FIXED_BYTES
-            + records_nbytes(self.records)
-            + 8 * len(self.migrations)
-        )
+        return MSG_FIXED_BYTES + records_nbytes(self.records)
 
 
 # ----------------------------------------------------------------------

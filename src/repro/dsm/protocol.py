@@ -109,15 +109,6 @@ _SPECS = (
         logged_state=("barrier_episode", "peer_known_vt"),
         log_hook="notify_notices_received",
     ),
-    # -- homeless LRC comparison protocol -------------------------------
-    MessageSpec(
-        "lrc_diff_req", "LrcDiffRequest",
-        consumers=("_serve_lrc_diffs",),
-    ),
-    MessageSpec(
-        "lrc_diff_reply", "LrcDiffReply",
-        consumers=("_fetch_lrc_diffs", "_lrc_fault"),
-    ),
     # -- reliable transport ---------------------------------------------
     MessageSpec(
         "rel_ack", "RelAck",

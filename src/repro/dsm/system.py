@@ -107,19 +107,10 @@ class DsmSystem:
         hooks_factory: Optional[HooksFactory] = None,
         protocol_name: Optional[str] = None,
         tracer: Optional[Tracer] = None,
-        coherence: str = "hlrc",
         fault_plan: Optional[FaultPlan] = None,
         disk_fault_plan: Optional["DiskFaultPlan"] = None,
         replication: int = 1,
     ):
-        if coherence not in ("hlrc", "lrc", "hlrc-migrate"):
-            raise ConfigError(f"unknown coherence protocol {coherence!r}")
-        if replication >= 2 and coherence != "hlrc":
-            raise ConfigError(
-                "home replication requires the hlrc coherence protocol "
-                f"(homes must be fixed; got {coherence!r})"
-            )
-        self.coherence = coherence
         self.app = app
         self.config = config or ClusterConfig.ultra5()
         self.hooks_factory = hooks_factory or (lambda _i: NoLogging())
@@ -176,18 +167,8 @@ class DsmSystem:
             )
         self.homes = list(homes)
 
-        if coherence == "lrc":
-            from .lrc import LrcNode
-
-            node_cls = LrcNode
-        elif coherence == "hlrc-migrate":
-            from .migration import MigratingHlrcNode
-
-            node_cls = MigratingHlrcNode
-        else:
-            node_cls = HlrcNode
         self.nodes = [
-            node_cls(self, i, self.hooks_factory(i))
+            HlrcNode(self, i, self.hooks_factory(i))
             for i in range(self.config.num_nodes)
         ]
         self._protocol_name = protocol_name or self.nodes[0].hooks.name

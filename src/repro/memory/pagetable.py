@@ -68,9 +68,10 @@ class PageTable:
         #: Optional observer of state-machine transitions (the coherence
         #: sanitizer's tracer hook); None keeps transitions free.
         self.on_transition: Optional[TransitionFn] = None
-        #: Sets fed every page whose entry (state, version, home) or
-        #: frame (:meth:`mark_dirty`) is written: an incremental crash
+        #: Sets fed every page whose entry (state, version) or frame
+        #: (:meth:`mark_dirty`) is written: an incremental crash
         #: snapshot registers one and re-reads only what lands in it.
+        #: ``home`` is fixed at construction and never written.
         self.watchers: List[set[int]] = []
 
     # ------------------------------------------------------------------
@@ -118,12 +119,6 @@ class PageTable:
         :attr:`watchers` stand for "the frame may have changed".
         """
         self.entry(page).version = version
-        for watched in self.watchers:
-            watched.add(page)
-
-    def set_home(self, page: int, home: int) -> None:
-        """Re-home ``page`` (home migration)."""
-        self.entry(page).home = home
         for watched in self.watchers:
             watched.add(page)
 

@@ -60,12 +60,3 @@ def test_multi_recovery_identical_across_repetitions():
         outcomes.append(dict(res.recovery_times))
     assert outcomes[0] == outcomes[1]
 
-
-def test_coherence_protocols_deterministic():
-    for coherence in ("lrc", "hlrc-migrate"):
-        times = []
-        for _ in range(2):
-            app = make_app("sor", n=32, iters=3)
-            system = DsmSystem(app, CFG, coherence=coherence)
-            times.append(system.run().total_time)
-        assert times[0] == times[1], coherence

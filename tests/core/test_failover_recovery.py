@@ -19,7 +19,6 @@ from repro.core.failover_recovery import (
     run_failover_experiment,
 )
 from repro.core.failure import CrashProbe
-from repro.core.recovery import replay_failed_node
 from repro.dsm import DsmSystem
 from repro.errors import RecoveryError
 from repro.harness.scales import app_kwargs
@@ -116,26 +115,3 @@ class TestQuorumLoss:
         group = system.replica_groups[1]
         with pytest.raises(RecoveryError, match="classic replay"):
             choose_candidate(system, 1, (1, *group.followers))
-
-
-class TestMigrationDriftGuard:
-    """Replay assumes static homes; a drifted home map must be a
-    diagnosed refusal, not a misdirected reconstruction request."""
-
-    def test_drifted_home_map_refused(self):
-        system = DsmSystem(_app(), CONFIG, make_hooks_factory("ccl"))
-        probe = CrashProbe(1)
-        system.add_probe(probe)
-        system.run()
-        probe.finalize()
-        # simulate a post-construction home hand-off of page 0
-        old_home = system.nodes[0].pagetable.entry(0).home
-        new_home = (old_home + 1) % CONFIG.num_nodes
-        for node in system.nodes:
-            node.pagetable.entry(0).home = new_home
-        plog = system.nodes[1].hooks.log
-        with pytest.raises(RecoveryError, match="home map drifted"):
-            replay_failed_node(
-                _app(), CONFIG, "ccl", system, 1, plog,
-                stop_at=probe.snapshot.seal_count,
-            )

@@ -11,10 +11,10 @@ snapshot at the seal, the ``capture_all`` one at the seal and again
 after the run, when every later seal has had its chance to disturb it.
 
 The matrix is the paper's apps at test scale under every logging scheme
-with a log, plus the three protocol corners the apps do not reach:
-homeless LRC (every page live, no homes), migrating homes (liveness
-changes with ``home``) and the lock program that provokes an early diff
-(a dirty page invalidated mid-interval).
+with a log, plus the protocol corners the apps do not reach: the lock
+program that provokes an early diff (a dirty page invalidated
+mid-interval), alone and with the page read back or written again in
+the same interval.
 """
 
 import numpy as np
@@ -26,9 +26,7 @@ from repro.errors import SimulationError
 from repro.harness.scales import app_kwargs
 from repro.memory import PageTable
 from tests.core.reference_snapshot import ReferenceSnapshot
-from tests.dsm.conftest import small_config
-from tests.dsm.test_migration import sole_writer_app
-from tests.obs.test_trace_contract import early_diff_system
+from tests.obs.test_trace_contract import REACCESS, early_diff_system
 
 APPS = ("sor", "fft3d", "mg", "shallow", "water")
 SCHEMES = ("ccl", "ml", "adaptive", "failover")
@@ -137,22 +135,16 @@ def test_a_version_written_behind_the_watchers_back_is_caught(monkeypatch):
         _checked(_app_system("shallow", "ccl"))
 
 
-def test_homeless_lrc_every_page_is_live():
-    system = DsmSystem(
-        make_app("sor", **app_kwargs("sor", "test")),
-        ClusterConfig.ultra5(num_nodes=4), coherence="lrc",
-    )
-    assert _checked(system) >= 8
-
-
-def test_migrating_homes_change_liveness():
-    system = DsmSystem(sole_writer_app(), small_config(4),
-                       coherence="hlrc-migrate")
-    assert _checked(system) >= 8
-    assert all(n.pagetable.entry(0).home == 1 for n in system.nodes)
-
-
 def test_early_diff_invalidates_a_dirty_page_mid_interval():
     system = early_diff_system()
     assert _checked(system) >= 3
+    assert system.nodes[1].stats.counters["early_diffs"] == 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("reaccess", sorted(REACCESS))
+def test_early_diffed_page_touched_again_in_the_same_interval(reaccess, scheme):
+    system = early_diff_system(scheme, REACCESS[reaccess],
+                               replication=2 if scheme == "failover" else 1)
+    assert _checked(system) >= 5
     assert system.nodes[1].stats.counters["early_diffs"] == 1

@@ -56,9 +56,6 @@ def test_a_fresh_node_image_materialises_only_the_frames_that_start_valid():
             f"node {node.id} copied initial contents into frames it must "
             "fetch before it may read them"
         )
-    homeless = _system(hooks_factory=None, coherence="lrc")
-    for node in homeless.nodes:
-        assert np.array_equal(node.memory.buffer, system.space.initial_image())
 
 
 class SealAccountant:

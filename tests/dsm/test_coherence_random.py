@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import gather_global
 from tests.dsm.conftest import run_app
 
 ELEMS = 256  # spans 4 pages of 256 bytes with int32
@@ -69,10 +70,11 @@ def test_random_barrier_phases_match_sequential_reference(plan, homes_seed):
         yield from dsm.read("x")
         observed[dsm.rank] = dsm.arr("x").copy()
 
-    run_app(alloc, program, nprocs=NPROCS, homes=homes)
+    _result, system = run_app(alloc, program, nprocs=NPROCS, homes=homes)
     ref = reference_final(plan)
     for rank in range(NPROCS):
         assert np.array_equal(observed[rank], ref), f"rank {rank} diverged"
+    assert np.array_equal(gather_global(system, "x"), ref)
 
 
 @settings(max_examples=15, deadline=None)

@@ -73,6 +73,31 @@ class TestSingleWriterPropagation:
         # diff carried only the 4 written words, not the page
         assert result.node_stats[0].counters["diff_bytes_sent"] < 100
 
+    def test_remote_sole_writer_pays_a_diff_every_phase(self):
+        """Homes never move: a page written by one remote rank phase
+        after phase costs that rank one diff per phase, and a third rank
+        reads every phase's value."""
+        iters = 4
+
+        def homes(space, nprocs):
+            return [0] * space.npages
+
+        def program(dsm):
+            for it in range(iters):
+                if dsm.rank == 1:
+                    yield from dsm.write("x")
+                    dsm.arr("x")[:] = it + 1
+                yield from dsm.barrier()
+                if dsm.rank == 2:
+                    yield from dsm.read("x")
+                    assert np.all(dsm.arr("x") == it + 1)
+                yield from dsm.barrier()
+
+        result, system = run_app(alloc_x, program, nprocs=N, homes=homes)
+        assert result.node_stats[1].counters["diffs_created"] == iters
+        assert result.node_stats[2].counters["page_faults"] == iters
+        assert all(n.pagetable.entry(0).home == 0 for n in system.nodes)
+
 
 class TestInvalidation:
     def test_second_write_invalidates_cached_readers(self):

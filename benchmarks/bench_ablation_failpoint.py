@@ -25,9 +25,9 @@ def test_failure_point_ablation(benchmark, ultra5, save_artifact):
             seal = max(1, int(round(frac * total_seals)))
             res = run_recovery_experiment(
                 make_app("fft3d", **kwargs), ultra5, "ccl",
-                failed_node=3, at_seal=seal,
+                failed_nodes=(3,), at_seal=seal,
             )
-            assert res.ok, (frac, res.mismatches[:3])
+            assert res.ok, (frac, res.victims[0].mismatches[:3])
             out["points"][frac] = res.recovery_time
         return out
 

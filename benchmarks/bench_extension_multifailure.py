@@ -10,7 +10,7 @@ bit-exactly before its time counts.
 
 
 from repro.apps import make_app
-from repro.core import run_multi_recovery_experiment
+from repro.core import run_recovery_experiment
 from repro.dsm import DsmSystem
 from repro.harness import app_kwargs, render_sweep, sweep
 
@@ -24,10 +24,10 @@ def test_multi_failure_recovery(benchmark, ultra5, save_artifact):
         reexec = DsmSystem(make_app("fft3d", **kwargs), ultra5).run().total_time
         out = {"reexec_s": reexec, "runs": {}}
         for failed in FAILURE_SETS:
-            res = run_multi_recovery_experiment(
+            res = run_recovery_experiment(
                 make_app("fft3d", **kwargs), ultra5, "ccl", failed_nodes=failed
             )
-            assert res.ok, (failed, res.mismatches)
+            assert res.ok, (failed, [v.mismatches for v in res.victims])
             out["runs"][failed] = res
         return out
 
@@ -38,7 +38,7 @@ def test_multi_failure_recovery(benchmark, ultra5, save_artifact):
             "recovery_s": data["runs"][p["f"]].recovery_time,
             "vs_reexec": data["runs"][p["f"]].recovery_time / data["reexec_s"],
             "slowest_victim": max(
-                data["runs"][p["f"]].recovery_times.values()
+                v.recovery_time for v in data["runs"][p["f"]].victims
             ),
         },
     )

@@ -34,13 +34,14 @@ def main() -> None:
     for protocol in ("ml", "ccl"):
         res = run_recovery_experiment(
             make_app(app_name, **kwargs), cluster, protocol,
-            failed_node=failed_node,
+            failed_nodes=(failed_node,),
         )
-        status = "bit-exact" if res.ok else f"DIVERGED: {res.mismatches[:3]}"
+        (victim,) = res.victims
+        status = "bit-exact" if res.ok else f"DIVERGED: {victim.mismatches[:3]}"
         saving = 100.0 * (1.0 - res.recovery_time / baseline.total_time)
-        c = res.replay_stats.counters
+        c = victim.stats.counters
         print(f"{protocol.upper()}-recovery of node {failed_node} "
-              f"(crash at seal {res.at_seal}):")
+              f"(crash at seal {victim.at_seal}):")
         print(f"  recovery time : {res.recovery_time * 1e3:8.2f} ms "
               f"({saving:+.1f}% vs re-execution)")
         print(f"  verification  : {status}")

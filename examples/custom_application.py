@@ -83,8 +83,9 @@ def main() -> None:
         print(f"  {protocol:>4}: {result.total_time * 1e3:7.2f} ms, "
               f"log {result.total_log_bytes / 1024:6.1f} KB, verified={ok}")
 
-    res = run_recovery_experiment(HistogramApp(), cluster, "ccl", failed_node=2)
-    print(f"  recovery of node 2 at seal {res.at_seal}: "
+    res = run_recovery_experiment(HistogramApp(), cluster, "ccl",
+                                  failed_nodes=(2,))
+    print(f"  recovery of node 2 at seal {res.victims[0].at_seal}: "
           f"{res.recovery_time * 1e3:.2f} ms, bit-exact={res.ok}")
 
 

@@ -7,7 +7,7 @@
 * :mod:`repro.core.stablelog`, :mod:`repro.core.logrecords` -- the
   stable-storage log with byte-exact size accounting.
 * :mod:`repro.core.checkpoint` -- full + incremental checkpointing.
-* :mod:`repro.core.failure` -- crash-point specification and capture.
+* :mod:`repro.core.failure` -- crash-point capture.
 * :mod:`repro.core.logging_base` -- the scheme table: one row per
   protocol (hooks, replay class, promotion, breakdown components) that
   every name-based dispatch derives from.
@@ -44,17 +44,18 @@ from .logrecords import (
     UpdateEventLogRecord,
 )
 from .checkpoint import Checkpointer, CheckpointMeta, CheckpointSnapshot
-from .failure import CrashProbe, FailureSnapshot, FailureSpec
+from .failure import CrashProbe, FailureSnapshot
 from .detector import FailureDetector, Heartbeat
 from .responder import FailedNodeResponder, SurvivorResponder
 from .recovery import (
-    MultiRecoveryResult,
+    Promotion,
     RecoveryResult,
     ReplayNode,
+    VictimRecovery,
     compare_state,
+    recover_victims,
     replay_node_class,
     replay_failed_node,
-    run_multi_recovery_experiment,
     run_recovery_experiment,
 )
 from .chaos import ChaosCase, ChaosReport, run_chaos_run, run_chaos_suite
@@ -86,19 +87,19 @@ __all__ = [
     "CheckpointSnapshot",
     "CrashProbe",
     "FailureSnapshot",
-    "FailureSpec",
     "FailureDetector",
     "Heartbeat",
     "SurvivorResponder",
     "FailedNodeResponder",
     "ReplayNode",
     "RecoveryResult",
-    "MultiRecoveryResult",
+    "VictimRecovery",
+    "Promotion",
     "compare_state",
+    "recover_victims",
     "replay_node_class",
     "replay_failed_node",
     "run_recovery_experiment",
-    "run_multi_recovery_experiment",
     "ChaosCase",
     "ChaosReport",
     "run_chaos_run",

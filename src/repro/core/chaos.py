@@ -13,10 +13,10 @@ each one:
 2. computes the highest recoverable seal ``k*``: the victim cannot be
    reconstructed past the last seal it completed, nor past the first
    log bundle with a lost record;
-3. replays the victim against the truncated log
-   (:func:`~repro.core.recovery.replay_failed_node`) and verifies the
-   recovered memory image, page states, versions, and vector clock
-   bit-for-bit against the phase-A snapshot at ``k*``.
+3. recovers the victim from the truncated log through the experiments'
+   own per-victim stage (:func:`~repro.core.recovery.recover_victims`),
+   which verifies the recovered memory image, page states, versions,
+   and vector clock bit-for-bit against the phase-A snapshot at ``k*``.
 
 ``kill`` cases additionally crash the victim **live** mid-run: its
 processes die, its queued NIC frames and in-flight deliveries are
@@ -28,10 +28,9 @@ Zone-scoped faults extend the same discipline to whole fault domains:
 verifies each victim's recovery with its co-victims dead;
 ``zone_partition`` isolates two zones from each other for a seeded
 window (the reliable transport must ride the outage out).  Under the
-``failover`` protocol with ``replication >= 2``, recovery goes through
-:func:`~repro.core.failover_recovery.recover_via_failover` -- a
-surviving replica is promoted and only the coherence-metadata suffix is
-replayed -- and the contract becomes *bit-exact failover or a diagnosed
+``failover`` protocol with ``replication >= 2``, the same stage
+promotes a surviving replica and replays only the coherence-metadata
+suffix, and the contract becomes *bit-exact failover or a diagnosed
 refusal when the quorum is lost*; a silent wrong-memory result is the
 only failure.
 
@@ -57,10 +56,9 @@ from ..errors import (
 )
 from ..sim.faults import DiskFaultPlan, FaultPlan
 from ..sim.trace import Tracer
-from .failover_recovery import compare_mirror, recover_via_failover
 from .failure import CrashProbe
 from .logging_base import SCHEMES, make_hooks_factory
-from .recovery import compare_state, plan_victim, replay_failed_node
+from .recovery import plan_victim, recover_victims
 from .replication import ZoneFaultSpec, validate_replication
 
 __all__ = ["ChaosCase", "ChaosReport", "run_chaos_run", "run_chaos_suite"]
@@ -383,46 +381,6 @@ def run_chaos_run(
             )
             return cases, plan, system_a.transport
 
-    def promote(v: int, t: float, vplan) -> Tuple[List[str], str]:
-        """Recover one victim by replica promotion and verify the mirror.
-
-        The chaos driver probes many counterfactual crash instants of
-        one phase-A run, so the (shared, mutable) group fencing state is
-        restored after each probe -- a real failover would of course
-        leave the promotion in place.
-        """
-        grp = system_a.replica_groups[v]
-        saved = (grp.promoted, grp.epoch)
-        try:
-            promoted, _epoch, mirror, breakdown, _stats, _rp, _rf = (
-                recover_via_failover(
-                    config, system_a, v, vplan.plog, vplan.stop_at,
-                    dead=victims, at_time=t,
-                )
-            )
-        finally:
-            grp.promoted, grp.epoch = saved
-        mismatches = compare_mirror(
-            mirror, probes[v].snapshots[mirror.seal],
-            [p for p, h in enumerate(system_a.homes) if h == v],
-            config.page_size,
-        )
-        if "page_replay" in breakdown:
-            # the scheme's whole point: page contents come from the
-            # promoted replica, never from log replay
-            mismatches.append("failover breakdown contains page_replay")
-        return mismatches, f"mirror mismatch (promoted {promoted})"
-
-    def replay(v: int, t: float, vplan) -> Tuple[List[str], str]:
-        node, _rt = replay_failed_node(
-            app, config, protocol, system_a, v, vplan.plog, vplan.stop_at,
-            salvage=vplan.salvage, dead=victims,
-        )
-        return (
-            compare_state(node, vplan.snapshot, config.page_size),
-            "state mismatch",
-        )
-
     # ---- sample crash instants and verify recovery at each -----------
     horizon = kill_time if kill_time is not None else result_a.total_time
     if crash_times:
@@ -432,8 +390,6 @@ def run_chaos_run(
     else:
         instants = sorted(rng.uniform(0.0, horizon) for _ in range(crash_points))
 
-    # the scheme table says how this protocol recovers
-    recover = promote if promotes else replay
     faulty_disks = disk_plan is not None and disk_plan.active
     for t in instants:
         for v in victims:
@@ -449,8 +405,15 @@ def run_chaos_run(
                 cases.append(case(v, t, 0, True, "restart-from-checkpoint",
                                   salvage=salv))
                 continue
+            # the chaos driver probes many counterfactual crash instants
+            # of one phase-A run, so the (shared, mutable) group fencing
+            # state is restored after each promotion -- a real failover
+            # would of course leave it in place
+            grp = system_a.replica_groups.get(v)
+            saved = None if grp is None else (grp.promoted, grp.epoch)
             try:
-                mismatches, what = recover(v, t, vplan)
+                (rec,) = recover_victims(app, config, protocol, system_a,
+                                         [vplan], dead=victims, at_time=t)
             except (RecoveryError, LoggingProtocolError,
                     SimulationError) as exc:
                 cause = _diagnosable(exc)
@@ -463,9 +426,14 @@ def run_chaos_run(
                         fail(v, t, stop_at, f"replay error: {cause}")
                     )
                 continue
+            finally:
+                if grp is not None:
+                    grp.promoted, grp.epoch = saved
+            what = (f"mirror mismatch (promoted {rec.promotion.promoted})"
+                    if rec.promotion else "state mismatch")
             cases.append(
-                case(v, t, stop_at, not mismatches,
-                     what if mismatches else "", mismatches, salv)
+                case(v, t, stop_at, not rec.mismatches,
+                     what if rec.mismatches else "", rec.mismatches, salv)
             )
     return cases, plan, system_a.transport
 

@@ -27,14 +27,13 @@ code is re-executed: the recovery-time breakdown has **no**
 be bit-identical (contents *and* versions) to the crash-point snapshot
 of the victim's home pages; losing every follower of a group is a
 *diagnosed* :class:`~repro.errors.RecoveryError`, never silence.
+:func:`~repro.core.recovery.recover_victims` is the stage that picks
+promotion over replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..config import ClusterConfig
 from ..dsm.interval import VectorClock
@@ -47,54 +46,21 @@ from .detector import FailureDetector
 from .failure import FailureSnapshot
 from .logging_base import SCHEMES
 from .logrecords import OwnDiffLogRecord, UpdateEventLogRecord
-from .recovery import (
-    RecoveryResult,
-    RecoveryWorld,
-    check_crash,
-    plan_victim,
-    run_phase_a,
-)
-from .replication import MirrorState, validate_replication
+from .recovery import RecoveryWorld, check_crash, compare_page
+from .replication import MirrorState
 from .stablelog import StableLog
 
 __all__ = [
-    "FailoverResult",
     "choose_candidate",
     "compare_mirror",
     "mirror_at",
     "recover_via_failover",
-    "run_failover_experiment",
 ]
 
-
-@dataclass(kw_only=True)
-class FailoverResult(RecoveryResult):
-    """Outcome of one failover-recovery experiment.
-
-    A :class:`~repro.core.recovery.RecoveryResult` whose
-    ``recovery_time`` runs from failure declaration to recovered home
-    state (promotion + metadata replay + diff refetch; detection is
-    excluded and reported separately, like the classic experiments do),
-    whose ``at_seal`` is the crash-point snapshot the recovery targets,
-    and whose ``replay_stats`` belong to the promoted node.
-    """
-
-    #: Follower promoted to primary for the victim's home group.
-    promoted: int
-    #: Group epoch after the fencing round.
-    epoch: int
-    replication: int
-    #: Crash-to-declaration latency of the heartbeat detector.
-    detection_time: float
-    #: Time per phase; keys are exactly ``detection``, ``promotion``,
-    #: ``meta_replay`` and ``diff_refetch`` -- there is no page replay.
-    breakdown: Dict[str, float]
-    #: Seal the promoted follower's mirror covered at the crash.
-    mirror_seal: int
-    #: Metadata log records replayed onto the mirror.
-    replayed_events: int
-    #: Diffs re-fetched from writers' logs for the replayed events.
-    refetched_diffs: int
+#: Heartbeat period and tolerated misses of the promotion candidate's
+#: failure detector.
+DETECTOR_PERIOD_S = 5e-3
+DETECTOR_MISSES_ALLOWED = 3
 
 
 # ======================================================================
@@ -217,13 +183,7 @@ def compare_mirror(
         if frame is None:
             mismatches.append(f"page {p}: missing from the mirror")
             continue
-        if not np.array_equal(frame, snapshot.frames[p]):
-            mismatches.append(f"page {p}: contents differ")
-        _state, ver = snapshot.page_states[p]
-        if mirror.versions[p] != ver:
-            mismatches.append(
-                f"page {p}: version {mirror.versions[p]} != {ver}"
-            )
+        mismatches += compare_page(p, frame, mirror.versions[p], snapshot)
     return mismatches
 
 
@@ -257,8 +217,6 @@ def recover_via_failover(
     stop_at: int,
     dead: Sequence[int] = (),
     at_time: Optional[float] = None,
-    detector_period_s: float = 5e-3,
-    misses_allowed: int = 3,
 ) -> Tuple[int, int, MirrorState, Dict[str, float], NodeStats, int, int]:
     """Run the timed failover simulation for one crashed home.
 
@@ -313,7 +271,7 @@ def recover_via_failover(
             )
     detector = FailureDetector(
         sim_b, net_b, promoted,
-        period_s=detector_period_s, misses_allowed=misses_allowed,
+        period_s=DETECTOR_PERIOD_S, misses_allowed=DETECTOR_MISSES_ALLOWED,
     )
     world.spawn(detector.monitor_loop(), "hb-monitor")
 
@@ -440,81 +398,4 @@ def recover_via_failover(
     return (
         promoted, group.epoch, mirror, breakdown, stats,
         counts["replayed"], counts["refetched"],
-    )
-
-
-# ======================================================================
-# the experiment driver
-# ======================================================================
-
-
-def run_failover_experiment(
-    app,
-    config: Optional[ClusterConfig] = None,
-    replication: int = 2,
-    failed_node: int = 0,
-    verify: bool = True,
-    detector_period_s: float = 5e-3,
-    misses_allowed: int = 3,
-) -> FailoverResult:
-    """Phase A (failure-free, replicated, probed) + timed failover.
-
-    The victim crashes at its final interval seal, the paper's setting
-    for the classic experiments, so the recovered mirror is checked
-    against the maximum-work crash point.  Requires ``replication >= 2``
-    -- with a single copy there is no replica to promote, which is a
-    diagnosed error rather than a silent fallback to replay.
-    """
-    config = config or ClusterConfig.ultra5()
-    validate_replication(replication, config.num_nodes)
-    if replication < 2:
-        raise RecoveryError(
-            "failover recovery requires replication >= 2 (got "
-            f"{replication}): with a single copy there is no replica to "
-            "promote; use the classic replay schemes instead"
-        )
-    system_a, probes, result_a = run_phase_a(
-        app, config, "failover", (failed_node,), replication=replication
-    )
-    plan = plan_victim(system_a, probes[failed_node])
-    snapshot = plan.snapshot
-
-    promoted, epoch, mirror, breakdown, stats, replayed, refetched = (
-        recover_via_failover(
-            config, system_a, failed_node, plan.plog, plan.stop_at,
-            detector_period_s=detector_period_s,
-            misses_allowed=misses_allowed,
-        )
-    )
-
-    mismatches: List[str] = []
-    if verify:
-        home_pages = [
-            p for p, h in enumerate(system_a.homes) if h == failed_node
-        ]
-        mismatches = compare_mirror(
-            mirror, snapshot, home_pages, config.page_size
-        )
-    mirror_seal = mirror_at(system_a, failed_node, promoted).seal
-    return FailoverResult(
-        app_name=getattr(app, "name", type(app).__name__),
-        protocol="failover",
-        failed_node=failed_node,
-        at_seal=plan.stop_at,
-        promoted=promoted,
-        epoch=epoch,
-        replication=replication,
-        recovery_time=(
-            breakdown["promotion"] + breakdown["meta_replay"]
-            + breakdown["diff_refetch"]
-        ),
-        detection_time=breakdown["detection"],
-        breakdown=dict(breakdown),
-        mirror_seal=mirror_seal,
-        replayed_events=replayed,
-        refetched_diffs=refetched,
-        verified=verify,
-        mismatches=mismatches,
-        replay_stats=stats,
-        phase_a=result_a,
     )

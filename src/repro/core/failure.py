@@ -1,4 +1,4 @@
-"""Failure specification and crash-point capture.
+"""Crash-point capture.
 
 The paper's failure model (Section 3.2, Figure 1b): a node crashes "a
 certain time after the volatile logs of this interval are flushed to
@@ -17,7 +17,6 @@ against which the recovered state is verified bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -26,31 +25,7 @@ from ..dsm.hlrc import HlrcNode
 from ..dsm.interval import VectorClock
 from ..memory.page import PageState
 
-__all__ = ["FailureSpec", "FailureSnapshot", "CrashProbe"]
-
-
-@dataclass(frozen=True)
-class FailureSpec:
-    """Which node crashes, and after how many sealed intervals."""
-
-    node: int
-    at_seal: int
-
-    def __post_init__(self) -> None:
-        if self.node < 0 or self.at_seal < 1:
-            raise ValueError(f"bad failure spec: {self}")
-
-    def validate(self, num_nodes: int) -> None:
-        """Fail fast on a victim outside the cluster.
-
-        Without this check a bad ``node`` only surfaces after a full
-        phase-A run, as a generic "never reached seal" recovery error.
-        """
-        if not (0 <= self.node < num_nodes):
-            raise ValueError(
-                f"failure spec names node {self.node}, but the cluster has "
-                f"only nodes 0..{num_nodes - 1}"
-            )
+__all__ = ["FailureSnapshot", "CrashProbe"]
 
 
 class FailureSnapshot:

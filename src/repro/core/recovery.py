@@ -14,19 +14,21 @@ synchronisation (paper Figures 2-3, ``in_recovery`` branches):
   the logged page contents at each memory miss, CCL prefetches and
   reconstructs every page at each interval start.
 
-Every entry point runs the same four stages.  **Phase A** executes the
-application failure-free under the chosen logging protocol, with a
-:class:`~repro.core.failure.CrashProbe` capturing each victim's state at
-the crash point.  **Plan** (:func:`plan_victim`) turns a probed victim
-and a crash seal or instant into a :class:`VictimPlan`: the log replay
-may trust, how far it can go, and the checkpoint it starts from.
-**Phase B** builds one :class:`RecoveryWorld` -- a fresh simulation with
-a responder per node serving from its phase-A state -- and replays every
-planned victim in it concurrently; a single failure is the one-victim
-case.  **Verify** (:func:`compare_state`) checks the recovered memory
-image, page states, versions and vector clock against the crash-point
-snapshot bit for bit.  Replica promotion
-(:mod:`repro.core.failover_recovery`) runs in the same world.
+The one driver, :func:`run_recovery_experiment`, runs four stages.
+**Phase A** executes the application failure-free under the chosen
+logging protocol, with a :class:`~repro.core.failure.CrashProbe`
+capturing each victim's state at the crash point.  **Plan**
+(:func:`plan_victim`) turns a probed victim and a crash seal or instant
+into a :class:`VictimPlan`: the log replay may trust, how far it can go,
+and the checkpoint it starts from.  **Recover** (:func:`recover_victims`)
+builds a :class:`RecoveryWorld` -- a fresh simulation with a responder
+per node serving from its phase-A state -- and either replays every
+planned victim in it concurrently (a single failure is the one-victim
+case) or, for a promoting scheme over replicated homes, promotes a
+replica per victim (:mod:`repro.core.failover_recovery`).  **Verify**
+(:func:`compare_state`, or :func:`~repro.core.failover_recovery.compare_mirror`
+for a promoted mirror) checks the recovered pages bit for bit against
+the crash-point snapshot.
 
 A note on in-flight messages: a diff acknowledged by the victim in the
 instant between its last flush and the crash would be absent from the
@@ -52,7 +54,7 @@ from ..dsm.api import Dsm
 from ..dsm.interval import IntervalRecord, VectorClock
 from ..dsm.messages import LogDiffRequest
 from ..dsm.system import DsmSystem, RunResult
-from ..errors import RecoveryError
+from ..errors import ConfigError, RecoveryError
 from ..memory import LocalMemory, PageState, PageTable
 from ..memory.diff import Diff
 from ..sim.disk import Disk
@@ -64,6 +66,7 @@ from ..sim.stats import NodeStats
 from .checkpoint import Checkpointer, CheckpointSnapshot
 from .failure import CrashProbe, FailureSnapshot
 from .logrecords import NoticeLogRecord
+from .replication import validate_replication
 from .responder import FailedNodeResponder, SurvivorResponder
 from .salvage import SalvageReport, plan_recovery, salvage_log
 from .stablelog import StableLog
@@ -76,12 +79,12 @@ __all__ = [
     "plan_victim",
     "RecoveryWorld",
     "check_crash",
-    "run_phase_a",
+    "Promotion",
+    "VictimRecovery",
     "RecoveryResult",
-    "MultiRecoveryResult",
+    "recover_victims",
     "replay_failed_node",
     "run_recovery_experiment",
-    "run_multi_recovery_experiment",
     "compare_state",
 ]
 
@@ -149,6 +152,9 @@ class VictimPlan:
     salvage: Optional[SalvageReport] = None
     #: Phase-A state at ``stop_at``: what recovery is verified against.
     snapshot: Optional[FailureSnapshot] = None
+    #: Every seal's phase-A state (``capture_all`` probes): a promoted
+    #: mirror that runs ahead of ``stop_at`` is verified at its own seal.
+    snapshots: Dict[int, FailureSnapshot] = field(default_factory=dict)
 
 
 def plan_victim(
@@ -176,7 +182,7 @@ def plan_victim(
                 f"node {victim} never reached {where}; cannot crash there"
             )
         plan = VictimPlan(victim, full, probe.snapshot.seal_count,
-                          snapshot=probe.snapshot)
+                          snapshot=probe.snapshot, snapshots=probe.snapshots)
         base = ckpt.latest_before(plan.stop_at - 1) if ckpt is not None else None
         if base is not None:
             plan.free_until, plan.checkpoint = base.seal, base
@@ -192,7 +198,7 @@ def plan_victim(
         )
     stop_at, free_until, base = plan_recovery(full, report, seals_done, ckpt)
     return VictimPlan(victim, view, stop_at, free_until, base, report,
-                      probe.snapshots.get(stop_at))
+                      probe.snapshots.get(stop_at), probe.snapshots)
 
 
 # ======================================================================
@@ -662,8 +668,22 @@ def _replay_victims(
 
 
 # ======================================================================
-# verify, and the entry points
+# verify, the per-victim stage, and the driver
 # ======================================================================
+
+
+def compare_page(
+    p: int, frame: np.ndarray, version: Optional[VectorClock],
+    snapshot: FailureSnapshot,
+) -> List[str]:
+    """One recovered page's contents and version vs the crash snapshot."""
+    mismatches: List[str] = []
+    if not np.array_equal(frame, snapshot.frames[p]):
+        mismatches.append(f"page {p}: contents differ")
+    want = snapshot.page_states[p][1]
+    if version != want:
+        mismatches.append(f"page {p}: version {version} != {want}")
+    return mismatches
 
 
 def compare_state(
@@ -677,17 +697,14 @@ def compare_state(
         mismatches.append(
             f"interval_index: {replay.interval_index} != {snapshot.interval_index}"
         )
-    for p, (s_state, s_ver) in snapshot.page_states.items():
+    for p, (s_state, _ver) in snapshot.page_states.items():
         entry = replay.pagetable.entry(p)
         if entry.state is not s_state:
             mismatches.append(f"page {p}: state {entry.state} != {s_state}")
-            continue
-        if p not in snapshot.frames:
-            continue  # dead frames carry no meaning: the snapshot keeps none
-        if not np.array_equal(replay.memory.page_bytes(p), snapshot.frames[p]):
-            mismatches.append(f"page {p}: contents differ")
-        if s_ver != entry.version:
-            mismatches.append(f"page {p}: version {entry.version} != {s_ver}")
+        elif p in snapshot.frames:  # dead frames carry no meaning: none kept
+            mismatches += compare_page(
+                p, replay.memory.page_bytes(p), entry.version, snapshot
+            )
     return mismatches
 
 
@@ -707,7 +724,7 @@ def replay_failed_node(
     """Phase B: replay one victim in a fresh simulation, to ``stop_at`` seals.
 
     The one-victim case of the shared victim loop, for callers that
-    built and planned phase A themselves (chaos, the model checker, the
+    built and planned phase A themselves (the model checker, the
     benchmark).  ``plog`` is the log the replay consumes -- the victim's
     full persistent log in the classic seal-aligned experiments, or a
     :meth:`~repro.core.stablelog.StableLog.durable_view` (possibly
@@ -725,32 +742,203 @@ def replay_failed_node(
     return replay, replay.finished_at
 
 
-def run_phase_a(
+@dataclass
+class Promotion:
+    """How a promoted victim's home group failed over."""
+
+    #: Follower promoted to primary for the victim's home group.
+    promoted: int
+    #: Group epoch after the fencing round.
+    epoch: int
+    #: Seal the promoted follower's mirror covered at the crash.
+    mirror_seal: int
+    #: Metadata log records replayed onto the mirror.
+    replayed_events: int
+    #: Diffs re-fetched from writers' logs for the replayed events.
+    refetched_diffs: int
+    #: Crash-to-declaration latency of the heartbeat detector.
+    detection_time: float
+
+
+@dataclass
+class VictimRecovery:
+    """One victim's recovery: how far, how long, and how exact."""
+
+    victim: int
+    #: The crash-point seal the recovered state is verified against.
+    at_seal: int
+    #: Virtual seconds to the recovered state (a promotion counts from
+    #: failure declaration: detection is in :attr:`Promotion.detection_time`).
+    recovery_time: float
+    #: Bit-exactness violations; empty means recovered exactly.
+    mismatches: List[str]
+    #: The recovering node's time breakdown and counters.
+    stats: NodeStats
+    #: Checkpoint seal replay started timed from (0 = none).
+    free_until: int = 0
+    #: Salvage scan outcome (arbitrary-instant crashes only).
+    salvage: Optional[SalvageReport] = None
+    #: Set when a replica was promoted instead of the log replayed.
+    promotion: Optional[Promotion] = None
+
+
+@dataclass
+class RecoveryResult:
+    """Outcome of one recovery experiment: one record per victim."""
+
+    app_name: str
+    protocol: str
+    victims: List[VictimRecovery]
+    phase_a: RunResult = field(repr=False, default=None)
+
+    @property
+    def recovery_time(self) -> float:
+        """Wall recovery time: the victims recover concurrently."""
+        return max(v.recovery_time for v in self.victims)
+
+    @property
+    def ok(self) -> bool:
+        """Every victim reached its crash point with bit-exact state."""
+        return not any(v.mismatches for v in self.victims)
+
+
+def _promote(
+    config: ClusterConfig, system_a: DsmSystem, plan: VictimPlan,
+    down: Iterable[int], at_time: Optional[float],
+) -> VictimRecovery:
+    from .failover_recovery import compare_mirror, mirror_at, recover_via_failover
+
+    victim = plan.victim
+    promoted, epoch, mirror, breakdown, stats, replayed, refetched = (
+        recover_via_failover(config, system_a, victim, plan.plog, plan.stop_at,
+                             dead=tuple(down), at_time=at_time)
+    )
+    home_pages = [p for p, h in enumerate(system_a.homes) if h == victim]
+    mismatches = compare_mirror(
+        mirror, plan.snapshots.get(mirror.seal, plan.snapshot), home_pages,
+        config.page_size,
+    )
+    return VictimRecovery(
+        victim, plan.stop_at,
+        breakdown["promotion"] + breakdown["meta_replay"]
+        + breakdown["diff_refetch"],
+        mismatches, stats, plan.free_until, plan.salvage,
+        Promotion(promoted, epoch,
+                  mirror_at(system_a, victim, promoted, at_time).seal,
+                  replayed, refetched, breakdown["detection"]),
+    )
+
+
+def recover_victims(
     app,
     config: ClusterConfig,
     protocol: str,
-    victims: Sequence[int],
+    system_a: DsmSystem,
+    plans: Sequence[VictimPlan],
+    dead: Iterable[int] = (),
+    at_time: Optional[float] = None,
+) -> List[VictimRecovery]:
+    """Recover and verify every planned victim; the scheme table says how.
+
+    A ``promotes`` scheme over replicated homes (``system_a.replication
+    >= 2``) promotes a surviving replica per victim, with every victim
+    and ``dead`` co-victim down, and checks the mirror
+    (:func:`~repro.core.failover_recovery.compare_mirror`) against the
+    snapshot at the seal the mirror reached; ``at_time`` is the crash
+    instant the mirror is taken at (None: the final mirror).  Every
+    other case replays the victims concurrently in one world and checks
+    each against its plan's snapshot (:func:`compare_state`).
+    """
+    from .logging_base import SCHEMES  # see replay_node_class
+
+    scheme = SCHEMES.get(protocol)
+    if scheme is not None and scheme.promotes and system_a.replication >= 2:
+        down = {plan.victim for plan in plans} | set(dead)
+        return [_promote(config, system_a, plan, down, at_time) for plan in plans]
+    replays = _replay_victims(app, config, protocol, system_a, plans, dead)
+    out = []
+    for plan in plans:
+        replay = replays[plan.victim]
+        out.append(VictimRecovery(
+            plan.victim, plan.stop_at, replay.finished_at,
+            compare_state(replay, plan.snapshot, config.page_size),
+            replay.stats, plan.free_until, plan.salvage,
+        ))
+    return out
+
+
+def run_recovery_experiment(
+    app,
+    config: Optional[ClusterConfig] = None,
+    protocol: str = "ccl",
+    failed_nodes: Sequence[int] = (0,),
     at_seal: Optional[int] = None,
-    capture_all: bool = False,
+    at_time: Optional[float] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_mode: str = "seals",
     retention: Optional[int] = None,
+    disk_fault_plan=None,
+    replication: int = 1,
     recovery_budget: Optional[float] = None,
-    **system_kwargs: Any,
-) -> Tuple[DsmSystem, Dict[int, CrashProbe], RunResult]:
-    """Phase A: the failure-free run, one finalized crash probe per victim."""
-    from .logging_base import make_hooks_factory  # see replay_node_class
+) -> RecoveryResult:
+    """Crash ``failed_nodes``, recover them all, verify every one bit-exactly.
 
-    # refuse what phase B would refuse before paying for a full run
+    The crash point is each victim's final interval by default (the
+    paper's setting: maximum work to recover), its ``at_seal``-th seal,
+    or one arbitrary virtual instant ``at_time`` for all victims: each
+    log is then cut to its crash-time durable view, salvaged when
+    ``disk_fault_plan`` is active, and replayed to its own recoverable
+    seal (victims may stop at different seals).
+
+    ``checkpoint_every`` enables periodic checkpoints -- independent
+    per node (``checkpoint_mode="seals"``, the paper's default) or
+    coordinated at barrier episodes (``"barriers"``); replay then starts
+    timed execution at the latest checkpoint before the crash.
+    ``retention`` bounds how many checkpoints each node keeps; retiring
+    old ones truncates the log below the oldest retained seal, so replay
+    runs in *restore mode* (the checkpoint image is installed verbatim),
+    and a victim whose salvaged log no longer covers its window falls
+    back to an earlier retained checkpoint (:func:`plan_victim`).
+    ``replication`` mirrors every home onto ``k-1`` followers, which a
+    promoting scheme recovers through (:func:`recover_victims`).
+
+    Several victims recover concurrently.  ML replays purely locally;
+    CCL needs the failed-node responders, which exist because CCL
+    writers log their outgoing diffs durably.  Everything refusable is
+    refused in one line before phase A runs.
+    """
+    from .logging_base import SCHEMES, make_hooks_factory  # see replay_node_class
+
+    config = config or ClusterConfig.ultra5()
+    victims = tuple(failed_nodes)
     replay_node_class(protocol)
-    check_crash(config.num_nodes, victims)
+    if not victims or len(set(victims)) != len(victims):
+        raise RecoveryError(
+            f"bad failed-node set {victims}: name at least one victim, once"
+        )
+    check_crash(config.num_nodes, victims,
+                *(() if at_seal is None else (at_seal,)))
+    if at_seal is not None and at_time is not None:
+        raise ConfigError("crash at_seal or at_time, not both")
+    if retention is not None and not checkpoint_every:
+        raise ConfigError(
+            "retention bounds the checkpoints a node keeps, so it needs "
+            "checkpoint_every"
+        )
+    validate_replication(replication, config.num_nodes)
+    if SCHEMES[protocol].promotes and replication >= 2 and at_seal is not None:
+        raise ConfigError(
+            f"{protocol} promotes the mirror a crash leaves behind, which is "
+            "kept per instant, not per seal: crash at_time, or at the final seal"
+        )
     system_a = DsmSystem(
         app, config,
         make_hooks_factory(protocol, recovery_budget=recovery_budget),
-        **system_kwargs,
+        disk_fault_plan=disk_fault_plan, replication=replication,
     )
     probes = {
-        v: CrashProbe(v, at_seal, capture_all=capture_all) for v in victims
+        v: CrashProbe(v, at_seal, capture_all=at_time is not None)
+        for v in victims
     }
     for probe in probes.values():
         system_a.add_probe(probe)
@@ -762,73 +950,6 @@ def run_phase_a(
     result_a = system_a.run()
     for probe in probes.values():
         probe.finalize()
-    return system_a, probes, result_a
-
-
-@dataclass
-class RecoveryResult:
-    """Outcome of one recovery experiment."""
-
-    app_name: str
-    protocol: str
-    failed_node: int
-    at_seal: int
-    recovery_time: float
-    verified: bool
-    mismatches: List[str]
-    replay_stats: NodeStats
-    phase_a: RunResult = field(repr=False, default=None)
-
-    @property
-    def ok(self) -> bool:
-        """Recovery completed and reproduced the crash-point state."""
-        return self.verified and not self.mismatches
-
-
-@dataclass
-class MultiRecoveryResult:
-    """Outcome of a simultaneous multi-node failure recovery.
-
-    The paper's protocol is evaluated for single failures, but CCL's
-    decision to make every node log its *own outgoing diffs* durably is
-    exactly what multi-failure recovery needs: a crashed peer's memory
-    is gone, yet its disk can still serve the diffs and histories other
-    victims' replays require (:class:`~repro.core.responder.FailedNodeResponder`).
-    """
-
-    app_name: str
-    protocol: str
-    failed_nodes: Tuple[int, ...]
-    at_seals: Dict[int, int]
-    #: Per-victim replay completion times (virtual seconds).
-    recovery_times: Dict[int, float]
-    mismatches: Dict[int, List[str]]
-    phase_a: RunResult = field(repr=False, default=None)
-    #: Per-victim checkpoint seal replay started timed from (0 = none).
-    free_untils: Dict[int, int] = field(default_factory=dict)
-    #: Per-victim salvage reports (arbitrary-instant crashes only).
-    salvage: Dict[int, Any] = field(default_factory=dict)
-
-    @property
-    def recovery_time(self) -> float:
-        """Wall recovery time: the victims replay concurrently."""
-        return max(self.recovery_times.values())
-
-    @property
-    def ok(self) -> bool:
-        """Every victim reached its crash point with bit-exact state."""
-        return all(not m for m in self.mismatches.values())
-
-
-def _experiment(
-    app, config: ClusterConfig, protocol: str, victims: Sequence[int],
-    verify: bool, at_time: Optional[float] = None, **phase_a: Any,
-) -> Tuple[RunResult, List[VictimPlan], Dict[int, ReplayNode], Dict[int, List[str]]]:
-    """Phase A, plan, phase B and verify, for any number of victims."""
-    system_a, probes, result_a = run_phase_a(
-        app, config, protocol, victims, capture_all=at_time is not None,
-        **phase_a,
-    )
     plans = [plan_victim(system_a, probes[v], at_time) for v in victims]
     for plan in plans:
         if plan.stop_at < 1:
@@ -836,108 +957,9 @@ def _experiment(
                 f"victim {plan.victim}: nothing recoverable at "
                 f"t={at_time!r} ({plan.salvage.describe()})"
             )
-    replays = _replay_victims(app, config, protocol, system_a, plans)
-    mismatches = {
-        p.victim: (
-            compare_state(replays[p.victim], p.snapshot, config.page_size)
-            if verify else []
-        )
-        for p in plans
-    }
-    return result_a, plans, replays, mismatches
-
-
-def run_recovery_experiment(
-    app,
-    config: Optional[ClusterConfig] = None,
-    protocol: str = "ccl",
-    failed_node: int = 0,
-    at_seal: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_mode: str = "seals",
-    retention: Optional[int] = None,
-    verify: bool = True,
-    recovery_budget: Optional[float] = None,
-) -> RecoveryResult:
-    """Run phase A (failure-free + probe) and phase B (timed replay).
-
-    ``at_seal=None`` crashes the victim at its final interval (the
-    paper's setting: maximum work to recover).  ``checkpoint_every``
-    enables periodic checkpoints -- independent per-node
-    (``checkpoint_mode="seals"``, the paper's default) or coordinated at
-    barrier episodes (``"barriers"``, the paper's noted extension);
-    replay then starts timed execution at the latest checkpoint before
-    the crash.  ``retention`` bounds how many checkpoints each node
-    keeps; retiring old ones truncates the log below the oldest retained
-    seal, so replay runs in *restore mode* (the checkpoint image is
-    installed verbatim instead of fast-forwarded to).
-    """
-    result_a, (plan,), replays, mismatches = _experiment(
-        app, config or ClusterConfig.ultra5(), protocol, (failed_node,),
-        verify, at_seal=at_seal, checkpoint_every=checkpoint_every,
-        checkpoint_mode=checkpoint_mode, retention=retention,
-        recovery_budget=recovery_budget,
-    )
-    replay = replays[failed_node]
     return RecoveryResult(
-        app_name=getattr(app, "name", type(app).__name__),
-        protocol=protocol,
-        failed_node=failed_node,
-        at_seal=plan.stop_at,
-        recovery_time=replay.finished_at,
-        verified=verify,
-        mismatches=mismatches[failed_node],
-        replay_stats=replay.stats,
-        phase_a=result_a,
-    )
-
-
-def run_multi_recovery_experiment(
-    app,
-    config: Optional[ClusterConfig] = None,
-    protocol: str = "ccl",
-    failed_nodes: Tuple[int, ...] = (0, 1),
-    at_time: Optional[float] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_mode: str = "seals",
-    retention: Optional[int] = None,
-    disk_fault_plan=None,
-    verify: bool = True,
-    recovery_budget: Optional[float] = None,
-) -> MultiRecoveryResult:
-    """Crash several nodes at their final intervals and recover them all.
-
-    Victims replay **concurrently** in one simulation (the same victim
-    loop a single failure runs through with one victim).  ML victims
-    replay purely locally, so ML supports multiple failures trivially;
-    CCL needs the failed-node responders -- which only exist because CCL
-    writers log their outgoing diffs durably.
-
-    ``at_time`` crashes *all* victims at one arbitrary virtual instant:
-    each victim's log is truncated to its crash-time durable view, run
-    through the salvage scan when ``disk_fault_plan`` is active, and
-    replayed to its own recoverable seal (victims may stop at different
-    seals).  ``checkpoint_every``/``retention`` add periodic checkpoints
-    with bounded retention; a victim whose salvaged log no longer covers
-    its replay window falls back to an earlier retained checkpoint
-    (:func:`plan_victim`).
-    """
-    if len(set(failed_nodes)) != len(failed_nodes) or not failed_nodes:
-        raise RecoveryError(f"bad failed-node set: {failed_nodes}")
-    result_a, plans, replays, mismatches = _experiment(
-        app, config or ClusterConfig.ultra5(), protocol, failed_nodes,
-        verify, at_time, checkpoint_every=checkpoint_every,
-        checkpoint_mode=checkpoint_mode, retention=retention,
-        recovery_budget=recovery_budget, disk_fault_plan=disk_fault_plan,
-    )
-    return MultiRecoveryResult(
-        app_name=getattr(app, "name", type(app).__name__),
-        protocol=protocol,
-        failed_nodes=tuple(failed_nodes),
-        at_seals={p.victim: p.stop_at for p in plans},
-        recovery_times={f: r.finished_at for f, r in replays.items()},
-        mismatches=mismatches,
-        phase_a=result_a,
-        free_untils={p.victim: p.free_until for p in plans},
-        salvage={p.victim: p.salvage for p in plans if p.salvage is not None},
+        getattr(app, "name", type(app).__name__), protocol,
+        recover_victims(app, config, protocol, system_a, plans,
+                        at_time=at_time),
+        result_a,
     )

@@ -86,10 +86,10 @@ def validate_replication(replication: int, num_nodes: int) -> None:
 class ZoneFaultSpec:
     """Declared zone-scoped faults, validated before anything runs.
 
-    The :class:`~repro.core.failure.FailureSpec` pattern applied to
-    fault domains: construct, :meth:`validate` against the cluster
-    config, and only then let the chaos driver expand the spec into a
-    concrete :class:`~repro.sim.faults.FaultPlan` schedule.
+    Construct, :meth:`validate` against the cluster config, and only
+    then let the chaos driver expand the spec into a concrete
+    :class:`~repro.sim.faults.FaultPlan` schedule, so a bad zone is a
+    one-line :class:`~repro.errors.ConfigError`, never a mid-run failure.
     """
 
     #: Kill every node in this zone at one seeded instant.

@@ -28,13 +28,6 @@ from .figures import (
 from .sweep import SweepPoint, parallel_map, render_sweep, sweep
 from .breakdown import breakdown_rows, render_breakdown
 from .report import generate_report
-from .persist import (
-    load_json,
-    multi_recovery_result_to_dict,
-    recovery_result_to_dict,
-    run_result_to_dict,
-    save_json,
-)
 
 __all__ = [
     "run_application",
@@ -60,9 +53,4 @@ __all__ = [
     "breakdown_rows",
     "render_breakdown",
     "generate_report",
-    "run_result_to_dict",
-    "recovery_result_to_dict",
-    "multi_recovery_result_to_dict",
-    "save_json",
-    "load_json",
 ]

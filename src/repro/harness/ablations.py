@@ -101,7 +101,7 @@ def _measure_logsize(label: str, params: Dict[str, Any]) -> Dict[str, float]:
         make_app("shallow", n=16, steps=params["steps"]),
         params["config"],
         "ml",
-        failed_node=1,
+        failed_nodes=(1,),
         checkpoint_every=params["every"],
         retention=2 if params["every"] else None,
     )
@@ -144,7 +144,7 @@ def _measure_adaptive(label: str, params: Dict[str, Any]) -> Dict[str, float]:
     static_rec: Dict[str, float] = {}
     for protocol in ("ml", "ccl"):
         res = run_recovery_experiment(
-            make_app(app, **kwargs), config, protocol, failed_node=3,
+            make_app(app, **kwargs), config, protocol, failed_nodes=(3,),
         )
         if not res.ok:
             raise RuntimeError(f"{app}/{protocol} recovery diverged")
@@ -166,7 +166,7 @@ def _measure_adaptive(label: str, params: Dict[str, Any]) -> Dict[str, float]:
     )
 
     adaptive_rec = run_recovery_experiment(
-        make_app(app, **kwargs), config, "adaptive", failed_node=3,
+        make_app(app, **kwargs), config, "adaptive", failed_nodes=(3,),
         recovery_budget=budget,
     )
     if not adaptive_rec.ok:
@@ -205,10 +205,10 @@ def _measure_replication(label: str, params: Dict[str, Any]) -> Dict[str, float]
     unreplicated run), 2, and 3; overheads are normalised to k=1.
     Recovery at k=1 is classic log replay (no replica to promote);
     k>=2 is replay-free failover -- detection, promotion fencing, and a
-    metadata-suffix catch-up, never page-content replay.
+    metadata-suffix catch-up, never page-content replay.  One driver
+    serves every k: the scheme table promotes only when replicas exist.
     """
     from ..apps import make_app
-    from ..core.failover_recovery import run_failover_experiment
     from ..core.recovery import run_recovery_experiment
     from .runner import run_application
     from .scales import app_kwargs
@@ -218,6 +218,7 @@ def _measure_replication(label: str, params: Dict[str, Any]) -> Dict[str, float]
 
     times: Dict[int, float] = {}
     stall: Dict[int, float] = {}
+    rec: Dict[int, float] = {}
     for k in (1, 2, 3):
         result, _sys = run_application(
             app, "failover", config, scale, verify=False, replication=k,
@@ -227,26 +228,16 @@ def _measure_replication(label: str, params: Dict[str, Any]) -> Dict[str, float]
             s.get("quorum_stall_s", 0.0)
             for s in (result.replication_stats or [])
         )
-
-    replay = run_recovery_experiment(
-        make_app(app, **kwargs), config, "failover", failed_node=3,
-    )
-    if not replay.ok:
-        raise RuntimeError(f"{app}/failover classic replay diverged")
-    rec: Dict[int, float] = {1: replay.recovery_time}
-    for k in (2, 3):
-        failover = run_failover_experiment(
-            make_app(app, **kwargs), config, replication=k, failed_node=3,
+        res = run_recovery_experiment(
+            make_app(app, **kwargs), config, "failover", failed_nodes=(3,),
+            replication=k,
         )
-        if not failover.ok:
+        if not res.ok:
             raise RuntimeError(
-                f"{app}/failover k={k} diverged: {failover.mismatches[:3]}"
+                f"{app}/failover k={k} diverged: "
+                f"{res.victims[0].mismatches[:3]}"
             )
-        if "page_replay" in failover.breakdown:
-            raise RuntimeError(
-                f"{app}/failover k={k} replayed page contents"
-            )
-        rec[k] = failover.recovery_time
+        rec[k] = res.recovery_time
 
     base = times[1]
     return {

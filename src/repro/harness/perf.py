@@ -317,7 +317,7 @@ def run_log_truncation_bench() -> Dict[str, float]:
         make_app("shallow", n=16, steps=8),
         ClusterConfig.ultra5(num_nodes=4),
         "ml",
-        failed_node=1,
+        failed_nodes=(1,),
         checkpoint_every=4,
         retention=2,
     )

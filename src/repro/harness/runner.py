@@ -215,13 +215,14 @@ def recovery_comparison(
             make_app(app_name, **kwargs),
             config,
             protocol,
-            failed_node=failed_node,
+            failed_nodes=(failed_node,),
             at_seal=at_seal,
             checkpoint_every=checkpoint_every,
         )
         if not res.ok:
             raise HarnessError(
-                f"{app_name}/{protocol} recovery diverged: {res.mismatches[:3]}"
+                f"{app_name}/{protocol} recovery diverged: "
+                f"{res.victims[0].mismatches[:3]}"
             )
         out[protocol] = res
     return RecoveryComparison(

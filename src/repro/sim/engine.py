@@ -317,12 +317,9 @@ class Simulator:
                         if e.__class__ is not simprocess:
                             e()
                             continue
-                        # ---- inlined SimProcess step (hot path; the
-                        # cold-path twin is SimProcess._step/_wait_on,
-                        # keep them in sync) ----
+                        # ---- inlined SimProcess step (hot path) ----
                         if e.killed or e.finished:
                             continue
-                        e._started = True
                         v = e._value
                         if v is not None:
                             e._value = None

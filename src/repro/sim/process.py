@@ -9,18 +9,16 @@ disk flushes) run *inside* the simulated timeline of its caller --
 exactly how the DSM layer is written.
 
 The engine queues :class:`SimProcess` objects directly and steps their
-generators inline in its drain loop (no closure per step); the
-``_step``/``_wait_on`` methods here are the cold-path twin of that
-inlined dispatch, used when a process is started outside the engine
-loop.  The two must stay in sync.
+generators inline in its drain loop (no closure per step); a process
+only ever starts from :meth:`Simulator.spawn`'s queue.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from ..errors import ProcessKilled, SimulationError
-from .events import AllOf, Signal, Timeout
+from ..errors import ProcessKilled
+from .events import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -40,7 +38,7 @@ class SimProcess:
 
     __slots__ = (
         "sim", "gen", "name", "finished", "killed", "result", "error",
-        "done", "_waiting_on", "_started", "_value", "_resume_cb",
+        "done", "_waiting_on", "_value", "_resume_cb",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str):
@@ -54,7 +52,6 @@ class SimProcess:
         #: Signal triggered with the process result on completion.
         self.done = Signal(f"{name}.done")
         self._waiting_on: Optional[Signal] = None
-        self._started = False
         #: Value the next step sends into the generator (set on resume).
         self._value: Any = None
         #: The one bound-method resume callback this process ever
@@ -67,17 +64,6 @@ class SimProcess:
     def alive(self) -> bool:
         """True while the process can still make progress."""
         return not self.finished and not self.killed
-
-    def start(self) -> None:
-        """First step; runs the process up to its first wait.
-
-        The engine steps spawned processes itself; this is the
-        entry point for driving a process outside :meth:`Simulator.run`.
-        """
-        if self._started or not self.alive:
-            return
-        self._started = True
-        self._step(None)
 
     def kill(self) -> None:
         """Forcibly terminate the process (crash injection).
@@ -112,53 +98,6 @@ class SimProcess:
             act.append(self)
         else:
             sim.schedule(0.0, self)
-
-    def _step(self, value: Any) -> None:
-        # Cold-path twin of the engine's inlined step; keep in sync.
-        if not self.alive:
-            return
-        self._started = True
-        try:
-            request = self.gen.send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            self.done.trigger(stop.value)
-            return
-        except ProcessKilled:
-            self.killed = True
-            return
-        except Exception as exc:
-            self.finished = True
-            self.error = exc
-            raise SimulationError(
-                f"simulated process {self.name!r} raised {exc!r}"
-            ) from exc
-        self._wait_on(request)
-
-    def _wait_on(self, request: Any) -> None:
-        if isinstance(request, (float, int)) and not isinstance(request, bool):
-            # Bare numbers are timeout requests (the zero-allocation hot
-            # idiom; ``Timeout`` remains the validated wrapper).
-            if request < 0:
-                raise SimulationError(f"negative timeout: {request}")
-            self.sim.schedule(float(request), self)
-        elif isinstance(request, Timeout):
-            self.sim.schedule(request.delay, self)
-        elif isinstance(request, Signal):
-            self._waiting_on = request
-            request.add_callback(self._resume_cb)
-        elif isinstance(request, AllOf):
-            sig = request.as_signal()
-            self._waiting_on = sig
-            sig.add_callback(self._resume_cb)
-        elif isinstance(request, SimProcess):
-            self._waiting_on = request.done
-            request.done.add_callback(self._resume_cb)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported request {request!r}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

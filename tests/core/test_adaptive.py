@@ -122,23 +122,23 @@ class TestMixedModeRecovery:
     @pytest.mark.parametrize("failed_node", [0, 1, 3])
     def test_barrier_app_recovers_exact_state(self, small_cluster, failed_node):
         res = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, "adaptive", failed_node
+            BarrierApp(iters=3), small_cluster, "adaptive", (failed_node,)
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
         assert res.recovery_time > 0
 
     def test_lock_app_recovers_exact_state(self, small_cluster):
         res = run_recovery_experiment(
-            LockApp(iters=2), small_cluster, "adaptive", failed_node=2
+            LockApp(iters=2), small_cluster, "adaptive", failed_nodes=(2,)
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
 
     def test_tight_budget_fallback_recovers_exact_state(self, small_cluster):
         res = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, "adaptive", failed_node=1,
+            BarrierApp(iters=3), small_cluster, "adaptive", failed_nodes=(1,),
             recovery_budget=1e-6,
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
 
     def test_chaos_smoke(self, small_cluster):
         cases, _plan, _tr = run_chaos_run(

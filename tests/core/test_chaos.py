@@ -64,14 +64,14 @@ class TestFailpointSweep:
             for seal in range(1, seals + 1):
                 res = run_recovery_experiment(
                     BarrierApp(iters=2), small_cluster, protocol,
-                    failed_node=node, at_seal=seal,
+                    failed_nodes=(node,), at_seal=seal,
                 )
-                assert res.ok, (protocol, node, seal, res.mismatches[:3])
+                assert res.ok, (protocol, node, seal, res.victims[0].mismatches[:3])
 
     def test_bad_failed_node_fails_fast(self, small_cluster):
         with pytest.raises(RecoveryError, match="not a valid rank"):
             run_recovery_experiment(
-                BarrierApp(iters=2), small_cluster, "ccl", failed_node=7
+                BarrierApp(iters=2), small_cluster, "ccl", failed_nodes=(7,)
             )
 
 

@@ -82,17 +82,17 @@ class TestCheckpointRecovery:
             app = make_app(app_name, **app_kwargs(app_name, "test"))
             config = ClusterConfig.ultra5(num_nodes=4)
         res = run_recovery_experiment(
-            app, config, protocol, failed_node=victim, checkpoint_every=2
+            app, config, protocol, failed_nodes=(victim,), checkpoint_every=2
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
 
     def test_checkpoint_shortens_recovery(self, small_cluster):
         app = lambda: BarrierApp(iters=6, flops=1e6, imbalance=2.0)  # noqa: E731
         without = run_recovery_experiment(
-            app(), small_cluster, "ccl", failed_node=1
+            app(), small_cluster, "ccl", failed_nodes=(1,)
         )
         with_ck = run_recovery_experiment(
-            app(), small_cluster, "ccl", failed_node=1, checkpoint_every=4
+            app(), small_cluster, "ccl", failed_nodes=(1,), checkpoint_every=4
         )
         assert without.ok and with_ck.ok
         assert with_ck.recovery_time < without.recovery_time
@@ -104,10 +104,10 @@ class TestCheckpointRecovery:
             BarrierApp(iters=4, flops=1e6, imbalance=2.0),
             small_cluster,
             "ccl",
-            failed_node=1,
+            failed_nodes=(1,),
             at_seal=4,
             checkpoint_every=4,
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
         # replay did real work (it could not just restore seal-4 state)
         assert res.recovery_time > 0

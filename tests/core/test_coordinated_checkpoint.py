@@ -63,18 +63,18 @@ def test_recovery_from_coordinated_checkpoint_is_exact(small_cluster, mode):
         BarrierApp(iters=6, flops=1e6, imbalance=2.0),
         small_cluster,
         "ccl",
-        failed_node=1,
+        failed_nodes=(1,),
         checkpoint_every=3,
         checkpoint_mode=mode,
     )
-    assert res.ok, (mode, res.mismatches)
+    assert res.ok, (mode, res.victims[0].mismatches)
 
 
 def test_coordinated_checkpoint_shortens_recovery(small_cluster):
     app = lambda: BarrierApp(iters=6, flops=1e6, imbalance=2.0)  # noqa: E731
-    without = run_recovery_experiment(app(), small_cluster, "ccl", failed_node=1)
+    without = run_recovery_experiment(app(), small_cluster, "ccl", failed_nodes=(1,))
     with_ck = run_recovery_experiment(
-        app(), small_cluster, "ccl", failed_node=1,
+        app(), small_cluster, "ccl", failed_nodes=(1,),
         checkpoint_every=4, checkpoint_mode="barriers",
     )
     assert without.ok and with_ck.ok

@@ -13,7 +13,6 @@ from repro.apps import make_app
 from repro.config import ClusterConfig
 from repro.core import (
     make_hooks_factory,
-    run_multi_recovery_experiment,
     run_recovery_experiment,
 )
 from repro.dsm import DsmSystem
@@ -41,11 +40,11 @@ def test_recovery_identical_across_repetitions(protocol):
     times, stats = [], []
     for _ in range(2):
         res = run_recovery_experiment(
-            make_app("sor", n=32, iters=3), CFG, protocol, failed_node=1
+            make_app("sor", n=32, iters=3), CFG, protocol, failed_nodes=(1,)
         )
         assert res.ok
         times.append(res.recovery_time)
-        stats.append(dict(res.replay_stats.counters))
+        stats.append(dict(res.victims[0].stats.counters))
     assert times[0] == times[1]
     assert stats[0] == stats[1]
 
@@ -53,10 +52,10 @@ def test_recovery_identical_across_repetitions(protocol):
 def test_multi_recovery_identical_across_repetitions():
     outcomes = []
     for _ in range(2):
-        res = run_multi_recovery_experiment(
+        res = run_recovery_experiment(
             make_app("sor", n=32, iters=3), CFG, "ccl", failed_nodes=(1, 2)
         )
         assert res.ok
-        outcomes.append(dict(res.recovery_times))
+        outcomes.append([(v.victim, v.recovery_time) for v in res.victims])
     assert outcomes[0] == outcomes[1]
 

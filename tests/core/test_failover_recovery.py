@@ -8,16 +8,15 @@ crash-point probe snapshot, or failover refuses with a diagnosed
 contents (the breakdown carries no ``page_replay`` component).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.apps import make_app
 from repro.config import ClusterConfig
-from repro.core import make_hooks_factory
-from repro.core.failover_recovery import (
-    choose_candidate,
-    recover_via_failover,
-    run_failover_experiment,
-)
+from repro.core import make_hooks_factory, run_recovery_experiment
+from repro.core.failover_recovery import choose_candidate, recover_via_failover
 from repro.core.failure import CrashProbe
 from repro.dsm import DsmSystem
 from repro.errors import RecoveryError
@@ -30,51 +29,71 @@ def _app(name="sor"):
     return make_app(name, **app_kwargs(name, "test"))
 
 
+def _failover(**kwargs):
+    return run_recovery_experiment(_app(), CONFIG, "failover", **kwargs)
+
+
 @pytest.fixture(scope="module")
 def failover_result():
-    return run_failover_experiment(
-        _app(), CONFIG, replication=2, failed_node=1,
-    )
+    return _failover(failed_nodes=(1,), replication=2)
 
 
 class TestFailoverExperiment:
     def test_recovery_is_bit_exact(self, failover_result):
-        assert failover_result.ok, failover_result.mismatches[:3]
-        assert failover_result.verified
+        assert failover_result.ok, failover_result.victims[0].mismatches[:3]
 
     def test_breakdown_has_no_page_replay(self, failover_result):
-        assert set(failover_result.breakdown) == {
+        charged = failover_result.victims[0].stats.time.as_dict()
+        assert set(charged) == {
             "detection", "promotion", "meta_replay", "diff_refetch",
         }
-        assert "page_replay" not in failover_result.breakdown
+        assert "page_replay" not in charged
 
     def test_promotion_fences_at_next_epoch(self, failover_result):
         # ring placement at k=2: node 1's only follower is node 2
-        assert failover_result.promoted == 2
-        assert failover_result.epoch == 1
+        promotion = failover_result.victims[0].promotion
+        assert promotion.promoted == 2
+        assert promotion.epoch == 1
 
     def test_timings_are_positive_and_consistent(self, failover_result):
-        r = failover_result
-        assert r.detection_time > 0
-        assert r.recovery_time > 0
-        assert r.breakdown["detection"] == pytest.approx(r.detection_time)
+        (v,) = failover_result.victims
+        t = v.stats.time
+        assert v.promotion.detection_time > 0
+        assert v.recovery_time > 0
+        assert t.get("detection") == pytest.approx(v.promotion.detection_time)
         # recovery time excludes detection, like the classic experiments
-        assert r.recovery_time == pytest.approx(
-            r.breakdown["promotion"] + r.breakdown["meta_replay"]
-            + r.breakdown["diff_refetch"]
+        assert v.recovery_time == pytest.approx(
+            t.get("promotion") + t.get("meta_replay") + t.get("diff_refetch")
         )
 
-    def test_replication_1_is_a_diagnosed_refusal(self):
-        with pytest.raises(RecoveryError, match="replication >= 2"):
-            run_failover_experiment(
-                _app(), CONFIG, replication=1, failed_node=1,
-            )
+    def test_replication_1_replays_as_pinned(self):
+        """With one copy there is no replica to promote: the scheme
+        table's fallback replays the CCL-format log, exactly as pinned."""
+        golden = json.loads(
+            Path(__file__).with_name("golden_recovery_contract.json").read_text()
+        )["replay/failover/sor"]
+        res = _failover(failed_nodes=(1,), replication=1)
+        (v,) = res.victims
+        assert v.promotion is None
+        assert (res.ok, v.at_seal, res.recovery_time) == (
+            golden["ok"], golden["at_seal"], golden["recovery_time"]
+        )
+        assert v.stats.time.as_dict() == golden["time"]
+        assert dict(v.stats.counters) == golden["counters"]
+
+    def test_at_time_promotion_is_bit_exact(self, failover_result):
+        """An arbitrary-instant crash promotes the mirror as of then."""
+        horizon = failover_result.phase_a.total_time
+        res = _failover(failed_nodes=(1,), replication=2,
+                        at_time=0.6 * horizon)
+        (v,) = res.victims
+        assert res.ok, v.mismatches[:3]
+        assert v.promotion is not None and v.salvage is not None
+        assert 1 <= v.at_seal < failover_result.victims[0].at_seal
 
     def test_bad_failed_node_is_a_diagnosed_refusal(self):
         with pytest.raises(RecoveryError, match="not a valid rank"):
-            run_failover_experiment(
-                _app(), CONFIG, replication=2, failed_node=9,
-            )
+            _failover(failed_nodes=(9,), replication=2)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Tests for failure specification and crash-point capture."""
+"""Tests for crash-point capture."""
 
 import copy
 import gc
@@ -11,24 +11,11 @@ from repro.core import (
     Checkpointer,
     CrashProbe,
     FailureSnapshot,
-    FailureSpec,
     make_hooks_factory,
 )
 from repro.dsm import DsmSystem
 from repro.memory import PageState
 from tests.core.conftest import BarrierApp
-
-
-def test_failure_spec_validation():
-    with pytest.raises(ValueError):
-        FailureSpec(node=-1, at_seal=1)
-    with pytest.raises(ValueError):
-        FailureSpec(node=0, at_seal=0)
-    spec = FailureSpec(node=2, at_seal=5)
-    assert spec.node == 2 and spec.at_seal == 5
-    spec.validate(num_nodes=4)  # in range: fine
-    with pytest.raises(ValueError, match="nodes 0..1"):
-        spec.validate(num_nodes=2)
 
 
 class TestCrashProbe:

@@ -135,10 +135,10 @@ class TestFigure1bRecovery:
         P3 and page x plus diff(y) from P1."""
         cfg = ClusterConfig.ultra5(num_nodes=3)
         res = run_recovery_experiment(
-            ScriptedFigure1(), cfg, "ccl", failed_node=P2, at_seal=1
+            ScriptedFigure1(), cfg, "ccl", failed_nodes=(P2,), at_seal=1
         )
-        assert res.ok, res.mismatches
-        c = res.replay_stats.counters
+        assert res.ok, res.victims[0].mismatches
+        c = res.victims[0].stats.counters
         # prefetch rebuilt/fetched exactly pages x and z; no faults
         assert c.get("pages_prefetched", 0) == 2
         assert c.get("replay_faults", 0) == 0

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.failover_recovery import recover_via_failover
 from repro.dsm import DsmSystem
-from repro.errors import RecoveryError
+from repro.errors import ConfigError, RecoveryError
 from tests.core.conftest import BarrierApp, LockApp
 
 
@@ -35,9 +35,9 @@ class TestRecoveryCorrectness:
         self, small_cluster, protocol, failed_node
     ):
         res = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, protocol, failed_node
+            BarrierApp(iters=3), small_cluster, protocol, (failed_node,)
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
         assert res.recovery_time > 0
 
     @pytest.mark.parametrize("protocol", ["ml", "ccl"])
@@ -46,26 +46,26 @@ class TestRecoveryCorrectness:
         self, small_cluster, protocol, failed_node
     ):
         res = run_recovery_experiment(
-            LockApp(iters=2), small_cluster, protocol, failed_node
+            LockApp(iters=2), small_cluster, protocol, (failed_node,)
         )
-        assert res.ok, res.mismatches
+        assert res.ok, res.victims[0].mismatches
 
     @pytest.mark.parametrize("protocol", ["ml", "ccl"])
     def test_recovery_at_intermediate_seal(self, small_cluster, protocol):
         res = run_recovery_experiment(
-            BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, protocol, failed_node=1, at_seal=3
+            BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, protocol, failed_nodes=(1,), at_seal=3
         )
-        assert res.ok, res.mismatches
-        assert res.at_seal == 3
+        assert res.ok, res.victims[0].mismatches
+        assert res.victims[0].at_seal == 3
 
     def test_recovery_time_grows_with_crash_point(self, small_cluster):
         times = []
         for seal in (2, 4, 6):
             res = run_recovery_experiment(
                 BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, "ccl",
-                failed_node=1, at_seal=seal,
+                failed_nodes=(1,), at_seal=seal,
             )
-            assert res.ok, res.mismatches
+            assert res.ok, res.victims[0].mismatches
             times.append(res.recovery_time)
         assert times[0] < times[1] < times[2]
 
@@ -76,9 +76,9 @@ class TestRecoverySpeed:
         t_reexec = reexecution_time(BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster)
         for protocol in ("ml", "ccl"):
             res = run_recovery_experiment(
-                BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, protocol, failed_node=1
+                BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, protocol, failed_nodes=(1,)
             )
-            assert res.ok, res.mismatches
+            assert res.ok, res.victims[0].mismatches
             assert res.recovery_time < t_reexec, protocol
 
     def test_ccl_recovery_beats_ml_recovery(self, small_cluster):
@@ -87,41 +87,41 @@ class TestRecoverySpeed:
         app = lambda: BarrierApp(  # noqa: E731
             iters=4, elems=2048, flops=1e6, imbalance=2.0
         )
-        ml = run_recovery_experiment(app(), small_cluster, "ml", failed_node=1)
-        ccl = run_recovery_experiment(app(), small_cluster, "ccl", failed_node=1)
+        ml = run_recovery_experiment(app(), small_cluster, "ml", failed_nodes=(1,))
+        ccl = run_recovery_experiment(app(), small_cluster, "ccl", failed_nodes=(1,))
         assert ml.ok and ccl.ok
         assert ccl.recovery_time < ml.recovery_time
 
     def test_ml_pays_memory_miss_idle_ccl_does_not(self, small_cluster):
         ml = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, "ml", failed_node=1
+            BarrierApp(iters=3), small_cluster, "ml", failed_nodes=(1,)
         )
         ccl = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, "ccl", failed_node=1
+            BarrierApp(iters=3), small_cluster, "ccl", failed_nodes=(1,)
         )
         # ML replays faults against the disk log
-        assert ml.replay_stats.counters.get("replay_faults", 0) > 0
-        assert ml.replay_stats.time.get("miss_read") > 0
+        assert ml.victims[0].stats.counters.get("replay_faults", 0) > 0
+        assert ml.victims[0].stats.time.get("miss_read") > 0
         # CCL prefetches everything: zero replay faults by construction
-        assert ccl.replay_stats.counters.get("replay_faults", 0) == 0
-        assert ccl.replay_stats.counters.get("pages_prefetched", 0) > 0
+        assert ccl.victims[0].stats.counters.get("replay_faults", 0) == 0
+        assert ccl.victims[0].stats.counters.get("pages_prefetched", 0) > 0
 
     def test_ccl_reconstructs_old_versions_when_home_advanced(self, small_cluster):
         """Crashing mid-run forces the checkpoint+diff reconstruction path."""
         res = run_recovery_experiment(
-            BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, "ccl", failed_node=1, at_seal=3
+            BarrierApp(iters=4, flops=1e6, imbalance=2.0), small_cluster, "ccl", failed_nodes=(1,), at_seal=3
         )
-        assert res.ok, res.mismatches
-        assert res.replay_stats.counters.get("prefetch_rebuilt", 0) > 0
+        assert res.ok, res.victims[0].mismatches
+        assert res.victims[0].stats.counters.get("prefetch_rebuilt", 0) > 0
 
     def test_prefetch_modes_cover_all_pages(self, small_cluster):
         """Every prefetched page is served warm (delta), direct, or
         rebuilt from a checkpoint -- and none of them faults."""
         res = run_recovery_experiment(
-            BarrierApp(iters=3), small_cluster, "ccl", failed_node=1
+            BarrierApp(iters=3), small_cluster, "ccl", failed_nodes=(1,)
         )
         assert res.ok
-        c = res.replay_stats.counters
+        c = res.victims[0].stats.counters
         modes = (
             c.get("prefetch_direct", 0)
             + c.get("prefetch_delta", 0)
@@ -135,15 +135,43 @@ class TestRecoveryErrors:
     def test_recovery_requires_logging_protocol(self, small_cluster):
         with pytest.raises(RecoveryError):
             run_recovery_experiment(
-                BarrierApp(iters=2), small_cluster, "none", failed_node=0
+                BarrierApp(iters=2), small_cluster, "none", failed_nodes=(0,)
             )
 
     def test_unreachable_seal_raises(self, small_cluster):
         with pytest.raises(RecoveryError, match="never reached"):
             run_recovery_experiment(
                 BarrierApp(iters=2), small_cluster, "ccl",
-                failed_node=0, at_seal=999,
+                failed_nodes=(0,), at_seal=999,
             )
+
+
+class _PhaseAMustNotRun:
+    """An application that fails the test the moment phase A touches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"phase A ran (read {name!r})")
+
+
+class TestExperimentRefusals:
+    """Whatever the driver cannot serve is refused in one line before
+    phase A runs, not diagnosed (or silently ignored) after it."""
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        (dict(at_seal=0), RecoveryError, "at least one sealed interval"),
+        (dict(at_seal=1, at_time=0.01), ConfigError, "not both"),
+        (dict(retention=2), ConfigError, "needs checkpoint_every"),
+        (dict(failed_nodes=()), RecoveryError, "bad failed-node set"),
+        (dict(failed_nodes=(1, 1)), RecoveryError, "bad failed-node set"),
+        (dict(protocol="failover", replication=2, at_seal=1), ConfigError,
+         "crash at_time"),
+    ], ids=["at-seal-0", "seal-and-time", "retention-alone", "no-victims",
+            "duplicate-victim", "promotion-at-seal"])
+    def test_refused_before_phase_a(self, small_cluster, kwargs, error, match):
+        kwargs = {"protocol": "ccl", "failed_nodes": (1,), **kwargs}
+        with pytest.raises(error, match=match) as err:
+            run_recovery_experiment(_PhaseAMustNotRun(), small_cluster, **kwargs)
+        assert "\n" not in str(err.value)
 
 
 class TestEntryPointValidation:

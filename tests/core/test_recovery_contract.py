@@ -1,11 +1,11 @@
-"""Golden pin of recovery's simulated results, single == multi, docs == table.
+"""Golden pin of recovery's simulated results, driver == direct path, docs == table.
 
 ``golden_recovery_contract.json`` holds, for every recovery scheme on
-two real applications, the exact simulated outputs of the public entry
-points: recovery time, crash seal, the recovery-time breakdown and the
+two real applications, the exact simulated outputs of the experiment
+driver: recovery time, crash seal, the recovery-time breakdown and the
 replay counters (for promotion also the promoted rank, epoch and
-replayed/refetched counts), and one run each of the two-victim, the
-arbitrary-instant + disk-fault and the checkpointed drivers.  A refactor
+replayed/refetched counts), and one run each of a two-victim, an
+arbitrary-instant + disk-fault and a checkpointed experiment.  A refactor
 of the recovery modules must leave every number bit-identical; floats
 round-trip exactly through JSON, so the comparison is ``==``.
 
@@ -21,17 +21,16 @@ import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
 from repro.core import (
+    Checkpointer,
     CrashProbe,
-    run_multi_recovery_experiment,
+    compare_state,
+    replay_failed_node,
     run_recovery_experiment,
 )
 from repro.core.chaos import DEFAULT_RATES
 from repro.core.logging_base import SCHEMES
 from repro.core.recovery import plan_victim
-from repro.core.failover_recovery import (
-    recover_via_failover,
-    run_failover_experiment,
-)
+from repro.core.failover_recovery import compare_mirror, recover_via_failover
 from repro.harness.scales import app_kwargs
 from repro.sim.faults import DiskFaultPlan, FaultPlan
 
@@ -51,39 +50,47 @@ def _config():
 
 
 def _replay_entry(res):
+    (v,) = res.victims
     return {
         "ok": res.ok,
-        "at_seal": res.at_seal,
+        "at_seal": v.at_seal,
         "recovery_time": res.recovery_time,
-        "time": res.replay_stats.time.as_dict(),
-        "counters": dict(res.replay_stats.counters),
+        "time": v.stats.time.as_dict(),
+        "counters": dict(v.stats.counters),
     }
 
 
 def _promotion_entry(res):
+    (v,) = res.victims
+    p = v.promotion
     return {
         "ok": res.ok,
-        "at_seal": res.at_seal,
+        "at_seal": v.at_seal,
         "recovery_time": res.recovery_time,
-        "detection_time": res.detection_time,
-        "breakdown": res.breakdown,
-        "promoted": res.promoted,
-        "epoch": res.epoch,
-        "mirror_seal": res.mirror_seal,
-        "replayed_events": res.replayed_events,
-        "refetched_diffs": res.refetched_diffs,
-        "time": res.replay_stats.time.as_dict(),
-        "counters": dict(res.replay_stats.counters),
+        "detection_time": p.detection_time,
+        "breakdown": {
+            c: v.stats.time.get(c) for c in SCHEMES["failover"].components
+        },
+        "promoted": p.promoted,
+        "epoch": p.epoch,
+        "mirror_seal": p.mirror_seal,
+        "replayed_events": p.replayed_events,
+        "refetched_diffs": p.refetched_diffs,
+        "time": v.stats.time.as_dict(),
+        "counters": dict(v.stats.counters),
     }
 
 
 def _multi_entry(res):
     return {
         "ok": res.ok,
-        "at_seals": {str(f): s for f, s in res.at_seals.items()},
-        "recovery_times": {str(f): t for f, t in res.recovery_times.items()},
-        "free_untils": {str(f): s for f, s in res.free_untils.items()},
-        "salvage": {str(f): r.describe() for f, r in res.salvage.items()},
+        "at_seals": {str(v.victim): v.at_seal for v in res.victims},
+        "recovery_times": {str(v.victim): v.recovery_time for v in res.victims},
+        "free_untils": {str(v.victim): v.free_until for v in res.victims},
+        "salvage": {
+            str(v.victim): v.salvage.describe()
+            for v in res.victims if v.salvage is not None
+        },
     }
 
 
@@ -92,9 +99,9 @@ def _at_time_run(seed):
     quarantines a corrupt segment on node 1 (victims stop at different
     seals), seed 9 recovers records from both victims' torn tails."""
     horizon = run_recovery_experiment(
-        _app("sor"), _config(), "ccl", failed_node=0
+        _app("sor"), _config(), "ccl", failed_nodes=(0,)
     ).phase_a.total_time
-    return run_multi_recovery_experiment(
+    return run_recovery_experiment(
         _app("sor"), _config(), "ccl", failed_nodes=(1, 3),
         at_time=0.8 * horizon,
         disk_fault_plan=DiskFaultPlan.uniform(seed, torn_tail=0.5, bitrot=0.02),
@@ -136,14 +143,16 @@ for _name in APPS:
     for _scheme in REPLAY_SCHEMES:
         CASES[f"replay/{_scheme}/{_name}"] = (
             lambda n=_name, s=_scheme: _replay_entry(
-                run_recovery_experiment(_app(n), _config(), s, failed_node=1)
+                run_recovery_experiment(_app(n), _config(), s, failed_nodes=(1,))
             )
         )
     CASES[f"promotion/{_name}"] = lambda n=_name: _promotion_entry(
-        run_failover_experiment(_app(n), _config(), failed_node=1)
+        run_recovery_experiment(
+            _app(n), _config(), "failover", failed_nodes=(1,), replication=2
+        )
     )
 CASES["two-victim/ccl/sor"] = lambda: _multi_entry(
-    run_multi_recovery_experiment(
+    run_recovery_experiment(
         _app("sor"), _config(), "ccl", failed_nodes=(0, 2)
     )
 )
@@ -152,7 +161,7 @@ CASES["at-time+torn-tail/ccl/sor"] = lambda: _multi_entry(_at_time_run(9))
 CASES["promotion-lagging-mirror/water"] = _lagging_mirror_promotion
 CASES["checkpointed/ccl/sor"] = lambda: _replay_entry(
     run_recovery_experiment(
-        _app("sor"), _config(), "ccl", failed_node=0, checkpoint_every=2
+        _app("sor"), _config(), "ccl", failed_nodes=(0,), checkpoint_every=2
     )
 )
 
@@ -167,31 +176,58 @@ def test_golden_has_no_stale_cases():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
-@pytest.mark.parametrize("app, scheme, checkpoint_every, victim", [
-    ("sor", "ml", None, 0),
-    ("sor", "ccl", 2, 2),
-    ("water", "ccl", None, 2),
-    ("water", "adaptive", 2, 0),
-    ("shallow", "failover", None, 0),
-    ("shallow", "ml", 2, 2),
+@pytest.mark.parametrize("app, scheme, checkpoint_every, victim, replication", [
+    ("sor", "ml", None, 0, 1),
+    ("sor", "ccl", 2, 2, 1),
+    ("water", "ccl", None, 2, 1),
+    ("water", "adaptive", 2, 0, 1),
+    ("shallow", "failover", None, 0, 1),
+    ("shallow", "ml", 2, 2, 1),
+    ("sor", "failover", None, 2, 2),
 ])
-def test_single_victim_is_multi_victim_with_one_victim(
-    app, scheme, checkpoint_every, victim
+def test_driver_matches_direct_path(
+    app, scheme, checkpoint_every, victim, replication
 ):
-    """The two drivers share one victim loop and must not fork again."""
-    single = run_recovery_experiment(
-        _app(app), _config(), scheme, failed_node=victim,
-        checkpoint_every=checkpoint_every,
-    )
-    multi = run_multi_recovery_experiment(
+    """A one-victim experiment and the benchmark's direct calls on the
+    same phase A give the same recovery time, seal and mismatch list."""
+    res = run_recovery_experiment(
         _app(app), _config(), scheme, failed_nodes=(victim,),
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=checkpoint_every, replication=replication,
     )
-    assert single.ok and multi.ok
-    assert single.recovery_time == multi.recovery_times[victim]
-    assert single.at_seal == multi.at_seals[victim]
+    (rec,) = res.victims
 
-
+    # the same phase A, built by hand, then the benchmark's direct calls
+    system = DsmSystem(_app(app), _config(), make_hooks_factory(scheme),
+                       replication=replication)
+    probe = CrashProbe(victim)
+    system.add_probe(probe)
+    if checkpoint_every:
+        for node in system.nodes:
+            node.checkpointer = Checkpointer(checkpoint_every)
+    system.run()
+    probe.finalize()
+    plan = plan_victim(system, probe)
+    config = system.config
+    if replication >= 2:
+        _promoted, _epoch, mirror, breakdown, _stats, _n, _m = (
+            recover_via_failover(config, system, victim, plan.plog,
+                                 plan.stop_at)
+        )
+        seconds = (breakdown["promotion"] + breakdown["meta_replay"]
+                   + breakdown["diff_refetch"])
+        home_pages = [p for p, h in enumerate(system.homes) if h == victim]
+        mismatches = compare_mirror(mirror, plan.snapshot, home_pages,
+                                    config.page_size)
+    else:
+        replay, seconds = replay_failed_node(
+            system.app, config, scheme, system, victim, plan.plog,
+            plan.stop_at, plan.free_until, plan.checkpoint,
+        )
+        mismatches = compare_state(replay, plan.snapshot, config.page_size)
+    assert res.ok and mismatches == rec.mismatches == []
+    assert (rec.promotion is not None) == (replication >= 2)
+    assert rec.recovery_time == seconds
+    assert rec.at_seal == plan.stop_at
 def _doc_table_row(label):
     """Cells of one row of docs/recovery.md's scheme comparison table."""
     doc = Path(__file__).parents[2] / "docs" / "recovery.md"

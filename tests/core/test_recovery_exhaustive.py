@@ -30,9 +30,9 @@ def test_every_crash_point_of_sor_recovers(protocol):
     assert seals >= 6
     for seal in range(1, seals + 1):
         res = run_recovery_experiment(
-            make_app("sor", **kw), CFG, protocol, failed_node=1, at_seal=seal
+            make_app("sor", **kw), CFG, protocol, failed_nodes=(1,), at_seal=seal
         )
-        assert res.ok, (protocol, seal, res.mismatches[:3])
+        assert res.ok, (protocol, seal, res.victims[0].mismatches[:3])
 
 
 @pytest.mark.parametrize("protocol", ["ml", "ccl"])
@@ -43,9 +43,9 @@ def test_every_crash_point_of_water_recovers(protocol):
     seals = total_seals("water", 2, **kw)
     for seal in range(1, seals + 1):
         res = run_recovery_experiment(
-            make_app("water", **kw), CFG, protocol, failed_node=2, at_seal=seal
+            make_app("water", **kw), CFG, protocol, failed_nodes=(2,), at_seal=seal
         )
-        assert res.ok, (protocol, seal, res.mismatches[:3])
+        assert res.ok, (protocol, seal, res.victims[0].mismatches[:3])
 
 
 def test_every_node_recovers_at_midpoint():
@@ -55,6 +55,6 @@ def test_every_node_recovers_at_midpoint():
         seals = total_seals("mg", node, **kw)
         res = run_recovery_experiment(
             make_app("mg", **kw), CFG, "ccl",
-            failed_node=node, at_seal=max(1, seals // 2),
+            failed_nodes=(node,), at_seal=max(1, seals // 2),
         )
-        assert res.ok, (node, res.mismatches[:3])
+        assert res.ok, (node, res.victims[0].mismatches[:3])

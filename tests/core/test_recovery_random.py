@@ -89,9 +89,9 @@ def test_random_program_recovery_is_bit_exact(plan, protocol, failed_node, data)
     total_seals = len(plan)  # barrier-only programs: one seal per round
     at_seal = data.draw(st.integers(1, total_seals), label="at_seal")
     res = run_recovery_experiment(
-        PlanApp(plan), cfg, protocol, failed_node=failed_node, at_seal=at_seal
+        PlanApp(plan), cfg, protocol, failed_nodes=(failed_node,), at_seal=at_seal
     )
-    assert res.ok, (protocol, failed_node, at_seal, res.mismatches)
+    assert res.ok, (protocol, failed_node, at_seal, res.victims[0].mismatches)
 
 
 @settings(
@@ -108,9 +108,9 @@ def test_random_lock_program_recovery_is_bit_exact(plan, protocol, failed_node):
     """Lock-bearing programs exercise window-tagged notice replay."""
     cfg = ClusterConfig.ultra5(num_nodes=NPROCS, page_size=256)
     res = run_recovery_experiment(
-        PlanApp(plan, with_locks=True), cfg, protocol, failed_node=failed_node
+        PlanApp(plan, with_locks=True), cfg, protocol, failed_nodes=(failed_node,)
     )
-    assert res.ok, (protocol, failed_node, res.mismatches)
+    assert res.ok, (protocol, failed_node, res.victims[0].mismatches)
 
 
 @pytest.mark.parametrize("protocol", ["ml", "ccl"])
@@ -119,5 +119,5 @@ def test_recovery_with_false_sharing(protocol):
     reassemble the multi-writer merges exactly."""
     plan = [[r % NPROCS for r in range(CHUNKS)] for _ in range(3)]
     cfg = ClusterConfig.ultra5(num_nodes=NPROCS, page_size=1024)  # 1 page
-    res = run_recovery_experiment(PlanApp(plan), cfg, protocol, failed_node=2)
-    assert res.ok, res.mismatches
+    res = run_recovery_experiment(PlanApp(plan), cfg, protocol, failed_nodes=(2,))
+    assert res.ok, res.victims[0].mismatches

@@ -15,10 +15,7 @@ from repro.config import ClusterConfig, DiskConfig
 from repro.core import NoticeLogRecord, StableLog, make_hooks_factory
 from repro.core.checkpoint import Checkpointer
 from repro.core.logformat import SEGMENT_HEADER_BYTES, decode_segment
-from repro.core.recovery import (
-    run_multi_recovery_experiment,
-    run_recovery_experiment,
-)
+from repro.core.recovery import run_recovery_experiment
 from repro.core.salvage import SalvageReport, plan_recovery, salvage_log
 from repro.dsm import DsmSystem, IntervalRecord, VectorClock
 from repro.errors import RecoveryError
@@ -197,9 +194,9 @@ class TestRecoveryWithRetention:
         result = run_recovery_experiment(
             make_app("sor", n=24, iters=6),
             ClusterConfig.ultra5(num_nodes=4), "ml",
-            failed_node=1, checkpoint_every=2, retention=3,
+            failed_nodes=(1,), checkpoint_every=2, retention=3,
         )
-        assert result.ok, result.mismatches[:3]
+        assert result.ok, result.victims[0].mismatches[:3]
         # retention must actually have retired checkpoints and truncated
         a = result.phase_a
         assert a.reclaimed_log_bytes > 0
@@ -213,7 +210,7 @@ class TestRecoveryWithRetention:
             results[retention] = run_recovery_experiment(
                 make_app("shallow", n=16, steps=8),
                 ClusterConfig.ultra5(num_nodes=4), "ml",
-                failed_node=1, checkpoint_every=4, retention=retention,
+                failed_nodes=(1,), checkpoint_every=4, retention=retention,
             )
         assert all(r.ok for r in results.values())
         assert (
@@ -250,15 +247,16 @@ class TestMultiRecoveryDiskFaults:
             )
 
         t = 0.9 * self.phase_a_total_time(plan())
-        res = run_multi_recovery_experiment(
+        res = run_recovery_experiment(
             self.app(), self.CONFIG, "ml", failed_nodes=(1, 2),
             at_time=t, checkpoint_every=2, disk_fault_plan=plan(),
         )
-        assert res.ok, res.mismatches
-        assert res.salvage[1].records_quarantined > 0
-        assert res.salvage[2].clean
-        assert res.at_seals[1] < res.at_seals[2]
-        assert res.free_untils[1] < res.free_untils[2]
+        assert res.ok, [v.mismatches for v in res.victims]
+        v1, v2 = res.victims
+        assert v1.salvage.records_quarantined > 0
+        assert v2.salvage.clean
+        assert v1.at_seal < v2.at_seal
+        assert v1.free_until < v2.free_until
 
     def test_torn_victim_recovers_tail_records(self):
         """Crash inside a flush window: the torn tail's whole frames are
@@ -292,23 +290,25 @@ class TestMultiRecoveryDiskFaults:
                 break
         assert pick is not None, "no torn candidate window in this run"
         t = (pick.issue_time + pick.durable_time) / 2
-        res = run_multi_recovery_experiment(
+        res = run_recovery_experiment(
             self.app(), self.CONFIG, "ml", failed_nodes=(1, 2),
             at_time=t, checkpoint_every=2, disk_fault_plan=plan(),
         )
-        assert res.ok, res.mismatches
-        assert res.salvage[1].torn_segment == pick.seq
-        assert res.salvage[1].torn_records_recovered > 0
+        assert res.ok, [v.mismatches for v in res.victims]
+        salvage = res.victims[0].salvage
+        assert salvage.torn_segment == pick.seq
+        assert salvage.torn_records_recovered > 0
 
     def test_inert_disk_plan_matches_no_plan(self):
-        res_bare = run_multi_recovery_experiment(
+        res_bare = run_recovery_experiment(
             self.app(), self.CONFIG, "ml", failed_nodes=(1, 2),
             checkpoint_every=2,
         )
-        res_inert = run_multi_recovery_experiment(
+        res_inert = run_recovery_experiment(
             self.app(), self.CONFIG, "ml", failed_nodes=(1, 2),
             checkpoint_every=2, disk_fault_plan=DiskFaultPlan.none(),
         )
         assert res_bare.ok and res_inert.ok
         assert res_bare.recovery_time == res_inert.recovery_time
-        assert res_bare.at_seals == res_inert.at_seals
+        assert ([v.at_seal for v in res_bare.victims]
+                == [v.at_seal for v in res_inert.victims])

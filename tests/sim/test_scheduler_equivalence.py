@@ -27,7 +27,36 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Signal, Simulator, Timeout
 from repro.sim.engine import PendingChoice
-from repro.sim.process import SimProcess
+
+
+class ReferenceProcess:
+    """A generator stepped one request at a time, straight off the heap.
+
+    Shares no code with :class:`~repro.sim.process.SimProcess` or the
+    engine's inlined dispatch: the workloads only yield bare-number and
+    :class:`Timeout` delays and :class:`Signal` waits, and each step
+    re-enters the heap exactly as the textbook scheduler would.
+    """
+
+    def __init__(self, sim, gen, name):
+        self.sim, self.gen, self.name = sim, gen, name
+        self.alive = True
+
+    def step(self, value=None):
+        try:
+            request = self.gen.send(value)
+        except StopIteration:
+            self.alive = False
+            return
+        if isinstance(request, Timeout):
+            self.sim.schedule(request.delay, self.step)
+        elif isinstance(request, Signal):
+            # a wake-up is a fresh event at the current instant
+            request.add_callback(
+                lambda v: self.sim.schedule(0.0, lambda: self.step(v))
+            )
+        else:
+            self.sim.schedule(float(request), self.step)
 
 
 class ReferenceHeapSimulator:
@@ -45,9 +74,6 @@ class ReferenceHeapSimulator:
         self._seq = 0
         self._heap = []
         self._processes = []
-        #: SimProcess._resume appends here when set; the reference
-        #: scheduler never batches, so it stays None.
-        self._active = None
         self.choice_fn = None
         self._choices = []
 
@@ -67,9 +93,9 @@ class ReferenceHeapSimulator:
         self._choices.append(PendingChoice(label, self.now + delay, self._seq, fn))
 
     def spawn(self, gen, name="proc"):
-        proc = SimProcess(self, gen, name=name)
+        proc = ReferenceProcess(self, gen, name)
         self._processes.append(proc)
-        self.schedule(0.0, proc)
+        self.schedule(0.0, proc.step)
         return proc
 
     def run(self, until=None, detect_deadlock=True):
@@ -81,13 +107,7 @@ class ReferenceHeapSimulator:
                     return until
                 heapq.heappop(self._heap)
                 self.now = t
-                if isinstance(fn, SimProcess):
-                    if fn.alive:
-                        value = fn._value
-                        fn._value = None
-                        fn._step(value)
-                else:
-                    fn()
+                fn()
                 continue
             if self.choice_fn is None or not self._choices:
                 break

@@ -58,7 +58,7 @@ from .recovery import (
     replay_failed_node,
     run_recovery_experiment,
 )
-from .chaos import ChaosCase, ChaosReport, run_chaos_run, run_chaos_suite
+from .chaos import ChaosCase, ChaosFaults, ChaosReport, run_chaos_run, run_chaos_suite
 from .ml_recovery import MlReplayNode
 from .ccl_recovery import CclReplayNode
 from .adaptive_recovery import AdaptiveReplayNode
@@ -101,6 +101,7 @@ __all__ = [
     "replay_failed_node",
     "run_recovery_experiment",
     "ChaosCase",
+    "ChaosFaults",
     "ChaosReport",
     "run_chaos_run",
     "run_chaos_suite",

@@ -41,8 +41,8 @@ reproducible from the one-line command the report prints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ClusterConfig
 from ..dsm.system import DsmSystem
@@ -58,16 +58,115 @@ from ..sim.faults import DiskFaultPlan, FaultPlan
 from ..sim.trace import Tracer
 from .failure import CrashProbe
 from .logging_base import SCHEMES, make_hooks_factory
-from .recovery import plan_victim, recover_victims
-from .replication import ZoneFaultSpec, validate_replication
+from .recovery import VictimPlan, plan_victim, recover_victims
+from .replication import validate_replication
 
-__all__ = ["ChaosCase", "ChaosReport", "run_chaos_run", "run_chaos_suite"]
+__all__ = ["ChaosCase", "ChaosFaults", "ChaosReport", "run_chaos_run",
+           "run_chaos_suite"]
 
 #: Default fault rates: high enough that every run sees drops,
 #: duplicates, delays, and reordering, low enough that the transport's
 #: bounded retry (p**(max_retries+1) residual loss) never gives up on a
 #: live peer.
 DEFAULT_RATES = {"drop": 0.08, "dup": 0.08, "delay": 0.12, "reorder": 0.12}
+
+
+@dataclass(frozen=True)
+class ChaosFaults:
+    """Everything a chaos run injects, as one value.
+
+    :meth:`validate` refuses what the cluster or protocol cannot run,
+    before anything executes; :meth:`expand` builds one execution's
+    plans from a seed; :meth:`flags` renders the CLI flags that rebuild
+    it.  Each field is named after its ``repro chaos`` flag and defaults
+    to that flag's default.
+    """
+
+    #: Per-message network fault probabilities (``FaultPlan.uniform``).
+    drop: float = DEFAULT_RATES["drop"]
+    dup: float = DEFAULT_RATES["dup"]
+    delay_rate: float = DEFAULT_RATES["delay"]
+    reorder: float = DEFAULT_RATES["reorder"]
+    #: Storage fault probabilities (``DiskFaultPlan.uniform``); all zero
+    #: keeps the plan-free, byte-identical disk path.
+    disk_torn: float = 0.0
+    disk_write_error: float = 0.0
+    disk_bitrot: float = 0.0
+    #: Home replication factor: every home mirrored onto ``k-1`` followers.
+    replication: int = 1
+    #: Kill every node of this zone at one seeded instant.
+    zone_kill: Optional[int] = None
+    #: Partition these two zones from each other for a seeded window.
+    zone_partition: Optional[Tuple[int, int]] = None
+
+    @property
+    def disk_faulty(self) -> bool:
+        return max(self.disk_torn, self.disk_write_error, self.disk_bitrot) > 0
+
+    def validate(self, config: ClusterConfig, protocol: str) -> None:
+        """Refuse a fault model ``config`` or ``protocol`` cannot run."""
+        validate_replication(self.replication, config.num_nodes)
+        zones = sorted(set(config.zones)) if config.zones is not None else [0]
+        for z in (self.zone_kill, *(self.zone_partition or ())):
+            if z is not None and z not in zones:
+                raise ConfigError(
+                    f"unknown zone {z}; the cluster has zones {zones}"
+                )
+        if self.zone_partition is not None and len(set(self.zone_partition)) < 2:
+            raise ConfigError(
+                f"zone-partition sides must differ, got {self.zone_partition}"
+            )
+        if self.zone_kill is not None and config.num_zones == 1:
+            raise ConfigError(
+                f"zone-kill {self.zone_kill} would kill every node; "
+                "at least one zone must survive"
+            )
+        if SCHEMES[protocol].promotes and self.replication < 2:
+            raise ConfigError(
+                f"the {protocol} protocol promotes a surviving replica, so "
+                f"it needs replication >= 2 (got {self.replication}); pass "
+                "--replication 2 or higher"
+            )
+
+    def expand(self, config: ClusterConfig, seed: int,
+               victims: Sequence[int] = (), kill_time: Optional[float] = None,
+               window: Optional[Tuple[float, float]] = None,
+               ) -> Tuple[FaultPlan, Optional[DiskFaultPlan]]:
+        """One execution's plans: ``victims`` die at ``kill_time`` and
+        the partitioned zones are cut off from each other during
+        ``window``.  Build them fresh per execution: write-error draws
+        are event-ordered."""
+        plan = FaultPlan.uniform(seed, drop=self.drop, dup=self.dup,
+                                 delay=self.delay_rate, reorder=self.reorder)
+        if kill_time is not None:
+            for victim in victims:
+                plan.kill(victim, kill_time)
+        if window is not None:
+            za, zb = self.zone_partition
+            plan.partition(config.nodes_in_zone(za), config.nodes_in_zone(zb),
+                           *window)
+        disk = None
+        if self.disk_faulty:
+            disk = DiskFaultPlan.uniform(seed, torn_tail=self.disk_torn,
+                                         write_error=self.disk_write_error,
+                                         bitrot=self.disk_bitrot)
+        return plan, disk
+
+    def flags(self, config: ClusterConfig) -> List[str]:
+        """The CLI flags that rebuild this model on ``config``'s cluster:
+        its size and zones, then every field off its default."""
+        out = [f"--nodes {config.num_nodes}"]
+        if config.zones is not None:
+            out.append(f"--zones {config.num_zones}")
+            if config.zone_wan_latency_s > 0:
+                out.append(f"--zone-wan {config.zone_wan_latency_s!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value != f.default:
+                if isinstance(value, tuple):  # "A,B", as the CLI parses it
+                    value = ",".join(map(str, value))
+                out.append(f"--{f.name.replace('_', '-')} {value}")
+        return out
 
 
 @dataclass
@@ -84,11 +183,14 @@ class ChaosCase:
     ok: bool
     detail: str = ""
     mismatches: List[str] = field(default_factory=list)
-    #: Extra CLI flags (scale, cluster size, zones, replication) needed
-    #: to reproduce.
+    #: The rest of the repro command line: the caller's flags (scale),
+    #: then the run's cluster, fault model and sanitizer flags.
     repro_extra: str = ""
     #: Salvage-scan summary for this crash instant (disk faults only).
     salvage: str = ""
+    #: The fault model and sanitizer setting the case ran under.
+    faults: ChaosFaults = ChaosFaults()
+    sanitize: bool = False
 
     def repro_command(self) -> str:
         """One-line command reproducing exactly this case."""
@@ -106,13 +208,15 @@ class ChaosCase:
 
 @dataclass
 class ChaosReport:
-    """Aggregate outcome of a chaos suite."""
+    """Aggregate outcome of a chaos suite (or of one run)."""
 
     cases: List[ChaosCase] = field(default_factory=list)
     #: Injected-fault totals across all runs.
     fault_totals: Dict[str, int] = field(default_factory=dict)
     #: Transport totals (retransmits, dups dropped, ...) across all runs.
     transport_totals: Dict[str, int] = field(default_factory=dict)
+    #: ``FaultPlan.describe()`` of every run's faulted execution.
+    plans: List[str] = field(default_factory=list)
 
     @property
     def failures(self) -> List[ChaosCase]:
@@ -122,12 +226,14 @@ class ChaosReport:
     def ok(self) -> bool:
         return bool(self.cases) and not self.failures
 
-    def merge_totals(self, plan: FaultPlan, transport: Any) -> None:
-        for k, v in plan.summary().items():
-            self.fault_totals[k] = self.fault_totals.get(k, 0) + v
-        if transport is not None and hasattr(transport, "summary"):
-            for k, v in transport.summary().items():
-                self.transport_totals[k] = self.transport_totals.get(k, 0) + v
+    def merge(self, other: "ChaosReport") -> None:
+        """Fold another report (typically one run's) into this one."""
+        self.cases.extend(other.cases)
+        self.plans.extend(other.plans)
+        for totals, more in ((self.fault_totals, other.fault_totals),
+                             (self.transport_totals, other.transport_totals)):
+            for k, v in more.items():
+                totals[k] = totals.get(k, 0) + v
 
     def render(self) -> str:
         lines = [
@@ -147,30 +253,73 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _case_rng(seed: int) -> random.Random:
-    # decorrelated from the FaultPlan's own stream (same seed feeds both)
-    return random.Random(seed ^ 0x9E3779B9)
+def _diagnosable(exc: Optional[BaseException]) -> Optional[BaseException]:
+    # errors raised inside spawned sim processes arrive wrapped in
+    # SimulationError; walk the cause chain for the storage fault
+    while exc is not None:
+        if isinstance(exc, (StorageFaultError, RecoveryError,
+                            LoggingProtocolError)):
+            return exc
+        exc = exc.__cause__
+    return None
 
 
-def _zone_repro_flags(
-    config: ClusterConfig,
-    replication: int,
-    zone_kill: Optional[int],
-    zone_partition: Optional[Tuple[int, int]],
-) -> List[str]:
-    """Extra CLI flags reproducing the replication/zone setup."""
-    flags: List[str] = []
-    if replication > 1:
-        flags.append(f"--replication {replication}")
-    if config.zones is not None:
-        flags.append(f"--zones {config.num_zones}")
-        if config.zone_wan_latency_s > 0:
-            flags.append(f"--zone-wan {config.zone_wan_latency_s:g}")
-    if zone_kill is not None:
-        flags.append(f"--zone-kill {zone_kill}")
-    if zone_partition is not None:
-        flags.append(f"--zone-partition {zone_partition[0]},{zone_partition[1]}")
-    return flags
+def _run_problem(system: DsmSystem, result: Any, lethal: bool,
+                 tracer: Optional[Tracer]) -> str:
+    """Oracle over the faulted execution itself ("" when it passes).
+
+    The application result proves reliable delivery: faults must not
+    change what the program computes.  A live-killed run may still
+    complete when the kill lands after the victims' last contribution
+    (survivors no longer need them) -- then the results must be
+    correct; otherwise the survivors must have stalled.  A sanitized
+    run's ``tracer`` must also satisfy the invariant catalogue.
+    """
+    if result.completed:
+        verify = getattr(system.app, "verify", None)
+        if verify is not None and not verify(system):
+            return "faulted run computed wrong results"
+    elif not lethal:
+        return "faulted run did not complete"
+    if tracer is not None:
+        from ..analysis import check_trace
+
+        report = check_trace(tracer)
+        if not report.ok:
+            return f"sanitizer: {report.violations[0]}"
+    return ""
+
+
+def _recover(config: ClusterConfig, protocol: str, system_a: DsmSystem,
+             vplan: VictimPlan, dead: Sequence[int], at_time: float,
+             excused: bool) -> Tuple[bool, str, List[str]]:
+    """Scheme stage: recover one victim, returning ``(ok, detail,
+    mismatches)``.  A diagnosed error passes iff ``excused``; anything
+    undiagnosed propagates."""
+    # the chaos driver probes many counterfactual crash instants of one
+    # phase-A run, so the (shared, mutable) group fencing state is
+    # restored after each promotion -- a real failover would of course
+    # leave it in place
+    grp = system_a.replica_groups.get(vplan.victim)
+    saved = None if grp is None else (grp.promoted, grp.epoch)
+    try:
+        (rec,) = recover_victims(system_a.app, config, protocol, system_a,
+                                 [vplan], dead=dead, at_time=at_time)
+    except (RecoveryError, LoggingProtocolError, SimulationError) as exc:
+        cause = _diagnosable(exc)
+        if cause is None:
+            raise
+        if excused:
+            return True, f"diagnosed: {cause}", []
+        return False, f"replay error: {cause}", []
+    finally:
+        if grp is not None:
+            grp.promoted, grp.epoch = saved
+    if not rec.mismatches:
+        return True, "", []
+    what = (f"mirror mismatch (promoted {rec.promotion.promoted})"
+            if rec.promotion else "state mismatch")
+    return False, what, rec.mismatches
 
 
 def run_chaos_run(
@@ -182,260 +331,154 @@ def run_chaos_run(
     crash_node: Optional[int] = None,
     crash_times: Optional[List[float]] = None,
     live_kill: bool = False,
-    rates: Optional[Dict[str, float]] = None,
-    disk_rates: Optional[Dict[str, float]] = None,
+    faults: ChaosFaults = ChaosFaults(),
     sanitize: bool = False,
     app_name: Optional[str] = None,
     repro_extra: str = "",
     tracer: Optional[Tracer] = None,
-    replication: int = 1,
-    zone_kill: Optional[int] = None,
-    zone_partition: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[ChaosCase], FaultPlan, Any]:
+) -> ChaosReport:
     """One faulted phase-A execution plus its crash-instant recoveries.
 
-    Returns ``(cases, fault_plan, transport)``.  ``crash_times`` (virtual
-    seconds) overrides the seeded sampling -- the repro path for a
-    reported failure.  With ``live_kill`` the victim is killed at the
-    (single) crash time instead of being probed past it.  ``disk_rates``
-    (``torn_tail`` / ``write_error`` / ``bitrot``) adds a seeded
-    :class:`~repro.sim.faults.DiskFaultPlan`: flushes retry transient
-    write errors, each crash instant's durable view goes through the
-    salvage scan, and recovery must then be bit-exact over the salvaged
-    log *or* fail with a diagnosed error naming the damage -- a silent
-    wrong-memory result is the only failure.
+    ``crash_node`` and ``crash_times`` (virtual seconds) pin the victim
+    and the crash instants -- the repro path for a reported failure; a
+    pin overrides its seeded draw without skipping it.  With
+    ``live_kill`` the victim is killed at the (single) crash time instead
+    of being probed past it.  ``repro_extra`` holds the flags a run
+    cannot know (the app's scale).  The run composes four stages:
 
-    ``replication`` mirrors every home onto ``k-1`` followers;
-    ``zone_kill`` live-kills a whole fault domain at a seeded instant
-    and recovers every victim with its co-victims dead;
-    ``zone_partition`` isolates two zones for a seeded window mid-run.
-    Zone faults are validated (:class:`ZoneFaultSpec`) before anything
-    executes.  The ``failover`` protocol (requires ``replication >= 2``)
-    recovers through replica promotion instead of classic replay, and a
-    diagnosed quorum-loss refusal counts as a pass.
+    1. **fault plan**: ``faults`` is validated, a pilot execution sizes
+       the kill instant and the partition window, and
+       :meth:`ChaosFaults.expand` builds phase A's plans;
+    2. **crash instants**: the pins, the kill instant, or seeded draws;
+    3. **scheme**: :func:`~repro.core.recovery.recover_victims`; a
+       diagnosed error (named storage damage, a failover quorum-loss
+       refusal) is a pass iff the scheme promotes or the disks are faulty;
+    4. **oracle**: the run completes (or a kill stalled it),
+       ``app.verify`` and the sanitizer pass, and every recovery is
+       bit-exact -- a silent wrong-memory result is the only failure.
     """
-    rng = _case_rng(seed)
-    rates = dict(rates or DEFAULT_RATES)
-    disk_rates = {k: v for k, v in (disk_rates or {}).items() if v > 0}
-
-    validate_replication(replication, config.num_nodes)
-    spec = ZoneFaultSpec(zone_kill=zone_kill, zone_partition=zone_partition)
-    if spec.any:
-        spec.validate(config)
     hooks_factory = make_hooks_factory(protocol)  # refuses unknown names
-    promotes = SCHEMES[protocol].promotes
-    if promotes and replication < 2:
-        raise ConfigError(
-            f"the {protocol} protocol promotes a surviving replica, so it "
-            f"needs replication >= 2 (got {replication}); pass "
-            "--replication 2 or higher"
-        )
-    repro_extra = " ".join(
-        ([repro_extra] if repro_extra else [])
-        + _zone_repro_flags(config, replication, zone_kill, zone_partition)
-    )
-
-    def _disk_plan() -> Optional[DiskFaultPlan]:
-        # fresh per execution: write-error draws are event-ordered
-        return DiskFaultPlan.uniform(seed, **disk_rates) if disk_rates else None
-
-    def _diagnosable(exc: BaseException) -> Optional[BaseException]:
-        # errors raised inside spawned sim processes arrive wrapped in
-        # SimulationError; walk the cause chain for the storage fault
-        while exc is not None:
-            if isinstance(exc, (StorageFaultError, RecoveryError,
-                                LoggingProtocolError)):
-                return exc
-            exc = exc.__cause__
-        return None
+    faults.validate(config, protocol)
+    # decorrelated from the FaultPlan's own stream (same seed feeds both)
+    rng = random.Random(seed ^ 0x9E3779B9)
     if app_name is None:
         app = app_factory()
         app_name = str(getattr(app, "name", type(app).__name__)).lower()
-    if zone_kill is not None:
-        victims = list(config.nodes_in_zone(zone_kill))
-        victim = victims[0]
+    if faults.zone_kill is not None:
+        victims = list(config.nodes_in_zone(faults.zone_kill))
     else:
-        victim = (
-            crash_node
-            if crash_node is not None
-            else rng.randrange(config.num_nodes)
-        )
-        victims = [victim]
-    lethal = live_kill or zone_kill is not None
+        # drawn even when pinned, so that a repro command's pin leaves
+        # the later draws (kill instant, partition window) in place
+        drawn = rng.randrange(config.num_nodes)
+        victims = [drawn if crash_node is None else crash_node]
+    lethal = live_kill or faults.zone_kill is not None
+    extra = " ".join(filter(None, [repro_extra, *faults.flags(config),
+                                   "--sanitize" if sanitize else ""]))
+    cases: List[ChaosCase] = []
 
-    def build(plan: FaultPlan, tracer: Optional[Tracer] = None) -> DsmSystem:
-        return DsmSystem(
-            app_factory(),
-            config,
-            hooks_factory,
-            tracer=tracer,
-            fault_plan=plan,
-            disk_fault_plan=_disk_plan(),
-            replication=replication,
-        )
-
-    def case(node: int, t: float, stop_at: int, ok: bool, detail: str = "",
-             mismatches=(), salvage: str = "") -> ChaosCase:
-        return ChaosCase(
+    def verdict(node: int, t: float, stop_at: int, ok: bool, detail: str,
+                mismatches: Sequence[str] = (), salvage: str = "") -> None:
+        cases.append(ChaosCase(
             app_name, protocol, seed, node, t, stop_at, live_kill, ok,
-            detail, list(mismatches), repro_extra=repro_extra,
-            salvage=salvage,
-        )
+            detail, list(mismatches), extra, salvage, faults, sanitize,
+        ))
 
-    def diagnosed(node: int, t: float, stop_at: int, exc: BaseException,
-                  salvage: str = "") -> ChaosCase:
-        # fail-fast with a named cause is a *pass* under disk faults and
-        # under failover quorum loss: the contract is bit-exact or
-        # loudly refused, never silent
-        return case(node, t, stop_at, True, f"diagnosed: {exc}",
-                    salvage=salvage)
+    def build(kill_time: Optional[float] = None,
+              window: Optional[Tuple[float, float]] = None,
+              tracer: Optional[Tracer] = None) -> DsmSystem:
+        plan, disk = faults.expand(config, seed, victims, kill_time, window)
+        return DsmSystem(app_factory(), config, hooks_factory, tracer=tracer,
+                         fault_plan=plan, disk_fault_plan=disk,
+                         replication=faults.replication)
 
-    def fail(node: int, t: float, stop_at: int, detail: str,
-             mismatches=(), salvage: str = "") -> ChaosCase:
-        return case(node, t, stop_at, False, detail, mismatches, salvage)
-
-    # ---- pilot duration: kill times and partition windows must be ----
-    # ---- sampled inside the run --------------------------------------
-    kill_time: Optional[float] = None
-    part_window: Optional[Tuple[float, float]] = None
-    if lethal or zone_partition is not None:
-        pilot_plan = FaultPlan.uniform(seed, **rates)
+    def execute(system: DsmSystem,
+                window: Optional[Tuple[float, float]] = None) -> Any:
+        """Run the pilot or phase A; None when it ended in a verdict."""
         try:
-            pilot = build(pilot_plan).run()
+            return system.run()
         except (StorageFaultError, SimulationError) as exc:
             cause = _diagnosable(exc)
-            if not disk_rates or cause is None:
+            if cause is not None and faults.disk_faulty:
+                # fail-fast with a named cause is a *pass* under disk
+                # faults: the contract is bit-exact or loudly refused
+                verdict(victims[0], 0.0, 0, True, f"diagnosed: {cause}")
+            elif window is not None and isinstance(exc, DeadlockError):
+                # the partition window outlived the transport's patience;
+                # a stall is loud (liveness, not corruption) but still a
+                # reportable failure of the ride-it-out contract
+                verdict(victims[0], window[0], 0, False,
+                        f"zone partition stalled the run: {exc}")
+            else:
                 raise
-            return [diagnosed(victim, 0.0, 0, cause)], pilot_plan, None
+            return None
+
+    def report(system: DsmSystem, transport: Any) -> ChaosReport:
+        totals = transport.summary() if hasattr(transport, "summary") else {}
+        return ChaosReport(cases, system.fault_plan.summary(), dict(totals),
+                           [system.fault_plan.describe()])
+
+    # ---- 1. fault plan: kill instants and partition windows must be --
+    # ---- sampled inside the run, so a pilot execution sizes them -----
+    kill_time: Optional[float] = None
+    window: Optional[Tuple[float, float]] = None
+    if lethal or faults.zone_partition is not None:
+        pilot = build()
+        result = execute(pilot)
+        if result is None:
+            return report(pilot, None)
         if lethal:
-            kill_time = rng.uniform(0.15, 0.85) * pilot.total_time
+            kill_time = rng.uniform(0.15, 0.85) * result.total_time
             if crash_times:
                 kill_time = crash_times[0]
-        if zone_partition is not None:
+        if faults.zone_partition is not None:
             # a window the bounded-retransmit transport can ride out:
             # it heals well before the run would abandon live peers
-            start = rng.uniform(0.2, 0.5) * pilot.total_time
-            width = rng.uniform(0.05, 0.15) * pilot.total_time
-            part_window = (start, start + width)
-
-    plan = FaultPlan.uniform(seed, **rates)
-    if kill_time is not None:
-        if zone_kill is not None:
-            plan.kill_zone(victims, kill_time)
-        else:
-            plan.kill(victim, kill_time)
-    if part_window is not None:
-        za, zb = zone_partition
-        plan.partition(
-            config.nodes_in_zone(za), config.nodes_in_zone(zb),
-            part_window[0], part_window[1],
-        )
+            start = rng.uniform(0.2, 0.5) * result.total_time
+            window = (start, start + rng.uniform(0.05, 0.15) * result.total_time)
     if tracer is None and sanitize:
         tracer = Tracer(enabled=True)
-    system_a = build(plan, tracer)
-    app, disk_plan = system_a.app, system_a.disk_fault_plan
+    system_a = build(kill_time, window, tracer)
     probes = {v: CrashProbe(v, capture_all=True) for v in victims}
     for p in probes.values():
         system_a.add_probe(p)
-    try:
-        result_a = system_a.run()
-    except (StorageFaultError, SimulationError) as exc:
-        cause = _diagnosable(exc)
-        if cause is not None and disk_plan is not None:
-            return [diagnosed(victim, 0.0, 0, cause)], plan, system_a.transport
-        if zone_partition is not None and isinstance(exc, DeadlockError):
-            # the partition window outlived the transport's patience; a
-            # stall is loud (liveness, not corruption) but still a
-            # reportable failure of the ride-it-out contract
-            return (
-                [fail(victim, part_window[0] if part_window else 0.0, 0,
-                      f"zone partition stalled the run: {exc}")],
-                plan, system_a.transport,
-            )
-        raise
+    result_a = execute(system_a, window)
+    if result_a is None:
+        return report(system_a, system_a.transport)
+    problem = _run_problem(system_a, result_a, lethal,
+                           tracer if sanitize else None)
+    if problem:
+        verdict(victims[0], kill_time or 0.0, 0, False, problem)
+        return report(system_a, system_a.transport)
 
-    cases: List[ChaosCase] = []
-
-    # the application result itself proves reliable delivery: faults
-    # must not change what the program computes.  A live-killed run may
-    # still complete when the kill lands after the victims' last
-    # contribution (survivors no longer need them) -- then the results
-    # must be correct; otherwise the survivors must have stalled.
-    if result_a.completed:
-        verify = getattr(app, "verify", None)
-        if verify is not None and not verify(system_a):
-            cases.append(fail(victim, kill_time or 0.0, 0,
-                              "faulted run computed wrong results"))
-            return cases, plan, system_a.transport
-    elif not lethal:
-        cases.append(fail(victim, 0.0, 0, "faulted run did not complete"))
-        return cases, plan, system_a.transport
-
-    if sanitize and tracer is not None:
-        from ..analysis import check_trace
-
-        report = check_trace(tracer)
-        if not report.ok:
-            cases.append(
-                fail(victim, 0.0, 0, f"sanitizer: {report.violations[0]}")
-            )
-            return cases, plan, system_a.transport
-
-    # ---- sample crash instants and verify recovery at each -----------
-    horizon = kill_time if kill_time is not None else result_a.total_time
+    # ---- 2. crash instants --------------------------------------------
     if crash_times:
         instants = list(crash_times)
-    elif lethal:
-        instants = [kill_time or 0.0]
+    elif kill_time is not None:
+        instants = [kill_time]
     else:
-        instants = sorted(rng.uniform(0.0, horizon) for _ in range(crash_points))
+        instants = sorted(rng.uniform(0.0, result_a.total_time)
+                          for _ in range(crash_points))
 
-    faulty_disks = disk_plan is not None and disk_plan.active
+    # ---- 3. scheme and 4. oracle, per victim per instant -------------
+    excused = SCHEMES[protocol].promotes or faults.disk_faulty
     for t in instants:
         for v in victims:
             # what a crash at t leaves on disk, and the highest seal it
             # can be rebuilt to: one planner shared with the experiments
             vplan = plan_victim(system_a, probes[v], t)
-            stop_at = vplan.stop_at
-            salv = vplan.salvage.describe() if faulty_disks else ""
-            if stop_at < 1:
+            salvage = vplan.salvage.describe() if faults.disk_faulty else ""
+            if vplan.stop_at < 1:
                 # nothing recoverable was sealed: recovery degenerates
                 # to a restart from the initial checkpoint, trivially
                 # bit-exact
-                cases.append(case(v, t, 0, True, "restart-from-checkpoint",
-                                  salvage=salv))
+                verdict(v, t, 0, True, "restart-from-checkpoint",
+                        salvage=salvage)
                 continue
-            # the chaos driver probes many counterfactual crash instants
-            # of one phase-A run, so the (shared, mutable) group fencing
-            # state is restored after each promotion -- a real failover
-            # would of course leave it in place
-            grp = system_a.replica_groups.get(v)
-            saved = None if grp is None else (grp.promoted, grp.epoch)
-            try:
-                (rec,) = recover_victims(app, config, protocol, system_a,
-                                         [vplan], dead=victims, at_time=t)
-            except (RecoveryError, LoggingProtocolError,
-                    SimulationError) as exc:
-                cause = _diagnosable(exc)
-                if cause is None:
-                    raise
-                if promotes or faulty_disks:
-                    cases.append(diagnosed(v, t, stop_at, cause, salvage=salv))
-                else:
-                    cases.append(
-                        fail(v, t, stop_at, f"replay error: {cause}")
-                    )
-                continue
-            finally:
-                if grp is not None:
-                    grp.promoted, grp.epoch = saved
-            what = (f"mirror mismatch (promoted {rec.promotion.promoted})"
-                    if rec.promotion else "state mismatch")
-            cases.append(
-                case(v, t, stop_at, not rec.mismatches,
-                     what if rec.mismatches else "", rec.mismatches, salv)
-            )
-    return cases, plan, system_a.transport
+            verdict(v, t, vplan.stop_at,
+                    *_recover(config, protocol, system_a, vplan, victims, t,
+                              excused),
+                    salvage=salvage)
+    return report(system_a, system_a.transport)
 
 
 def run_chaos_suite(
@@ -446,51 +489,36 @@ def run_chaos_suite(
     first_seed: int = 0,
     crash_points: int = 5,
     kill_every: int = 4,
-    rates: Optional[Dict[str, float]] = None,
-    disk_rates: Optional[Dict[str, float]] = None,
+    faults: ChaosFaults = ChaosFaults(),
     sanitize: bool = False,
     fail_fast: bool = False,
     repro_extra: str = "",
-    replication: int = 1,
-    zone_kill: Optional[int] = None,
-    zone_partition: Optional[Tuple[int, int]] = None,
 ) -> ChaosReport:
     """The full property suite: apps x protocols x seeds x crash instants.
 
     Every ``kill_every``-th seed of each (app, protocol) pair becomes a
     live-kill case (victim processes die mid-run, in-flight frames
     discarded); the rest are probe-based and amortise ``crash_points``
-    crash instants over one faulted execution.  ``zone_kill`` makes
-    *every* seed a zone-kill case (the whole fault domain dies at a
-    seeded instant; the per-seed live-kill cadence is subsumed);
-    ``zone_partition`` adds a seeded two-zone partition window to each
-    run.  ``replication`` runs every case over quorum-replicated homes.
+    crash instants over one faulted execution.  Every run injects
+    ``faults``; a zone kill makes *every* seed a zone-kill case (the
+    whole fault domain dies at a seeded instant; the per-seed live-kill
+    cadence is subsumed).
     """
     report = ChaosReport()
     for app_name, factory in sorted(app_factories.items()):
         for protocol in protocols:
             for i in range(seeds):
-                seed = first_seed + i
                 live = (
                     kill_every > 0
                     and i % kill_every == kill_every - 1
-                    and zone_kill is None
+                    and faults.zone_kill is None
                 )
-                cases, plan, transport = run_chaos_run(
-                    factory, config, protocol, seed,
-                    crash_points=crash_points,
-                    live_kill=live,
-                    rates=rates,
-                    disk_rates=disk_rates,
-                    sanitize=sanitize,
-                    app_name=app_name,
+                report.merge(run_chaos_run(
+                    factory, config, protocol, first_seed + i,
+                    crash_points=crash_points, live_kill=live, faults=faults,
+                    sanitize=sanitize, app_name=app_name,
                     repro_extra=repro_extra,
-                    replication=replication,
-                    zone_kill=zone_kill,
-                    zone_partition=zone_partition,
-                )
-                report.cases.extend(cases)
-                report.merge_totals(plan, transport)
+                ))
                 if fail_fast and report.failures:
                     return report
     return report

@@ -45,7 +45,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import ClusterConfig
 from ..dsm.interval import VectorClock
 from ..dsm.messages import ReplicaAck, ReplicaUpdate
 from ..errors import ConfigError, RecoveryError
@@ -59,7 +58,6 @@ __all__ = [
     "Replicator",
     "MirrorState",
     "FailoverLogging",
-    "ZoneFaultSpec",
     "plan_groups",
     "validate_replication",
 ]
@@ -80,50 +78,6 @@ def validate_replication(replication: int, num_nodes: int) -> None:
             f"replication factor {replication} exceeds the cluster of "
             f"{num_nodes} node(s)"
         )
-
-
-@dataclass(frozen=True)
-class ZoneFaultSpec:
-    """Declared zone-scoped faults, validated before anything runs.
-
-    Construct, :meth:`validate` against the cluster config, and only
-    then let the chaos driver expand the spec into a concrete
-    :class:`~repro.sim.faults.FaultPlan` schedule, so a bad zone is a
-    one-line :class:`~repro.errors.ConfigError`, never a mid-run failure.
-    """
-
-    #: Kill every node in this zone at one seeded instant.
-    zone_kill: Optional[int] = None
-    #: Partition these two zones from each other for a seeded window.
-    zone_partition: Optional[Tuple[int, int]] = None
-
-    def validate(self, config: ClusterConfig) -> None:
-        zones = sorted(set(config.zones)) if config.zones is not None else [0]
-        for z in filter(
-            lambda z: z is not None,
-            (self.zone_kill, *(self.zone_partition or ())),
-        ):
-            if z not in zones:
-                raise ConfigError(
-                    f"unknown zone {z}; the cluster has zones {zones}"
-                )
-        if self.zone_partition is not None:
-            a, b = self.zone_partition
-            if a == b:
-                raise ConfigError(
-                    f"zone-partition sides must differ, got ({a}, {b})"
-                )
-        if self.zone_kill is not None:
-            victims = config.nodes_in_zone(self.zone_kill)
-            if len(victims) >= config.num_nodes:
-                raise ConfigError(
-                    f"zone-kill {self.zone_kill} would kill every node; "
-                    "at least one zone must survive"
-                )
-
-    @property
-    def any(self) -> bool:
-        return self.zone_kill is not None or self.zone_partition is not None
 
 
 class ReplicaGroup:

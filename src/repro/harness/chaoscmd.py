@@ -18,12 +18,13 @@ See :mod:`repro.core.chaos` for the verification model.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from functools import partial
 from typing import Optional, Tuple
 
 from ..apps import make_app
 from ..config import ClusterConfig
-from ..core.chaos import ChaosReport, run_chaos_run, run_chaos_suite
-from ..core.replication import ZoneFaultSpec, validate_replication
+from ..core.chaos import ChaosFaults, ChaosReport, run_chaos_run, run_chaos_suite
 from ..errors import ConfigError
 from ..obs.console import get_console
 from .scales import app_kwargs
@@ -40,40 +41,8 @@ MAX_FAILURE_BUNDLES = 3
 
 
 def _factories(app_names, scale):
-    out = {}
-    for name in app_names:
-        kw = app_kwargs(name, scale)
-        out[name] = (lambda n=name, k=kw: make_app(n, **k))
-    return out
-
-
-def _rates(args):
-    return {
-        "drop": args.drop,
-        "dup": args.dup,
-        "delay": args.delay_rate,
-        "reorder": args.reorder,
-    }
-
-
-def _disk_rates(args):
-    return {
-        "torn_tail": args.disk_torn,
-        "write_error": args.disk_write_error,
-        "bitrot": args.disk_bitrot,
-    }
-
-
-def _disk_extra(args) -> str:
-    """Repro-command fragment for any nonzero disk fault rates."""
-    parts = []
-    if args.disk_torn:
-        parts.append(f"--disk-torn {args.disk_torn}")
-    if args.disk_write_error:
-        parts.append(f"--disk-write-error {args.disk_write_error}")
-    if args.disk_bitrot:
-        parts.append(f"--disk-bitrot {args.disk_bitrot}")
-    return " ".join(parts)
+    return {name: partial(make_app, name, **app_kwargs(name, scale))
+            for name in app_names}
 
 
 def _parse_zone_partition(value: Optional[str]) -> Optional[Tuple[int, int]]:
@@ -89,26 +58,21 @@ def _parse_zone_partition(value: Optional[str]) -> Optional[Tuple[int, int]]:
     return (a, b)
 
 
-def _zone_config(args) -> Tuple[ClusterConfig, Optional[Tuple[int, int]]]:
-    """Build the (possibly zoned) cluster config and fail fast on
-    impossible replication factors or unknown zones -- before any
-    simulation runs."""
+def _chaos_inputs(args) -> Tuple[ClusterConfig, ChaosFaults]:
+    """The (possibly zoned) cluster and the one fault model every case
+    runs under, refused in one line before any simulation runs."""
     config = ClusterConfig.ultra5(num_nodes=args.nodes)
     if args.zones is not None:
         config = config.with_zones(args.zones, wan_latency_s=args.zone_wan)
     elif args.zone_wan:
         raise ConfigError("--zone-wan needs --zones (one zone has no WAN)")
-    zone_partition = _parse_zone_partition(args.zone_partition)
-    validate_replication(args.replication, config.num_nodes)
-    ZoneFaultSpec(
-        zone_kill=args.zone_kill, zone_partition=zone_partition
-    ).validate(config)
-    if "failover" in args.protocols and args.replication < 2:
-        raise ConfigError(
-            "the failover protocol promotes a surviving replica, so it "
-            f"needs --replication >= 2 (got {args.replication})"
-        )
-    return config, zone_partition
+    # every fault-model field is named after the flag that sets it
+    given = {f.name: getattr(args, f.name) for f in fields(ChaosFaults)}
+    given["zone_partition"] = _parse_zone_partition(args.zone_partition)
+    faults = ChaosFaults(**given)
+    for protocol in args.protocols:
+        faults.validate(config, protocol)
+    return config, faults
 
 
 def _dump_failure_bundles(report: ChaosReport, factories, config, args) -> None:
@@ -136,16 +100,9 @@ def _dump_failure_bundles(report: ChaosReport, factories, config, args) -> None:
         try:
             run_chaos_run(
                 factories[case.app], config, case.protocol, case.seed,
-                app_name=case.app,
-                crash_node=case.crash_node,
-                crash_times=[case.crash_time],
-                live_kill=case.live_kill,
-                rates=_rates(args),
-                disk_rates=_disk_rates(args),
-                tracer=tracer,
-                replication=args.replication,
-                zone_kill=args.zone_kill,
-                zone_partition=_parse_zone_partition(args.zone_partition),
+                app_name=case.app, crash_node=case.crash_node,
+                crash_times=[case.crash_time], live_kill=case.live_kill,
+                faults=case.faults, sanitize=case.sanitize, tracer=tracer,
             )
         except Exception as exc:  # the failure itself may raise
             con.info(f"traced re-run of seed {case.seed} raised: {exc!r}")
@@ -171,62 +128,44 @@ def _dump_failure_bundles(report: ChaosReport, factories, config, args) -> None:
         dumped += 1
 
 
+def _run_report(args, factories, config, faults) -> ChaosReport:
+    """The suite, or the single-seed repro path a failure prints."""
+    # the app scale is the one flag of a case chaos cannot know
+    repro_extra = f"--scale {args.scale}"
+    if args.seed is None:
+        return run_chaos_suite(
+            factories, config, protocols=tuple(args.protocols),
+            seeds=args.seeds, first_seed=args.first_seed,
+            crash_points=args.crash_points, kill_every=args.kill_every,
+            faults=faults, sanitize=args.sanitize, fail_fast=args.fail_fast,
+            repro_extra=repro_extra,
+        )
+    # single-seed repro path, optionally pinned to one crash instant
+    report = ChaosReport()
+    for name, factory in sorted(factories.items()):
+        for protocol in args.protocols:
+            run = run_chaos_run(
+                factory, config, protocol, args.seed, app_name=name,
+                crash_points=args.crash_points, crash_node=args.crash_node,
+                crash_times=None if args.crash_time is None else [args.crash_time],
+                live_kill=args.live_kill, faults=faults,
+                sanitize=args.sanitize, repro_extra=repro_extra,
+            )
+            report.merge(run)
+            get_console().info(f"{name}/{protocol}: {run.plans[0]}")
+    return report
+
+
 def run_chaos(args) -> int:
     con = get_console()
     try:
-        config, zone_partition = _zone_config(args)
+        config, faults = _chaos_inputs(args)
     except ConfigError as exc:
         con.result(f"chaos: {exc}")
         return 2
     apps = args.apps if args.apps_given else list(DEFAULT_CHAOS_APPS)
     factories = _factories(apps, args.scale)
-    repro_extra = f"--scale {args.scale} --nodes {args.nodes}"
-    disk_extra = _disk_extra(args)
-    if disk_extra:
-        repro_extra += f" {disk_extra}"
-
-    if args.seed is not None:
-        # single-seed repro path, optionally pinned to one crash instant
-        report = ChaosReport()
-        for name, factory in sorted(factories.items()):
-            for protocol in args.protocols:
-                run_cases, plan, transport = run_chaos_run(
-                    factory, config, protocol, args.seed,
-                    app_name=name,
-                    crash_points=args.crash_points,
-                    crash_node=args.crash_node,
-                    crash_times=(
-                        [args.crash_time] if args.crash_time is not None else None
-                    ),
-                    live_kill=args.live_kill,
-                    rates=_rates(args),
-                    disk_rates=_disk_rates(args),
-                    sanitize=args.sanitize,
-                    repro_extra=repro_extra,
-                    replication=args.replication,
-                    zone_kill=args.zone_kill,
-                    zone_partition=zone_partition,
-                )
-                report.cases.extend(run_cases)
-                report.merge_totals(plan, transport)
-                con.info(f"{name}/{protocol}: {plan.describe()}")
-    else:
-        report = run_chaos_suite(
-            factories, config,
-            protocols=tuple(args.protocols),
-            seeds=args.seeds,
-            first_seed=args.first_seed,
-            crash_points=args.crash_points,
-            kill_every=args.kill_every,
-            rates=_rates(args),
-            disk_rates=_disk_rates(args),
-            sanitize=args.sanitize,
-            fail_fast=args.fail_fast,
-            repro_extra=repro_extra,
-            replication=args.replication,
-            zone_kill=args.zone_kill,
-            zone_partition=zone_partition,
-        )
+    report = _run_report(args, factories, config, faults)
     con.result(report.render())
     if report.failures and not args.no_artifacts:
         _dump_failure_bundles(report, factories, config, args)

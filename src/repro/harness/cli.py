@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional
 
 from ..apps import PAPER_APPS
 from ..config import ClusterConfig
+from ..core.chaos import DEFAULT_RATES
 from ..core.logging_base import PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES
 from ..obs.artifacts import config_dict, result_summary, write_bundle
 from ..obs.console import configure as configure_console
@@ -174,13 +175,13 @@ def _parser() -> argparse.ArgumentParser:
     chaos.add_argument("--kill-every", type=int, default=4,
                        help="every Nth seed becomes a live-kill case "
                             "(0 disables)")
-    chaos.add_argument("--drop", type=float, default=0.08,
+    chaos.add_argument("--drop", type=float, default=DEFAULT_RATES["drop"],
                        help="per-message drop probability")
-    chaos.add_argument("--dup", type=float, default=0.08,
+    chaos.add_argument("--dup", type=float, default=DEFAULT_RATES["dup"],
                        help="per-message duplication probability")
-    chaos.add_argument("--delay-rate", type=float, default=0.12,
+    chaos.add_argument("--delay-rate", type=float, default=DEFAULT_RATES["delay"],
                        help="per-message extra-delay probability")
-    chaos.add_argument("--reorder", type=float, default=0.12,
+    chaos.add_argument("--reorder", type=float, default=DEFAULT_RATES["reorder"],
                        help="per-message reorder probability")
     chaos.add_argument("--disk-torn", type=float, default=0.0,
                        help="per-crash probability that a byte prefix of "

@@ -141,10 +141,10 @@ class TestMixedModeRecovery:
         assert res.ok, res.victims[0].mismatches
 
     def test_chaos_smoke(self, small_cluster):
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "adaptive", seed=3,
             crash_points=2,
-        )
+        ).cases
         assert cases and all(c.ok for c in cases), [
             c.detail for c in cases if not c.ok
         ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import make_app
 from repro.core import make_hooks_factory, run_recovery_experiment
-from repro.core.chaos import run_chaos_run, run_chaos_suite
+from repro.core.chaos import ChaosFaults, run_chaos_run, run_chaos_suite
 from repro.core.detector import FailureDetector
 from repro.dsm import DsmSystem
 from repro.errors import RecoveryError
@@ -98,20 +98,20 @@ class TestChaosSuite:
         first = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ccl", seed=11,
             crash_node=1, crash_times=[0.004],
-        )[0]
+        ).cases
         second = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ccl", seed=11,
             crash_node=1, crash_times=[0.004],
-        )[0]
+        ).cases
         assert [(c.ok, c.stop_at) for c in first] == [
             (c.ok, c.stop_at) for c in second
         ]
 
     def test_failure_report_carries_repro_command(self, small_cluster):
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ccl", seed=4,
             crash_points=2,
-        )
+        ).cases
         for c in cases:
             cmd = c.repro_command()
             assert "--seed 4" in cmd and "--crash-time" in cmd
@@ -148,10 +148,10 @@ class TestChaosDiskFaults:
     """Storage faults under chaos: bit-exact or diagnosed, never silent."""
 
     def test_hard_write_errors_are_diagnosed_passes(self, small_cluster):
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ml", seed=3,
-            crash_points=2, disk_rates={"write_error": 0.95},
-        )
+            crash_points=2, faults=ChaosFaults(disk_write_error=0.95),
+        ).cases
         assert cases and all(c.ok for c in cases)
         # at this rate some node exhausts its retries: the run must be
         # reported as a *diagnosed* storage fault, not a silent pass
@@ -159,11 +159,12 @@ class TestChaosDiskFaults:
         assert any("failed" in c.detail for c in cases)
 
     def test_mixed_disk_faults_stay_bit_exact_or_diagnosed(self, small_cluster):
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ccl", seed=5,
             crash_points=3,
-            disk_rates={"torn_tail": 0.6, "write_error": 0.2, "bitrot": 0.3},
-        )
+            faults=ChaosFaults(disk_torn=0.6, disk_write_error=0.2,
+                               disk_bitrot=0.3),
+        ).cases
         assert cases and all(c.ok for c in cases), [
             (c.crash_time, c.detail) for c in cases if not c.ok
         ]
@@ -174,7 +175,7 @@ class TestChaosDiskFaults:
             small_cluster,
             protocols=("ml", "ccl"),
             seeds=2, crash_points=2,
-            disk_rates={"torn_tail": 0.4, "bitrot": 0.1},
+            faults=ChaosFaults(disk_torn=0.4, disk_bitrot=0.1),
         )
         assert report.ok, report.render()
 
@@ -183,12 +184,13 @@ class TestChaosDiskFaults:
         bare = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ml", seed=7,
             crash_points=2,
-        )[0]
+        ).cases
         zeroed = run_chaos_run(
             lambda: BarrierApp(iters=2), small_cluster, "ml", seed=7,
             crash_points=2,
-            disk_rates={"torn_tail": 0.0, "write_error": 0.0, "bitrot": 0.0},
-        )[0]
+            faults=ChaosFaults(disk_torn=0.0, disk_write_error=0.0,
+                               disk_bitrot=0.0),
+        ).cases
         assert [(c.ok, c.stop_at, c.crash_time) for c in bare] == [
             (c.ok, c.stop_at, c.crash_time) for c in zeroed
         ]
@@ -238,23 +240,24 @@ class TestZoneChaos:
 
     def test_zone_kill_under_failover_is_bit_exact(self, small_cluster):
         config = self._zoned(small_cluster)
-        cases, plan, _tr = run_chaos_run(
+        report = run_chaos_run(
             lambda: BarrierApp(iters=3), config, "failover", seed=5,
-            crash_points=2, replication=2, zone_kill=1,
+            crash_points=2, faults=ChaosFaults(replication=2, zone_kill=1),
         )
+        cases = report.cases
         assert cases, "zone kill produced no cases"
         assert all(c.ok for c in cases), [c.detail for c in cases if not c.ok]
         # every node of zone 1 was a victim at every probed instant
         victims = {c.crash_node for c in cases}
         assert victims == set(config.nodes_in_zone(1))
-        assert plan.summary()["dead_discards"] > 0
+        assert report.fault_totals["dead_discards"] > 0
 
     def test_zone_kill_under_classic_replay_is_bit_exact(self, small_cluster):
         config = self._zoned(small_cluster)
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=3), config, "ccl", seed=5,
-            crash_points=2, replication=2, zone_kill=0,
-        )
+            crash_points=2, faults=ChaosFaults(replication=2, zone_kill=0),
+        ).cases
         assert cases and all(c.ok for c in cases), [
             c.detail for c in cases if not c.ok
         ]
@@ -262,14 +265,12 @@ class TestZoneChaos:
 
     def test_zone_partition_rides_out_to_completion(self, small_cluster):
         config = self._zoned(small_cluster)
-        cases, plan, _tr = run_chaos_run(
+        report = run_chaos_run(
             lambda: BarrierApp(iters=3), config, "ccl", seed=9,
-            crash_points=2, zone_partition=(0, 1),
+            crash_points=2, faults=ChaosFaults(zone_partition=(0, 1)),
         )
-        assert cases and all(c.ok for c in cases), [
-            c.detail for c in cases if not c.ok
-        ]
-        assert plan.summary()["partition_discards"] > 0
+        assert report.ok, [c.detail for c in report.failures]
+        assert report.fault_totals["partition_discards"] > 0
 
     def test_failover_without_replication_is_config_error(self, small_cluster):
         from repro.errors import ConfigError
@@ -277,7 +278,7 @@ class TestZoneChaos:
         with pytest.raises(ConfigError, match="replication >= 2"):
             run_chaos_run(
                 lambda: BarrierApp(iters=2), self._zoned(small_cluster),
-                "failover", seed=1, replication=1,
+                "failover", seed=1, faults=ChaosFaults(replication=1),
             )
 
     def test_unknown_zone_is_config_error(self, small_cluster):
@@ -286,15 +287,15 @@ class TestZoneChaos:
         with pytest.raises(ConfigError, match="unknown zone"):
             run_chaos_run(
                 lambda: BarrierApp(iters=2), self._zoned(small_cluster),
-                "ccl", seed=1, zone_kill=7,
+                "ccl", seed=1, faults=ChaosFaults(zone_kill=7),
             )
 
     def test_repro_command_carries_zone_flags(self, small_cluster):
         config = self._zoned(small_cluster)
-        cases, _plan, _tr = run_chaos_run(
+        cases = run_chaos_run(
             lambda: BarrierApp(iters=2), config, "failover", seed=3,
-            crash_points=1, replication=2, zone_kill=1,
-        )
+            crash_points=1, faults=ChaosFaults(replication=2, zone_kill=1),
+        ).cases
         for c in cases:
             cmd = c.repro_command()
             assert "--replication 2" in cmd

@@ -222,7 +222,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
                 if version != rec.version.as_tuple():
                     continue
                 report.fetches_checked += 1
-                got = zlib.crc32(rec.contents.tobytes())
+                got = zlib.crc32(rec.contents)
                 if got != traced:
                     report.problems.append(
                         Problem(
@@ -298,7 +298,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
             ]
             for d, _w, _i, _p, _vt in ReplayNode.causal_sort(entries):
                 apply_diff(d, frame)
-            rebuilt = zlib.crc32(frame.tobytes())
+            rebuilt = zlib.crc32(frame)
             report.content_checked = True
             if rebuilt != traced:
                 report.problems.append(

@@ -70,24 +70,30 @@ ProbeFn = Callable[["HlrcNode", int], None]
 class HlrcNode:
     """One cluster node running the HLRC protocol."""
 
+    #: Requests the server loop handles: kind -> handler method.  A
+    #: handler takes the payload; a generator handler is run to its end
+    #: before the next message is taken.
+    REQUEST_KINDS = {
+        "page_req": "_serve_page",
+        "diff": "_apply_incoming_diffs",
+        "lock_req": "_manage_lock_request",
+        "lock_rel": "_manage_lock_release",
+        "barrier_checkin": "_manage_barrier_checkin",
+        "replica_update": "_apply_replica_update",
+        "replica_ack": "_on_replica_ack",
+    }
+    #: Replies the server loop routes to the waiting ``expect()``:
+    #: kind -> the payload attribute that keys the expectation.
+    REPLY_KINDS = {
+        "page_reply": "page",
+        "diff_ack": "home",
+        "lock_grant": "lock_id",
+        "barrier_release": "barrier_id",
+    }
     #: Message kinds this node's server loop consumes.  The explicit
     #: whitelist lets other services (heartbeat responders, recovery
     #: responders) share the node's mailbox without message theft.
-    SERVER_KINDS = frozenset(
-        {
-            "page_req",
-            "diff",
-            "lock_req",
-            "lock_rel",
-            "barrier_checkin",
-            "page_reply",
-            "diff_ack",
-            "lock_grant",
-            "barrier_release",
-            "replica_update",
-            "replica_ack",
-        }
-    )
+    SERVER_KINDS = frozenset(REQUEST_KINDS) | frozenset(REPLY_KINDS)
 
     def __init__(
         self,
@@ -102,6 +108,7 @@ class HlrcNode:
         # the transport is the reliable layer when fault injection is
         # active, and the bare network otherwise (identical surface)
         self.net = getattr(system, "transport", None) or system.network
+        self._send_overhead_s = system.network.config.send_overhead_s
         self.disk = system.disks[node_id]
         self.pagetable = PageTable(
             node_id, system.space.npages, system.homes,
@@ -248,8 +255,7 @@ class HlrcNode:
         k = (kind, key)
         if k in self._expected:
             raise ProtocolError(f"node {self.id}: duplicate expectation {k}")
-        sig = Signal(f"n{self.id}.{kind}.{key}")
-        self._expected[k] = sig
+        sig = self._expected[k] = Signal(kind)
         return sig
 
     def _deliver_expected(self, kind: str, key: Any, msg: NetMessage) -> None:
@@ -261,10 +267,10 @@ class HlrcNode:
         sig.trigger(msg)
 
     def _send(self, dst: int, kind: str, payload: Any) -> Generator[Any, Any, None]:
-        yield from self.net.send(
-            NetMessage(src=self.id, dst=dst, kind=kind, payload=payload,
-                       size=payload.nbytes)
-        )
+        """Charge the sender's per-message CPU overhead, then post."""
+        msg = NetMessage(self.id, dst, kind, payload, payload.nbytes)
+        yield self._send_overhead_s
+        self.net.post(msg)
 
     def _post(self, dst: int, kind: str, payload: Any) -> None:
         """Fire-and-forget send without charging caller CPU (handler path)."""
@@ -281,43 +287,27 @@ class HlrcNode:
         mbox = self.net.mailbox(self.id)
         kinds = self.SERVER_KINDS
         is_server_kind = lambda m: m.kind in kinds  # noqa: E731 - hoisted
+        handlers = {k: getattr(self, name) for k, name in self.REQUEST_KINDS.items()}
+        reply_keys = self.REPLY_KINDS
         while True:
             msg: NetMessage = yield mbox.get(is_server_kind)
+            kind = msg.kind
             sid = -1
             if _trc.TRACING_ACTIVE and self._tracing:
                 sid = self._span(
-                    f"handle_{msg.kind}", "handler", strand="server",
+                    f"handle_{kind}", "handler", strand="server",
                     detail={"eid": msg.obs_eid, "from": msg.src},
                 )
-            yield from self._dispatch(msg)
-            self._span_end(sid)
-
-    def _dispatch(self, msg: NetMessage) -> Generator[Any, Any, None]:
-        kind = msg.kind
-        if kind == "page_req":
-            yield from self._serve_page(msg.payload)
-        elif kind == "diff":
-            yield from self._apply_incoming_diffs(msg.payload)
-        elif kind == "lock_req":
-            yield from self._manage_lock_request(msg.payload)
-        elif kind == "lock_rel":
-            yield from self._manage_lock_release(msg.payload)
-        elif kind == "barrier_checkin":
-            self._manage_barrier_checkin(msg.payload)
-        elif kind == "page_reply":
-            self._deliver_expected(kind, msg.payload.page, msg)
-        elif kind == "diff_ack":
-            self._deliver_expected(kind, msg.payload.home, msg)
-        elif kind == "lock_grant":
-            self._deliver_expected(kind, msg.payload.lock_id, msg)
-        elif kind == "barrier_release":
-            self._deliver_expected(kind, msg.payload.barrier_id, msg)
-        elif kind == "replica_update":
-            yield from self._apply_replica_update(msg.payload)
-        elif kind == "replica_ack":
-            self._on_replica_ack(msg.payload)
-        else:
-            raise ProtocolError(f"node {self.id}: unknown message kind {kind!r}")
+            handler = handlers.get(kind)
+            if handler is None:
+                self._deliver_expected(
+                    kind, getattr(msg.payload, reply_keys[kind]), msg)
+            else:
+                work = handler(msg.payload)
+                if work is not None:
+                    yield from work
+            if sid >= 0:
+                self._span_end(sid)
 
     # ------------------------------------------------------------------
     def _serve_page(self, req: PageRequest) -> Generator[Any, Any, None]:
@@ -350,7 +340,7 @@ class HlrcNode:
                 {
                     "page": req.page,
                     "to": req.requester,
-                    "crc": zlib.crc32(source.tobytes()),
+                    "crc": zlib.crc32(source),
                     "version": list(entry.version.as_tuple())
                     if entry.version is not None
                     else None,
@@ -1015,7 +1005,7 @@ class HlrcNode:
                 {
                     "page": page,
                     "home": entry.home,
-                    "crc": zlib.crc32(reply.contents.tobytes()),
+                    "crc": zlib.crc32(reply.contents),
                     "version": list(reply.version.as_tuple())
                     if reply.version is not None
                     else None,

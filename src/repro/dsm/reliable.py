@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..sim.engine import Simulator
-from ..sim.events import Signal
 from ..sim.network import NetMessage, Network
 from .messages import RelAck
 
@@ -62,15 +61,40 @@ class RetransmitPolicy:
 
 
 class _Pending:
-    """Sender-side state for one unacknowledged sequenced frame."""
+    """Sender-side state for one unacknowledged sequenced frame.
 
-    __slots__ = ("msg", "rto", "retries", "acked")
+    It is also the frame's retransmission timer: the engine calls it
+    ``rto`` seconds after every transmission.  Timers are never
+    cancelled, so an acked frame's timer still fires, as a no-op; the
+    last one sets the instant :meth:`Simulator.run` ends.
+    """
 
-    def __init__(self, msg: NetMessage, rto: float):
+    __slots__ = ("transport", "msg", "rto", "retries", "acked")
+
+    def __init__(self, transport: "ReliableTransport", msg: NetMessage,
+                 rto: float):
+        self.transport = transport
         self.msg = msg
         self.rto = rto
         self.retries = 0
         self.acked = False
+
+    def __call__(self) -> None:
+        if self.acked:
+            return
+        tr = self.transport
+        policy = tr.policy
+        msg = self.msg
+        if self.retries >= policy.max_retries:
+            # peer presumed dead; stop so the simulation can drain
+            if tr._pending.pop((msg.src, msg.dst, msg.seq), None) is not None:
+                tr.abandoned += 1
+            return
+        self.retries += 1
+        self.rto *= policy.backoff
+        tr.retransmits += 1
+        tr.net.post(msg)
+        tr.sim.schedule(self.rto, self)
 
 
 class ReliableTransport:
@@ -93,16 +117,16 @@ class ReliableTransport:
         self.sim = sim
         self.policy = policy or RetransmitPolicy()
         net.deliver_hook = self._on_deliver
+        self._mailboxes = [net.mailbox(i) for i in range(net.num_nodes)]
         #: link -> next sequence number to stamp (sender side).
         self._next_seq: Dict[Tuple[int, int], int] = {}
         #: link -> next sequence number to release (receiver side).
         self._expected: Dict[Tuple[int, int], int] = {}
-        #: link -> {seq: frame} held-back out-of-order arrivals.
+        #: link -> {seq: frame} held-back out-of-order arrivals; a link
+        #: gets its dict on its first out-of-order arrival.
         self._held: Dict[Tuple[int, int], Dict[int, NetMessage]] = {}
         #: (src, dst, seq) -> unacknowledged send state.
         self._pending: Dict[Tuple[int, int, int], _Pending] = {}
-        #: (src, dst, seq) -> signal fired on in-order mailbox delivery.
-        self._landed: Dict[Tuple[int, int, int], Signal] = {}
         # statistics for the chaos reports
         self.retransmits = 0
         self.acks_received = 0
@@ -113,53 +137,29 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
-    def send(self, msg: NetMessage) -> Generator[Any, Any, Signal]:
+    def send(self, msg: NetMessage) -> Generator[Any, Any, None]:
         """Reliable counterpart of :meth:`Network.send`."""
         yield self.net.config.send_overhead_s
-        return self.post(msg)
+        self.post(msg)
 
-    def post(self, msg: NetMessage) -> Signal:
-        """Reliable counterpart of :meth:`Network.post`.
-
-        The returned signal fires when the frame is released to the
-        destination mailbox (unsequenced traffic keeps the raw network's
-        physical-arrival signal).
-        """
+    def post(self, msg: NetMessage) -> None:
+        """Reliable counterpart of :meth:`Network.post`: sequence the
+        frame, transmit it and start its retransmission timer
+        (unsequenced kinds go straight to the network)."""
+        net = self.net
         if msg.kind in UNSEQUENCED_KINDS:
-            return self.net.post(msg)
+            net.post(msg)
+            return
         link = (msg.src, msg.dst)
         seq = self._next_seq.get(link, 0)
         self._next_seq[link] = seq + 1
         msg.seq = seq
         wire = msg.size + Network.HEADER_BYTES
-        rto = self.policy.timeout_s + 2.0 * self.net.config.transfer_time(wire)
-        entry = _Pending(msg, rto)
-        key = (msg.src, msg.dst, seq)
-        self._pending[key] = entry
-        landed = Signal(f"rel.{msg.kind}.{msg.src}->{msg.dst}#{seq}")
-        self._landed[key] = landed
-        self._transmit(entry)
-        return landed
-
-    def _transmit(self, entry: _Pending) -> None:
-        self.net.post(entry.msg)
-        rto = entry.rto
-
-        def maybe_retransmit() -> None:
-            if entry.acked:
-                return
-            if entry.retries >= self.policy.max_retries:
-                # peer presumed dead; stop so the simulation can drain
-                key = (entry.msg.src, entry.msg.dst, entry.msg.seq)
-                if self._pending.pop(key, None) is not None:
-                    self.abandoned += 1
-                return
-            entry.retries += 1
-            entry.rto *= self.policy.backoff
-            self.retransmits += 1
-            self._transmit(entry)
-
-        self.sim.schedule(rto, maybe_retransmit)
+        rto = self.policy.timeout_s + 2.0 * net.config.transfer_time(wire)
+        entry = _Pending(self, msg, rto)
+        self._pending[(msg.src, msg.dst, seq)] = entry
+        net.post(msg)
+        self.sim.schedule(rto, entry)
 
     # ------------------------------------------------------------------
     # receiver side (network delivery hook)
@@ -173,7 +173,8 @@ class ReliableTransport:
                 entry.acked = True
                 self.acks_received += 1
             return True
-        if msg.seq < 0:
+        seq = msg.seq
+        if seq < 0:
             return False  # unsequenced: straight to the mailbox
         link = (msg.src, msg.dst)
         # Ack every arrival, duplicates included: the original ack may
@@ -183,36 +184,34 @@ class ReliableTransport:
                 src=msg.dst,
                 dst=msg.src,
                 kind="rel_ack",
-                payload=RelAck(msg.src, msg.dst, msg.seq),
+                payload=RelAck(msg.src, msg.dst, seq),
                 size=RelAck.NBYTES,
             )
         )
         expected = self._expected.get(link, 0)
-        if msg.seq < expected:
+        if seq < expected:
             self.dups_dropped += 1
             return True
-        held = self._held.setdefault(link, {})
-        if msg.seq > expected:
-            if msg.seq in held:
+        held = self._held.get(link)
+        if seq > expected:
+            if held is None:
+                held = self._held[link] = {}
+            if seq in held:
                 self.dups_dropped += 1
             else:
-                held[msg.seq] = msg
+                held[seq] = msg
                 self.held_frames += 1
             return True
-        self._release(msg)
+        # in order: release it, then whatever it unblocks
+        mailbox = self._mailboxes[msg.dst]
+        mailbox.put(msg)
         expected += 1
-        while expected in held:
-            self._release(held.pop(expected))
-            expected += 1
+        if held:
+            while expected in held:
+                mailbox.put(held.pop(expected))
+                expected += 1
         self._expected[link] = expected
         return True
-
-    def _release(self, msg: NetMessage) -> None:
-        """Hand one in-order frame to the destination mailbox."""
-        self.net.mailbox(msg.dst).put(msg)
-        sig = self._landed.pop((msg.src, msg.dst, msg.seq), None)
-        if sig is not None and not sig.triggered:
-            sig.trigger(msg)
 
     # ------------------------------------------------------------------
     def mailbox(self, node: int):

@@ -274,14 +274,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     con = configure_console(quiet=args.quiet, json_mode=args.json_mode)
     try:
-        code = _dispatch(args, con)
+        code = _run_command(args, con)
     finally:
         con.finish()
         configure_console()  # reset modes for in-process callers (tests)
     return code
 
 
-def _dispatch(args, con) -> int:
+def _run_command(args, con) -> int:
     args.apps_given = args.apps is not None
     if args.apps is None:
         args.apps = list(PAPER_APPS)

@@ -1,18 +1,19 @@
 """Switched-Ethernet network model.
 
-Each node owns a transmit NIC (:class:`~repro.sim.resources.FifoServer`)
-and a receive :class:`~repro.sim.resources.Mailbox`.  A message from A
-to B occupies A's NIC for its serialisation time, then arrives at B's
-mailbox after the one-way latency plus the receiver's per-message CPU
-overhead.  The switch fabric is non-blocking, matching the full-duplex
-100 Mbps switch of the paper's testbed, so cross traffic between other
-node pairs never delays a transfer.
+Each node owns a transmit NIC, a FIFO server reserved arithmetically
+(``finish = max(now, free_at) + wire / bandwidth``), and a receive
+:class:`~repro.sim.resources.Mailbox`.  A message from A to B occupies
+A's NIC for its serialisation time, then arrives at B's mailbox after
+the one-way latency plus the receiver's per-message CPU overhead.  The
+switch fabric is non-blocking, matching the full-duplex 100 Mbps switch
+of the paper's testbed, so cross traffic between other node pairs never
+delays a transfer.
 
 Senders call :meth:`Network.send` from inside a simulated process with
-``yield from``; the call charges the sender-side CPU overhead and
-returns a :class:`~repro.sim.events.Signal` that fires on delivery
-(useful when the sender must know its message has landed, e.g. for
-modelling the ACK-free fast paths in recovery responders).
+``yield from``; the call charges the sender-side CPU overhead and posts
+the frame.  Nothing signals delivery: a frame's only effect is its
+arrival in the receiver's mailbox (or the reliable transport's
+delivery hook), stamped on :attr:`NetMessage.delivered_at`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from ..config import NetworkConfig
 from ..errors import SimulationError
 from .engine import Simulator
 from . import trace as _trc
-from .events import Signal
 from .faults import FaultPlan
-from .resources import FifoServer, Mailbox
+from .resources import Mailbox
 
 __all__ = ["DeliveryLabel", "NetMessage", "Network"]
 
@@ -94,7 +94,8 @@ class NetMessage:
         self.kind = kind
         self.payload = payload
         self.size = size
-        #: Filled in by the network at delivery time (virtual seconds).
+        #: Virtual time of the frame's first arrival at the receiver;
+        #: a duplicate or retransmitted copy leaves it alone.
         self.delivered_at = -1.0
         #: Per-link sequence number stamped by the reliable transport;
         #: -1 means unsequenced (fire-and-forget traffic like heartbeats).
@@ -123,35 +124,64 @@ class NetMessage:
 
 
 class _Hop:
-    """Two-phase scheduled delivery for the fault-free fast path.
+    """One frame from its sender's NIC to the receiver, as one object.
 
-    Scheduled once at NIC-finish time; the first call reschedules itself
-    after the wire latency + receiver overhead, the second performs the
-    delivery.  One allocation replaces the ``tx_done`` signal and the
-    nested ``on_tx``/``deliver`` closures, while consuming engine
-    sequence numbers at exactly the same two instants (post time and
-    NIC-finish time) so event ordering is unchanged.
+    :meth:`Network.post` schedules the hop at NIC-finish.  That first
+    call puts the frame on the wire: it schedules the arrival after
+    ``arrival`` seconds (wire latency + receiver overhead, + the WAN
+    surcharge across zones), as a labelled choice point when ``label``
+    is set (controlled scheduler), or once per entry of ``copies``, the
+    extra delays the fault plan drew at post time (empty: dropped).
+    Every later call is an arrival.  The engine sees schedules at the
+    same two instants as the delivery model -- post time and NIC-finish
+    -- so the event order is that of a NIC server plus a wire.
     """
 
-    __slots__ = ("net", "msg", "signal", "hopped", "extra")
+    __slots__ = ("net", "msg", "arrival", "label", "copies")
 
-    def __init__(self, net: "Network", msg: NetMessage, signal: Signal,
-                 extra: float):
+    def __init__(self, net: "Network", msg: NetMessage, arrival: float,
+                 label: Optional[DeliveryLabel],
+                 copies: Optional[List[float]]):
         self.net = net
         self.msg = msg
-        self.signal = signal
-        self.hopped = False
-        # wire latency + receiver overhead (+ the WAN surcharge when the
-        # link crosses a zone boundary); fixed at post time
-        self.extra = extra
+        #: Delay to the arrival; None once the frame left the NIC.
+        self.arrival: Optional[float] = arrival
+        self.label = label
+        self.copies = copies
 
     def __call__(self) -> None:
         net = self.net
-        if self.hopped:
-            net._deliver(self.msg, self.signal)
-        else:
-            self.hopped = True
-            net.sim.schedule(self.extra, self)
+        arrival = self.arrival
+        if arrival is not None:  # NIC-finish
+            self.arrival = None
+            sim = net.sim
+            copies = self.copies
+            if copies is not None:
+                for delay in copies:
+                    sim.schedule(arrival + delay, self)
+            elif self.label is None:
+                sim.schedule(arrival, self)
+            else:
+                sim.schedule_labeled(arrival, self, self.label)
+            return
+        msg = self.msg
+        now = net.sim.now
+        if net._faulty:
+            plan = net.fault_plan
+            if plan.struck_dead(msg.src, msg.dst, now):
+                plan.dead_discards += 1
+                return
+            if plan.partitions and plan.partitioned(msg.src, msg.dst, now):
+                plan.partition_discards += 1
+                return
+        if msg.delivered_at < 0.0:
+            msg.delivered_at = now
+        tracer = net.tracer
+        if tracer is not None and _trc.TRACING_ACTIVE and tracer.enabled:
+            tracer.edge_recv(msg.obs_eid, now)
+        hook = net.deliver_hook
+        if hook is None or not hook(msg):
+            net._mailboxes[msg.dst].put(msg)
 
 
 class Network:
@@ -196,7 +226,8 @@ class Network:
         #: Optional tracer (set by DsmSystem); when enabled, every post
         #: stamps a send->recv MsgEdge so runs yield a causal DAG.
         self.tracer: Optional[Any] = None
-        self._nics = [FifoServer(sim, f"nic{i}") for i in range(num_nodes)]
+        #: Per-node instant the transmit NIC finishes its queued frames.
+        self._nic_free: List[float] = [0.0] * num_nodes
         self._mailboxes = [Mailbox(sim, f"mbox{i}") for i in range(num_nodes)]
         # Per-link constants, precomputed once.  ``_extra`` is the same
         # sum post() used to form per message, so timestamps are
@@ -231,27 +262,27 @@ class Network:
         """The receive queue of ``node``."""
         return self._mailboxes[node]
 
-    def send(self, msg: NetMessage) -> Generator[Any, Any, Signal]:
+    def send(self, msg: NetMessage) -> Generator[Any, Any, None]:
         """Transmit ``msg`` (call with ``yield from``).
 
         Charges the sender's per-message CPU overhead on the caller's
-        timeline, enqueues the frame on the sender NIC, and returns a
-        delivery signal.  The caller continues as soon as the CPU
-        overhead is paid -- sends are asynchronous, as in TreadMarks.
+        timeline, then enqueues the frame on the sender NIC.  The caller
+        continues as soon as the CPU overhead is paid -- sends are
+        asynchronous, as in TreadMarks.
         """
-        self._validate(msg)
         yield self.config.send_overhead_s
-        return self.post(msg)
+        self.post(msg)
 
-    def post(self, msg: NetMessage) -> Signal:
+    def post(self, msg: NetMessage) -> None:
         """Transmit without charging sender CPU time.
 
         Used by contexts that have already accounted for handler CPU
         (e.g. the asynchronous update handler, whose cost is charged as
-        a lump by the protocol layer).  Returns the delivery signal.
+        a lump by the protocol layer).
         """
         self._validate(msg)
         src = msg.src
+        dst = msg.dst
         kind = msg.kind
         wire = msg.size + self.HEADER_BYTES
         self.bytes_sent[src] += wire
@@ -262,88 +293,28 @@ class Network:
         mk[kind] = mk.get(kind, 0) + 1
         tracer = self.tracer
         if tracer is not None and _trc.TRACING_ACTIVE and tracer.enabled:
-            msg.obs_eid = tracer.edge_send(
-                self.sim.now, src, msg.dst, kind, wire)
+            msg.obs_eid = tracer.edge_send(self.sim.now, src, dst, kind, wire)
 
         ze = self._zone_extra
-        extra = self._extra if ze is None else ze[src][msg.dst]
-
+        arrival = self._extra if ze is None else ze[src][dst]
+        label = copies = None
         sim = self.sim
-        if not self._faulty and sim.choice_fn is None:
-            # Fast path: arithmetic NIC reservation (same stats updates
-            # as FifoServer.request) plus one two-phase _Hop callable in
-            # place of the tx_done signal and nested closures.
-            nic = self._nics[src]
-            now = sim.now
-            avail = nic._available_at
-            start = avail if avail > now else now
-            service = wire / self._bw
-            finish = start + service
-            nic._available_at = finish
-            nic.busy_time += service
-            nic.num_requests += 1
-            delivered = Signal("net.delivered")
-            sim.schedule(finish - now, _Hop(self, msg, delivered, extra))
-            return delivered
-
-        tx_done = self._nics[src].request(self.config.transfer_time(wire))
-        delivered = Signal(f"net.{kind}.{src}->{msg.dst}")
-
-        if not self._faulty:
-            # Controlled scheduler (model checker): every delivery is a
-            # labelled choice point.  The uncontrolled case returned on
-            # the fast path above.
-            link = (msg.src, msg.dst)
-            seq = self._link_seq.get(link, 0)
-            self._link_seq[link] = seq + 1
-            label = DeliveryLabel(
-                msg.src, msg.dst, msg.kind, seq, _payload_pages(msg.payload)
-            )
-
-            def on_tx(_finish: Any) -> None:
-                self.sim.schedule_labeled(
-                    extra, lambda: self._deliver(msg, delivered), label
-                )
-
-        else:
-            plan = self.fault_plan
-            assert plan is not None
+        if self._faulty:
             # RNG draws happen here, at post time, in simulator event
             # order -- the fault schedule for a seed is reproducible.
-            copies = plan.delivery_delays(msg.src, msg.dst, msg.kind)
-
-            def on_tx(_finish: Any) -> None:
-                for fault_delay in copies:
-
-                    def deliver(d: float = fault_delay) -> None:
-                        now = self.sim.now
-                        if plan.struck_dead(msg.src, msg.dst, now):
-                            plan.dead_discards += 1
-                            return
-                        if plan.partitions and plan.partitioned(
-                            msg.src, msg.dst, now
-                        ):
-                            plan.partition_discards += 1
-                            return
-                        self._deliver(msg, delivered)
-
-                    self.sim.schedule(extra + fault_delay, deliver)
-
-        tx_done.add_callback(on_tx)
-        return delivered
-
-    def _deliver(self, msg: NetMessage, delivered: Signal) -> None:
-        """Final hop: hand the frame to the receiver (or the transport)."""
-        msg.delivered_at = self.sim.now
-        if self.tracer is not None and _trc.TRACING_ACTIVE and self.tracer.enabled:
-            self.tracer.edge_recv(msg.obs_eid, self.sim.now)
-        hook = self.deliver_hook
-        if hook is None or not hook(msg):
-            self._mailboxes[msg.dst].put(msg)
-        # Duplicated frames reuse one Signal; only the first arrival of
-        # a copy fires it (physical "the frame landed at least once").
-        if not delivered.triggered:
-            delivered.trigger(msg)
+            copies = self.fault_plan.delivery_delays(src, dst, kind)  # type: ignore[union-attr]
+        elif sim.choice_fn is not None:
+            # Controlled scheduler (model checker): every delivery is a
+            # labelled choice point.
+            link = (src, dst)
+            seq = self._link_seq.get(link, 0)
+            self._link_seq[link] = seq + 1
+            label = DeliveryLabel(src, dst, kind, seq, _payload_pages(msg.payload))
+        now = sim.now
+        free = self._nic_free[src]
+        finish = (free if free > now else now) + wire / self._bw
+        self._nic_free[src] = finish
+        sim.schedule(finish - now, _Hop(self, msg, arrival, label, copies))
 
     def round_trip_estimate(self, request_bytes: int, reply_bytes: int) -> float:
         """Analytic lower bound for a request/reply exchange.

@@ -1,7 +1,8 @@
 """Shared resources: FIFO servers and mailboxes.
 
 :class:`FifoServer` models a device that serves requests one at a time
-in arrival order (a NIC serialising outgoing frames, a disk head).  It
+in arrival order (a disk head; the network reserves its NICs with the
+same arithmetic inline, without a completion signal per frame).  It
 is implemented arithmetically -- each request completes at
 ``max(now, available_at) + service_time`` -- which is exact for
 non-preemptive FIFO service and keeps the event count low.

@@ -215,9 +215,9 @@ class MsgEdge:
     """One message's send->receive hop (the DAG's cross-node edges).
 
     ``t_recv < 0`` marks a message never delivered (dropped by fault
-    injection, or in flight when the run ended).  Duplicate deliveries
-    keep the first arrival time, matching the signal semantics of
-    :meth:`repro.sim.network.Network._deliver`.
+    injection, or in flight when the run ended).  A duplicate copy keeps
+    the first arrival time, as :attr:`repro.sim.network.NetMessage.delivered_at`
+    does; a retransmission is a new edge.
     """
 
     eid: int

@@ -59,6 +59,27 @@ def test_proto001_clean_when_kind_dispatched_by_comparison():
     assert findings == []
 
 
+def test_proto001_clean_when_kinds_consumed_through_a_kinds_table():
+    # the server loop dispatches through kind -> handler / payload-key
+    # tables instead of comparisons; their keys are the consumed kinds
+    findings = _analyze("""
+        class Node:
+            REQUEST_KINDS = {"lock_req": "_manage_lock_request"}
+            REPLY_KINDS = {"lock_grant": "lock_id"}
+
+            def poke(self, dst):
+                self._send(dst, "lock_req", None)
+
+            def _manage_lock_request(self, req):
+                self._send(req.requester, "lock_grant", None)
+
+            def server(self, msg):
+                handler = getattr(self, self.REQUEST_KINDS[msg.kind])
+                handler(msg.payload)
+    """)
+    assert findings == []
+
+
 def test_proto001_undeclared_kind_flagged():
     findings = _analyze("""
         class Node:

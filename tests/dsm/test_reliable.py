@@ -104,8 +104,7 @@ class TestReliableDelivery:
     def test_unsequenced_kinds_bypass_the_machinery(self):
         sim, net, tr = build(FaultPlan.uniform(0, drop=1.0))
         for kind in sorted(UNSEQUENCED_KINDS - {"rel_ack"}):
-            sig = tr.post(NetMessage(src=0, dst=1, kind=kind, size=8))
-            assert sig is not None
+            tr.post(NetMessage(src=0, dst=1, kind=kind, size=8))
         sim.run(detect_deadlock=False)
         # every frame was dropped and nothing retransmitted them
         assert tr.retransmits == 0

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import NetworkConfig
+from repro.dsm.reliable import ReliableTransport
 from repro.errors import SimulationError
-from repro.sim import NetMessage, Network, Simulator
+from repro.sim import FaultPlan, NetMessage, Network, Simulator
 
 
 def make_net(sim, **kw):
@@ -151,3 +152,31 @@ def test_delivered_at_stamped_on_message():
     net.post(msg)
     sim.run()
     assert msg.delivered_at > 0
+
+
+def test_delivered_at_keeps_the_first_arrival_under_duplication():
+    # every frame lands twice; the reliable transport hands the first
+    # copy to the mailbox and drops the second, which must not restamp it
+    sim = Simulator()
+    net = Network(sim, NetworkConfig(), num_nodes=2,
+                  fault_plan=FaultPlan.uniform(0, dup=1.0))
+    transport = ReliableTransport(net, sim)
+    received = []
+
+    def sender():
+        for i in range(20):
+            yield from transport.send(
+                NetMessage(src=0, dst=1, kind="x", size=64, payload=i))
+
+    def receiver():
+        while True:
+            m = yield net.mailbox(1).get()
+            received.append((m, sim.now))
+
+    sim.spawn(sender(), name="s")
+    rx = sim.spawn(receiver(), name="r")
+    sim.run(detect_deadlock=False)
+    rx.kill()
+    assert [m.payload for m, _t in received] == list(range(20))
+    assert transport.dups_dropped == 20
+    assert [m.delivered_at for m, _t in received] == [t for _m, t in received]

@@ -106,13 +106,17 @@ def test_obs_overhead(benchmark, ultra5, save_artifact):
     print(text)
     save_artifact("obs_overhead", text)
 
-    # A traced diff costs one run-table array whatever its run count and
-    # the critical-path walk is indexed: recording reads about +25 %
-    # (sor) and +30-55 % (shallow) locally, the export 10-15 points more
-    # (the parent of that change: +43 % and +173 %).
+    # Events are recorded as plain tuples and built when first read (a
+    # traced run builds no TraceEvent and no run table), spans and edges
+    # are slotted, and the critical-path walk is indexed: recording reads
+    # about +15-20 % (sor) and +24-36 % (shallow) locally, where building
+    # every event and run table as it happened read +34-51 % and +54-64 %
+    # (+173 % on shallow when runs were split per run).  The export adds
+    # 10-35 points; its bound stays at 2x because a full collection of
+    # the trace can land inside it.
     for app, times in results.items():
         off = max(times["off_s"], 0.05)
-        assert times["spans_s"] < 1.7 * off, (app, times)
+        assert times["spans_s"] < 1.5 * off, (app, times)
         assert times["exported_s"] < 2.0 * off, (app, times)
 
 

@@ -88,14 +88,18 @@ def traced() -> Iterator[None]:
 
     Used by ``repro analyze --app``: it wants the trace and the *report*
     (counts, all findings), not the first-violation exception
-    :func:`install` raises.
+    :func:`install` raises.  A run's tracer keeps its trace and is
+    switched back to what it was.
     """
     original = DsmSystem.run
 
     def run_traced(self: DsmSystem, kill_node: Optional[int] = None,
                    kill_at: Optional[float] = None) -> Any:
-        self.tracer.enabled = True
-        return original(self, kill_node=kill_node, kill_at=kill_at)
+        was_enabled, self.tracer.enabled = self.tracer.enabled, True
+        try:
+            return original(self, kill_node=kill_node, kill_at=kill_at)
+        finally:
+            self.tracer.enabled = was_enabled
 
     DsmSystem.run = run_traced  # type: ignore[method-assign]
     try:

@@ -220,14 +220,9 @@ class HlrcNode:
         )
 
     def _span_end(self, sid: int, detail: Any = None) -> None:
-        """Close a span; optionally replace its detail (e.g. with the
-        edge id of the message that ended a wait)."""
-        if sid < 0:
-            return
-        tracer = self.system.tracer
-        if detail is not None and sid < len(tracer.spans):
-            tracer.spans[sid].detail = detail
-        tracer.end(sid, self.sim.now)
+        """Close a span; ``detail`` replaces its detail (:meth:`Tracer.end`)."""
+        if sid >= 0:
+            self.system.tracer.end(sid, self.sim.now, detail)
 
     def _manager_event(self, event: str, detail: dict) -> None:
         """Trace sink for manager-side lock/barrier state machines."""
@@ -238,17 +233,9 @@ class HlrcNode:
         self, page: int, old: PageState, new: PageState, reason: str
     ) -> None:
         """Trace sink for page-table state-machine transitions."""
-        if self._tracing:
-            self._trace(
-                Ev.PAGE_STATE,
-                {
-                    "page": page,
-                    "from": old.value,
-                    "to": new.value,
-                    "reason": reason,
-                    "home": self.pagetable.entry(page).home,
-                },
-            )
+        if _trc.TRACING_ACTIVE:
+            self.system.tracer.transition(self.sim.now, self.id, page, old, new,
+                                          reason, self.system.homes[page])
 
     def expect(self, kind: str, key: Any) -> Signal:
         """Register interest in one future reply message."""
@@ -289,13 +276,14 @@ class HlrcNode:
         is_server_kind = lambda m: m.kind in kinds  # noqa: E731 - hoisted
         handlers = {k: getattr(self, name) for k, name in self.REQUEST_KINDS.items()}
         reply_keys = self.REPLY_KINDS
+        span_names = {k: f"handle_{k}" for k in kinds}
         while True:
             msg: NetMessage = yield mbox.get(is_server_kind)
             kind = msg.kind
             sid = -1
             if _trc.TRACING_ACTIVE and self._tracing:
                 sid = self._span(
-                    f"handle_{kind}", "handler", strand="server",
+                    span_names[kind], "handler", strand="server",
                     detail={"eid": msg.obs_eid, "from": msg.src},
                 )
             handler = handlers.get(kind)
@@ -729,7 +717,7 @@ class HlrcNode:
                         "page": p,
                         "part": part,
                         "vt": list(early_vt.as_tuple()),
-                        "runs": d.run_table(),
+                        "runs": (d.mask, d.run_count),  # a table when read
                     },
                 )
             self.hooks.notify_early_diff(d, part, early_vt)
@@ -919,10 +907,8 @@ class HlrcNode:
                         "interval": record.index,
                         "vt": list(new_vt.as_tuple()),
                         "pages": list(record.pages),
-                        "writes": [
-                            {"page": d.page, "runs": d.run_table()}
-                            for d in remote_diffs + home_diffs
-                        ],
+                        "writes": [(d.page, d.mask, d.run_count)  # dicts when read
+                                   for d in remote_diffs + home_diffs],
                     },
                 )
         if self._tracing:

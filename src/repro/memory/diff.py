@@ -172,23 +172,8 @@ class Diff:
         return self.words.size
 
     def run_table(self) -> np.ndarray:
-        """``(start, length)`` per coalesced run, ascending.
-
-        An ``int32`` array of shape ``(run_count, 2)`` -- the run block
-        of the wire layout -- built fresh by vectorised code and not
-        retained; the caller owns it.
-        """
-        if self.run_count == 0:
-            return np.empty((0, 2), dtype=np.int32)
-        bits = np.unpackbits(self.mask)
-        # the zero-padded bit string flips at every run start and run end
-        flips = np.empty(bits.size + 1, dtype=bool)
-        flips[0] = bits[0]
-        flips[-1] = bits[-1]
-        np.not_equal(bits[1:], bits[:-1], out=flips[1:-1])
-        table = flips.nonzero()[0].reshape(-1, 2).astype(np.int32)
-        table[:, 1] -= table[:, 0]
-        return table
+        """``(start, length)`` per coalesced run, ascending (:func:`runs_of_mask`)."""
+        return runs_of_mask(self.mask, self.run_count)
 
     @property
     def nbytes(self) -> int:
@@ -234,6 +219,26 @@ class Diff:
             f"Diff(page={self.page}, words={self.word_count}, "
             f"runs={self.run_count})"
         )
+
+
+def runs_of_mask(mask: np.ndarray, run_count: int) -> np.ndarray:
+    """The run table of a diff's ``mask`` and ``run_count``.
+
+    An ``int32`` array of shape ``(run_count, 2)`` -- the run block of
+    the wire layout -- built fresh by vectorised code and not retained;
+    the caller owns it.  A trace keeps the two arguments, not the diff.
+    """
+    if run_count == 0:
+        return np.empty((0, 2), dtype=np.int32)
+    bits = np.unpackbits(mask)
+    # the zero-padded bit string flips at every run start and run end
+    flips = np.empty(bits.size + 1, dtype=bool)
+    flips[0] = bits[0]
+    flips[-1] = bits[-1]
+    np.not_equal(bits[1:], bits[:-1], out=flips[1:-1])
+    table = flips.nonzero()[0].reshape(-1, 2).astype(np.int32)
+    table[:, 1] -= table[:, 0]
+    return table
 
 
 def _diff_of_bits(page: int, bits: np.ndarray, words: np.ndarray) -> Diff:

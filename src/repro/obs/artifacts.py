@@ -142,7 +142,7 @@ def write_bundle(
     manifest.setdefault("created", time.strftime("%Y-%m-%dT%H:%M:%S"))
     manifest.setdefault("git_rev", git_rev())
     manifest.setdefault("provenance", provenance(seeds=seeds))
-    if tracer is not None and (tracer.spans or tracer.events or tracer.edges):
+    if tracer is not None and (tracer.spans or len(tracer) or tracer.edges):
         tracer.save(str(bundle / "trace.jsonl"))
         manifest["trace_file"] = "trace.jsonl"
     if timeline is not None:

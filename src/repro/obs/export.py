@@ -91,7 +91,7 @@ def chrome_trace(tracer: Any) -> Dict[str, Any]:
         "otherData": {
             "spans": len(tracer.spans),
             "edges": len(tracer.edges),
-            "events": len(tracer.events),
+            "events": len(tracer),
         },
     }
 

@@ -272,7 +272,7 @@ class MetricsRegistry:
                                     "domain survived the run",
                           zone=zone)
         if tracer is not None:
-            reg.gauge("repro_trace_events", len(tracer.events),
+            reg.gauge("repro_trace_events", len(tracer),
                       help_text="recorded point events")
             reg.gauge("repro_trace_spans", len(tracer.spans),
                       help_text="recorded causal spans")

@@ -1,8 +1,7 @@
 """Optional event tracing with a typed, serialisable event schema.
 
-A :class:`Tracer` records :class:`TraceEvent` tuples when enabled.
-Tracing is off by default (zero overhead beyond one branch); tests, the
-recovery debugger, and the coherence sanitizer
+A :class:`Tracer` records events when enabled.  Tracing is off by
+default; tests, the recovery debugger, and the coherence sanitizer
 (:mod:`repro.analysis`) turn it on to inspect protocol interleavings.
 
 Event names are the typed constants of :class:`Ev`.  Structured events
@@ -10,14 +9,17 @@ carry a JSON-serialisable ``detail`` dict (vector clocks as plain int
 lists, page states as their string values), so a whole trace can round-
 trip through JSON Lines via :meth:`Tracer.to_jsonl` /
 :meth:`Tracer.from_jsonl` and be analysed offline with
-``python -m repro analyze <trace>``.  One value travels by reference:
-the ``runs`` of ``interval_end``/``early_diff`` are the diff's
-``(start, length)`` run table as the array
-:meth:`~repro.memory.diff.Diff.run_table` built, so recording a diff
-costs the same whether it has one run or five hundred.
-:meth:`TraceEvent.to_json` writes it as the nested int lists a loaded
-trace holds; whoever reads ``runs`` from a live trace calls
-``.tolist()`` first (the race detector does).
+``python -m repro analyze <trace>``.  Recording builds no event:
+:meth:`Tracer.record` appends a plain tuple, :meth:`Tracer.transition`
+a page-state transition's fields, and the first read of
+:attr:`Tracer.events` turns the pending records into
+:class:`TraceEvent` objects, in order.  The ``runs`` of
+``interval_end``/``early_diff`` are recorded as the diff's read-only
+``mask`` and ``run_count`` and read as the ``(start, length)`` array
+:meth:`~repro.memory.diff.Diff.run_table` builds from them, which
+:meth:`TraceEvent.to_json` writes as nested int lists; whoever reads
+``runs`` from a live trace calls ``.tolist()`` first (the race
+detector does).
 
 The legacy scalar events (``acquire``/``release``/``barrier``/``seal``/
 ``fault`` with a bare id as detail) are retained unchanged; the
@@ -36,16 +38,18 @@ Beyond point events, the tracer also records **causal spans** and
 Together they form the causal DAG a run's wall time decomposes over:
 spans nest within a strand, edges connect strands across nodes.  The
 critical-path extractor (:mod:`repro.obs.critical`) walks exactly this
-structure.  All span/edge recording is gated on :attr:`Tracer.enabled`
-like events, so tracing off stays one predicted branch.
+structure.  Span/edge recording is gated on :attr:`Tracer.enabled` too.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+import weakref
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..memory.diff import runs_of_mask
 
 __all__ = ["Ev", "TraceEvent", "Span", "MsgEdge", "Tracer", "TRACING_ACTIVE"]
 
@@ -53,12 +57,18 @@ __all__ = ["Ev", "TraceEvent", "Span", "MsgEdge", "Tracer", "TRACING_ACTIVE"]
 #: :attr:`Tracer.enabled` setter.  Hot call sites check this (one module
 #: attribute load) before touching per-object tracer state or building
 #: span names / detail dicts, so a tracing-off run allocates nothing on
-#: the observation paths.  Conservative: it may stay True after an
-#: enabled tracer is abandoned without being disabled — sites must still
-#: check their own tracer's ``enabled`` when the flag is set.
+#: the observation paths.  An enabled tracer stops counting when it is
+#: disabled or collected; sites still check their own tracer's
+#: ``enabled`` when the flag is set, since another tracer may be on.
 TRACING_ACTIVE = False
 
 _enabled_tracers = 0
+
+
+def _release_enabled() -> None:
+    global _enabled_tracers, TRACING_ACTIVE
+    _enabled_tracers -= 1
+    TRACING_ACTIVE = _enabled_tracers > 0
 
 
 class Ev:
@@ -169,7 +179,22 @@ class TraceEvent:
         return cls(obj["t"], obj["n"], obj["e"], obj.get("d"))
 
 
-@dataclass
+def _event(item: tuple) -> TraceEvent:
+    """The :class:`TraceEvent` a pending record stands for."""
+    if len(item) == 7:  # from Tracer.transition
+        time, node, page, old, new, reason, home = item
+        return TraceEvent(time, node, Ev.PAGE_STATE, {"page": page, "from": old.value,
+                          "to": new.value, "reason": reason, "home": home})
+    time, node, event, detail = item
+    if event == Ev.EARLY_DIFF:
+        detail["runs"] = runs_of_mask(*detail["runs"])
+    elif event == Ev.INTERVAL_END:
+        detail["writes"] = [{"page": page, "runs": runs_of_mask(mask, count)}
+                            for page, mask, count in detail["writes"]]
+    return TraceEvent(time, node, event, detail)
+
+
+@dataclass(slots=True)
 class Span:
     """One named activity interval on a node's strand.
 
@@ -210,7 +235,7 @@ class Span:
                    obj["c"], obj["t0"], obj["t1"], obj.get("d"))
 
 
-@dataclass
+@dataclass(slots=True)
 class MsgEdge:
     """One message's send->receive hop (the DAG's cross-node edges).
 
@@ -250,24 +275,22 @@ class Tracer:
     ``maxlen`` events are retained (older events are dropped silently),
     which keeps long benchmark runs from growing the trace without
     bound.  The default is unbounded, preserving full traces for the
-    invariant checker.
+    invariant checker.  A bounded tracer materialises each record at once.
     """
 
     def __init__(self, enabled: bool = False, maxlen: Optional[int] = None):
         self._enabled = False
         self.enabled = enabled
         self.maxlen = maxlen
-        if maxlen is None:
-            self.events: List[TraceEvent] = []
-        else:
-            self.events = deque(maxlen=maxlen)  # type: ignore[assignment]
+        self._events: List[TraceEvent] = [] if maxlen is None else deque(maxlen=maxlen)  # type: ignore[assignment]
+        self._pending: List[tuple] = []  # recorded, not yet in _events
         self.dropped = 0
         #: Causal spans, in begin order; a span's id is its list index.
         self.spans: List[Span] = []
         #: Message edges, in send order; an edge's id is its list index.
         self.edges: List[MsgEdge] = []
         #: Open-span stack per (node, strand), for parent assignment.
-        self._stacks: Dict[Tuple[int, str], List[int]] = {}
+        self._stacks: Dict[Tuple[int, str], List[int]] = defaultdict(list)
 
     @property
     def enabled(self) -> bool:
@@ -281,17 +304,41 @@ class Tracer:
         global _enabled_tracers, TRACING_ACTIVE
         if value and not self._enabled:
             _enabled_tracers += 1
+            TRACING_ACTIVE = True
+            # released once: by the disable below, or when collected
+            self._release = weakref.finalize(self, _release_enabled)
         elif not value and self._enabled:
-            _enabled_tracers -= 1
+            self._release()
         self._enabled = value
-        TRACING_ACTIVE = _enabled_tracers > 0
 
     def record(self, time: float, node: int, event: str, detail: Any = None) -> None:
-        """Record an event if tracing is enabled."""
+        """Record an event if tracing is enabled (built when first read)."""
         if self._enabled:
-            if self.maxlen is not None and len(self.events) == self.maxlen:
-                self.dropped += 1
-            self.events.append(TraceEvent(time, node, event, detail))
+            self._pending.append((time, node, event, detail))
+            if self.maxlen is not None:
+                self._materialise()
+
+    def transition(self, time: float, node: int, page: int, old: Any, new: Any,
+                   reason: str, home: int) -> None:
+        """Record a ``page_state`` event; its detail dict is built when read."""
+        if self._enabled:
+            self._pending.append((time, node, page, old, new, reason, home))
+            if self.maxlen is not None:
+                self._materialise()
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every retained event, in record order (materialised on read)."""
+        if self._pending:
+            self._materialise()
+        return self._events
+
+    def _materialise(self) -> None:
+        pending, events = self._pending, self._events
+        if self.maxlen is not None:
+            self.dropped += max(0, len(events) + len(pending) - self.maxlen)
+        events.extend(map(_event, pending))
+        pending.clear()
 
     # ------------------------------------------------------------------
     # causal spans and message edges
@@ -314,22 +361,24 @@ class Tracer:
         """
         if not self._enabled:
             return -1
-        stack = self._stacks.setdefault((node, strand), [])
+        stack = self._stacks[(node, strand)]
         if parent is None:
             parent = stack[-1] if stack else -1
         sid = len(self.spans)
-        self.spans.append(Span(sid, parent, node, strand, name, cat, time,
-                               detail=detail))
+        self.spans.append(Span(sid, parent, node, strand, name, cat, time, -1.0, detail))
         stack.append(sid)
         return sid
 
-    def end(self, sid: int, time: float) -> None:
-        """Close a span opened by :meth:`begin` (no-op for sid < 0)."""
+    def end(self, sid: int, time: float, detail: Any = None) -> None:
+        """Close a span opened by :meth:`begin` (no-op for sid < 0),
+        replacing its detail with a given one (e.g. the edge that ended a wait)."""
         # bounds check: a flush-completion callback may fire after clear()
         if sid < 0 or sid >= len(self.spans) or not self._enabled:
             return
         span = self.spans[sid]
         span.t1 = time
+        if detail is not None:
+            span.detail = detail
         stack = self._stacks.get((span.node, span.strand))
         if stack and sid in stack:
             stack.remove(sid)
@@ -353,23 +402,20 @@ class Tracer:
 
     def filter(self, event: Optional[str] = None, node: Optional[int] = None) -> List[TraceEvent]:
         """Events matching the given event name and/or node."""
-        out: Iterable[TraceEvent] = self.events
-        if event is not None:
-            out = [e for e in out if e.event == event]
-        if node is not None:
-            out = [e for e in out if e.node == node]
-        return list(out)
+        return [e for e in self.events
+                if (event is None or e.event == event) and (node is None or e.node == node)]
 
     def clear(self) -> None:
         """Drop all recorded events, spans, and edges."""
-        self.events.clear()
+        self._events.clear()
+        self._pending.clear()
         self.dropped = 0
         self.spans.clear()
         self.edges.clear()
         self._stacks.clear()
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def __len__(self) -> int:  # counts without materialising
+        return len(self._events) + len(self._pending)
 
     # ------------------------------------------------------------------
     # offline (de)serialisation
@@ -396,8 +442,7 @@ class Tracer:
                 continue
             obj = json.loads(line)
             if "e" in obj:
-                tracer.events.append(TraceEvent(obj["t"], obj["n"],
-                                                obj["e"], obj.get("d")))
+                tracer._events.append(TraceEvent(obj["t"], obj["n"], obj["e"], obj.get("d")))
             elif "ei" in obj:
                 tracer.edges.append(MsgEdge.from_obj(obj))
             else:
@@ -410,7 +455,7 @@ class Tracer:
             text = self.to_jsonl()
             if text:
                 fh.write(text + "\n")
-        return len(self.events)
+        return len(self)
 
     @classmethod
     def load(cls, path: str) -> "Tracer":

@@ -4,20 +4,22 @@ Host seconds depend on the machine; the number of Python calls a
 deterministic run makes does not.  A traced 4-node ``shallow/ccl`` run
 at test scale is profiled under ``cProfile`` and the calls *into*
 ``repro/memory/diff.py``, plus the calls ``diff.py`` itself makes into
-numpy, are divided by the diffs created.  With one vectorised run table
-per traced diff and a run count taken from the mask ``create_diff``
-builds anyway, that ratio is 35; when the trace detail was built from
+numpy, are divided by the diffs created.  A traced run builds no run
+table at all -- the trace keeps each diff's mask and run count and
+derives the table when the event is first read, after the run -- so
+the ratio is 27, what an untraced run pays.  With one vectorised run
+table per traced diff it was 35; when the trace detail was built from
 ``Diff.runs`` (an ``np.split`` of the words: one array view and one
 tuple per run, ``swapaxes`` twice per run inside numpy) and every
 ``nbytes`` re-ran ``np.diff``, it was 70 here before counting what
 ``np.split`` did per run -- 49 runs a diff on average at benchmark
 scale, where that was most of the traced run.  (Accessors are cheap
-frames but frames: 4 of the 35 are ``nbytes`` reading two integers.)
+frames but frames: 4 of the 27 are ``nbytes`` reading two integers.)
 
-The second guard is the same property stated on one event: the Python
-objects reachable from an ``interval_end`` detail are as many for a
-500-run diff as for a 1-run diff, because the run table travels as one
-array.
+The second guard is the same property stated on one materialised
+event: the Python objects reachable from an ``interval_end`` detail are
+as many for a 500-run diff as for a 1-run diff, because the run table
+is one array.
 """
 
 import cProfile
@@ -33,20 +35,18 @@ from repro.sim.trace import Ev, Tracer
 from tests.dsm.conftest import MiniApp
 
 #: Calls into ``diff.py`` and from it into numpy allowed per diff created
-#: (measured 34.7; deriving the run structure once more per diff -- a
-#: second ``run_table``, or a run count re-derived per ``nbytes`` -- adds
-#: 7 to 20).
-BUDGET_PER_DIFF = 39.0
+#: (measured 26.7; a run table built inside the run again -- one per
+#: traced diff -- adds 8, and a run count re-derived per ``nbytes`` 20).
+BUDGET_PER_DIFF = 30.0
 
 #: Measured calls per diff created, by function, when the budget was set
 #: -- what a failure is compared against to name the culprit.
 MEASURED = {
-    "ndarray.view": 4.77, "nbytes": 4.33, "_as_words": 3.77, "unpackbits": 2.33,
-    "is_empty": 1.39, "create_diff": 1.39, "count_nonzero": 1.33,
-    "_count_nonzero_dispatcher": 1.33, "run_table": 1.33, "_adopt": 1.33,
-    "_diff_of_bits": 1.33, "ndarray.astype": 1.33, "ndarray.nonzero": 1.33,
-    "ndarray.reshape": 1.33, "ndarray.setflags": 1.33, "numpy.empty": 1.33,
-    "packbits": 1.33, "apply_diff": 1.0, "word_count": 1.0, "__init__": 0.05,
+    "ndarray.view": 4.77, "nbytes": 4.33, "_as_words": 3.77, "is_empty": 1.39,
+    "create_diff": 1.39, "count_nonzero": 1.33, "_count_nonzero_dispatcher": 1.33,
+    "_adopt": 1.33, "_diff_of_bits": 1.33, "ndarray.setflags": 1.33,
+    "packbits": 1.33, "apply_diff": 1.0, "word_count": 1.0, "unpackbits": 1.0,
+    "__init__": 0.05,
 }
 
 

@@ -16,6 +16,8 @@ for the wire encoding, which a failure-free run never asks for), so an
 untraced run must not build a single one.
 """
 
+import gc
+
 import pytest
 
 from repro.config import ClusterConfig
@@ -32,12 +34,16 @@ class CountingTracer(Tracer):
 
     def __init__(self):
         super().__init__(enabled=False)
-        self.calls = {"record": 0, "begin": 0, "end": 0,
+        self.calls = {"record": 0, "transition": 0, "begin": 0, "end": 0,
                       "edge_send": 0, "edge_recv": 0}
 
     def record(self, *a, **kw):
         self.calls["record"] += 1
         return super().record(*a, **kw)
+
+    def transition(self, *a, **kw):
+        self.calls["transition"] += 1
+        return super().transition(*a, **kw)
 
     def begin(self, *a, **kw):
         self.calls["begin"] += 1
@@ -67,13 +73,35 @@ def test_enabled_setter_maintains_tracing_active(monkeypatch):
     assert trace_mod.TRACING_ACTIVE is False
 
 
+def test_abandoned_enabled_tracer_releases_tracing_active(monkeypatch):
+    """An enabled tracer dropped without being disabled (a model-check
+    state, a sanitized chaos run) must not keep every later untraced run
+    on the traced paths."""
+    gc.collect()  # earlier tests' abandoned tracers: not ours
+    monkeypatch.setattr(trace_mod, "_enabled_tracers", 0)
+    monkeypatch.setattr(trace_mod, "TRACING_ACTIVE", False)
+    t = Tracer(enabled=True)
+    assert trace_mod.TRACING_ACTIVE is True
+    del t
+    gc.collect()
+    assert trace_mod.TRACING_ACTIVE is False
+    # disabling releases once; collecting the tracer later does not again
+    kept = Tracer(enabled=True)
+    t = Tracer(enabled=True)
+    t.enabled = False
+    del t
+    gc.collect()
+    assert trace_mod._enabled_tracers == 1 and trace_mod.TRACING_ACTIVE
+    kept.enabled = False
+
+
 def test_full_run_allocates_no_spans_or_edges(monkeypatch, request):
     """A whole app run with tracing off must not touch the tracer.
 
     Other tests construct enabled tracers without ever disabling them,
     which leaves the module-level refcount (and thus TRACING_ACTIVE)
-    high for the rest of the session; reset both so this test sees the
-    state a fresh tracing-off process sees.
+    high until the collector finds them; reset both so this test sees
+    the state a fresh tracing-off process sees.
     """
     if request.config.getoption("--sanitize"):
         pytest.skip("--sanitize forces tracing on; no tracing-off path")
@@ -120,7 +148,7 @@ def test_full_run_allocates_no_spans_or_edges(monkeypatch, request):
     assert len(counting.events) == 0
     # and the span/edge entry points were never even *called*: the
     # TRACING_ACTIVE guard short-circuits before argument construction
-    for name in ("begin", "end", "edge_send", "edge_recv", "record"):
+    for name in counting.calls:
         assert counting.calls[name] == 0, (
             f"tracer.{name} called {counting.calls[name]} times with "
             "tracing disabled -- a call site lost its TRACING_ACTIVE guard")

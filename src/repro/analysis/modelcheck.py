@@ -1,153 +1,40 @@
 """Small-scope model checking of the coherence/logging protocol.
 
 The chaos suite samples schedules; this module *enumerates* them.  For
-bounded configurations (2-4 nodes, 1-2 pages, short lock/barrier
-programs) it drives the deterministic simulator through every relevant
-interleaving of message delivery, and at the end of each explored
-execution checks
-
-* the streaming invariant catalogue (:mod:`repro.analysis.invariants`)
-  over the execution's causal trace,
-* the program's own result (each rank asserts the shared data it must
-  observe after the final barrier), and
-* **bit-exact recovery from every reachable crash point**: for every
-  node and every sealed interval of the execution, the victim's durable
-  log is truncated to what a crash at that instant leaves on disk and
-  replayed (:func:`repro.core.recovery.replay_failed_node`), and the
-  recovered image is compared word-for-word against the crash-point
-  snapshot -- the paper's correctness claim, checked on *all* schedules
-  instead of observed ones.
-
-Nondeterminism model
---------------------
-The only scheduling freedom in the simulated cluster is message
-delivery order: computation between deliveries is deterministic, and
-the base network is FIFO per ``(src, dst)`` link (one transmit NIC,
-constant latency).  The engine's controlled-scheduler hook
-(:meth:`repro.sim.engine.Simulator.run` with ``choice_fn``) parks every
-delivery as a labelled choice point; whenever the event heap drains,
-the checker picks which *enabled* delivery (lowest undelivered
-``link_seq`` on each link) fires next.
-
-Partial-order reduction
------------------------
-Exhaustive enumeration of delivery orders explodes factorially, but
-most orders are equivalent: two deliveries addressed to *different*
-nodes commute -- each runs handler code only at its destination, and
-the messages a handler emits go out on links whose labels are assigned
-deterministically.  Deliveries to the *same* node never commute here,
-even for disjoint pages, because handler execution order is exactly
-what determines log-record append order -- the order-sensitivity the
-recovery checks exist to exercise.  The checker prunes with **sleep
-sets** (Godefroid) over this commutativity oracle: an execution that
-would only permute independent deliveries of an already-explored
-execution is cut off and counted as pruned.  Sleep sets never drop a
-Mazurkiewicz trace, so every inequivalent delivery order within the
-budget is still explored.
+the bounded presets of :mod:`repro.analysis.programs` (2-4 nodes, 1-2
+pages) it drives the deterministic simulator through every relevant
+interleaving of message delivery -- the only scheduling freedom: the
+base network is FIFO per link, and the engine's ``choice_fn`` hook
+parks every delivery as a labelled choice point -- and checks each
+explored execution against the invariant catalogue, the program's
+checked reads, and bit-exact recovery from every reachable crash point
+(:func:`check_crash_points`).  Deliveries to different nodes commute;
+deliveries to one node never do, because their order is log-record
+append order.  Sleep sets (Godefroid) over that commutativity prune
+executions that only permute independent deliveries of explored ones,
+and never drop a Mazurkiewicz trace.  docs/analysis.md has the details.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional
-from typing import Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..config import ClusterConfig
 from ..dsm.system import DsmSystem
-from ..errors import ApplicationError, DeadlockError, SimulationError
+from ..errors import ApplicationError, ConfigError, DeadlockError, SimulationError
 from ..sim.engine import PendingChoice
 from ..sim.network import DeliveryLabel
 from ..sim.trace import Tracer
 from .invariants import check_trace
+from .programs import PRESETS, program_system
 
 __all__ = [
     "McViolation",
     "McReport",
     "ModelChecker",
-    "PROGRAMS",
+    "check_crash_points",
     "run_modelcheck",
 ]
-
-
-# ----------------------------------------------------------------------
-# bounded programs
-# ----------------------------------------------------------------------
-_PAGE_SIZE = 256
-_WORDS_PER_PAGE = _PAGE_SIZE // 4  # int32
-
-
-class _BoundedApp:
-    """A tiny SPMD program sized for exhaustive exploration."""
-
-    data_set = "bounded"
-    synchronization = "mixed"
-
-    def __init__(self, name: str, pages: int,
-                 program: Callable[["_BoundedApp", Any], Generator[Any, Any, None]]):
-        self.name = name
-        self.pages = pages
-        self._program = program
-
-    def allocate(self, space: Any, nprocs: int) -> None:
-        n = self.pages * _WORDS_PER_PAGE
-        space.allocate("x", (n,), np.int32, init=np.zeros(n, np.int32))
-
-    def homes(self, space: Any, nprocs: int) -> Optional[List[int]]:
-        return None  # round-robin
-
-    def program(self, dsm: Any) -> Generator[Any, Any, None]:
-        yield from self._program(self, dsm)
-
-
-def _lock_program(app: _BoundedApp, dsm: Any) -> Generator[Any, Any, None]:
-    """Each rank, under one global lock, bumps its own word of every
-    page; after the final barrier every rank must observe all bumps."""
-    for page in range(app.pages):
-        word = page * _WORDS_PER_PAGE + dsm.rank
-        yield from dsm.acquire(0)
-        yield from dsm.write("x", word, word + 1)
-        dsm.arr("x")[word] += dsm.rank + 1
-        yield from dsm.release(0)
-    yield from dsm.barrier(0)
-    yield from dsm.read("x")
-    x = dsm.arr("x")
-    for page in range(app.pages):
-        base = page * _WORDS_PER_PAGE
-        for r in range(dsm.nprocs):
-            if int(x[base + r]) != r + 1:
-                raise ApplicationError(
-                    f"rank {dsm.rank}: x[{base + r}] == {int(x[base + r])}, "
-                    f"expected {r + 1}"
-                )
-
-
-def _barrier_program(app: _BoundedApp, dsm: Any) -> Generator[Any, Any, None]:
-    """Disjoint writes, a barrier, then each rank checks its left
-    neighbour's slice -- the write-notice propagation path."""
-    stride = max(1, _WORDS_PER_PAGE // max(1, dsm.nprocs))
-    for page in range(app.pages):
-        lo = page * _WORDS_PER_PAGE + dsm.rank * stride
-        yield from dsm.write("x", lo, lo + stride)
-        dsm.arr("x")[lo:lo + stride] = dsm.rank + 1
-    yield from dsm.barrier(0)
-    left = (dsm.rank - 1) % dsm.nprocs
-    for page in range(app.pages):
-        lo = page * _WORDS_PER_PAGE + left * stride
-        yield from dsm.read("x", lo, lo + stride)
-        seen = dsm.arr("x")[lo:lo + stride]
-        if not bool(np.all(seen == left + 1)):
-            raise ApplicationError(
-                f"rank {dsm.rank}: neighbour slice {seen.tolist()} != {left + 1}"
-            )
-    yield from dsm.barrier(1)
-
-
-PROGRAMS: Dict[str, Callable[[_BoundedApp, Any], Generator[Any, Any, None]]] = {
-    "lock": _lock_program,
-    "barrier": _barrier_program,
-}
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +108,9 @@ class _Controller:
         if step < len(self.decisions):
             idx = self.decisions[step]
             if idx >= len(enabled):
-                raise SimulationError(
-                    f"schedule step {step}: index {idx} out of range "
-                    f"({len(enabled)} enabled) -- stale schedule?"
-                )
+                raise ConfigError(
+                    f"--schedule step {step} picks delivery {idx}, but "
+                    f"only {len(enabled)} are enabled there")
             self.chosen.append(idx)
             self.steps += 1
             return enabled[idx]
@@ -339,7 +225,70 @@ def parse_schedule(text: str) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split("."))
+    parts = text.split(".")
+    if not all(part.isdigit() for part in parts):
+        raise ConfigError(
+            f"--schedule wants dot-separated delivery indices such as "
+            f"0.2.1, got {text!r}")
+    return tuple(int(part) for part in parts)
+
+
+def check_crash_points(
+    system: DsmSystem, probe: Any, protocol: str,
+    seen: Optional[Set[Tuple[Any, ...]]] = None, after_run: bool = False,
+) -> Tuple[List[Tuple[float, int, str]], int, int]:
+    """Bit-exact recovery of one probed victim at every crash point.
+
+    The crash points are each seal instant and each midpoint between two
+    seals (``probe`` must ``capture_all``), plus, with ``after_run``, the
+    end of the run, where a last seal flushed after it is durable.  At
+    each, the log is cut to what a crash leaves on disk, replayed, and
+    compared word for word with the snapshot of the seal replay stops
+    at; a (victim, seal, durable log, snapshot) fingerprint already in
+    ``seen`` is skipped.  Returns the failures as ``(crash time, seal,
+    detail)``, the checks run and the checks skipped.
+    """
+    from ..core.recovery import compare_state, plan_victim, replay_failed_node
+    from ..errors import LoggingProtocolError, RecoveryError
+
+    victim = probe.node
+    seen = set() if seen is None else seen
+    failures: List[Tuple[float, int, str]] = []
+    checks = dupes = 0
+    if getattr(system.nodes[victim].hooks, "log", None) is None:
+        return failures, checks, dupes
+    seal_times = sorted(s.time for s in probe.snapshots.values())
+    midpoints = [(a + b) / 2.0 for a, b in zip(seal_times, seal_times[1:])]
+    after = [system.sim.now] if after_run else []
+    for t in sorted(seal_times + midpoints + after):
+        plan = plan_victim(system, probe, t)
+        snapshot = plan.snapshot
+        if plan.stop_at < 1 or snapshot is None:
+            continue  # restart from the initial image: trivially bit-exact
+        fp = (
+            victim, plan.stop_at, len(plan.plog.persistent_records),
+            snapshot.interval_index, repr(snapshot.vt),
+            hash(tuple(snapshot.page_states.items())),
+            hash(b"".join(
+                snapshot.frames[p].tobytes() for p in sorted(snapshot.frames))),
+        )
+        if fp in seen:
+            dupes += 1
+            continue
+        seen.add(fp)
+        checks += 1
+        try:
+            replay, _rt = replay_failed_node(
+                system.app, system.config, protocol, system, victim,
+                plan.plog, plan.stop_at, plan.free_until, plan.checkpoint)
+        except (RecoveryError, LoggingProtocolError, SimulationError) as exc:
+            failures.append((t, plan.stop_at, f"replay error: {exc}"))
+            continue
+        mismatches = compare_state(replay, snapshot, system.config.page_size)
+        if mismatches:
+            failures.append(
+                (t, plan.stop_at, "state mismatch: " + "; ".join(mismatches[:3])))
+    return failures, checks, dupes
 
 
 class ModelChecker:
@@ -355,13 +304,13 @@ class ModelChecker:
         use_dpor: bool = True,
         check_recovery: bool = True,
     ):
-        if program not in PROGRAMS:
-            raise ValueError(
-                f"unknown program {program!r}; have {sorted(PROGRAMS)}")
+        if program not in PRESETS:
+            raise ConfigError(
+                f"unknown program {program!r}; have {sorted(PRESETS)}")
         if not (2 <= nodes <= 4):
-            raise ValueError("modelcheck is small-scope: 2 <= nodes <= 4")
+            raise ConfigError("modelcheck is small-scope: 2 <= nodes <= 4")
         if not (1 <= pages <= 2):
-            raise ValueError("modelcheck is small-scope: 1 <= pages <= 2")
+            raise ConfigError("modelcheck is small-scope: 1 <= pages <= 2")
         self.program = program
         self.nodes = nodes
         self.pages = pages
@@ -369,27 +318,15 @@ class ModelChecker:
         self.budget = budget
         self.use_dpor = use_dpor
         self.check_recovery = check_recovery and protocol != "none"
-        self.config = ClusterConfig.ultra5(
-            num_nodes=nodes, page_size=_PAGE_SIZE)
-        # fingerprint -> first schedule that checked it; repeated
-        # (victim, stop_at, identical snapshot+log) checks are skipped
+        self.plan = PRESETS[program](nodes, pages)
+        # repeated (victim, stop_at, identical snapshot+log) checks are skipped
         self._recovery_seen: Set[Tuple[Any, ...]] = set()
 
     # -- one execution -------------------------------------------------
-    def _app(self) -> _BoundedApp:
-        return _BoundedApp(
-            f"mc-{self.program}", self.pages, PROGRAMS[self.program])
-
     def _hooks_factory(self) -> Any:
         from ..core.logging_base import make_hooks_factory
 
         return make_hooks_factory(self.protocol)
-
-    def _build(self, app: _BoundedApp) -> DsmSystem:
-        return DsmSystem(
-            app, self.config, self._hooks_factory(),
-            tracer=Tracer(enabled=True),
-        )
 
     def _execute(
         self, decisions: Sequence[int], sleep: FrozenSet[Any]
@@ -402,8 +339,8 @@ class ModelChecker:
         """
         from ..core.failure import CrashProbe
 
-        app = self._app()
-        system = self._build(app)
+        system = program_system(self.plan, self.protocol, self._hooks_factory(),
+                                tracer=Tracer(enabled=True))
         probes = [CrashProbe(v, capture_all=True)
                   for v in range(self.nodes)]
         for probe in probes:
@@ -440,66 +377,17 @@ class ModelChecker:
         for v in inv.violations:
             report.violations.append(
                 McViolation("invariant", schedule, str(v)))
-        if self.check_recovery:
-            for probe in probes:
-                self._check_recovery(report, system, probe, schedule)
-
-    def _check_recovery(
-        self, report: McReport, system: DsmSystem, probe: Any, schedule: str
-    ) -> None:
-        """Chaos-style bit-exact recovery at every crash point of one
-        victim: each seal instant plus each inter-seal midpoint."""
-        from ..core.recovery import (
-            compare_state,
-            plan_victim,
-            replay_failed_node,
-        )
-        from ..errors import LoggingProtocolError, RecoveryError
-
-        victim = probe.node
-        log = getattr(system.nodes[victim].hooks, "log", None)
-        if log is None or not probe.snapshots:
+        if not self.check_recovery:
             return
-        seal_times = sorted(s.time for s in probe.snapshots.values())
-        instants = list(seal_times)
-        instants += [
-            (a + b) / 2.0 for a, b in zip(seal_times, seal_times[1:])
-        ]
-        for t in sorted(instants):
-            plan = plan_victim(system, probe, t)
-            view, stop_at, snapshot = plan.plog, plan.stop_at, plan.snapshot
-            if stop_at < 1:
-                continue  # restart-from-checkpoint: trivially bit-exact
-            fp = (
-                victim, stop_at, len(view._persistent),
-                snapshot.interval_index, repr(snapshot.vt),
-                hash(tuple(snapshot.page_states.items())),
-                hash(b"".join(
-                    snapshot.frames[p].tobytes() for p in sorted(snapshot.frames))),
-            )
-            if fp in self._recovery_seen:
-                report.recovery_deduped += 1
-                continue
-            self._recovery_seen.add(fp)
-            report.recovery_checks += 1
-            try:
-                replay, _rt = replay_failed_node(
-                    system.app, self.config, self.protocol, system,
-                    victim, view, stop_at,
-                )
-            except (RecoveryError, LoggingProtocolError,
-                    SimulationError) as exc:
-                report.violations.append(McViolation(
-                    "recovery", schedule, f"replay error: {exc}",
-                    victim=victim, stop_at=stop_at, crash_time=t))
-                continue
-            mismatches = compare_state(
-                replay, snapshot, self.config.page_size)
-            if mismatches:
-                report.violations.append(McViolation(
-                    "recovery", schedule,
-                    "state mismatch: " + "; ".join(mismatches[:3]),
-                    victim=victim, stop_at=stop_at, crash_time=t))
+        for probe in probes:
+            failures, checks, dupes = check_crash_points(
+                system, probe, self.protocol, self._recovery_seen)
+            report.recovery_checks += checks
+            report.recovery_deduped += dupes
+            report.violations += [
+                McViolation("recovery", schedule, detail, victim=probe.node,
+                            stop_at=stop_at, crash_time=t)
+                for t, stop_at, detail in failures]
 
     # -- exploration ---------------------------------------------------
     def explore(self) -> McReport:

@@ -5,7 +5,6 @@
 * :mod:`repro.apps.shallow` -- NCAR shallow-water kernel (barriers)
 * :mod:`repro.apps.water` -- SPLASH-style molecular dynamics (locks+barriers)
 * :mod:`repro.apps.sor` -- red-black SOR (extra workload, not in the paper)
-* :mod:`repro.apps.lu` -- blocked LU factorisation (extra workload)
 
 All applications execute real numerical kernels over the DSM and verify
 their final shared state against sequential references.
@@ -25,7 +24,6 @@ from .mg import MgApp
 from .shallow import ShallowApp
 from .water import WaterApp
 from .sor import SorApp
-from .lu import LuApp
 
 #: The four applications of the paper's evaluation, in Table 1 order.
 PAPER_APPS = ("fft3d", "mg", "shallow", "water")
@@ -44,5 +42,4 @@ __all__ = [
     "ShallowApp",
     "WaterApp",
     "SorApp",
-    "LuApp",
 ]

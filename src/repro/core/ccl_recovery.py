@@ -130,7 +130,8 @@ class CclEngine(ReplayEngine):
                         and m.payload.home == h
                     )
                 )
-        wave1 = yield from node._gather_diffs(event_wants, warm_ranges)
+        wave1 = node._unsealed(
+            (yield from node._gather_diffs(event_wants, warm_ranges)))
 
         if node.timed:
             items: List[ReconPage] = []
@@ -188,7 +189,7 @@ class CclEngine(ReplayEngine):
                 histories.setdefault(writer, []).append((item.page, idx, part))
 
         if rebuilds:
-            entries = yield from node._gather_diffs(histories)
+            entries = node._unsealed((yield from node._gather_diffs(histories)))
             cold_by_page: Dict[int, list] = {}
             for e in entries:
                 cold_by_page.setdefault(e[0].page, []).append(e)

@@ -622,6 +622,15 @@ class ReplayNode:
             entries.extend(msg.payload.entries)
         return entries
 
+    def _unsealed(self, entries: List[Tuple[Diff, int, int, int, VectorClock]]
+                  ) -> List[Tuple[Diff, int, int, int, VectorClock]]:
+        """``entries`` less this node's end-of-interval diffs of the current
+        interval: sealed after any fetch in it, though an early diff may
+        have carried their clock to the fetched version."""
+        now = self.vt[self.id]
+        return [e for e in entries
+                if not (e[1] == self.id and e[2] == now and e[3] == 0)]
+
     @staticmethod
     def causal_sort(entries: List[Tuple[Diff, int, int, int, VectorClock]]):
         """Order diff entries along a linear extension of happens-before.

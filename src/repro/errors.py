@@ -25,6 +25,7 @@ __all__ = [
     "RecoveryError",
     "ApplicationError",
     "HarnessError",
+    "BundleError",
     "AnalysisError",
     "InvariantViolationError",
     "RecoverabilityError",
@@ -112,6 +113,10 @@ class ApplicationError(ReproError):
 
 class HarnessError(ReproError):
     """The experiment harness was driven with inconsistent arguments."""
+
+
+class BundleError(ReproError):
+    """A run bundle's manifest, trace or history is unreadable or torn."""
 
 
 class AnalysisError(ReproError):

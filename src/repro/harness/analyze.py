@@ -3,7 +3,7 @@
 Two modes::
 
     python -m repro analyze trace.jsonl          # check a saved trace
-    python -m repro analyze --app lu --protocol ccl --scale test
+    python -m repro analyze --apps sor --protocol ccl --scale test
 
 The first loads a JSONL trace (``Tracer.save``) and runs the protocol
 invariant checker over it.  The second runs an application with tracing

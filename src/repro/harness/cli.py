@@ -9,7 +9,7 @@ Regenerates the paper's evaluation from the terminal::
     python -m repro all    [--scale test|bench] [--jobs 4]
     python -m repro ablation [--which disk|pagesize] [--jobs 4]
     python -m repro perf   [--out BENCH_perf.json] [--target]
-    python -m repro analyze [trace.jsonl | --apps lu --protocol ccl]
+    python -m repro analyze [trace.jsonl | --apps sor --protocol ccl]
     python -m repro chaos  [--seeds 13] [--crash-points 5] [--seed N ...]
                            [--replication K] [--zones N] [--zone-kill Z]
                            [--zone-partition A,B] [--zone-wan S]
@@ -45,6 +45,7 @@ from ..apps import PAPER_APPS
 from ..config import ClusterConfig
 from ..core.chaos import DEFAULT_RATES
 from ..core.logging_base import PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES
+from ..errors import ReproError
 from ..obs.artifacts import config_dict, result_summary, write_bundle
 from ..obs.console import configure as configure_console
 from .figures import fig4_rows, fig5_rows, render_fig4, render_fig5, write_csv
@@ -108,8 +109,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", default="bench",
                    choices=["test", "bench", "paper"],
                    help="dataset scale (see repro.harness.scales)")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="cluster size (paper: 8)")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="cluster size (default: 8 as in the paper; "
+                        "modelcheck: 2)")
     p.add_argument("--failed-node", type=int, default=3,
                    help="node crashed in recovery experiments")
     p.add_argument("--csv", default=None, metavar="PREFIX",
@@ -225,9 +227,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     mc.add_argument("--program", default="lock",
                     choices=["lock", "barrier"],
-                    help="bounded program to explore (lock: contended "
-                         "increments under one lock; barrier: disjoint "
-                         "writes then neighbour reads)")
+                    help="bounded preset to explore (lock: one contended "
+                         "lock; barrier: neighbour reads after a barrier)")
     mc.add_argument("--pages", type=int, default=1,
                     help="shared pages in the bounded config (1-2)")
     mc.add_argument("--budget", type=int, default=5000,
@@ -270,11 +271,17 @@ def _write_run_bundle(args, config: ClusterConfig,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the CLI; returns a process exit code."""
+    """Run the CLI; returns a process exit code (2 and one error line for
+    any :class:`~repro.errors.ReproError`: a refused input, a torn bundle)."""
     args = _parser().parse_args(argv)
+    if args.nodes is None:
+        args.nodes = 2 if args.command == "modelcheck" else 8
     con = configure_console(quiet=args.quiet, json_mode=args.json_mode)
     try:
         code = _run_command(args, con)
+    except ReproError as exc:
+        con.error(f"{args.command}: {exc}")
+        code = 2
     finally:
         con.finish()
         configure_console()  # reset modes for in-process callers (tests)

@@ -6,7 +6,7 @@ message-delivery interleaving of a 2-node, 1-page lock program under
 CCL, checking the invariant catalogue and bit-exact recovery from every
 reachable crash point::
 
-    python -m repro modelcheck --nodes 2 --pages 1
+    python -m repro modelcheck
 
 Larger bounded configs (up to 4 nodes, 2 pages, the ``barrier``
 program) explore until exhaustion or ``--budget`` schedules.  A
@@ -34,20 +34,16 @@ def run_modelcheck_cmd(args) -> int:
     from ..analysis.modelcheck import run_modelcheck
 
     con = get_console()
-    try:
-        report = run_modelcheck(
-            program=args.program,
-            nodes=args.nodes,
-            pages=args.pages,
-            protocol=args.protocol,
-            budget=args.budget,
-            use_dpor=not args.no_dpor,
-            check_recovery=not args.no_recovery,
-            schedule=args.schedule,
-        )
-    except ValueError as exc:  # bad small-scope bounds / unknown program
-        con.error(str(exc))
-        return 2
+    report = run_modelcheck(
+        program=args.program,
+        nodes=args.nodes,
+        pages=args.pages,
+        protocol=args.protocol,
+        budget=args.budget,
+        use_dpor=not args.no_dpor,
+        check_recovery=not args.no_recovery,
+        schedule=args.schedule,
+    )
     con.result(report.render())
     con.emit("modelcheck", {
         "program": report.program,

@@ -51,8 +51,6 @@ def _load_tracer(path: str) -> Tracer:
         if trace_file is None:
             raise HarnessError(f"bundle {p} has no recorded trace")
         p = p / trace_file
-    if not p.exists():
-        raise HarnessError(f"no trace at {p}")
     return Tracer.load(str(p))
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..config import ClusterConfig
-from ..errors import HarnessError
+from ..jsonio import json_records, read_text
 from ..obs import analytics
 from ..obs.artifacts import config_dict, load_bundle, result_summary, write_bundle
 from ..obs.console import get_console
@@ -63,12 +63,7 @@ def run_query(args, config: ClusterConfig) -> int:
     if source is None:
         source = _record_query_bundle(args, config)
 
-    trace_path = analytics.resolve_trace_path(source)
-    if not Path(trace_path).exists():
-        con.error(f"no trace at {trace_path} -- record one with "
-                  f"`repro query --apps <app>` or `repro timeline`")
-        return 2
-    ct = analytics.load_or_ingest(trace_path)
+    ct = analytics.load_or_ingest(analytics.resolve_trace_path(source))
     con.info(f"columnar index: {ct.summary()} (from {ct.source})")
 
     names = (list(analytics.REPORTS) if args.report == "all"
@@ -89,11 +84,9 @@ def run_query(args, config: ClusterConfig) -> int:
 
 
 def _history_entries(path: str) -> List[Dict[str, Any]]:
-    try:
-        with open(path) as fh:
-            return [json.loads(ln) for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise HarnessError(f"cannot read history {path}: {exc}") from exc
+    entries: List[Dict[str, Any]] = []
+    json_records(read_text(path), path, entries.append)
+    return entries
 
 
 def _maybe_columnar(path: str) -> Optional[analytics.ColumnarTrace]:

@@ -26,7 +26,6 @@ SCALES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "shallow": dict(n=32, steps=6),
         "water": dict(molecules=64, steps=3),
         "sor": dict(n=32, iters=4),
-        "lu": dict(n=32, block=8),
     },
     "bench": {
         "fft3d": dict(n=32, iters=6),
@@ -34,7 +33,6 @@ SCALES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "shallow": dict(n=128, steps=10),
         "water": dict(molecules=216, steps=4),
         "sor": dict(n=128, iters=10),
-        "lu": dict(n=64, block=8),
     },
     "paper": {
         "fft3d": dict(paper_scale=True),
@@ -42,7 +40,6 @@ SCALES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "shallow": dict(paper_scale=True),
         "water": dict(paper_scale=True),
         "sor": dict(paper_scale=True),
-        "lu": dict(paper_scale=True),
     },
 }
 

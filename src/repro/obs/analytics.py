@@ -33,10 +33,14 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..jsonio import json_records, read_text
 
 __all__ = [
     "StringTable",
@@ -292,12 +296,16 @@ class ColumnarTrace:
         if (meta.get("schema") != COLUMNS_SCHEMA
                 or meta.get("source") != _signature(trace_path)):
             return None
-        with np.load(npz) as data:
-            tables: Dict[str, Dict[str, np.ndarray]] = {
-                "events": {}, "spans": {}, "edges": {}, "pagerows": {}}
-            for key in data.files:
-                table, _, col = key.partition(".")
-                tables[table][col] = data[key]
+        tables: Dict[str, Dict[str, np.ndarray]] = {
+            "events": {}, "spans": {}, "edges": {}, "pagerows": {}}
+        try:
+            with np.load(npz) as data:
+                for key in data.files:
+                    table, _, col = key.partition(".")
+                    tables[table][col] = data[key]
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+                zlib.error):
+            return None  # a torn or corrupt cache: re-ingest the JSONL
         return cls(StringTable(meta.get("strings", [])),
                    tables["events"], tables["spans"], tables["edges"],
                    tables["pagerows"], source="cache")
@@ -333,20 +341,18 @@ def _parse_jsonl(path: str) -> Dict[str, List[Any]]:
     events: List[Any] = []
     spans: List[Any] = []
     edges: List[Any] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "e" in obj:
-                events.append((obj["t"], obj["n"], obj["e"], obj.get("d")))
-            elif "ei" in obj:
-                edges.append((obj["src"], obj["dst"], obj["k"], obj["sz"],
-                              obj["ts"], obj["tr"]))
-            else:
-                spans.append((obj["p"], obj["n"], obj["st"], obj["nm"],
-                              obj["c"], obj["t0"], obj["t1"], obj.get("d")))
+
+    def add(obj: Dict[str, Any]) -> None:
+        if "e" in obj:
+            events.append((obj["t"], obj["n"], obj["e"], obj.get("d")))
+        elif "ei" in obj:
+            edges.append((obj["src"], obj["dst"], obj["k"], obj["sz"],
+                          obj["ts"], obj["tr"]))
+        else:
+            spans.append((obj["p"], obj["n"], obj["st"], obj["nm"],
+                          obj["c"], obj["t0"], obj["t1"], obj.get("d")))
+
+    json_records(read_text(path), path, add)
     return {"events": events, "spans": spans, "edges": edges}
 
 

@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..jsonio import parse_json, read_text
+
 __all__ = [
     "MANIFEST_SCHEMA",
     "git_rev",
@@ -160,8 +162,7 @@ def load_bundle(path: str) -> Dict[str, Any]:
     p = Path(path)
     if p.is_dir():
         p = p / "manifest.json"
-    with open(p) as fh:
-        return json.load(fh)
+    return parse_json(read_text(str(p)), str(p))
 
 
 # ----------------------------------------------------------------------

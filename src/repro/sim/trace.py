@@ -49,6 +49,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..jsonio import json_records, parse_json, read_text
 from ..memory.diff import runs_of_mask
 
 __all__ = ["Ev", "TraceEvent", "Span", "MsgEdge", "Tracer", "TRACING_ACTIVE"]
@@ -175,7 +176,7 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         """Decode one JSON Lines record."""
-        obj = json.loads(line)
+        obj = parse_json(line, "trace record")
         return cls(obj["t"], obj["n"], obj["e"], obj.get("d"))
 
 
@@ -433,20 +434,21 @@ class Tracer:
         return "\n".join(lines)
 
     @classmethod
-    def from_jsonl(cls, text: str, maxlen: Optional[int] = None) -> "Tracer":
-        """Rebuild a (disabled) tracer from :meth:`to_jsonl` output."""
+    def from_jsonl(cls, text: str, maxlen: Optional[int] = None,
+                   source: str = "trace") -> "Tracer":
+        """Rebuild a (disabled) tracer from :meth:`to_jsonl` output; a torn
+        line is a :class:`~repro.errors.BundleError` naming ``source``."""
         tracer = cls(enabled=False, maxlen=maxlen)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+
+        def add(obj: Dict[str, Any]) -> None:
             if "e" in obj:
                 tracer._events.append(TraceEvent(obj["t"], obj["n"], obj["e"], obj.get("d")))
             elif "ei" in obj:
                 tracer.edges.append(MsgEdge.from_obj(obj))
             else:
                 tracer.spans.append(Span.from_obj(obj))
+
+        json_records(text, source, add)
         return tracer
 
     def save(self, path: str) -> int:
@@ -460,5 +462,4 @@ class Tracer:
     @classmethod
     def load(cls, path: str) -> "Tracer":
         """Read a JSON Lines trace written by :meth:`save`."""
-        with open(path) as fh:
-            return cls.from_jsonl(fh.read())
+        return cls.from_jsonl(read_text(path), source=path)

@@ -14,6 +14,7 @@ from repro.analysis.modelcheck import (
     parse_schedule,
     run_modelcheck,
 )
+from repro.errors import ConfigError
 from repro.harness.cli import main as cli_main
 
 
@@ -71,11 +72,11 @@ def test_budget_truncation_reported():
 
 
 def test_small_scope_bounds_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModelChecker(nodes=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModelChecker(pages=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModelChecker(program="fft3d")
 
 
@@ -97,12 +98,10 @@ def test_replay_reruns_one_schedule():
 
 
 def test_replay_rejects_stale_decision_index():
+    # an out-of-range decision is a bad input, not a protocol violation
     checker = ModelChecker(program="lock", nodes=2, pages=1)
-    report = checker.replay("99")
-    # an out-of-range decision is a run error, reported as a violation
-    assert not report.ok
-    assert any("decision" in v.detail or "schedule" in v.detail
-               for v in report.violations)
+    with pytest.raises(ConfigError, match="--schedule step 0 picks delivery 99"):
+        checker.replay("99")
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +157,28 @@ def test_cli_modelcheck_smoke(capsys):
     assert "violations: 0" in out
 
 
-def test_cli_modelcheck_rejects_default_cluster_size(capsys):
-    # the global --nodes default (8) is outside the small scope
-    code = cli_main(["modelcheck", "--quiet"])
+def test_cli_modelcheck_bare_runs_the_two_node_default(capsys):
+    # the global --nodes default (8) is outside the small scope; the
+    # bare command runs the documented 2-node config instead
+    code = cli_main(["modelcheck", "--quiet", "--no-artifacts"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "lock nodes=2 pages=1 protocol=ccl" in out
+    assert "violations: 0" in out
+
+
+@pytest.mark.parametrize("schedule", ["x", "0.x", "-1", "9.9"])
+def test_cli_modelcheck_bad_schedule_is_one_line(schedule, capsys):
+    code = cli_main(["modelcheck", "--quiet", "--schedule", schedule])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert "--schedule" in line
+
+
+def test_cli_modelcheck_out_of_scope_nodes_is_one_line(capsys):
+    code = cli_main(["modelcheck", "--quiet", "--nodes", "8"])
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert "2 <= nodes <= 4" in line

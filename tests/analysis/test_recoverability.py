@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import audit_recoverability
+from repro.analysis.programs import early_diff, program_system
 from repro.analysis.sanitize import install, is_installed
 from repro.core import CoherenceCentricLogging, CrashProbe, MessageLogging
 from repro.core.logrecords import (
@@ -18,7 +19,6 @@ from repro.errors import RecoverabilityError
 from repro.sim.trace import Tracer
 
 from tests.analysis.conftest import build_system, raw_run
-from tests.obs.test_trace_contract import REACCESS, early_diff_system
 
 
 def writer_program(dsm):
@@ -80,10 +80,10 @@ class TestEarlyDiffReaccess:
     after the fetch, so it must not enter the rebuild."""
 
     @pytest.mark.parametrize("protocol", ["ccl", "ml"])
-    @pytest.mark.parametrize("reaccess", sorted(REACCESS))
+    @pytest.mark.parametrize("reaccess", ["reread", "rewrite"])
     def test_audit_is_clean(self, reaccess, protocol):
-        system = early_diff_system(protocol, REACCESS[reaccess],
-                                   tracer=Tracer(enabled=True))
+        system = program_system(early_diff(reaccess), protocol,
+                                tracer=Tracer(enabled=True))
         assert raw_run(system).completed
         report = audit_recoverability(system)
         assert report.ok, [str(p) for p in report.problems]
@@ -95,8 +95,8 @@ class TestEarlyDiffReaccess:
         """The clean audit is right: rank 1 recovers bit-exactly from a
         crash at any traced instant after its first seal, each replay
         re-fetching the version the audit rebuilds."""
-        system = early_diff_system(protocol, REACCESS["rewrite"],
-                                   tracer=Tracer(enabled=True))
+        system = program_system(early_diff("rewrite"), protocol,
+                                tracer=Tracer(enabled=True))
         probe = CrashProbe(1, capture_all=True)
         system.add_probe(probe)
         assert raw_run(system).completed

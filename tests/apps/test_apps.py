@@ -10,7 +10,7 @@ from repro.dsm import DsmSystem
 from repro.errors import ApplicationError
 
 CFG = ClusterConfig.ultra5(num_nodes=8)
-ALL_APPS = list(PAPER_APPS) + ["sor", "lu"]
+ALL_APPS = list(PAPER_APPS) + ["sor"]
 
 
 def run(app, protocol="none", config=CFG):
@@ -75,7 +75,7 @@ class TestProtocolBehaviour:
         assert agg.counters["barriers"] > 0
 
     def test_barrier_apps_use_no_locks(self):
-        for name in ("fft3d", "mg", "shallow", "sor", "lu"):
+        for name in ("fft3d", "mg", "shallow", "sor"):
             result, _ = run(make_app(name))
             assert result.aggregate.counters.get("lock_acquires", 0) == 0, name
 
@@ -115,7 +115,7 @@ class TestSmallerClusters:
         _result, system = run(app, config=cfg)
         assert app.verify(system), name
 
-    @pytest.mark.parametrize("name", ["mg", "water", "sor", "lu"])
+    @pytest.mark.parametrize("name", ["mg", "water", "sor"])
     def test_apps_verify_on_2_nodes(self, name):
         cfg = ClusterConfig.ultra5(num_nodes=2)
         app = make_app(name)

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
+from repro.analysis.programs import early_diff, program_system
 from repro.core import CrashProbe
 from repro.errors import SimulationError
 from repro.harness.scales import app_kwargs
 from repro.memory import PageTable
 from tests.core.reference_snapshot import ReferenceSnapshot
-from tests.obs.test_trace_contract import REACCESS, early_diff_system
 
 APPS = ("sor", "fft3d", "mg", "shallow", "water")
 SCHEMES = ("ccl", "ml", "adaptive", "failover")
@@ -136,15 +136,15 @@ def test_a_version_written_behind_the_watchers_back_is_caught(monkeypatch):
 
 
 def test_early_diff_invalidates_a_dirty_page_mid_interval():
-    system = early_diff_system()
+    system = program_system(early_diff())
     assert _checked(system) >= 3
     assert system.nodes[1].stats.counters["early_diffs"] == 1
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("reaccess", sorted(REACCESS))
+@pytest.mark.parametrize("reaccess", ["reread", "rewrite"])
 def test_early_diffed_page_touched_again_in_the_same_interval(reaccess, scheme):
-    system = early_diff_system(scheme, REACCESS[reaccess],
-                               replication=2 if scheme == "failover" else 1)
+    system = program_system(early_diff(reaccess), scheme,
+                            replication=2 if scheme == "failover" else 1)
     assert _checked(system) >= 5
     assert system.nodes[1].stats.counters["early_diffs"] == 1

@@ -2,7 +2,8 @@
 
 ``golden_trace_contract.json`` holds, for ``sor`` and ``shallow`` at
 test scale on 4 nodes under ``ccl`` and ``ml`` with tracing on (plus a
-false-sharing lock program, the only place an ``early_diff`` event is
+false-sharing lock program -- the ``early-diff`` preset of
+:mod:`repro.analysis.programs`, the only place an ``early_diff`` event is
 emitted), the sha256 of ``trace.jsonl`` (events + spans + edges) and of
 the Chrome trace document as ``write_chrome_trace`` writes it, the
 critical path's length and per-category seconds, and the flush-overlap
@@ -19,14 +20,13 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
+from repro.analysis.programs import early_diff, program_system
 from repro.harness.scales import app_kwargs
 from repro.obs import chrome_trace, critical_path, flush_overlap, summarize_path
 from repro.sim.trace import Ev, Tracer
-from tests.dsm.conftest import MiniApp, small_config
 
 GOLDEN = Path(__file__).with_name("golden_trace_contract.json")
 
@@ -73,60 +73,8 @@ def _app_trace(app: str, protocol: str) -> Tracer:
     ))
 
 
-def _reread(dsm):
-    yield from dsm.read("x", 0, 4)
-
-
-def _rewrite(dsm):
-    yield from dsm.write("x", 40, 42)
-    dsm.arr("x")[40:42] = 3
-
-
-#: What rank 1 does to the early-diffed page once it holds the lock:
-#: nothing (the traced program), read it back, or write it again.
-REACCESS = {"reread": _reread, "rewrite": _rewrite}
-
-
-def early_diff_app(reaccess=None) -> MiniApp:
-    """Rank 1 dirties a page, then acquires the lock rank 0 wrote the
-    same page under: the write notice hits a dirty page (early diff).
-    ``reaccess`` (a :data:`REACCESS` value) runs on rank 1 under the
-    lock, touching the page again in the interval that flushed it."""
-
-    def alloc(space, nprocs):
-        space.allocate("x", (64,), np.int32, init=np.zeros(64, np.int32))
-
-    def program(dsm):
-        if dsm.rank == 0:
-            yield from dsm.acquire(1)
-            yield from dsm.write("x", 0, 4)
-            dsm.arr("x")[0:4] = 1
-            yield from dsm.release(1)
-        elif dsm.rank == 1:
-            yield from dsm.compute(0.01)
-            for lo in (8, 20, 31):  # three runs in the early diff
-                yield from dsm.write("x", lo, lo + 3)
-                dsm.arr("x")[lo:lo + 3] = 2
-            yield from dsm.acquire(1)
-            if reaccess is not None:
-                yield from reaccess(dsm)
-            yield from dsm.release(1)
-        yield from dsm.barrier()
-
-    return MiniApp(alloc, program, lambda space, nprocs: [2] * space.npages)
-
-
-def early_diff_system(protocol="ccl", reaccess=None, **system_kwargs) -> DsmSystem:
-    """:func:`early_diff_app` on 3 small-page nodes under ``protocol``."""
-    return DsmSystem(
-        early_diff_app(reaccess), small_config(3),
-        make_hooks_factory(protocol), protocol_name=protocol,
-        **system_kwargs,
-    )
-
-
 def _early_diff_trace() -> Tracer:
-    return _traced(lambda tracer: early_diff_system(tracer=tracer))
+    return _traced(lambda tracer: program_system(early_diff(), tracer=tracer))
 
 
 def generate() -> dict:

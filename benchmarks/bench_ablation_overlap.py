@@ -8,7 +8,7 @@ from the latency-tolerance technique vs. from the small log alone.
 """
 
 from repro.apps import make_app
-from repro.core import CoherenceCentricLogging
+from repro.core import CCL, CCL_NO_OVERLAP, PolicyLogging
 from repro.dsm import DsmSystem
 from repro.harness import app_kwargs, render_sweep, sweep
 
@@ -20,7 +20,7 @@ def test_overlap_ablation(benchmark, ultra5, save_artifact):
         system = DsmSystem(
             make_app("fft3d", **kwargs),
             ultra5,
-            lambda _i: CoherenceCentricLogging(overlap=overlap),
+            lambda _i: PolicyLogging(CCL if overlap else CCL_NO_OVERLAP),
         )
         return system.run().total_time
 

@@ -27,7 +27,7 @@ import statistics
 import time
 
 from repro.apps import make_app
-from repro.core import CoherenceCentricLogging
+from repro.core import CCL, PolicyLogging
 from repro.dsm import DsmSystem
 from repro.harness import app_kwargs, render_sweep, sweep
 from repro.obs import LatencyRecorder, chrome_trace, critical_path, flush_overlap
@@ -47,7 +47,7 @@ def _run(app: str, ultra5, variant: str) -> Tracer:
         DsmSystem(
             make_app(app, **app_kwargs(app, "bench")),
             ultra5,
-            lambda _i: CoherenceCentricLogging(),
+            lambda _i: PolicyLogging(CCL),
             tracer=tracer,
         ).run()
         if variant == "exported":

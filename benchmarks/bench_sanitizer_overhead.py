@@ -16,7 +16,7 @@ import time
 
 from repro.analysis import audit_recoverability, check_trace
 from repro.apps import make_app
-from repro.core import CoherenceCentricLogging
+from repro.core import CCL, PolicyLogging
 from repro.dsm import DsmSystem
 from repro.harness import app_kwargs, render_sweep, sweep
 from repro.sim.trace import Tracer
@@ -26,7 +26,7 @@ def _build(ultra5, traced: bool) -> DsmSystem:
     return DsmSystem(
         make_app("sor", **app_kwargs("sor", "bench")),
         ultra5,
-        lambda _i: CoherenceCentricLogging(),
+        lambda _i: PolicyLogging(CCL),
         tracer=Tracer(enabled=traced),
     )
 

@@ -35,9 +35,13 @@ Under ML the content check instead verifies that each logged page copy
 fetch bytes -- ML logs contents verbatim, so recoverability there is
 storage fidelity, not derivability.
 
-Only CCL with home-write diffs enabled (the repo's sound default) makes
-*every* version derivable; other configurations are audited
-structurally but skipped for content reconstruction.
+The audit dispatches on the nodes' :class:`~repro.dsm.logginghooks.LogPolicy`:
+the ML content check when it logs ``contents``, the reconstruction when
+it logs the ``skeleton`` with ``home_diffs`` (the repo's sound default,
+the only configuration that makes *every* version derivable); other
+policies are audited structurally only.  Logs that mix policies
+(adaptive), and own diffs flushed only at sync entry (ablation A1), are
+skipped.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.logrecords import (
     FetchLogRecord,
+    ModeSwitchLogRecord,
     NoticeLogRecord,
     OwnDiffLogRecord,
     PageCopyLogRecord,
@@ -147,13 +152,25 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
     protocol = names.pop() if len(names) == 1 else "mixed"
     report = RecoverabilityReport(protocol=protocol)
 
-    if protocol not in ("ccl", "ml"):
-        report.skipped_reason = f"no recovery log under protocol {protocol!r}"
-        return report
-
     logs = {n.id: _node_log(n) for n in system.nodes}
     if any(log is None for log in logs.values()):
-        report.skipped_reason = "a node has no stable log"
+        report.skipped_reason = f"no recovery log under protocol {protocol!r}"
+        return report
+    policies = {n.hooks.policy for n in system.nodes}
+    if len(policies) > 1 or any(isinstance(r, ModeSwitchLogRecord)
+                                for log in logs.values()
+                                for r in log.all_records):
+        report.skipped_reason = (
+            "the logs mix logging policies (adaptive switches per interval); "
+            "the audit reads one policy's records"
+        )
+        return report
+    policy = policies.pop()
+    if policy.skeleton and not policy.seal_flush:
+        report.skipped_reason = (
+            "own diffs flush at the next sync entry, so the last seal's "
+            "never become durable (the A1 ablation is failure-free only)"
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -204,7 +221,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
     # ------------------------------------------------------------------
     crcs = _fetched_crcs(tracer)
 
-    if protocol == "ml":
+    if policy.contents:
         cursors: Dict[Tuple[int, int], int] = {}
         for node in system.nodes:
             for rec in logs[node.id].all_records:
@@ -240,9 +257,9 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
 
     # CCL: only the home-write-diff configuration makes home writes
     # observable in the logs, so only then is every version derivable.
-    if not all(getattr(n.hooks, "log_home_diffs", False) for n in system.nodes):
+    if not policy.home_diffs:
         report.skipped_reason = (
-            "content reconstruction needs log_home_diffs (paper mode falls "
+            "content reconstruction needs home_diffs (paper mode falls "
             "back to home rollback, which the audit cannot model)"
         )
         return report

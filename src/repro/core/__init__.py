@@ -1,7 +1,8 @@
 """The paper's contribution: logging protocols and crash recovery.
 
-* :mod:`repro.core.ml` -- traditional message logging (baseline).
-* :mod:`repro.core.ccl` -- coherence-centric logging (the contribution).
+* :mod:`repro.core.policylogging` -- the one logging-hooks class and
+  the named policies: traditional message logging (baseline),
+  coherence-centric logging (the contribution) and its variants.
 * :mod:`repro.core.adaptive` -- adaptive hybrid logging (CCL <-> ML per
   interval under a recovery-time budget).
 * :mod:`repro.core.stablelog`, :mod:`repro.core.logrecords` -- the
@@ -9,7 +10,7 @@
 * :mod:`repro.core.checkpoint` -- full + incremental checkpointing.
 * :mod:`repro.core.failure` -- crash-point capture.
 * :mod:`repro.core.logging_base` -- the scheme table: one row per
-  protocol (hooks, replay class, promotion, breakdown components) that
+  protocol (policy, replay class, promotion, breakdown components) that
   every name-based dispatch derives from.
 * :mod:`repro.core.recovery` -- the one recovery driver (plan -> world
   -> victims -> verify) and the replay skeleton; the ML/CCL
@@ -29,8 +30,7 @@ from .logging_base import (
     make_hooks,
     make_hooks_factory,
 )
-from .ml import MessageLogging
-from .ccl import CoherenceCentricLogging
+from .policylogging import CCL, CCL_NO_OVERLAP, CCL_PAPER, FAILOVER, ML, PolicyLogging
 from .adaptive import AdaptiveLogging
 from .stablelog import StableLog
 from .logrecords import (
@@ -70,8 +70,12 @@ __all__ = [
     "RECOVERY_PROTOCOL_NAMES",
     "make_hooks",
     "make_hooks_factory",
-    "MessageLogging",
-    "CoherenceCentricLogging",
+    "PolicyLogging",
+    "ML",
+    "CCL",
+    "CCL_PAPER",
+    "CCL_NO_OVERLAP",
+    "FAILOVER",
     "AdaptiveLogging",
     "StableLog",
     "LogRecord",

@@ -481,7 +481,7 @@ class HlrcNode:
     def _sync_entry(self) -> Generator[Any, Any, None]:
         """Every sync operation's start: overhead, then ML's synchronous flush."""
         yield self.cfg.cpu.sync_overhead_s
-        if self.hooks.flush_at_sync_entry:
+        if self.hooks.policy.sync_flush:
             fsid = -1 if not self._tracing else self._span("log_flush", "disk", detail={"mode": "sync"})
             yield from self.hooks.sync_entry_flush()
             self._span_end(fsid)
@@ -786,7 +786,7 @@ class HlrcNode:
                         scan_cost += cpu.diff_scan_per_byte_s * self.cfg.page_size
                         d = create_diff(p, entry.twin, self.memory.page_bytes(p))
                         self.pagetable.drop_twin(p)
-                        if not d.is_empty or self.hooks.log_empty_home_diffs:
+                        if not d.is_empty or self.hooks.policy.empty_home_diffs:
                             # record the self-update only when a logged
                             # diff backs it, so reconstruction histories
                             # never reference content-free writes --
@@ -953,7 +953,7 @@ class HlrcNode:
         for p in pages:
             entry = self.pagetable.entry(p)
             if entry.home == self.id:
-                if self.hooks.wants_home_diffs and entry.twin is None:
+                if self.hooks.policy.home_diffs and entry.twin is None:
                     yield cpu.twin_copy_per_byte_s * self.cfg.page_size
                     self.pagetable.make_twin(p, self.memory.page_bytes(p))
                 self.pagetable.mark_dirty(p)

@@ -7,23 +7,27 @@ to touch stable storage.  Keeping the interface in the DSM layer keeps
 the dependency graph acyclic: the core package builds on the DSM, never
 the other way round.
 
-Flush scheduling is expressed by two knobs:
+What a protocol logs and when it flushes is a :class:`LogPolicy` value
+the coherence layer reads off ``hooks.policy``:
 
-* :attr:`LoggingHooks.flush_at_sync_entry` -- traditional ML flushes its
-  volatile log synchronously at the *entry* of every synchronisation
-  operation, before any message is sent (the paper's Section 3.1).
-* :meth:`LoggingHooks.overlapped_flush` -- CCL issues its flush right
-  after handing diffs to the network and returns the disk-completion
-  signal; the release then waits for ``max(acks, disk)``, charging only
-  the excess disk time to the critical path (Section 3.2).
+* ``sync_flush`` -- traditional ML flushes its volatile log
+  synchronously at the *entry* of every synchronisation operation,
+  before any message is sent (the paper's Section 3.1).
+* ``seal_flush`` -- CCL issues its flush right after handing diffs to
+  the network (:meth:`LoggingHooks.overlapped_flush` returns the
+  disk-completion signal); the release then waits for ``max(acks,
+  disk)``, charging only the excess disk time to the critical path
+  (Section 3.2).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..memory.diff import Diff
 from ..sim import trace as _trc
 from ..sim.events import Signal
@@ -34,24 +38,55 @@ from .messages import DiffBatch
 if TYPE_CHECKING:  # pragma: no cover
     from .hlrc import HlrcNode
 
-__all__ = ["LoggingHooks", "NoLogging"]
+__all__ = ["LogPolicy", "LoggingHooks", "NoLogging"]
+
+
+@dataclass(frozen=True)
+class LogPolicy:
+    """What a logging protocol records and when it touches stable storage.
+
+    Refuses the combinations no replay can read.  The named policies
+    live with the hooks class that obeys them
+    (:mod:`repro.core.policylogging`).
+    """
+
+    #: Protocol name in reports, trace details and mode-switch markers.
+    name: str = "none"
+    #: Log received contents -- fetched page copies and incoming diffs
+    #: (ML) -- instead of fixed-size fetch records (CCL).
+    contents: bool = False
+    #: Log CCL's skeleton: update-event records for incoming diffs and
+    #: the node's own diffs, early (mid-interval) diffs included.
+    skeleton: bool = False
+    #: Twin home pages and log the home-write diffs with the own diffs,
+    #: so a surviving home can serve its own modifications during a
+    #: peer's recovery.
+    home_diffs: bool = False
+    #: Keep *empty* home-write diffs in the logged/mirrored interval
+    #: (failover replication: every version merge on a home page must be
+    #: backed by a logged entry, even a content-free one).
+    empty_home_diffs: bool = False
+    #: Flush the volatile log synchronously on entering acquire/release/barrier.
+    sync_flush: bool = False
+    #: Issue the overlapped flush at the seal, right after the diffs.
+    seal_flush: bool = False
+
+    def __post_init__(self) -> None:
+        if self.home_diffs and not self.skeleton:
+            raise ConfigError(f"{self.name}: home_diffs needs skeleton "
+                              "(home diffs are logged with the own diffs)")
+        if self.empty_home_diffs and not self.home_diffs:
+            raise ConfigError(f"{self.name}: empty_home_diffs needs home_diffs")
 
 
 class LoggingHooks:
     """Base class: every hook is a no-op; subclasses override selectively."""
 
-    #: Human-readable protocol name used in reports.
-    name = "none"
-    #: Flush the volatile log synchronously on entering acquire/release/barrier.
-    flush_at_sync_entry = False
-    #: Ask the coherence layer to twin home pages and produce home-write
-    #: diffs at interval end (needed by CCL so surviving homes can serve
-    #: their own modifications during a peer's recovery).
-    wants_home_diffs = False
-    #: Keep *empty* home-write diffs in the logged/mirrored interval
-    #: (failover replication: every version merge on a home page must be
-    #: backed by a logged entry, even a content-free one).
-    log_empty_home_diffs = False
+    def __init__(self, policy: LogPolicy = LogPolicy()):
+        #: What the coherence layer twins, keeps and flushes for this node.
+        self.policy = policy
+        #: Human-readable protocol name used in reports.
+        self.name = policy.name
 
     def bind(self, node: "HlrcNode") -> None:
         """Attach to the node whose events this instance will observe."""
@@ -194,12 +229,12 @@ class LoggingHooks:
     # flush scheduling
     # ------------------------------------------------------------------
     def sync_entry_flush(self) -> Generator[Any, Any, None]:
-        """Synchronous flush at sync-operation entry (ML's policy)."""
+        """Synchronous flush at sync-operation entry (``sync_flush``)."""
         return
         yield  # pragma: no cover - makes this a generator
 
     def overlapped_flush(self) -> Optional[Signal]:
-        """Issue an asynchronous flush during release (CCL's policy).
+        """Issue an asynchronous flush during release (``seal_flush``).
 
         Returns the disk-completion signal, or None when there is
         nothing to flush.
@@ -216,5 +251,3 @@ class LoggingHooks:
 
 class NoLogging(LoggingHooks):
     """The baseline: home-based TreadMarks without any logging."""
-
-    name = "none"

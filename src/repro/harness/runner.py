@@ -17,7 +17,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps import make_app
 from ..config import ClusterConfig
-from ..core import RecoveryResult, make_hooks_factory, run_recovery_experiment
+from ..core import (
+    CCL_PAPER,
+    PolicyLogging,
+    RecoveryResult,
+    make_hooks_factory,
+    run_recovery_experiment,
+)
 from ..dsm import DsmSystem, RunResult
 from ..errors import HarnessError
 from .scales import app_kwargs
@@ -37,9 +43,7 @@ __all__ = [
 def _hooks_factory(protocol: str, paper_mode: bool,
                    recovery_budget: Optional[float] = None):
     if paper_mode and protocol == "ccl":
-        from ..core import CoherenceCentricLogging
-
-        return lambda _i: CoherenceCentricLogging(log_home_diffs=False)
+        return lambda _i: PolicyLogging(CCL_PAPER)
     return make_hooks_factory(protocol, recovery_budget=recovery_budget)
 
 

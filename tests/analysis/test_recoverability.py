@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import audit_recoverability
-from repro.analysis.programs import early_diff, program_system
+from repro.analysis.programs import early_diff, generate, program_system
 from repro.analysis.sanitize import install, is_installed
-from repro.core import CoherenceCentricLogging, CrashProbe, MessageLogging
+from repro.core import CCL, ML, CrashProbe, PolicyLogging
 from repro.core.logrecords import (
     NoticeLogRecord,
     OwnDiffLogRecord,
@@ -37,10 +37,10 @@ def homed_at_last(space, nprocs):
     return [nprocs - 1] * space.npages
 
 
-def run_logged(hooks_cls):
+def run_logged(policy):
     system = build_system(
         writer_program, nprocs=3, homes=homed_at_last,
-        hooks_factory=lambda _i: hooks_cls(),
+        hooks_factory=lambda _i: PolicyLogging(policy),
     )
     result = raw_run(system)
     assert result.completed
@@ -49,7 +49,7 @@ def run_logged(hooks_cls):
 
 class TestCleanRuns:
     def test_ccl_run_is_fully_recoverable(self):
-        system = run_logged(CoherenceCentricLogging)
+        system = run_logged(CCL)
         report = audit_recoverability(system)
         assert report.ok, [str(p) for p in report.problems]
         assert report.protocol == "ccl"
@@ -58,11 +58,27 @@ class TestCleanRuns:
         assert report.content_checked
 
     def test_ml_run_is_fully_recoverable(self):
-        system = run_logged(MessageLogging)
+        system = run_logged(ML)
         report = audit_recoverability(system)
         assert report.ok, [str(p) for p in report.problems]
         assert report.protocol == "ml"
         assert report.fetches_checked > 0
+
+    @pytest.mark.parametrize("protocol", ["failover", "adaptive"])
+    def test_audit_dispatches_on_the_policy(self, protocol):
+        """Failover logs CCL's skeleton with home diffs, so the CCL pass
+        runs on it; adaptive's logs mix two policies and are skipped."""
+        system = program_system(generate(33), protocol,
+                                tracer=Tracer(enabled=True),
+                                replication=2 if protocol == "failover" else 1)
+        assert raw_run(system).completed
+        report = audit_recoverability(system)
+        assert report.ok and report.protocol == protocol
+        if protocol == "adaptive":
+            assert "mix" in report.skipped_reason
+        else:
+            assert report.skipped_reason is None and report.content_checked
+            assert (report.fetches_checked, report.events_checked) == (17, 12)
 
     def test_unlogged_run_is_skipped(self):
         system = build_system(writer_program, nprocs=3, homes=homed_at_last)
@@ -116,7 +132,7 @@ class TestEarlyDiffReaccess:
 
 class TestSeededCorruption:
     def test_dropped_diff_is_reported_precisely(self):
-        system = run_logged(CoherenceCentricLogging)
+        system = run_logged(CCL)
         # pick one update event a home logged, then erase the diff it
         # references from the writer's own log
         event = page = None
@@ -147,7 +163,7 @@ class TestSeededCorruption:
             report.raise_if_failed()
 
     def test_reordered_notices_are_reported(self):
-        system = run_logged(CoherenceCentricLogging)
+        system = run_logged(CCL)
         # find a notice bundle whose records have distinct timestamps
         # and reverse it: replay would invalidate out of causal order
         tampered = False
@@ -168,7 +184,7 @@ class TestSeededCorruption:
         assert report.first_unreachable.kind == "notice-order"
 
     def test_ml_corrupted_page_copy_is_reported(self):
-        system = run_logged(MessageLogging)
+        system = run_logged(ML)
         rec = next(
             r
             for node in system.nodes
@@ -201,7 +217,7 @@ class TestSanitizeWrapper:
         try:
             system = build_system(
                 writer_program, nprocs=3, homes=homed_at_last,
-                hooks_factory=lambda _i: CoherenceCentricLogging(),
+                hooks_factory=lambda _i: PolicyLogging(CCL),
             )
             assert system.run().completed  # checks run inside .run()
         finally:

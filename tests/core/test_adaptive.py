@@ -164,7 +164,7 @@ class TestRegistry:
         hooks = make_hooks("adaptive", recovery_budget=0.25)
         assert isinstance(hooks, AdaptiveLogging)
         assert hooks.recovery_budget == 0.25
-        assert hooks.mode == "ml" and hooks.flush_at_sync_entry
+        assert hooks.policy.name == "ml" and hooks.policy.sync_flush
 
     def test_replay_dispatch_by_name(self):
         assert replay_node_class("ml") is MlReplayNode

@@ -178,7 +178,7 @@ def test_replication_1_is_byte_identical_to_seed(app):
     mirror traffic, no replicators, identical timing, wire traffic, and
     memory images.  (The one documented delta is on disk: failover logs
     content-free home writes as *empty* diff records so its metadata
-    suffix is complete -- see ``FailoverLogging.log_empty_home_diffs``
+    suffix is complete -- see the ``FAILOVER`` policy's ``empty_home_diffs``
     -- so its log may carry a few more framed bytes, never fewer.)"""
     config = ClusterConfig.ultra5(num_nodes=4)
     base, base_sys = run_application(app, "ccl", config, "test")

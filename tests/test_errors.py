@@ -37,6 +37,7 @@ class TestDefaultLoggingHooks:
         import numpy as np
 
         from repro.dsm import NoLogging, VectorClock
+        from repro.dsm.logginghooks import LogPolicy
         from repro.dsm.messages import DiffBatch
         from repro.memory import Diff
 
@@ -52,5 +53,4 @@ class TestDefaultLoggingHooks:
         assert hooks.overlapped_flush() is None
         assert list(hooks.sync_entry_flush()) == []
         assert hooks.log_summary()["flushes"] == 0
-        assert hooks.flush_at_sync_entry is False
-        assert hooks.wants_home_diffs is False
+        assert hooks.policy == LogPolicy()

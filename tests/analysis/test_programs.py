@@ -13,10 +13,9 @@ with a replay class it must
 Hypothesis runs derandomised; a failure prints its ``seed``, and
 ``generate(seed)`` rebuilds the exact program.
 
-Two defects the generator found stay open, each pinned by a strict
-``xfail`` below: ``adaptive`` is left out of the recovery leg, and a
-run in which one node fetches a page between another node's early diff
-of it and that node's seal is not held to the oracle.
+One defect the generator found stays open, pinned by strict ``xfail``
+tests below: a run in which one node fetches a page between another
+node's early diff of it and that node's seal is not held to the oracle.
 """
 
 import numpy as np
@@ -42,7 +41,6 @@ from repro.sim.trace import Ev, Tracer
 from tests.analysis.conftest import raw_run
 
 REPLAY_SCHEMES = [name for name, row in SCHEMES.items() if row.replay]
-RECOVERY_SCHEMES = [name for name in REPLAY_SCHEMES if name != "adaptive"]
 
 
 def _fetched_mid_early_diff(tracer) -> bool:
@@ -62,7 +60,7 @@ def _fetched_mid_early_diff(tracer) -> bool:
     return False
 
 
-def check_program(program: Program, recover=RECOVERY_SCHEMES) -> int:
+def check_program(program: Program, recover=REPLAY_SCHEMES) -> int:
     """Run the oracle on ``program``; returns the crash points recovered."""
     recovered = 0
     for scheme in REPLAY_SCHEMES:
@@ -95,12 +93,11 @@ def test_generated_programs_are_sc_sanitized_and_recoverable(seed):
     check_program(generate(seed))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "adaptive: rank 0's only seal runs in ML mode, whose flush precedes "
-    "the seal, so the own diff home 2 logged an update for never becomes "
-    "durable and home 2's CCL-mode replay cannot fetch it"))
 def test_adaptive_recovers_a_writer_with_one_ml_mode_seal():
-    check_program(generate(1), recover=["adaptive"])
+    """Rank 0's only seal runs in ML mode; the seal's flush makes the own
+    diff home 2 logged an update for durable, so home 2's CCL-mode
+    replay can fetch it."""
+    assert check_program(generate(1), recover=["adaptive"]) > 0
 
 
 @pytest.mark.xfail(strict=True, raises=SimulationError, reason=(

@@ -4,10 +4,12 @@
 two real applications, the exact simulated outputs of the experiment
 driver: recovery time, crash seal, the recovery-time breakdown and the
 replay counters (for promotion also the promoted rank, epoch and
-replayed/refetched counts), and one run each of a two-victim, an
-arbitrary-instant + disk-fault and a checkpointed experiment.  A refactor
-of the recovery modules must leave every number bit-identical; floats
-round-trip exactly through JSON, so the comparison is ``==``.
+replayed/refetched counts), one run each of a two-victim, an
+arbitrary-instant + disk-fault and a checkpointed experiment, restore-mode
+replay over a truncated log, and the ``early-diff`` preset's re-read and
+re-write variants.  A refactor of the recovery modules must leave every
+number bit-identical; floats round-trip exactly through JSON, so the
+comparison is ``==``.
 
 Regenerate (only when a simulated result is *meant* to change) with::
 
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
+from repro.analysis.programs import early_diff, program_system
 from repro.core import (
     Checkpointer,
     CrashProbe,
@@ -166,6 +169,29 @@ CASES["checkpointed/ccl/sor"] = lambda: _replay_entry(
 )
 
 
+def _early_diff_run(reaccess, scheme):
+    """Rank 1 of the ``early-diff`` preset, crashed at its final seal."""
+    system = program_system(early_diff(reaccess), scheme)
+    return run_recovery_experiment(
+        system.app, system.config, scheme, failed_nodes=(1,)
+    )
+
+
+for _scheme in ("ml", "ccl"):
+    # retention truncates the log below the oldest kept checkpoint, so the
+    # replay skips the truncated intervals and installs the image (restore mode)
+    CASES[f"restore/{_scheme}/sor"] = lambda s=_scheme: _replay_entry(
+        run_recovery_experiment(
+            _app("sor"), _config(), s, failed_nodes=(0,), checkpoint_every=2,
+            retention=2,
+        )
+    )
+    for _reaccess in ("reread", "rewrite"):
+        CASES[f"early-diff/{_reaccess}/{_scheme}"] = (
+            lambda r=_reaccess, s=_scheme: _replay_entry(_early_diff_run(r, s))
+        )
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_simulated_results_match_golden(case):
     golden = json.loads(GOLDEN.read_text())
@@ -251,7 +277,8 @@ def test_docs_comparison_table_matches_scheme_table():
 
 
 @pytest.mark.parametrize("case", sorted(
-    c for c in CASES if c.startswith(("replay/", "checkpointed/", "promotion"))
+    c for c in CASES
+    if c.startswith(("replay/", "checkpointed/", "restore/", "promotion"))
 ))
 def test_recovery_charges_only_registered_components(case):
     """Registered <=> emitted, on the golden's own runs."""

@@ -10,14 +10,13 @@
 * :mod:`repro.core.checkpoint` -- full + incremental checkpointing.
 * :mod:`repro.core.failure` -- crash-point capture.
 * :mod:`repro.core.logging_base` -- the scheme table: one row per
-  protocol (policy, replay class, promotion, breakdown components) that
+  protocol (policy, replay mode, promotion, breakdown components) that
   every name-based dispatch derives from.
 * :mod:`repro.core.recovery` -- the one recovery driver (plan -> world
-  -> victims -> verify) and the replay skeleton; the ML/CCL
+  -> victims -> verify) and the one replay node; the ML/CCL
   materialise engines live in :mod:`repro.core.ml_recovery` and
-  :mod:`repro.core.ccl_recovery`, their per-interval mix in
-  :mod:`repro.core.adaptive_recovery`, and replica promotion, which
-  runs in the same phase-B world, in :mod:`repro.core.failover_recovery`.
+  :mod:`repro.core.ccl_recovery`, and replica promotion, which runs in
+  the same phase-B world, in :mod:`repro.core.failover_recovery`.
 * :mod:`repro.core.chaos` -- the seeded fault-injection / arbitrary-
   instant-crash property suite (see docs/robustness.md).
 """
@@ -54,14 +53,10 @@ from .recovery import (
     VictimRecovery,
     compare_state,
     recover_victims,
-    replay_node_class,
     replay_failed_node,
     run_recovery_experiment,
 )
 from .chaos import ChaosCase, ChaosFaults, ChaosReport, run_chaos_run, run_chaos_suite
-from .ml_recovery import MlReplayNode
-from .ccl_recovery import CclReplayNode
-from .adaptive_recovery import AdaptiveReplayNode
 
 __all__ = [
     "LoggingHooks",
@@ -101,7 +96,6 @@ __all__ = [
     "Promotion",
     "compare_state",
     "recover_victims",
-    "replay_node_class",
     "replay_failed_node",
     "run_recovery_experiment",
     "ChaosCase",
@@ -109,7 +103,4 @@ __all__ = [
     "ChaosReport",
     "run_chaos_run",
     "run_chaos_suite",
-    "MlReplayNode",
-    "CclReplayNode",
-    "AdaptiveReplayNode",
 ]

@@ -27,7 +27,7 @@ Mechanics:
   :class:`~repro.core.logrecords.ModeSwitchLogRecord` tagged with the
   *next* interval, so replay can dispatch every logged interval segment
   to the matching replay engine
-  (:class:`~repro.core.adaptive_recovery.AdaptiveReplayNode`).
+  (:meth:`~repro.core.recovery.ReplayNode.mode_at`).
 * A decided flip *commits lazily*: the coherence layer can still
   deliver messages tagged with the sealed interval while the seal
   waits for diff acks, and those stragglers must be logged in the mode

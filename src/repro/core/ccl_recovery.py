@@ -38,7 +38,7 @@ from ..sim.network import NetMessage
 from .logrecords import FetchLogRecord, OwnDiffLogRecord, UpdateEventLogRecord
 from .recovery import ReplayEngine, ReplayNode
 
-__all__ = ["CclEngine", "CclReplayNode"]
+__all__ = ["CclEngine"]
 
 #: (page, interval, part) triples wanted from one writer.
 Wants = Dict[int, List[Tuple[int, int, int]]]
@@ -225,10 +225,3 @@ class CclEngine(ReplayEngine):
             f"{node.interval_index}: prefetch should have covered it"
         )
         yield  # pragma: no cover - generator marker
-
-
-class CclReplayNode(ReplayNode):
-    """Replay node for coherence-centric logging."""
-
-    protocol = "ccl"
-    engines = {"ccl": CclEngine}

@@ -4,12 +4,11 @@ Re-exports the hook interface from the DSM layer (where it lives to
 keep the dependency graph acyclic) and holds :data:`SCHEMES`, the one
 registry every surface that offers a protocol choice derives from --
 :data:`PROTOCOL_NAMES` / :data:`RECOVERY_PROTOCOL_NAMES` (CLI flags,
-chaos matrices), :func:`make_hooks`, the replay-engine dispatch of
-:func:`~repro.core.recovery.replay_node_class`, the chaos suite's
-choice between replay and replica promotion, and the comparison table
-in docs/recovery.md -- so adding a protocol cannot silently miss one of
-them.  This module imports every implementation, which is why
-:mod:`repro.core.recovery` looks the table up lazily.
+chaos matrices), :func:`make_hooks`, the replay mode of
+:class:`~repro.core.recovery.ReplayNode`, the chaos suite's choice
+between replay and replica promotion, and the comparison table in
+docs/recovery.md -- so adding a protocol cannot silently miss one of
+them.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from typing import Callable, Dict, Optional, Tuple, Type
 from ..dsm.logginghooks import LoggingHooks, LogPolicy, NoLogging
 from ..errors import ConfigError
 from .adaptive import ML_MODE, AdaptiveLogging
-from .adaptive_recovery import AdaptiveReplayNode
-from .ccl_recovery import CclReplayNode
-from .ml_recovery import MlReplayNode
 from .policylogging import CCL, FAILOVER, ML, PolicyLogging
-from .recovery import ReplayNode
 
 __all__ = [
     "LoggingHooks",
@@ -50,8 +45,6 @@ class Scheme:
     name: str
     #: Failure-free side: what every node logs and when it flushes.
     policy: LogPolicy
-    #: Engine replaying this scheme's log (None: nothing to recover from).
-    replay: Optional[Type[ReplayNode]] = None
     #: Recovery-time breakdown components the scheme's recovery charges
     #: (``NodeStats.time`` categories; docs/recovery.md lists the same).
     components: Tuple[str, ...] = ()
@@ -63,6 +56,15 @@ class Scheme:
     #: The hooks take the adaptive cost model's ``recovery_budget``.
     budgeted: bool = False
 
+    @property
+    def replay(self) -> Optional[str]:
+        """The engine mode replaying this scheme's log where no switch
+        marker says otherwise: ``ml`` for logged contents, ``ccl`` for a
+        skeleton (None: nothing to recover from)."""
+        if self.policy.contents:
+            return "ml"
+        return "ccl" if self.policy.skeleton else None
+
 
 #: The three protocols of the evaluation (paper Section 4) plus the
 #: adaptive hybrid that switches between ML and CCL per interval and
@@ -73,12 +75,12 @@ SCHEMES: Dict[str, Scheme] = {
     s.name: s
     for s in (
         Scheme("none", LogPolicy(), hooks=NoLogging),
-        Scheme("ml", ML, MlReplayNode, _REPLAY + ("fault", "miss_read")),
-        Scheme("ccl", CCL, CclReplayNode, _REPLAY + ("prefetch",)),
-        Scheme("adaptive", ML_MODE, AdaptiveReplayNode,
+        Scheme("ml", ML, _REPLAY + ("fault", "miss_read")),
+        Scheme("ccl", CCL, _REPLAY + ("prefetch",)),
+        Scheme("adaptive", ML_MODE,
                _REPLAY + ("fault", "miss_read", "prefetch"),
                hooks=AdaptiveLogging, budgeted=True),
-        Scheme("failover", FAILOVER, CclReplayNode,
+        Scheme("failover", FAILOVER,
                ("detection", "promotion", "meta_replay", "diff_refetch"),
                promotes=True),
     )

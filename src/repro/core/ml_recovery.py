@@ -28,7 +28,7 @@ from .logrecords import (
 )
 from .recovery import ReplayEngine, ReplayNode
 
-__all__ = ["MlEngine", "MlReplayNode"]
+__all__ = ["MlEngine"]
 
 
 class MlEngine(ReplayEngine):
@@ -98,10 +98,3 @@ class MlEngine(ReplayEngine):
         node.pagetable.set_state(page, PageState.CLEAN, "fetch")
         node.pagetable.set_version(page, rec.version)
         node.stats.count("replay_faults")
-
-
-class MlReplayNode(ReplayNode):
-    """Replay node for traditional message logging."""
-
-    protocol = "ml"
-    engines = {"ml": MlEngine}

@@ -1,4 +1,4 @@
-"""Crash recovery: the replay skeleton and the one recovery driver.
+"""Crash recovery: the one replay node and the one recovery driver.
 
 Recovery re-executes the failed node's program deterministically from
 its most recent checkpoint (the initial state in the paper's
@@ -43,15 +43,15 @@ is exactly why CCL logs outgoing diffs durably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Type,
-)
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import ClusterConfig
 from ..dsm.api import Dsm
-from ..dsm.interval import IntervalRecord, VectorClock
+from ..dsm.hlrc import PageAccess
+from ..dsm.interval import VectorClock
+from ..dsm.logginghooks import NoLogging
 from ..dsm.messages import LogDiffRequest
 from ..dsm.system import DsmSystem, RunResult
 from ..errors import ConfigError, RecoveryError
@@ -65,7 +65,8 @@ from ..sim.process import SimProcess
 from ..sim.stats import NodeStats
 from .checkpoint import Checkpointer, CheckpointSnapshot
 from .failure import CrashProbe, FailureSnapshot
-from .logrecords import NoticeLogRecord
+from .logging_base import RECOVERY_PROTOCOL_NAMES, SCHEMES, make_hooks_factory
+from .logrecords import ModeSwitchLogRecord, NoticeLogRecord
 from .replication import validate_replication
 from .responder import FailedNodeResponder, SurvivorResponder
 from .salvage import SalvageReport, plan_recovery, salvage_log
@@ -74,7 +75,6 @@ from .stablelog import StableLog
 __all__ = [
     "ReplayEngine",
     "ReplayNode",
-    "replay_node_class",
     "VictimPlan",
     "plan_victim",
     "RecoveryWorld",
@@ -89,16 +89,13 @@ __all__ = [
 ]
 
 
-def replay_node_class(protocol: str) -> Type["ReplayNode"]:
-    """Protocol name → replay class, read off the scheme table.
+def _replay_mode(protocol: str) -> str:
+    """The mode a protocol's log replays in where no switch marker says.
 
     Raises :class:`~repro.errors.RecoveryError` on a name with no replay
-    engine -- an ``ml-else-ccl`` fallback would silently replay any typo
-    with the CCL engine.
+    -- an ``ml-else-ccl`` fallback would silently replay any typo with
+    the CCL engine.
     """
-    # the table imports the engines, which import this module
-    from .logging_base import RECOVERY_PROTOCOL_NAMES, SCHEMES
-
     scheme = SCHEMES.get(protocol)
     if scheme is None or scheme.replay is None:
         raise RecoveryError(
@@ -163,42 +160,41 @@ def plan_victim(
     """Plan one probed victim's recovery from a finished phase A.
 
     ``at_time=None`` is the paper's seal-aligned crash: the probe's
-    snapshot names the seal, the full log is trusted, and replay starts
-    from the latest checkpoint strictly before the crash seal.  With
+    snapshot names the seal and the full log is trusted.  With
     ``at_time`` the victim crashes at that arbitrary instant (the probe
     must ``capture_all``): the log is cut to what the crash leaves on
-    disk, salvaged when the system's disks are faulty, and bounded by
-    :func:`~repro.core.salvage.plan_recovery`.  ``stop_at == 0`` means
-    nothing durable was sealed: recovery is a restart from scratch.
+    disk and salvaged when the system's disks are faulty.  Either way
+    :func:`~repro.core.salvage.plan_recovery` bounds the replay and
+    picks the retained checkpoint it starts from, or refuses a
+    truncated log none can anchor.  ``stop_at == 0`` means nothing
+    durable was sealed: recovery is a restart from scratch.
     """
     victim = probe.node
     node = system_a.nodes[victim]
     full: StableLog = getattr(node.hooks, "log")
-    ckpt: Optional[Checkpointer] = node.checkpointer
+    view, report = full, None
     if at_time is None:
         if probe.snapshot is None:
             where = "a seal" if probe.at_seal is None else f"seal {probe.at_seal}"
             raise RecoveryError(
                 f"node {victim} never reached {where}; cannot crash there"
             )
-        plan = VictimPlan(victim, full, probe.snapshot.seal_count,
-                          snapshot=probe.snapshot, snapshots=probe.snapshots)
-        base = ckpt.latest_before(plan.stop_at - 1) if ckpt is not None else None
-        if base is not None:
-            plan.free_until, plan.checkpoint = base.seal, base
-        return plan
-    seals_done = sum(1 for s in probe.snapshots.values() if s.time <= at_time)
-    view = full.durable_view(at_time)
-    faults = system_a.disk_fault_plan
-    if faults is not None and faults.active:
-        view, report = salvage_log(view)
+        seals_done = probe.snapshot.seal_count
     else:
-        report = SalvageReport(
-            victim, salvaged_count=len(view.persistent_records)
-        )
-    stop_at, free_until, base = plan_recovery(full, report, seals_done, ckpt)
+        seals_done = sum(1 for s in probe.snapshots.values() if s.time <= at_time)
+        view = full.durable_view(at_time)
+        faults = system_a.disk_fault_plan
+        if faults is not None and faults.active:
+            view, report = salvage_log(view)
+        else:
+            report = SalvageReport(
+                victim, salvaged_count=len(view.persistent_records)
+            )
+    stop_at, free_until, base = plan_recovery(
+        full, report, seals_done, node.checkpointer)
+    snapshot = probe.snapshot if at_time is None else probe.snapshots.get(stop_at)
     return VictimPlan(victim, view, stop_at, free_until, base, report,
-                      probe.snapshots.get(stop_at), probe.snapshots)
+                      snapshot, probe.snapshots)
 
 
 # ======================================================================
@@ -266,7 +262,7 @@ class RecoveryWorld:
 
 
 # ======================================================================
-# victims: the replay skeleton and its per-interval engine
+# victims: the replay node and its per-interval engine
 # ======================================================================
 
 
@@ -278,11 +274,11 @@ class ReplayEngine:
     """How one logged interval's data is materialised.
 
     The only point at which ML and CCL replay differ (paper Figures
-    2-3): the :class:`ReplayNode` skeleton calls these four steps, with
-    itself as ``node``, on the engine of the current interval's logging
-    mode.  An engine keeps no reference to its node: a replay node must
-    stay free of reference cycles so its memory image is released the
-    moment the caller drops it.
+    2-3): the :class:`ReplayNode` calls these four steps, with itself
+    as ``node``, on the engine of the mode the current interval was
+    logged in.  An engine keeps no reference to its node: a replay node
+    must stay free of reference cycles so its memory image is released
+    the moment the caller drops it.
     """
 
     def begin_interval(self, node: "ReplayNode") -> Generator[Any, Any, None]:
@@ -302,19 +298,26 @@ class ReplayEngine:
         raise NotImplementedError
 
 
-class ReplayNode:
-    """Recovery-mode node: the replay skeleton shared by every scheme.
+class ReplayNode(PageAccess):
+    """Recovery-mode node: one victim's unmodified program, replayed.
 
-    Presents the same surface as :class:`~repro.dsm.hlrc.HlrcNode` to
-    the :class:`~repro.dsm.api.Dsm` facade, so unmodified application
-    code drives the replay.  Subclasses only name their engines.
+    Presents :class:`~repro.dsm.hlrc.HlrcNode`'s surface to the
+    :class:`~repro.dsm.api.Dsm` facade and runs its page access, seal
+    transitions and notice filter (:class:`~repro.dsm.hlrc.PageAccess`):
+    the engine of the interval's logging mode serves each miss, and a
+    twin copy is charged to ``diff`` while timed.  The mode is read off
+    the log: the adaptive protocol's mode-switch markers where it has
+    them, else the scheme's own (``mode``).  Replay logs nothing, so it
+    twins no home page, and its seal diffs nothing: every diff it
+    replays is at its home already.
     """
 
-    protocol = "base"
-    #: Logging mode → engine class; a static scheme has exactly one.
-    engines: Dict[str, Type[ReplayEngine]] = {}
+    seal_diffs = False
 
-    def __init__(self, world: RecoveryWorld, plan: VictimPlan):
+    def __init__(self, world: RecoveryWorld, plan: VictimPlan, mode: str):
+        from .ccl_recovery import CclEngine  # the engines import this module
+        from .ml_recovery import MlEngine
+
         system_a, config = world.system_a, world.config
         space = system_a.space
         self.sim = world.sim
@@ -322,6 +325,7 @@ class ReplayNode:
         self.disk = world.disks[plan.victim]
         self.cfg = config
         self.id = plan.victim
+        self.hooks = NoLogging()  # replay logs nothing, so twins no home page
         # every frame starts from the initial image: a restoring replay runs
         # the program over frames nothing fetches before the checkpoint lands
         self.memory = LocalMemory(space)
@@ -351,24 +355,29 @@ class ReplayNode:
             plan.checkpoint is not None and plan.plog.truncated_below > 0
         )
         self.stats = NodeStats(self.id)
-        self._engines = {mode: cls() for mode, cls in self.engines.items()}
+        self._engines = {"ml": MlEngine(), "ccl": CclEngine()}
+        #: The mode of intervals no switch marker covers.
+        self.mode = mode
+        #: ``(first_interval, mode)`` switch points in interval order.
+        self.switch_points: List[Tuple[int, str]] = [
+            (r.interval, r.mode) for r in sorted(
+                self.plog.select(ModeSwitchLogRecord), key=lambda r: r.interval)
+        ]
+        self.engine: ReplayEngine = self._engines[mode]
         #: Virtual time at which replay reached the crash point (None
         #: while replaying, or if the program ended before ``stop_at``).
         self.finished_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     def mode_at(self, interval: int) -> str:
-        """The logging mode ``interval`` was written in.
-
-        The one dispatch hook: it selects the engine per interval.  A
-        static scheme logs every interval in its single mode.
-        """
-        (mode,) = self.engines
+        """The logging mode ``interval`` was written in: that of the last
+        switch marker at or below it, else :attr:`mode`."""
+        mode = self.mode
+        for first, m in self.switch_points:
+            if first > interval:
+                break
+            mode = m
         return mode
-
-    @property
-    def engine(self) -> ReplayEngine:
-        return self._engines[self.mode_at(self.interval_index)]
 
     @property
     def timed(self) -> bool:
@@ -384,6 +393,12 @@ class ReplayNode:
         if self.timed and seconds > 0:
             self.stats.charge(category, seconds)
             yield seconds
+
+    _twin_charge = _spend
+
+    def _fault_fetch(self, page: int) -> Iterable[Any]:
+        """A miss is served by the interval's engine (its generator)."""
+        return self.engine.fault(self, page)
 
     def _disk_read(self, category: str, nbytes: int) -> Generator[Any, Any, None]:
         """A sequential log-scan read (replay consumes the log in order)."""
@@ -421,37 +436,8 @@ class ReplayNode:
         yield from self._seal_interval()
         self.stats.count("barriers")
 
-    def ensure_read(self, pages) -> Generator[Any, Any, None]:
-        if self.restoring:
-            return
-        for p in pages:
-            entry = self.pagetable.entry(p)
-            if entry.state is PageState.INVALID and entry.home != self.id:
-                yield from self.engine.fault(self, p)
-
-    def ensure_write(self, pages) -> Generator[Any, Any, None]:
-        if self.restoring:
-            return
-        cpu = self.cfg.cpu
-        for p in pages:
-            entry = self.pagetable.entry(p)
-            if entry.home == self.id:
-                self.pagetable.mark_dirty(p)
-                continue
-            if entry.state is PageState.INVALID:
-                yield from self.engine.fault(self, p)
-            if entry.state is PageState.CLEAN:
-                # twins are still created for pages written in the next
-                # interval (Figure 2's in_recovery acquire branch)
-                yield from self._spend(
-                    "diff", cpu.twin_copy_per_byte_s * self.cfg.page_size
-                )
-                self.pagetable.make_twin(p, self.memory.page_bytes(p))
-                self.pagetable.set_state(p, PageState.DIRTY, "write")
-            self.pagetable.mark_dirty(p)
-
     # ------------------------------------------------------------------
-    # replay skeleton
+    # replay
     # ------------------------------------------------------------------
     def run(self, app) -> Generator[Any, Any, None]:
         """The victim's phase-B process: the unmodified program, replayed.
@@ -475,20 +461,7 @@ class ReplayNode:
         dirty = self.pagetable.take_dirty()
         if dirty and not self.restoring:
             new_vt = self.vt.tick(self.id)
-            for p in dirty:
-                entry = self.pagetable.entry(p)
-                if entry.home == self.id:
-                    self.pagetable.set_version(p, entry.version.merge(new_vt))
-                elif entry.twin is None and entry.state is not PageState.DIRTY:
-                    # early-flushed mid-interval (notice hit a dirty
-                    # page) and not rewritten since: mirrors phase A
-                    continue
-                else:
-                    self.pagetable.drop_twin(p)
-                    self.pagetable.set_state(p, PageState.CLEAN, "seal")
-                    self.pagetable.set_version(
-                        p, entry.version.merge(new_vt) if entry.version else new_vt
-                    )
+            self._seal_pages(dirty, self.vt[self.id], new_vt)
             self.vt = new_vt
         self.interval_index += 1
         self.acq_seq = 0
@@ -527,6 +500,7 @@ class ReplayNode:
     def _begin_interval(self) -> Generator[Any, Any, None]:
         if self.restoring:
             return
+        self.engine = self._engines[self.mode_at(self.interval_index)]
         yield from self.engine.begin_interval(self)
         yield from self._process_window(0)
 
@@ -534,34 +508,17 @@ class ReplayNode:
         """Replay one window: interval start (0) or the n-th acquire."""
         if self.restoring:
             return
-        engine = self.engine
         notices = self.plog.select(
             NoticeLogRecord, interval=self.interval_index, window=window
         )
-        yield from engine.read_window(self, window, notices)
+        yield from self.engine.read_window(self, window, notices)
         for rec in notices:
-            self._apply_notices(rec.records)
-        yield from engine.prefetch(self, window)
-
-    def _apply_notices(self, records: List[IntervalRecord]) -> None:
-        # one clock join per batch -- see HlrcNode._apply_notices
-        have = self.vt
-        applied: List[VectorClock] = []
-        for r in records:
-            if have.covers_interval(r.node, r.index):
-                continue
-            applied.append(r.vt)
-            if r.node != self.id:
-                for p in r.pages:
-                    entry = self.pagetable.entry(p)
-                    if entry.home == self.id:
-                        continue
-                    if entry.state is PageState.INVALID:
-                        continue
-                    if entry.version is not None and entry.version.dominates(r.vt):
-                        continue
-                    self.pagetable.invalidate(p)
-        self.vt = have.join(applied)
+            # a dirty hit is invalidated directly: its diff is at the home
+            pages, applied = self._noticed_pages(rec.records)
+            for p in pages:
+                self.pagetable.invalidate(p)
+            self.vt = self.vt.join([r.vt for r in applied])
+        yield from self.engine.prefetch(self, window)
 
     # ------------------------------------------------------------------
     # diff gathering shared by home updates and page reconstruction
@@ -662,9 +619,9 @@ def _replay_victims(
     """
     down = {plan.victim for plan in plans} | set(dead)
     check_crash(config.num_nodes, down, *(plan.stop_at for plan in plans))
-    node_cls = replay_node_class(protocol)
+    mode = _replay_mode(protocol)
     world = RecoveryWorld(config, system_a, down)
-    replays = {plan.victim: node_cls(world, plan) for plan in plans}
+    replays = {plan.victim: ReplayNode(world, plan, mode) for plan in plans}
     world.run({f"replay{v}": r.run(app) for v, r in replays.items()})
     for r in replays.values():
         if r.finished_at is None:
@@ -858,8 +815,6 @@ def recover_victims(
     other case replays the victims concurrently in one world and checks
     each against its plan's snapshot (:func:`compare_state`).
     """
-    from .logging_base import SCHEMES  # see replay_node_class
-
     scheme = SCHEMES.get(protocol)
     if scheme is not None and scheme.promotes and system_a.replication >= 2:
         down = {plan.victim for plan in plans} | set(dead)
@@ -916,11 +871,9 @@ def run_recovery_experiment(
     writers log their outgoing diffs durably.  Everything refusable is
     refused in one line before phase A runs.
     """
-    from .logging_base import SCHEMES, make_hooks_factory  # see replay_node_class
-
     config = config or ClusterConfig.ultra5()
     victims = tuple(failed_nodes)
-    replay_node_class(protocol)
+    _replay_mode(protocol)
     if not victims or len(set(victims)) != len(victims):
         raise RecoveryError(
             f"bad failed-node set {victims}: name at least one victim, once"

@@ -155,14 +155,15 @@ def salvage_log(view: StableLog) -> Tuple[StableLog, SalvageReport]:
 
 def plan_recovery(
     full_log: StableLog,
-    report: SalvageReport,
+    report: Optional[SalvageReport],
     seals_done: int,
     checkpointer: Optional[Checkpointer] = None,
 ) -> Tuple[int, int, Optional[CheckpointSnapshot]]:
     """Decide ``(stop_at, free_until, checkpoint)`` for one victim.
 
     ``full_log`` is the victim's complete phase-A log (used only to
-    find the first interval the salvaged prefix does not cover);
+    find the first interval the salvaged prefix does not cover; a
+    ``report`` of None trusts all of it: a seal-aligned crash);
     ``seals_done`` is how many intervals the victim had sealed at the
     crash.  Replay stops at the earlier of the two bounds.  With a
     checkpointer, the latest retained snapshot strictly below the stop
@@ -171,11 +172,14 @@ def plan_recovery(
     :class:`RecoveryError` when truncation or corruption leaves no way
     to cover the window.
     """
-    lost = full_log.first_lost_from(report.salvaged_count)
+    lost = None if report is None else full_log.first_lost_from(report.salvaged_count)
     stop_at = seals_done if lost is None else min(seals_done, lost)
     watermark = full_log.truncated_below
 
     def _diagnosis(reason: str) -> RecoveryError:
+        if report is None:
+            return RecoveryError(f"node {full_log.node_id}: {reason}; "
+                                 f"truncation watermark {watermark}")
         where = (
             f"corrupt segment {report.corrupt_segment} "
             f"(interval {report.corrupt_interval})"

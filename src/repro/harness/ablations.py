@@ -73,11 +73,9 @@ def _logsize_variants(config: ClusterConfig) -> List[Tuple[str, Dict[str, Any]]]
     """Log growth vs checkpoint interval: more iterations, with and
     without checkpoint-driven truncation.
 
-    Pinned to 4 nodes: the sweep varies run length, not cluster size,
-    and ML checkpoint-restore replay has a known pre-existing mismatch
-    at 8 nodes (independent of truncation -- it reproduces with
-    ``retention=None``) that would drown the signal this ablation is
-    after.
+    Pinned to 4 nodes: the sweep varies run length, not cluster size
+    (every variant also recovers bit-exactly at 8 nodes, with and
+    without retention).
     """
     config = config.with_changes(num_nodes=4)
     out: List[Tuple[str, Dict[str, Any]]] = []
@@ -95,8 +93,9 @@ def _measure_logsize(label: str, params: Dict[str, Any]) -> Dict[str, float]:
 
     # ML: replay is purely local, so truncating every node's log below
     # its own retained checkpoints is always safe.  (CCL peers rebuild
-    # cold pages from full diff histories, so truncation there can only
-    # trade retention depth against diagnosed recovery refusals.)
+    # cold pages from full diff histories, so truncation there trades
+    # retention depth against refusals, mismatches and undiagnosed
+    # errors; see tests/core/test_salvage.py's restore-mode defects.)
     result = run_recovery_experiment(
         make_app("shallow", n=16, steps=params["steps"]),
         params["config"],

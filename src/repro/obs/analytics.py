@@ -1,13 +1,13 @@
 """Columnar trace analytics: struct-of-arrays tables over run traces.
 
-A recorded trace (``runs/<id>/trace.jsonl``) is a few hundred thousand
-JSON records; answering "which lock is contended" by re-parsing it every
-time is seconds of work.  :class:`ColumnarTrace` ingests a trace once
-into numpy struct-of-arrays tables -- all strings interned to int ids,
-event details flattened to fixed int columns -- so every aggregation is
-a vectorised groupby running in milliseconds, and caches the columns as
-``trace.columns.npz`` beside the JSONL (keyed by the source's size and
-mtime, so a re-recorded trace re-ingests automatically).
+:class:`ColumnarTrace` is a tracer's column store as numpy arrays -- the
+spans, edges and event ``t, node, ev`` columns of
+:attr:`repro.sim.trace.Tracer.columns`, its string table, and event
+details flattened to fixed int columns -- so every aggregation is a
+vectorised groupby running in milliseconds.  A ``trace.jsonl`` is loaded
+through :meth:`~repro.sim.trace.Tracer.load`, the one loader, and the
+columns are cached as ``trace.columns.npz`` beside it (keyed by the
+source's size and mtime, so a re-recorded trace re-ingests).
 
 Tables (missing int values are -1):
 
@@ -24,9 +24,7 @@ Tables (missing int values are -1):
 On top sit the built-in reports -- :func:`report_locks`,
 :func:`report_pages`, :func:`report_phases`, :func:`report_flows` --
 each returning a JSON-safe dict with a matching ``render_*`` for the
-``repro query`` CLI.  This module deliberately does not import the
-simulator: tracers are duck-typed (``.events/.spans/.edges``), keeping
-``repro.obs`` import-light.
+``repro query`` CLI.
 """
 
 from __future__ import annotations
@@ -35,12 +33,11 @@ import json
 import os
 import zipfile
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..jsonio import json_records, read_text
 
 __all__ = [
     "StringTable",
@@ -68,24 +65,30 @@ _SPAN_TABLE = ("parent", "node", "strand", "name", "cat", "t0", "t1",
 _EDGE_TABLE = ("src", "dst", "kind", "size", "ts", "tr")
 _PAGEROW_TABLE = ("t", "node", "ev", "page", "peer")
 
-_FLOAT_COLS = frozenset({"t", "t0", "t1", "ts", "tr"})
-_WIDE_COLS = frozenset({"size"})
+#: Table -> columns; a cache must hold exactly these to be read.
+_TABLES = {"events": _EVENT_TABLE, "spans": _SPAN_TABLE, "edges": _EDGE_TABLE,
+           "pagerows": _PAGEROW_TABLE}
+
+
+def _ints(values: Any) -> np.ndarray:
+    """An int32 column of detail values; anything but an int32 int is -1."""
+    return np.array([v if type(v) is int and -(1 << 31) <= v < 1 << 31 else -1
+                     for v in values], dtype=np.int32)
+
+
+#: Multi-page events exploded into ``pagerows``, with their peer's key;
+#: the column a legacy scalar event's bare id fills.
+_PAGE_PEERS = {"diff_send": "home", "diff_apply": "writer"}
+_SCALAR_COLUMN = {"acquire": "lock", "release": "lock", "barrier": "aux",
+                  "seal": "aux", "fault": "page"}
 
 
 class StringTable:
-    """Bidirectional string <-> int id interning (insertion-ordered)."""
+    """Bidirectional string <-> int id lookup (a tracer's string table)."""
 
     def __init__(self, strings: Optional[Sequence[str]] = None):
         self.strings: List[str] = list(strings or [])
         self._ids: Dict[str, int] = {s: i for i, s in enumerate(self.strings)}
-
-    def intern(self, s: str) -> int:
-        """The id of ``s``, assigning the next one on first sight."""
-        i = self._ids.get(s)
-        if i is None:
-            i = self._ids[s] = len(self.strings)
-            self.strings.append(s)
-        return i
 
     def get(self, s: str) -> int:
         """The id of ``s``, or -1 if never interned (no mutation)."""
@@ -99,54 +102,22 @@ class StringTable:
         return len(self.strings)
 
 
-def _as_int(value: Any) -> int:
-    """Flatten one detail value to an int column cell (-1 if absent)."""
-    return value if isinstance(value, int) and not isinstance(value, bool) else -1
-
-
-class _Builder:
-    """Column-list accumulator for one table."""
-
-    def __init__(self, columns: Tuple[str, ...]):
-        self.columns = columns
-        self.rows: Dict[str, List[Any]] = {c: [] for c in columns}
-
-    def finish(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for c in self.columns:
-            if c in _FLOAT_COLS:
-                out[c] = np.asarray(self.rows[c], dtype=np.float64)
-            elif c in _WIDE_COLS:
-                out[c] = np.asarray(self.rows[c], dtype=np.int64)
-            else:
-                out[c] = np.asarray(self.rows[c], dtype=np.int32)
-        return out
-
-
+@dataclass(eq=False)
 class ColumnarTrace:
     """Struct-of-arrays view of one run's trace.
 
     ``source`` records how the instance was materialised: ``"tracer"``
-    (from an in-memory tracer), ``"jsonl"`` (parsed from disk), or
+    (from an in-memory tracer), ``"jsonl"`` (loaded from disk), or
     ``"cache"`` (loaded from the columnar ``.npz`` without touching the
     JSONL).
     """
 
-    def __init__(
-        self,
-        strings: StringTable,
-        events: Dict[str, np.ndarray],
-        spans: Dict[str, np.ndarray],
-        edges: Dict[str, np.ndarray],
-        pagerows: Dict[str, np.ndarray],
-        source: str = "tracer",
-    ):
-        self.strings = strings
-        self.events = events
-        self.spans = spans
-        self.edges = edges
-        self.pagerows = pagerows
-        self.source = source
+    strings: StringTable
+    events: Dict[str, np.ndarray]
+    spans: Dict[str, np.ndarray]
+    edges: Dict[str, np.ndarray]
+    pagerows: Dict[str, np.ndarray]
+    source: str = "tracer"
 
     # -- sizes ---------------------------------------------------------
     @property
@@ -163,101 +134,44 @@ class ColumnarTrace:
 
     def summary(self) -> Dict[str, int]:
         """Row counts per table (for logs and tests)."""
-        return {
-            "events": self.num_events,
-            "spans": self.num_spans,
-            "edges": self.num_edges,
-            "pagerows": int(self.pagerows["t"].shape[0]),
-            "strings": len(self.strings),
-        }
+        return {"events": self.num_events, "spans": self.num_spans,
+                "edges": self.num_edges, "pagerows": int(self.pagerows["t"].shape[0]),
+                "strings": len(self.strings)}
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_tracer(cls, tracer: Any) -> "ColumnarTrace":
-        """Ingest an in-memory tracer (anything with events/spans/edges)."""
-        records = _tracer_records(tracer)
-        return cls._build(records, source="tracer")
+    def from_tracer(cls, tracer: Any, source: str = "tracer") -> "ColumnarTrace":
+        """The columnar view of a tracer's store: its columns (copied, one
+        ``memcpy`` each), plus the detail columns the reports group by."""
+        cols, names = tracer.columns, tracer.strings
+        tables = {t: {c: np.array(col) for c, col in cols[t].items()} for t in cols}
+        spans = [d if type(d) is dict else {} for d in tracer.details("spans")]
+        tables["spans"].update((c, _ints([d.get(c) for d in spans])) for c in _SPAN_TABLE[7:])
+        details = list(tracer.details("events"))
+        events = [d if type(d) is dict else {} for d in details]
+        for c in _EVENT_TABLE[3:7]:
+            tables["events"][c] = _ints([d.get(c) for d in events])
+        tables["events"]["aux"] = _ints([d.get("writer", d.get("requester", d.get(
+            "index", d.get("episode")))) for d in events])
+        pagerows: List[Tuple[Any, ...]] = []
+        for row, (ev, d) in enumerate(zip(cols["events"]["ev"], details)):
+            name = names[ev]
+            if type(d) is not dict and name in _SCALAR_COLUMN:  # a legacy bare id
+                tables["events"][_SCALAR_COLUMN[name]][row] = _ints([d])[0]
+            elif name in _PAGE_PEERS and isinstance(events[row].get("pages"), (list, tuple)):
+                pagerows.extend((cols["events"]["t"][row], cols["events"]["node"][row], ev,
+                                 p, d.get(_PAGE_PEERS[name])) for p in d["pages"])
+        tables["pagerows"] = {c: np.array(v, np.float64) if c == "t" else _ints(v) for c, v
+                              in zip(_PAGEROW_TABLE, zip(*pagerows) if pagerows else [()] * 5)}
+        return cls(StringTable(names), tables["events"], tables["spans"],
+                   tables["edges"], tables["pagerows"], source=source)
 
     @classmethod
     def from_jsonl(cls, path: str) -> "ColumnarTrace":
-        """Ingest a ``trace.jsonl`` file from disk."""
-        return cls._build(_parse_jsonl(path), source="jsonl")
+        """Load a ``trace.jsonl`` file from disk (through ``Tracer.load``)."""
+        from ..sim.trace import Tracer
 
-    @classmethod
-    def _build(cls, records: Dict[str, List[Any]], source: str) -> "ColumnarTrace":
-        strings = StringTable()
-        ev_b = _Builder(_EVENT_TABLE)
-        page_b = _Builder(_PAGEROW_TABLE)
-        # legacy scalar events carry a bare id in detail; map it to the
-        # column the structured schema would have used
-        scalar_col = {"acquire": "lock", "release": "lock",
-                      "barrier": "aux", "seal": "aux", "fault": "page"}
-        multi_peer = {"diff_send": "home", "diff_apply": "writer"}
-        for t, node, name, detail in records["events"]:
-            ev = strings.intern(name)
-            lock = page = to = home = aux = -1
-            if isinstance(detail, dict):
-                lock = _as_int(detail.get("lock"))
-                page = _as_int(detail.get("page"))
-                to = _as_int(detail.get("to"))
-                home = _as_int(detail.get("home"))
-                aux = _as_int(detail.get("writer", detail.get("requester",
-                              detail.get("index", detail.get("episode")))))
-                peer_key = multi_peer.get(name)
-                if peer_key is not None:
-                    peer = _as_int(detail.get(peer_key))
-                    for p in detail.get("pages") or ():
-                        page_b.rows["t"].append(t)
-                        page_b.rows["node"].append(node)
-                        page_b.rows["ev"].append(ev)
-                        page_b.rows["page"].append(_as_int(p))
-                        page_b.rows["peer"].append(peer)
-            elif isinstance(detail, int) and name in scalar_col:
-                if scalar_col[name] == "lock":
-                    lock = detail
-                elif scalar_col[name] == "page":
-                    page = detail
-                else:
-                    aux = detail
-            row = ev_b.rows
-            row["t"].append(t)
-            row["node"].append(node)
-            row["ev"].append(ev)
-            row["lock"].append(lock)
-            row["page"].append(page)
-            row["to"].append(to)
-            row["home"].append(home)
-            row["aux"].append(aux)
-
-        sp_b = _Builder(_SPAN_TABLE)
-        for parent, node, strand, name, cat, t0, t1, detail in records["spans"]:
-            row = sp_b.rows
-            row["parent"].append(parent)
-            row["node"].append(node)
-            row["strand"].append(strings.intern(strand))
-            row["name"].append(strings.intern(name))
-            row["cat"].append(strings.intern(cat))
-            row["t0"].append(t0)
-            row["t1"].append(t1)
-            if isinstance(detail, dict):
-                row["lock"].append(_as_int(detail.get("lock")))
-                row["page"].append(_as_int(detail.get("page")))
-            else:
-                row["lock"].append(-1)
-                row["page"].append(-1)
-
-        ed_b = _Builder(_EDGE_TABLE)
-        for src, dst, kind, size, ts, tr in records["edges"]:
-            row = ed_b.rows
-            row["src"].append(src)
-            row["dst"].append(dst)
-            row["kind"].append(strings.intern(kind))
-            row["size"].append(size)
-            row["ts"].append(ts)
-            row["tr"].append(tr)
-
-        return cls(strings, ev_b.finish(), sp_b.finish(), ed_b.finish(),
-                   page_b.finish(), source=source)
+        return cls.from_tracer(Tracer.load(path), source="jsonl")
 
     # -- cache ---------------------------------------------------------
     def save_cache(self, trace_path: str) -> Path:
@@ -296,8 +210,7 @@ class ColumnarTrace:
         if (meta.get("schema") != COLUMNS_SCHEMA
                 or meta.get("source") != _signature(trace_path)):
             return None
-        tables: Dict[str, Dict[str, np.ndarray]] = {
-            "events": {}, "spans": {}, "edges": {}, "pagerows": {}}
+        tables: Dict[str, Dict[str, np.ndarray]] = {t: {} for t in _TABLES}
         try:
             with np.load(npz) as data:
                 for key in data.files:
@@ -306,6 +219,9 @@ class ColumnarTrace:
         except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
                 zlib.error):
             return None  # a torn or corrupt cache: re-ingest the JSONL
+        if any(set(tables[t]) != set(cols) or len({a.shape for a in tables[t].values()}) != 1
+               for t, cols in _TABLES.items()):
+            return None  # a column missing, extra or cut short: stale
         return cls(StringTable(meta.get("strings", [])),
                    tables["events"], tables["spans"], tables["edges"],
                    tables["pagerows"], source="cache")
@@ -318,42 +234,6 @@ def _signature(path: str) -> Optional[Dict[str, int]]:
     except OSError:
         return None
     return {"size": st.st_size, "mtime_ns": st.st_mtime_ns}
-
-
-def _tracer_records(tracer: Any) -> Dict[str, List[Any]]:
-    """Normalise an in-memory tracer's lists to plain tuples."""
-    return {
-        "events": [(e.time, e.node, e.event, e.detail)
-                   for e in tracer.events],
-        "spans": [(s.parent, s.node, s.strand, s.name, s.cat, s.t0, s.t1,
-                   s.detail) for s in tracer.spans],
-        "edges": [(m.src, m.dst, m.kind, m.size, m.t_send, m.t_recv)
-                  for m in tracer.edges],
-    }
-
-
-def _parse_jsonl(path: str) -> Dict[str, List[Any]]:
-    """Parse a ``trace.jsonl`` into plain record tuples.
-
-    Kept as a module-level function so tests can monkeypatch it to
-    prove cached loads never re-parse the JSONL.
-    """
-    events: List[Any] = []
-    spans: List[Any] = []
-    edges: List[Any] = []
-
-    def add(obj: Dict[str, Any]) -> None:
-        if "e" in obj:
-            events.append((obj["t"], obj["n"], obj["e"], obj.get("d")))
-        elif "ei" in obj:
-            edges.append((obj["src"], obj["dst"], obj["k"], obj["sz"],
-                          obj["ts"], obj["tr"]))
-        else:
-            spans.append((obj["p"], obj["n"], obj["st"], obj["nm"],
-                          obj["c"], obj["t0"], obj["t1"], obj.get("d")))
-
-    json_records(read_text(path), path, add)
-    return {"events": events, "spans": spans, "edges": edges}
 
 
 def load_or_ingest(path: str) -> ColumnarTrace:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -67,80 +67,66 @@ class Segment:
 #: Strands the walk attributes time to, in tie-break order.
 _STRANDS = ("main", "server", "disk")
 
-#: One ``(node, strand)``'s closed spans, ordered for :func:`_innermost`:
-#: ``(starts, spans, outer)``.
-_StrandIndex = Tuple[List[float], List[Any], List[int]]
+#: One strand's closed span rows for :func:`_innermost`: ``(starts, ends, rows, outer)``.
+_StrandIndex = Tuple[List[float], List[float], List[int], List[int]]
 
 
-def _index_strand(spans: List[Any]) -> _StrandIndex:
-    """Order one strand's closed spans (given in list order) for bisect.
+def _index_strand(rows: List[int], t0: List[float], t1: List[float]) -> _StrandIndex:
+    """Order one strand's closed span rows (given in row order) for bisect.
 
     Ascending ``t0`` -- a recorded trace already is, spans are appended
-    as they begin -- with spans that start together in *reverse* list
+    as they begin -- with spans that start together in *reverse* row
     order, so the rightmost active entry is the one the tie-break
-    wants: latest ``t0``, then earliest in the list.  ``outer[j]`` is
-    the nearest entry left of ``j`` that ends later than ``j`` does (-1
-    for none): everything between the two ends no later than ``j``, so
-    when ``j`` is over by ``t`` the search resumes at ``outer[j]`` --
-    one hop per nesting level, not one per closed sibling.
+    wants: latest ``t0``, then earliest row.  ``outer[j]`` is the
+    nearest entry left of ``j`` that ends later than ``j`` does (-1 for
+    none): everything between the two ends no later than ``j``, so when
+    ``j`` is over by ``t`` the search resumes at ``outer[j]`` -- one hop
+    per nesting level, not one per closed sibling.
     """
-    ordered = sorted(reversed(spans), key=attrgetter("t0"))  # stable
+    ordered = sorted(reversed(rows), key=t0.__getitem__)  # stable
+    ends = [t1[i] for i in ordered]
     outer: List[int] = []
     later: List[int] = []  # entries whose end nothing to their right beats yet
-    for j, span in enumerate(ordered):
-        while later and ordered[later[-1]].t1 <= span.t1:
+    for j, end in enumerate(ends):
+        while later and ends[later[-1]] <= end:
             later.pop()
         outer.append(later[-1] if later else -1)
         later.append(j)
-    return [span.t0 for span in ordered], ordered, outer
+    return [t0[i] for i in ordered], ends, ordered, outer
 
 
-def _innermost(index: _StrandIndex, t: float) -> Optional[Any]:
-    """The strand's span with the latest ``t0`` among ``t0 < t <= t1``."""
-    starts, ordered, outer = index
+def _innermost(index: _StrandIndex, t: float) -> int:
+    """The strand's span row with the latest ``t0`` among ``t0 < t <= t1``, or -1."""
+    starts, ends, rows, outer = index
     j = bisect_left(starts, t) - 1
-    while j >= 0 and ordered[j].t1 < t:
+    while j >= 0 and ends[j] < t:
         j = outer[j]
-    return ordered[j] if j >= 0 else None
+    return rows[j] if j >= 0 else -1
 
 
 def _active_span(strands: Dict[Tuple[int, str], _StrandIndex], node: int,
-                 t: float) -> Optional[Any]:
-    """Innermost span active at (node, t) across strands.
+                 t: float, t0: List[float]) -> int:
+    """Innermost span row active at (node, t) across strands (-1: none).
 
     Active means ``t0 < t <= t1`` (strict start keeps the walk
     strictly decreasing); innermost is the latest ``t0``, the earlier
-    strand of :data:`_STRANDS` and then the earlier span in the list
-    winning ties.  Open spans (``t1 < 0``) never participate -- they
-    were cut off by a crash.
+    strand of :data:`_STRANDS` and then the earlier row winning ties.
+    Open spans (``t1 < 0``, cut off by a crash) never participate.
     """
-    best = None
+    best = -1
     for strand in _STRANDS:
         index = strands.get((node, strand))
         if index is not None:
-            span = _innermost(index, t)
-            if span is not None and (best is None or span.t0 > best.t0):
-                best = span
+            i = _innermost(index, t)
+            if i >= 0 and (best < 0 or t0[i] > t0[best]):
+                best = i
     return best
 
 
-def _edge_for_wait(span: Any, t_hi: float,
-                   arrivals: Dict[int, Tuple[List[float], List[Any]]],
-                   edges: List[Any]) -> Optional[Any]:
-    """The delivered edge that ended a wait span (detail eid, else the
-    latest delivery into the node inside the wait window, the earliest
-    sent of those that arrived together)."""
-    if isinstance(span.detail, dict):
-        eid = span.detail.get("eid", -1)
-        if isinstance(eid, int) and 0 <= eid < len(edges):
-            edge = edges[eid]
-            if edge.t_recv >= 0:
-                return edge
-    recvs, delivered = arrivals.get(span.node, ((), ()))
-    i = bisect_right(recvs, t_hi)
-    if i == 0 or recvs[i - 1] < span.t0:
-        return None
-    return delivered[bisect_left(recvs, recvs[i - 1])]
+def _eid(detail: Any, edges: int) -> int:
+    """The in-range edge id a span detail names, else -1."""
+    eid = detail.get("eid", -1) if isinstance(detail, dict) else -1
+    return eid if isinstance(eid, int) and 0 <= eid < edges else -1
 
 
 def critical_path(tracer: Any, end_node: Optional[int] = None) -> List[Segment]:
@@ -148,81 +134,91 @@ def critical_path(tracer: Any, end_node: Optional[int] = None) -> List[Segment]:
 
     ``end_node`` picks which node's last activity anchors the walk
     (default: the node whose main strand finishes last).  Spans and
-    delivered edges are indexed once, by ``(node, strand)`` start and by
-    destination arrival, so each step of the walk is a bisect rather
-    than a scan of the node's spans.
+    delivered edges are indexed once from the tracer's columns, by
+    ``(node, strand)`` start and by destination arrival, so each step of
+    the walk is a bisect rather than a scan of the node's spans.
     """
-    closed = [s for s in tracer.spans if s.t1 >= 0]
+    sp, ed, names = tracer.columns["spans"], tracer.columns["edges"], tracer.strings
+    t0, t1, nodes = sp["t0"].tolist(), sp["t1"].tolist(), sp["node"].tolist()
+    closed = [i for i, end in enumerate(t1) if end >= 0]
     if not closed:
         return []
-    by_strand: Dict[Tuple[int, str], List[Any]] = {}
+    strand = [names[i] for i in sp["strand"]]
+    by_strand: Dict[Tuple[int, str], List[int]] = {}
     ends_by_node: Dict[int, List[float]] = {}
-    for s in closed:
-        by_strand.setdefault((s.node, s.strand), []).append(s)
-        ends_by_node.setdefault(s.node, []).append(s.t1)
-    strands = {key: _index_strand(spans) for key, spans in by_strand.items()
+    for i in closed:
+        by_strand.setdefault((nodes[i], strand[i]), []).append(i)
+        ends_by_node.setdefault(nodes[i], []).append(t1[i])
+    strands = {key: _index_strand(rows, t0, t1) for key, rows in by_strand.items()
                if key[1] in _STRANDS}
     for ends in ends_by_node.values():
         ends.sort()
-    edges_by_dst: Dict[int, List[Any]] = {}
-    for e in tracer.edges:
-        if e.t_recv >= 0:
-            edges_by_dst.setdefault(e.dst, []).append(e)
-    arrivals = {}
-    for dst, delivered in edges_by_dst.items():
-        delivered.sort(key=attrgetter("t_recv"))  # stable: send order among ties
-        arrivals[dst] = ([e.t_recv for e in delivered], delivered)
+    src, ts, tr = ed["src"].tolist(), ed["ts"].tolist(), ed["tr"].tolist()
+    arrivals: Dict[int, Tuple[List[float], List[int]]] = {}
+    for e, dst in enumerate(ed["dst"]):
+        if tr[e] >= 0:
+            arrivals.setdefault(dst, ([], []))[1].append(e)
+    for recvs, delivered in arrivals.values():
+        delivered.sort(key=tr.__getitem__)  # stable: send order among ties
+        recvs.extend(tr[e] for e in delivered)
+
+    def edge_for_wait(i: int, t_hi: float) -> int:
+        """The delivered edge that ended wait ``i``: its detail's eid, else the latest
+        delivery into the node inside the wait (earliest sent of a tie), else -1."""
+        eid = _eid(tracer.detail("spans", i), len(ts))
+        if eid >= 0 and tr[eid] >= 0:
+            return eid
+        recvs, delivered = arrivals.get(nodes[i], ((), ()))
+        k = bisect_right(recvs, t_hi)
+        if k == 0 or recvs[k - 1] < t0[i]:
+            return -1
+        return delivered[bisect_left(recvs, recvs[k - 1])]
 
     if end_node is None:
-        mains = [s for s in closed if s.strand == "main"]
-        last = max(mains or closed, key=lambda s: s.t1)
-        end_node, t = last.node, last.t1
+        mains = [i for i in closed if strand[i] == "main"]
+        last = max(mains or closed, key=t1.__getitem__)
+        end_node, t = nodes[last], t1[last]
     else:
-        ours = [s for s in closed if s.node == end_node]
-        t = max((s.t1 for s in ours), default=0.0)
+        t = max((t1[i] for i in closed if nodes[i] == end_node), default=0.0)
 
     node = end_node
     segments: List[Segment] = []
-    budget = 4 * (len(closed) + len(tracer.edges)) + 64
+    budget = 4 * (len(closed) + len(ts)) + 64
     while t > _EPS and budget > 0:
         budget -= 1
-        span = _active_span(strands, node, t)
-        if span is None:
+        i = _active_span(strands, node, t, t0)
+        if i < 0:
             # gap before/between spans: attribute to untracked node time
             # up to the latest span end (on any strand) before t
             ends = ends_by_node.get(node, ())
-            i = bisect_left(ends, t)
-            prev_end = ends[i - 1] if i else 0.0
+            k = bisect_left(ends, t)
+            prev_end = ends[k - 1] if k else 0.0
             segments.append(Segment(prev_end, t, node, "untracked", "cpu"))
             if prev_end <= _EPS:
                 break
             t = prev_end
             continue
-        if span.cat == "wait":
-            edge = _edge_for_wait(span, t, arrivals, tracer.edges)
-            if edge is not None and edge.t_send < t:
-                if t > edge.t_recv:
-                    segments.append(Segment(edge.t_recv, t, node,
-                                            span.name, "wait"))
-                segments.append(Segment(edge.t_send, min(edge.t_recv, t),
-                                        edge.src, edge.kind, "net"))
-                node, t = edge.src, edge.t_send
+        name, cat = names[sp["name"][i]], names[sp["cat"][i]]
+        if cat == "wait":
+            e = edge_for_wait(i, t)
+            if e >= 0 and ts[e] < t:
+                if t > tr[e]:
+                    segments.append(Segment(tr[e], t, node, name, "wait"))
+                segments.append(Segment(ts[e], min(tr[e], t), src[e],
+                                        names[ed["kind"][e]], "net"))
+                node, t = src[e], ts[e]
                 continue
-            segments.append(Segment(span.t0, t, node, span.name, "wait"))
-            t = span.t0
+            segments.append(Segment(t0[i], t, node, name, "wait"))
+            t = t0[i]
             continue
-        if (span.cat == "handler" and isinstance(span.detail, dict)
-                and 0 <= span.detail.get("eid", -1) < len(tracer.edges)):
-            edge = tracer.edges[span.detail["eid"]]
-            if edge.t_recv >= 0 and edge.t_send < span.t0:
-                segments.append(Segment(span.t0, t, node, span.name,
-                                        "handler"))
-                segments.append(Segment(edge.t_send, span.t0, edge.src,
-                                        edge.kind, "net"))
-                node, t = edge.src, edge.t_send
-                continue
-        segments.append(Segment(span.t0, t, node, span.name, span.cat))
-        t = span.t0
+        e = _eid(tracer.detail("spans", i), len(ts)) if cat == "handler" else -1
+        if e >= 0 and tr[e] >= 0 and ts[e] < t0[i]:
+            segments.append(Segment(t0[i], t, node, name, "handler"))
+            segments.append(Segment(ts[e], t0[i], src[e], names[ed["kind"][e]], "net"))
+            node, t = src[e], ts[e]
+            continue
+        segments.append(Segment(t0[i], t, node, name, cat))
+        t = t0[i]
     segments.reverse()
     return segments
 
@@ -301,30 +297,38 @@ def _merge_intervals(ivals: List[Tuple[float, float]]) -> List[Tuple[float, floa
 
 
 def flush_overlap(tracer: Any) -> FlushOverlap:
-    """Measure how much log-flush time communication waits hid."""
+    """Measure how much log-flush time communication waits hid.  A flush
+    bisects into its node's merged (disjoint, sorted) waits: O(F log W)."""
+    sp, ids = tracer.columns["spans"], {s: i for i, s in enumerate(tracer.strings)}
+    wait, main, flush = (ids.get(s, -1) for s in ("wait", "main", "log_flush"))
+    t0, t1, nodes = sp["t0"].tolist(), sp["t1"].tolist(), sp["node"].tolist()
     waits_by_node: Dict[int, List[Tuple[float, float]]] = {}
-    for s in tracer.spans:
-        if s.cat == "wait" and s.strand == "main" and s.t1 >= 0:
-            waits_by_node.setdefault(s.node, []).append((s.t0, s.t1))
+    for i, (cat, strand) in enumerate(zip(sp["cat"], sp["strand"])):
+        if cat == wait and strand == main and t1[i] >= 0:
+            waits_by_node.setdefault(nodes[i], []).append((t0[i], t1[i]))
     merged = {n: _merge_intervals(iv) for n, iv in waits_by_node.items()}
+    wait_ends = {n: [hi for _lo, hi in iv] for n, iv in merged.items()}
 
     report = FlushOverlap()
-    for s in tracer.spans:
-        if s.name != "log_flush" or s.t1 < 0:
+    for i, name in enumerate(sp["name"]):
+        if name != flush or t1[i] < 0:
             continue
-        mode = (s.detail or {}).get("mode", "async") \
-            if isinstance(s.detail, dict) else "async"
-        duration = s.t1 - s.t0
+        detail = tracer.detail("spans", i)
+        mode = detail.get("mode", "async") if isinstance(detail, dict) else "async"
+        node, f0, f1 = nodes[i], t0[i], t1[i]
         hidden = 0.0
         if mode == "async":
-            for lo, hi in merged.get(s.node, ()):
-                overlap = min(hi, s.t1) - max(lo, s.t0)
+            for lo, hi in islice(merged.get(node, ()),
+                                 bisect_right(wait_ends.get(node, ()), f0), None):
+                if lo >= f1:
+                    break
+                overlap = min(hi, f1) - max(lo, f0)
                 if overlap > 0:
                     hidden += overlap
         else:
-            report.sync_flush_s += duration
-        report.flushes.append((s.node, s.t0, s.t1, hidden, mode))
-        report.total_flush_s += duration
+            report.sync_flush_s += f1 - f0
+        report.flushes.append((node, f0, f1, hidden, mode))
+        report.total_flush_s += f1 - f0
         report.hidden_s += hidden
     return report
 

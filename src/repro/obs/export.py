@@ -34,18 +34,16 @@ def _us(t: float) -> float:
 
 
 def chrome_trace(tracer: Any) -> Dict[str, Any]:
-    """Build a Trace Event Format document from a recorded trace."""
+    """Build a Trace Event Format document from a recorded trace's span
+    and edge columns."""
+    sp, ed, strings = tracer.columns["spans"], tracer.columns["edges"], tracer.strings
     events: List[Dict[str, Any]] = []
-    horizon = max((s.t1 for s in tracer.spans if s.t1 >= 0), default=0.0)
+    horizon = max((t for t in sp["t1"] if t >= 0), default=0.0)
 
-    nodes = sorted(
-        {s.node for s in tracer.spans}
-        | {e.src for e in tracer.edges}
-        | {e.dst for e in tracer.edges}
-    )
+    nodes = sorted(set(sp["node"]) | set(ed["src"]) | set(ed["dst"]))
     strands_by_node: Dict[int, set] = {n: set() for n in nodes}
-    for s in tracer.spans:
-        strands_by_node[s.node].add(s.strand)
+    for node, strand in zip(sp["node"], sp["strand"]):
+        strands_by_node[node].add(strings[strand])
 
     tids = dict(STRAND_TIDS)
     for node in nodes:
@@ -60,37 +58,40 @@ def chrome_trace(tracer: Any) -> Dict[str, Any]:
                 "args": {"name": strand},
             })
 
-    for s in tracer.spans:
-        end = s.t1 if s.t1 >= 0 else horizon
+    for sid, (parent, node, strand, name, cat, t0, t1, detail) in enumerate(zip(
+            sp["parent"], sp["node"], sp["strand"], sp["name"], sp["cat"],
+            sp["t0"], sp["t1"], tracer.details("spans"))):
+        end = t1 if t1 >= 0 else horizon
         event: Dict[str, Any] = {
-            "name": s.name, "cat": s.cat, "ph": "X",
-            "ts": _us(s.t0), "dur": max(0.0, _us(end) - _us(s.t0)),
-            "pid": s.node, "tid": tids.setdefault(s.strand, len(tids)),
+            "name": strings[name], "cat": strings[cat], "ph": "X",
+            "ts": _us(t0), "dur": max(0.0, _us(end) - _us(t0)),
+            "pid": node, "tid": tids.setdefault(strings[strand], len(tids)),
         }
-        args = {"sid": s.sid, "parent": s.parent}
-        if isinstance(s.detail, dict):
-            args.update(s.detail)
-        elif s.detail is not None:
-            args["detail"] = s.detail
+        args = {"sid": sid, "parent": parent}
+        if isinstance(detail, dict):
+            args.update(detail)
+        elif detail is not None:
+            args["detail"] = detail
         event["args"] = args
         events.append(event)
 
-    for e in tracer.edges:
-        if e.t_recv < 0:
+    for eid, (src, dst, kind, size, ts, tr) in enumerate(zip(
+            ed["src"], ed["dst"], ed["kind"], ed["size"], ed["ts"], ed["tr"])):
+        if tr < 0:
             continue  # dropped or still in flight: nothing to draw
-        common = {"name": e.kind, "cat": "msg", "id": e.eid,
-                  "args": {"size": e.size}}
-        events.append({**common, "ph": "s", "ts": _us(e.t_send),
-                       "pid": e.src, "tid": tids["main"]})
-        events.append({**common, "ph": "f", "bp": "e", "ts": _us(e.t_recv),
-                       "pid": e.dst, "tid": tids["server"]})
+        common = {"name": strings[kind], "cat": "msg", "id": eid,
+                  "args": {"size": size}}
+        events.append({**common, "ph": "s", "ts": _us(ts),
+                       "pid": src, "tid": tids["main"]})
+        events.append({**common, "ph": "f", "bp": "e", "ts": _us(tr),
+                       "pid": dst, "tid": tids["server"]})
 
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "spans": len(tracer.spans),
-            "edges": len(tracer.edges),
+            "spans": len(sp["t0"]),
+            "edges": len(ed["ts"]),
             "events": len(tracer),
         },
     }

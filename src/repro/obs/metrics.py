@@ -278,9 +278,9 @@ class MetricsRegistry:
                       help_text="recorded causal spans")
             reg.gauge("repro_trace_edges", len(tracer.edges),
                       help_text="recorded message edges")
-            for span in tracer.spans:
-                if span.t1 >= 0:
-                    reg.observe("repro_span_duration_seconds", span.duration,
+            for t0, t1, cat in zip(*map(tracer.columns["spans"].get, ("t0", "t1", "cat"))):
+                if t1 >= 0:
+                    reg.observe("repro_span_duration_seconds", t1 - t0,
                                 help_text="span durations by category",
-                                cat=span.cat)
+                                cat=tracer.strings[cat])
         return reg

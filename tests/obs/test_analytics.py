@@ -144,7 +144,7 @@ def test_cache_is_used_without_reparsing(tmp_path, monkeypatch):
     def boom(_path):
         raise AssertionError("cached load must not re-parse the JSONL")
 
-    monkeypatch.setattr(analytics, "_parse_jsonl", boom)
+    monkeypatch.setattr(Tracer, "load", boom)
     second = analytics.load_or_ingest(str(tmp_path))
     assert second.source == "cache"
     assert second.summary() == first.summary()

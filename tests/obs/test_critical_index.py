@@ -1,4 +1,4 @@
-"""Indexed critical path == the linear scan it replaced.
+"""Indexed critical path and flush overlap == the linear scans they replaced.
 
 ``critical_path`` used to find the innermost active span by scanning
 every span of the node at every step of the backward walk, the previous
@@ -10,7 +10,10 @@ seeded random traces built to hit every tie-break (equal ``t0`` within
 and across strands, deliveries arriving together, open spans, gaps,
 waits with and without an ``eid``, spans on a strand the walk ignores,
 list order that is not start order) and on real traced runs, both must
-return the same segments.
+return the same segments.  ``flush_overlap`` likewise bisects into a
+node's merged waits instead of scanning them for every flush; the scan
+is kept as its reference on seeded traces of overlapping, touching and
+nested waits, flushes of every mode, and open spans.
 """
 
 import random
@@ -20,7 +23,7 @@ import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
 from repro.harness.scales import app_kwargs
-from repro.obs.critical import Segment, critical_path
+from repro.obs.critical import FlushOverlap, Segment, _merge_intervals, critical_path, flush_overlap
 from repro.sim.trace import MsgEdge, Span, Tracer
 
 _EPS = 1e-15
@@ -149,8 +152,8 @@ def _forest(rng: random.Random, lo: int, hi: int, depth: int) -> List[Tuple[int,
 
 
 def random_tracer(seed: int) -> Tracer:
+    """A seeded trace, loaded from the JSON Lines it is written as."""
     rng = random.Random(seed)
-    tracer = Tracer(enabled=False)
     scale = rng.choice((1.0, 0.125, 1e-3))
     edges: List[MsgEdge] = []
     for _ in range(rng.randint(0, 40)):
@@ -160,7 +163,6 @@ def random_tracer(seed: int) -> Tracer:
         t_recv = rng.randint(t_send, GRID) * scale if delivered else -1.0
         edges.append(MsgEdge(len(edges), src, dst, rng.choice(("diff", "grant")),
                              64, t_send * scale, t_recv))
-    tracer.edges.extend(edges)
 
     spans: List[Tuple[int, str, str, str, float, float, Any]] = []
     for node in range(NODES):
@@ -191,10 +193,10 @@ def random_tracer(seed: int) -> Tracer:
                               detail))
     if rng.random() < 0.3:
         rng.shuffle(spans)  # a loaded trace need not be in begin order
-    for node, strand, name, cat, t0, t1, detail in spans:
-        tracer.spans.append(Span(len(tracer.spans), -1, node, strand, name,
-                                 cat, t0, t1, detail))
-    return tracer
+    lines = [edge.to_json() for edge in edges]
+    lines.extend(Span(sid, -1, node, strand, name, cat, t0, t1, detail).to_json()
+                 for sid, (node, strand, name, cat, t0, t1, detail) in enumerate(spans))
+    return Tracer.from_jsonl("\n".join(lines))
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -243,3 +245,89 @@ def test_indexed_walk_equals_linear_scan_on_a_real_run(app, protocol):
     for end_node in range(4):
         assert (critical_path(tracer, end_node=end_node)
                 == critical_path_scan(tracer, end_node=end_node))
+
+
+# ----------------------------------------------------------------------
+# flush overlap: the per-flush scan of every merged wait, as the oracle
+# ----------------------------------------------------------------------
+def flush_overlap_scan(tracer: Any) -> FlushOverlap:
+    waits_by_node: Dict[int, List[Tuple[float, float]]] = {}
+    for s in tracer.spans:
+        if s.cat == "wait" and s.strand == "main" and s.t1 >= 0:
+            waits_by_node.setdefault(s.node, []).append((s.t0, s.t1))
+    merged = {n: _merge_intervals(iv) for n, iv in waits_by_node.items()}
+
+    report = FlushOverlap()
+    for s in tracer.spans:
+        if s.name != "log_flush" or s.t1 < 0:
+            continue
+        mode = (s.detail or {}).get("mode", "async") \
+            if isinstance(s.detail, dict) else "async"
+        duration = s.t1 - s.t0
+        hidden = 0.0
+        if mode == "async":
+            for lo, hi in merged.get(s.node, ()):
+                overlap = min(hi, s.t1) - max(lo, s.t0)
+                if overlap > 0:
+                    hidden += overlap
+        else:
+            report.sync_flush_s += duration
+        report.flushes.append((s.node, s.t0, s.t1, hidden, mode))
+        report.total_flush_s += duration
+        report.hidden_s += hidden
+    return report
+
+
+def random_flush_tracer(seed: int) -> Tracer:
+    """Waits on main and other strands, flushes on disk, on a coarse grid."""
+    rng = random.Random(seed)
+    scale = rng.choice((1.0, 0.1, 1e-4))
+    lines = []
+
+    def span(node, strand, name, cat, t0, t1, detail=None):
+        lines.append(Span(len(lines), -1, node, strand, name, cat, t0 * scale,
+                          -1.0 if rng.random() < 0.05 else t1 * scale, detail).to_json())
+
+    for node in range(NODES):
+        for _ in range(rng.randint(0, 12)):
+            t0 = rng.randint(0, GRID - 1)
+            t1 = rng.randint(t0, min(GRID, t0 + rng.choice((1, 2, 6))))
+            strand = rng.choice(("main", "main", "main", "server"))
+            span(node, strand, rng.choice(("diff_wait", "lock_wait")),
+                 rng.choice(("wait", "wait", "cpu")), t0, t1)
+        for _ in range(rng.randint(0, 8)):
+            t0 = rng.randint(0, GRID - 1)
+            span(node, "disk", "log_flush", "disk", t0, rng.randint(t0, GRID),
+                 rng.choice(({"mode": "async"}, {"mode": "sync"}, {}, None)))
+    if rng.random() < 0.3:
+        rng.shuffle(lines)
+    return Tracer.from_jsonl("\n".join(lines))
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_bisected_flush_overlap_equals_linear_scan(seed):
+    tracer = random_flush_tracer(seed)
+    assert flush_overlap(tracer) == flush_overlap_scan(tracer)
+
+
+def test_random_flush_traces_hide_some_flushes_and_not_others():
+    hidden = [flush_overlap_scan(random_flush_tracer(seed)) for seed in range(300)]
+    assert any(r.hidden_s > 0 for r in hidden)
+    assert any(r.sync_flush_s > 0 for r in hidden)
+    assert any(0 < r.hidden_s < r.total_flush_s for r in hidden)
+
+
+@pytest.mark.parametrize("app,protocol", [("shallow", "ccl"), ("water", "ml")])
+def test_bisected_flush_overlap_equals_linear_scan_on_a_real_run(app, protocol):
+    tracer = Tracer(enabled=True)
+    try:
+        DsmSystem(
+            make_app(app, **app_kwargs(app, "test")),
+            ClusterConfig.ultra5(num_nodes=4),
+            make_hooks_factory(protocol), protocol_name=protocol, tracer=tracer,
+        ).run()
+    finally:
+        tracer.enabled = False
+    report = flush_overlap(tracer)
+    assert report.flushes
+    assert report == flush_overlap_scan(tracer)

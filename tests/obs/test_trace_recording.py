@@ -1,10 +1,10 @@
-"""Guard: a traced run records events raw and builds them when read.
+"""Guard: a traced run records events as rows and builds them when read.
 
-``Tracer.record`` appends a plain tuple and ``Tracer.transition`` a
-page-state transition's fields; the ``runs`` of ``interval_end`` and
-``early_diff`` are kept as each diff's read-only mask and run count.
-The first read of ``Tracer.events`` turns the pending records into the
-``TraceEvent``s an eager tracer would have built, byte for byte
+``Tracer.record`` and ``Tracer.transition`` add a row to the tracer's
+columns; the ``runs`` of ``interval_end`` and ``early_diff`` are kept as
+each diff's read-only mask and run count.  The first read of
+``Tracer.events`` turns the rows not yet read into the ``TraceEvent``s
+an eager tracer would have built, byte for byte
 (``golden_trace_contract.json`` pins the bytes).  On a traced 4-node
 ``shallow/ccl`` run at test scale this checks that:
 

@@ -111,7 +111,7 @@ class CclEngine(ReplayEngine):
                         )
             else:
                 recon_by_home.setdefault(entry.home, []).append(
-                    (rec.page, rec.version, None)
+                    (rec.page, rec.version)
                 )
         if not event_wants and not warm and not recon_by_home:
             return

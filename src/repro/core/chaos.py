@@ -296,12 +296,6 @@ def _recover(config: ClusterConfig, protocol: str, system_a: DsmSystem,
     """Scheme stage: recover one victim, returning ``(ok, detail,
     mismatches)``.  A diagnosed error passes iff ``excused``; anything
     undiagnosed propagates."""
-    # the chaos driver probes many counterfactual crash instants of one
-    # phase-A run, so the (shared, mutable) group fencing state is
-    # restored after each promotion -- a real failover would of course
-    # leave it in place
-    grp = system_a.replica_groups.get(vplan.victim)
-    saved = None if grp is None else (grp.promoted, grp.epoch)
     try:
         (rec,) = recover_victims(system_a.app, config, protocol, system_a,
                                  [vplan], dead=dead, at_time=at_time)
@@ -312,9 +306,6 @@ def _recover(config: ClusterConfig, protocol: str, system_a: DsmSystem,
         if excused:
             return True, f"diagnosed: {cause}", []
         return False, f"replay error: {cause}", []
-    finally:
-        if grp is not None:
-            grp.promoted, grp.epoch = saved
     if not rec.mismatches:
         return True, "", []
     what = (f"mirror mismatch (promoted {rec.promotion.promoted})"

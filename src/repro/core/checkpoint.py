@@ -66,12 +66,9 @@ class Checkpointer:
     #: Bytes of execution state (registers, protocol tables) per checkpoint.
     STATE_BYTES = 4096
 
-    def __init__(self, every: int, on: str = "seals",
-                 retention: Optional[int] = None):
+    def __init__(self, every: int, retention: Optional[int] = None):
         if every < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1, got {every}")
-        if on not in ("seals", "barriers"):
-            raise CheckpointError(f"unknown checkpoint trigger {on!r}")
         if retention is not None and retention < 1:
             raise CheckpointError(
                 f"checkpoint retention must be >= 1, got {retention}"
@@ -83,34 +80,15 @@ class Checkpointer:
         #: log reclamation).  ``None`` = keep everything, never truncate.
         self.retention = retention
         self.retired: List[int] = []
-        #: ``"seals"`` = independent checkpointing at every N sealed
-        #: intervals (the paper's default; bounded rollback comes from
-        #: the logging protocol).  ``"barriers"`` = coordinated
-        #: checkpointing at every N completed barrier episodes -- the
-        #: global cut is consistent because HLRC acknowledges all diffs
-        #: before check-in, so no coherence message crosses a barrier.
-        self.on = on
         self._last_image: Optional[np.ndarray] = None
-        self._last_barrier_taken = -1
         self.metas: List[CheckpointMeta] = []
         self.snapshots: Dict[int, CheckpointSnapshot] = {}
 
     # ------------------------------------------------------------------
     def maybe_take(self, node: HlrcNode) -> Generator[Any, Any, None]:
         """Take a checkpoint if the node's seal count hits the period."""
-        if self.on != "seals" or node.seal_count % self.every != 0:
-            return
-        yield from self.take(node)
-
-    def maybe_take_barrier(self, node: HlrcNode) -> Generator[Any, Any, None]:
-        """Take a coordinated checkpoint after the N-th barrier episode."""
-        if self.on != "barriers":
-            return
-        episode = node.barrier_episode
-        if episode % self.every != 0 or episode == self._last_barrier_taken:
-            return
-        self._last_barrier_taken = episode
-        yield from self.take(node)
+        if node.seal_count % self.every == 0:
+            yield from self.take(node)
 
     def take(self, node: HlrcNode) -> Generator[Any, Any, None]:
         """Write a checkpoint now (full if first, else incremental)."""

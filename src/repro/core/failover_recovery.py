@@ -10,8 +10,8 @@ state already exists on its followers, so recovery becomes **failover**:
 2. **promote** -- the surviving follower with the freshest mirror claims
    the group in a fencing round (``promote_req``/``promote_ack`` to
    every survivor); the group epoch is bumped so any in-flight mirror of
-   the deposed primary is rejected on arrival, and duplicate promotion
-   is refused;
+   the deposed primary is rejected on arrival.  Epoch and fencing
+   floors are phase-B copies, so one phase A can be recovered again;
 3. **metadata replay** -- the mirror covers the primary's home state up
    to apply-event ``upto``; the victim's durable log is scanned
    sequentially from that point and only the *suffix of coherence
@@ -33,6 +33,7 @@ promotion over replay.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..config import ClusterConfig
@@ -40,7 +41,7 @@ from ..dsm.interval import VectorClock
 from ..dsm.messages import LogDiffReply, LogDiffRequest, PromoteRequest
 from ..dsm.system import DsmSystem
 from ..errors import RecoveryError
-from ..sim.network import NetMessage, Network
+from ..sim.network import NetMessage
 from ..sim.stats import NodeStats
 from .detector import FailureDetector
 from .failure import FailureSnapshot
@@ -192,23 +193,6 @@ def compare_mirror(
 # ======================================================================
 
 
-def _promote_responder(
-    net: Network, node_id: int, replicator: Any
-) -> Generator[Any, Any, None]:
-    """Survivor side of the fencing round (spawned per survivor)."""
-    from ..dsm.messages import PromoteAck
-
-    mbox = net.mailbox(node_id)
-    while True:
-        msg = yield mbox.get(lambda m: m.kind == "promote_req")
-        req = msg.payload
-        ok = True
-        if replicator is not None:
-            ok = replicator.fence(req.primary, req.epoch)
-        ack = PromoteAck(req.primary, node_id, req.epoch, ok)
-        net.post(NetMessage(node_id, msg.src, "promote_ack", ack, ack.nbytes))
-
-
 def recover_via_failover(
     config: ClusterConfig,
     system_a: DsmSystem,
@@ -230,7 +214,7 @@ def recover_via_failover(
     dead = tuple(sorted(set(dead) | {failed_node}))
     check_crash(config.num_nodes, dead, stop_at)
     promoted = choose_candidate(system_a, failed_node, dead, at_time)
-    group = system_a.replica_groups[failed_node]
+    group = copy.copy(system_a.replica_groups[failed_node])
     mirror = mirror_at(system_a, failed_node, promoted, at_time)
     # the mirror can be *ahead* of stop_at when log flushes lag the
     # replication traffic at the crash instant: the recovered state is
@@ -263,12 +247,6 @@ def recover_via_failover(
     for s in survivors:
         if s != promoted:
             world.spawn(FailureDetector.responder_loop(net_b, s), f"hb{s}")
-            world.spawn(
-                _promote_responder(
-                    net_b, s, getattr(system_a.nodes[s], "replicator", None)
-                ),
-                f"fence{s}",
-            )
     detector = FailureDetector(
         sim_b, net_b, promoted,
         period_s=DETECTOR_PERIOD_S, misses_allowed=DETECTOR_MISSES_ALLOWED,
@@ -394,7 +372,6 @@ def recover_via_failover(
     breakdown = {
         c: stats.time.get(c) for c in SCHEMES["failover"].components
     }
-    system_a.nodes[promoted].replicator.failovers += 1
     return (
         promoted, group.epoch, mirror, breakdown, stats,
         counts["replayed"], counts["refetched"],

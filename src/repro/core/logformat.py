@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..dsm.interval import IntervalRecord, VectorClock
-from ..errors import LogFormatError
+from ..errors import LogFormatError, ReproError
 from ..memory.diff import (
     DIFF_HEADER_BYTES,
     RUN_HEADER_BYTES,
@@ -156,7 +156,8 @@ def _parse_notice(rec: NoticeLogRecord, buf: bytes) -> None:
         vt, off = _dec_vt(buf, off)
         pages = struct.unpack_from(f"<{npages}I", buf, off)
         off += 4 * npages
-        assert vt is not None
+        if vt is None:
+            raise LogFormatError("notice interval record without a clock")
         rec.records.append(IntervalRecord(node, index, vt, tuple(pages)))
 
 
@@ -247,7 +248,8 @@ def _parse_owndiff(rec: OwnDiffLogRecord, buf: bytes) -> None:
         off += 4
         d, off = _dec_diff(buf, off)
         evt, off = _dec_vt(buf, off)
-        assert evt is not None
+        if evt is None:
+            raise LogFormatError("early diff without a clock")
         rec.early.append((part, d, evt))
 
 
@@ -345,7 +347,7 @@ def decode_record(buf: bytes, off: int = 0) -> Tuple[LogRecord, int]:
     """Decode one frame at ``off``; returns ``(record, next_offset)``.
 
     Raises :class:`~repro.errors.LogFormatError` on a short frame, an
-    unknown type tag, or a CRC mismatch.
+    unknown type tag, a CRC mismatch, or a payload that fails to parse.
     """
     remaining = len(buf) - off
     if remaining < FRAME_HEADER_BYTES:
@@ -369,12 +371,18 @@ def decode_record(buf: bytes, off: int = 0) -> Tuple[LogRecord, int]:
             f"CRC mismatch in type-{tag} frame at offset {off}"
         )
     rec = _BY_TAG[tag](interval=interval, window=window)
-    _PARSERS[tag](rec, payload)
+    try:
+        _PARSERS[tag](rec, payload)
+        nbytes = rec.nbytes
+    except (struct.error, ValueError, ReproError) as exc:
+        raise LogFormatError(
+            f"unparseable type-{tag} payload at offset {off}: {exc}"
+        ) from exc
     end = start + plen
-    if rec.nbytes != end - off:
+    if nbytes != end - off:
         raise LogFormatError(
             f"frame at offset {off} decoded to {end - off} bytes but the "
-            f"record accounts for {rec.nbytes}"
+            f"record accounts for {nbytes}"
         )
     return rec, end
 

@@ -839,7 +839,6 @@ def run_recovery_experiment(
     at_seal: Optional[int] = None,
     at_time: Optional[float] = None,
     checkpoint_every: Optional[int] = None,
-    checkpoint_mode: str = "seals",
     retention: Optional[int] = None,
     disk_fault_plan=None,
     replication: int = 1,
@@ -854,10 +853,9 @@ def run_recovery_experiment(
     ``disk_fault_plan`` is active, and replayed to its own recoverable
     seal (victims may stop at different seals).
 
-    ``checkpoint_every`` enables periodic checkpoints -- independent
-    per node (``checkpoint_mode="seals"``, the paper's default) or
-    coordinated at barrier episodes (``"barriers"``); replay then starts
-    timed execution at the latest checkpoint before the crash.
+    ``checkpoint_every`` enables independent per-node checkpoints every
+    that many seals; replay then starts timed execution at the latest
+    checkpoint before the crash.
     ``retention`` bounds how many checkpoints each node keeps; retiring
     old ones truncates the log below the oldest retained seal, so replay
     runs in *restore mode* (the checkpoint image is installed verbatim),
@@ -906,9 +904,7 @@ def run_recovery_experiment(
         system_a.add_probe(probe)
     if checkpoint_every:
         for node in system_a.nodes:
-            node.checkpointer = Checkpointer(
-                checkpoint_every, on=checkpoint_mode, retention=retention
-            )
+            node.checkpointer = Checkpointer(checkpoint_every, retention)
     result_a = system_a.run()
     for probe in probes.values():
         probe.finalize()

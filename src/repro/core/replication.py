@@ -205,6 +205,13 @@ class MirrorState:
         default_factory=list
     )
 
+    def admit(self, epoch: int) -> bool:
+        """The fencing rule: refuse an epoch below the floor, else raise it."""
+        if epoch < self.epoch:
+            return False
+        self.epoch = epoch
+        return True
+
     def apply_entries(self, entries: List[MirrorEntry]) -> int:
         """Apply mirror entries in home-apply order; returns diff bytes."""
         nbytes = 0
@@ -286,10 +293,9 @@ class Replicator:
                 f"node {self.node.id if self.node else '?'} is not a "
                 f"follower of home {upd.primary}"
             )
-        if upd.epoch < st.epoch:
+        if not st.admit(upd.epoch):
             st.rejected += 1
             return False
-        st.epoch = upd.epoch
         st.apply_entries(upd.entries)
         st.seal = upd.seal
         st.upto = upd.upto
@@ -298,19 +304,9 @@ class Replicator:
         return True
 
     def fence(self, primary: int, epoch: int) -> bool:
-        """Raise the epoch floor for ``primary`` (promotion side effect).
-
-        After fencing at ``epoch``, mirrors from lower epochs are
-        rejected.  Returns False when this follower has already seen a
-        higher epoch (the claim is stale).
-        """
+        """Raise ``primary``'s epoch floor; False if a higher one was seen."""
         st = self.mirrors.get(primary)
-        if st is None:
-            return True  # not a follower; nothing to fence
-        if epoch < st.epoch:
-            return False
-        st.epoch = epoch
-        return True
+        return st is None or st.admit(epoch)  # a non-follower has no floor
 
     # -- primary side: entry accumulation --------------------------------
     def record_update(self, batch: Any) -> None:

@@ -1,7 +1,7 @@
 """Surviving-node recovery responders.
 
 During recovery only the failed node re-executes; survivors merely
-*serve* three kinds of requests out of state they already hold:
+*serve* requests out of state they already hold:
 
 * ``recon_req`` -- a page **as of** a given version.  If the survivor's
   frozen home copy is exactly the needed version it ships it directly
@@ -12,6 +12,8 @@ During recovery only the failed node re-executes; survivors merely
   exact version (Section 3.2's remote-copy reconstruction).
 * ``logdiff_req`` -- logged diffs by ``(page, writer interval)``, read
   from the survivor's stable log (a real disk read on the survivor).
+* ``promote_req`` -- a failover's fencing claim, checked against a
+  phase-B copy of the survivor's fencing floors.
 * Responders never initiate traffic, matching the paper's observation
   that recovery enjoys "lighter traffic over the network".
 
@@ -32,6 +34,8 @@ from ..dsm.interval import VectorClock
 from ..dsm.messages import (
     LogDiffReply,
     LogDiffRequest,
+    PromoteAck,
+    PromoteRequest,
     ReconPage,
     ReconReply,
     ReconRequest,
@@ -39,6 +43,7 @@ from ..dsm.messages import (
 from ..errors import RecoveryError
 from ..sim.disk import Disk
 from ..sim.network import NetMessage, Network
+from .replication import MirrorState
 
 __all__ = ["SurvivorResponder", "FailedNodeResponder"]
 
@@ -59,7 +64,11 @@ class SurvivorResponder:
         #: shared initial image in the paper's no-intermediate-checkpoint
         #: experiments).
         self.checkpoint_pages = checkpoint_image.reshape(-1, self.page_size)
-        self.requests_served = 0
+        mirrors = getattr(getattr(node, "replicator", None), "mirrors", {})
+        #: Phase-B copies of the fencing floors of every primary followed.
+        self.fences: Dict[int, MirrorState] = {
+            p: MirrorState(p, epoch=st.epoch) for p, st in mirrors.items()
+        }
 
     # ------------------------------------------------------------------
     # pure serving logic (no simulated cost)
@@ -67,12 +76,11 @@ class SurvivorResponder:
     def serve_recon(self, req: ReconRequest) -> ReconReply:
         """Answer a batched page-as-of-version request."""
         items: List[ReconPage] = []
-        for page, needed_vt, have_vt in req.wants:
+        for page, needed_vt in req.wants:
             if page not in self.final_versions:
                 raise RecoveryError(
                     f"recon for page {page} sent to non-home survivor {self.id}"
                 )
-            self.requests_served += 1
             frozen = self.final_versions[page]
             if needed_vt.dominates(frozen):
                 # no updates beyond the needed version: ship the live copy
@@ -83,16 +91,6 @@ class SurvivorResponder:
                         version=frozen,
                     )
                 )
-                continue
-            if have_vt is not None:
-                # delta rebuild: the requester's stale frame is exactly
-                # the page at `have`; ship only the (have, needed] events
-                history = [
-                    (writer, idx, part)
-                    for (writer, idx, part, vt) in self.home_events.get(page, [])
-                    if needed_vt.dominates(vt) and not have_vt.dominates(vt)
-                ]
-                items.append(ReconPage(page, delta=True, history=history))
                 continue
             history = [
                 (writer, idx, part)
@@ -112,7 +110,6 @@ class SurvivorResponder:
         """Answer a logged-diff request; returns (reply, disk bytes read)."""
         if self.log is None:
             raise RecoveryError(f"survivor {self.id} has no stable log")
-        self.requests_served += 1
         entries = []
         read_bytes = 0
         for page, idx, part in req.wants:
@@ -127,6 +124,12 @@ class SurvivorResponder:
                 read_bytes += diff.nbytes
         return LogDiffReply(entries), read_bytes
 
+    def serve_promote(self, req: PromoteRequest) -> PromoteAck:
+        """Answer a fencing claim (a non-follower has no floor: accept)."""
+        st = self.fences.get(req.primary)
+        ok = st is None or st.admit(req.epoch)
+        return PromoteAck(req.primary, self.id, req.epoch, ok)
+
     # ------------------------------------------------------------------
     # timed service loop (phase-B simulation)
     # ------------------------------------------------------------------
@@ -139,13 +142,18 @@ class SurvivorResponder:
         replies for the replay engine.
         """
         mbox = net.mailbox(self.id)
-        is_request = lambda m: m.kind in ("recon_req", "logdiff_req")  # noqa: E731
+        is_request = lambda m: m.kind in (  # noqa: E731
+            "recon_req", "logdiff_req", "promote_req")
         while True:
             msg: NetMessage = yield mbox.get(is_request)
             if msg.kind == "recon_req":
                 reply = self.serve_recon(msg.payload)
                 net.post(NetMessage(self.id, msg.src, "recon_reply", reply,
                                     reply.nbytes))
+            elif msg.kind == "promote_req":
+                ack = self.serve_promote(msg.payload)
+                net.post(NetMessage(self.id, msg.src, "promote_ack", ack,
+                                    ack.nbytes))
             else:
                 reply, read_bytes = self.serve_logdiff(msg.payload)
                 yield self._log_read(disk, read_bytes)
@@ -184,34 +192,26 @@ class FailedNodeResponder(SurvivorResponder):
         self.log = log
         self.home_pages = set(node.pagetable.home_pages())
         self.checkpoint_pages = checkpoint_image.reshape(-1, self.page_size)
-        self.requests_served = 0
 
     def serve_recon(self, req: ReconRequest) -> ReconReply:
         items: List[ReconPage] = []
-        for page, _needed_vt, have_vt in req.wants:
+        for page, _needed_vt in req.wants:
             if page not in self.home_pages:
                 raise RecoveryError(
                     f"recon for page {page} sent to non-home node {self.id}"
                 )
-            self.requests_served += 1
             history = list(self.log.event_history(page))
             history += [
                 (self.id, idx, part)
                 for idx, part in self.log.home_diff_history(page)
             ]
-            if have_vt is not None:
-                # delta onto the requester's stale frame: ship the
-                # unfiltered history; the requester applies only diffs
-                # in (have, needed]
-                items.append(ReconPage(page, delta=True, history=history))
-            else:
-                items.append(
-                    ReconPage(
-                        page,
-                        checkpoint=self.checkpoint_pages[page].copy(),
-                        history=history,
-                    )
+            items.append(
+                ReconPage(
+                    page,
+                    checkpoint=self.checkpoint_pages[page].copy(),
+                    history=history,
                 )
+            )
         return ReconReply(self.id, items)
 
     def _log_read(self, disk: Disk, nbytes: int):

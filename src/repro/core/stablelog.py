@@ -384,11 +384,6 @@ class StableLog:
             return None
         return min(r.interval for r in rest)
 
-    def first_lost_interval(self, at_time: float) -> Optional[int]:
-        """Interval tag of the earliest record lost by a crash at
-        ``at_time`` (``None`` if every appended record was durable)."""
-        return self.first_lost_from(self.durable_count(at_time))
-
     def durable_view(self, at_time: float) -> "StableLog":
         """A log holding exactly what a crash at ``at_time`` leaves on disk.
 

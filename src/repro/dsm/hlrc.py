@@ -707,8 +707,6 @@ class HlrcNode(PageAccess):
         pruned = self.table.prune_covered_by(self.vt, records)
         if pruned:
             self.stats.count("records_pruned", pruned)
-        if self.checkpointer is not None:
-            yield from self.checkpointer.maybe_take_barrier(self)
         self._span_end(osid)
 
     def _barrier_as_worker(self, barrier_id: int) -> Generator[Any, Any, List[IntervalRecord]]:

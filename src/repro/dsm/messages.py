@@ -264,23 +264,17 @@ class ReconRequest:
 
     The recovering node sends one request per home node per prefetch
     window ("fetches the updates ... at the beginning of each time
-    interval", Section 3.2), listing every
-    ``(page, needed_version, have_version)`` it must reconstruct from
-    that home.  ``have_version`` (may be None) is the version of the
-    stale frame the recovering node still holds from an earlier install;
-    when present the home answers with just the *delta* history in
-    ``(have, needed]``, avoiding the checkpoint-image resend.
+    interval", Section 3.2), listing every ``(page, needed_version)``
+    it must reconstruct from that home.  Pages it still holds a stale
+    frame of never get here: it rebuilds those locally from writer logs.
     """
 
     requester: int
-    wants: List[Tuple[int, VectorClock, Optional[VectorClock]]]
+    wants: List[Tuple[int, VectorClock]]
 
     @property
     def nbytes(self) -> int:
-        return MSG_FIXED_BYTES + sum(
-            4 + vt.nbytes + (h.nbytes if h is not None else 0)
-            for _p, vt, h in self.wants
-        )
+        return MSG_FIXED_BYTES + sum(4 + vt.nbytes for _p, vt in self.wants)
 
 
 @dataclass(slots=True)
@@ -290,16 +284,14 @@ class ReconPage:
     ``direct`` carries a usable page image (the home's frozen copy is
     exactly the needed version).  Otherwise the page must be rebuilt by
     applying the ``history`` diffs -- ``(writer, interval_index, part)``
-    triples dominated by the needed version -- either onto the
-    requester's retained stale frame (``delta=True``; history covers
-    only ``(have, needed]``) or onto the home's ``checkpoint`` image.
+    triples dominated by the needed version -- onto the home's
+    ``checkpoint`` image.
     """
 
     page: int
     direct: Optional[np.ndarray] = None
     version: Optional[VectorClock] = None
     checkpoint: Optional[np.ndarray] = None
-    delta: bool = False
     history: List[Tuple[int, int, int]] = field(default_factory=list)
 
     @property

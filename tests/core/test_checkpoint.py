@@ -7,7 +7,7 @@ from repro.core import Checkpointer, make_hooks_factory, run_recovery_experiment
 from repro.dsm import DsmSystem
 from repro.errors import CheckpointError
 from repro.harness.scales import app_kwargs
-from tests.core.conftest import BarrierApp
+from tests.core.conftest import BarrierApp, LockApp
 
 
 def run_with_checkpoints(app, config, protocol="ccl", every=2):
@@ -60,6 +60,14 @@ class TestCheckpointer:
         assert ck.latest_before(2).seal == 2
         assert ck.latest_before(5).seal == 4
         assert ck.latest_before(99).seal == max(m.seal for m in ck.metas)
+
+    def test_seal_checkpoints_diverge_on_lock_programs(self, small_cluster):
+        """On a lock program every node checkpoints at its own pace
+        (ranks seal different numbers of intervals)."""
+        _result, ckpts = run_with_checkpoints(
+            LockApp(iters=3), small_cluster, every=3
+        )
+        assert all(len(c.metas) >= 1 for c in ckpts.values())
 
 
 class TestCheckpointRecovery:

@@ -99,7 +99,7 @@ class TestFailoverExperiment:
 @pytest.fixture(scope="module")
 def replicated_phase_a():
     """One probed, replicated (k=2) failure-free run, shared across the
-    refusal tests -- none of them mutate group state irrecoverably."""
+    refusal tests -- recovery never writes into phase A."""
     system = DsmSystem(
         _app(), CONFIG, make_hooks_factory("failover"), replication=2,
     )

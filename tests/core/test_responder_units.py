@@ -39,7 +39,7 @@ class TestSurvivorResponder:
         page, _events = some_home_page(phase_a, 1)
         resp = SurvivorResponder(node, phase_a.space.initial_image())
         frozen = node.pagetable.entry(page).version
-        reply = resp.serve_recon(ReconRequest(0, [(page, frozen, None)]))
+        reply = resp.serve_recon(ReconRequest(0, [(page, frozen)]))
         item = reply.items[0]
         assert item.direct is not None
         assert item.version == frozen
@@ -50,31 +50,10 @@ class TestSurvivorResponder:
         page, events = some_home_page(phase_a, 1)
         resp = SurvivorResponder(node, phase_a.space.initial_image())
         zero = VectorClock.zero(4)
-        reply = resp.serve_recon(ReconRequest(0, [(page, zero, None)]))
+        reply = resp.serve_recon(ReconRequest(0, [(page, zero)]))
         item = reply.items[0]
         assert item.direct is None and item.checkpoint is not None
         assert item.history == []  # nothing is dominated by zero
-
-    def test_delta_path_ships_no_page_image(self, phase_a):
-        node = phase_a.nodes[1]
-        page, events = some_home_page(phase_a, 1)
-        if len(events) < 2:
-            pytest.skip("need at least two update events")
-        resp = SurvivorResponder(node, phase_a.space.initial_image())
-        # an intermediate version: newer than `have`, older than frozen
-        needed = events[-2][3]
-        have = events[0][3]
-        reply = resp.serve_recon(ReconRequest(0, [(page, needed, have)]))
-        item = reply.items[0]
-        assert item.delta is True
-        assert item.checkpoint is None and item.direct is None
-        expected = {
-            (w, i, p)
-            for (w, i, p, vt) in events
-            if needed.dominates(vt) and not have.dominates(vt)
-        }
-        assert set(item.history) == expected
-        assert expected  # the window is non-trivial
 
     def test_non_home_page_rejected(self, phase_a):
         node = phase_a.nodes[1]
@@ -84,7 +63,7 @@ class TestSurvivorResponder:
         resp = SurvivorResponder(node, phase_a.space.initial_image())
         with pytest.raises(RecoveryError):
             resp.serve_recon(
-                ReconRequest(0, [(foreign, VectorClock.zero(4), None)])
+                ReconRequest(0, [(foreign, VectorClock.zero(4))])
             )
 
     def test_logdiff_exact_and_range_queries(self, phase_a):
@@ -116,7 +95,7 @@ class TestFailedNodeResponder:
         failed = FailedNodeResponder(node, phase_a.space.initial_image(),
                                      node.hooks.log)
         frozen = node.pagetable.entry(page).version
-        reply = failed.serve_recon(ReconRequest(0, [(page, frozen, None)]))
+        reply = failed.serve_recon(ReconRequest(0, [(page, frozen)]))
         item = reply.items[0]
         # no frozen-copy fast path: memory is "lost"
         assert item.direct is None and item.checkpoint is not None
@@ -124,15 +103,3 @@ class TestFailedNodeResponder:
         logged = set(item.history)
         in_memory = {(w, i, part) for (w, i, part, _vt) in events}
         assert in_memory <= logged
-
-    def test_delta_history_is_unfiltered(self, phase_a):
-        node = phase_a.nodes[1]
-        page, _events = some_home_page(phase_a, 1)
-        failed = FailedNodeResponder(node, phase_a.space.initial_image(),
-                                     node.hooks.log)
-        frozen = node.pagetable.entry(page).version
-        have = VectorClock.zero(4)
-        full = failed.serve_recon(ReconRequest(0, [(page, frozen, None)]))
-        delta = failed.serve_recon(ReconRequest(0, [(page, frozen, have)]))
-        assert delta.items[0].delta is True
-        assert set(delta.items[0].history) == set(full.items[0].history)

@@ -206,7 +206,6 @@ class TestRecoveryWithRetention:
         ("ccl", {}, 7, 8),
         ("ml", {}, 7, 8),
         ("adaptive", {}, 7, 8),
-        ("ccl", {"checkpoint_mode": "barriers"}, 7, 8),
         ("ccl", {"retention": 2, "at_seal": 3}, 2, 6),
     ])
     def test_seal_aligned_crash_over_a_truncated_log_is_refused_by_the_plan(

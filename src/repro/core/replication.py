@@ -303,11 +303,6 @@ class Replicator:
         st.journal.append((upd.seal, upd.upto, now, upd.entries))
         return True
 
-    def fence(self, primary: int, epoch: int) -> bool:
-        """Raise ``primary``'s epoch floor; False if a higher one was seen."""
-        st = self.mirrors.get(primary)
-        return st is None or st.admit(epoch)  # a non-follower has no floor
-
     # -- primary side: entry accumulation --------------------------------
     def record_update(self, batch: Any) -> None:
         """One incoming diff batch was applied to this node's home pages."""

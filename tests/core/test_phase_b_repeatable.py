@@ -13,6 +13,7 @@ from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
 from repro.core import CrashProbe
 from repro.core.logging_base import SCHEMES
 from repro.core.recovery import plan_victim, recover_victims
+from repro.errors import RecoveryError, SimulationError
 from repro.harness.scales import app_kwargs
 
 CONFIG = ClusterConfig.ultra5(num_nodes=4)
@@ -72,3 +73,20 @@ def test_recovering_one_phase_a_twice_is_repeatable_and_read_only(
     assert first == second
     assert not first["mismatches"]
     assert (first["promotion"] is not None) == (replication >= 2)
+
+
+def test_failover_refused_by_a_raised_floor_leaves_it_raised():
+    # ring placement at k=3: node 1's followers are 2 and 3; node 2 is
+    # promoted and must fence node 3, whose floor is above the claim
+    system, probe = _phase_a("failover", 3)
+    followers = system.replica_groups[VICTIM].followers
+    assert followers == (2, 3)
+    for f in followers:
+        system.nodes[f].replicator.mirrors[VICTIM].epoch = 5
+    before = _phase_a_state(system)
+    with pytest.raises(SimulationError, match=r"was fenced by \[3\]") as err:
+        recover_victims(system.app, CONFIG, "failover", system,
+                        [plan_victim(system, probe)])
+    assert isinstance(err.value.__cause__, RecoveryError)
+    assert _phase_a_state(system) == before
+    assert before["floors"][(3, VICTIM)] == 5

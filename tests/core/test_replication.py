@@ -7,6 +7,8 @@ app), deterministic in its placement, zone-aware when fault domains
 exist, and split-brain-free under its epoch fence.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from repro.core.replication import (
     plan_groups,
     validate_replication,
 )
+from repro.core.responder import SurvivorResponder
+from repro.dsm.messages import PromoteRequest
 from repro.errors import ConfigError, RecoveryError
 from repro.harness.runner import run_application
 
@@ -117,6 +121,16 @@ class _Node:
         self.id = node_id
 
 
+def _survivor(rep):
+    """``rep``'s node as a phase-B responder that homes no pages."""
+    node = SimpleNamespace(
+        id=rep.node.id, cfg=SimpleNamespace(page_size=8), hooks=None,
+        home_events={}, memory=None, replicator=rep,
+        pagetable=SimpleNamespace(home_pages=lambda: []),
+    )
+    return SurvivorResponder(node, np.zeros(8, dtype=np.uint8))
+
+
 class TestEpochFencing:
     """The follower-side fence: stale primaries are rejected, higher
     epochs win, and a stale promotion claim cannot regress the floor."""
@@ -146,19 +160,26 @@ class TestEpochFencing:
 
     def test_fence_raises_floor_and_rejects_old_primary(self):
         rep = self._follower()
-        assert rep.fence(0, epoch=1) is True
+        assert rep.mirrors[0].admit(1) is True
         assert rep.apply_update(ReplicaUpdate(0, 0, 1, 1, [])) is False
         assert rep.apply_update(ReplicaUpdate(0, 1, 1, 1, [])) is True
 
     def test_stale_promotion_claim_refused(self):
         rep = self._follower()
-        rep.fence(0, epoch=3)
-        assert rep.fence(0, epoch=2) is False
-        assert rep.mirrors[0].epoch == 3  # floor never regresses
+        rep.mirrors[0].epoch = 3
+        resp = _survivor(rep)
+        ack = resp.serve_promote(PromoteRequest(0, candidate=2, epoch=2))
+        assert ack.accepted is False
+        assert resp.fences[0].epoch == 3  # floor never regresses
+        assert resp.serve_promote(PromoteRequest(0, 2, epoch=4)).accepted
+        assert resp.fences[0].epoch == 4
+        assert rep.mirrors[0].epoch == 3  # phase A's floor is not written
 
     def test_fence_is_noop_for_non_followers(self):
-        rep = self._follower(primary=0)
-        assert rep.fence(5, epoch=9) is True  # not mirroring node 5
+        resp = _survivor(self._follower(primary=0))
+        ack = resp.serve_promote(PromoteRequest(5, candidate=2, epoch=9))
+        assert ack.accepted is True  # not mirroring node 5
+        assert 5 not in resp.fences
 
 
 class TestMirrorState:

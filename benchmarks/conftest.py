@@ -1,14 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one artefact of the paper's evaluation
-(a Table 2 panel, Figure 4/5 series, or an ablation) and:
-
-* measures the wall-clock cost of the simulation via pytest-benchmark
-  (one round -- the simulations are deterministic);
-* stores the headline numbers in ``benchmark.extra_info`` (visible in
-  ``--benchmark-json`` output);
-* writes the rendered artefact to ``benchmark_results/<name>.txt`` so
-  the regenerated tables/figures survive output capturing.
+``bench_experiments.py`` regenerates every artefact of the evaluation
+(a Table 2 panel, Figure 4/5 series, or an ablation), measures its
+wall-clock cost via pytest-benchmark (one round -- the simulations are
+deterministic), and writes the rendered artefact to
+``benchmark_results/<name>.txt`` so it survives output capturing.
 """
 
 import pathlib

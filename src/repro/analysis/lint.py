@@ -46,7 +46,10 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..obs.console import get_console
 
-__all__ = ["Finding", "is_suppressed", "lint_source", "lint_paths", "main"]
+__all__ = [
+    "Finding", "is_suppressed", "own_scope", "python_files", "print_findings",
+    "lint_source", "lint_paths", "main",
+]
 
 SUPPRESS_MARKER = "lint: ignore"
 #: ``# lint: ignore`` with an optional ``[CODE, CODE...]`` scope.
@@ -91,7 +94,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-def _own_scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+def own_scope(fn: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested functions."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while stack:
@@ -104,7 +107,7 @@ def _own_scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
 
 def _is_generator(fn: ast.AST) -> bool:
     return any(
-        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_scope_nodes(fn)
+        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_scope(fn)
     )
 
 
@@ -306,15 +309,30 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     return sorted(linter.findings, key=lambda f: (f.path, f.line, f.col))
 
 
+def python_files(paths: Sequence[str]) -> Iterator[Path]:
+    """Every ``.py`` file under the given files/directories, in order."""
+    for raw in paths:
+        p = Path(raw)
+        yield from (sorted(p.rglob("*.py")) if p.is_dir() else [p])
+
+
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """Lint every ``.py`` file under the given files/directories."""
     findings: List[Finding] = []
-    for raw in paths:
-        p = Path(raw)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            findings.extend(lint_source(f.read_text(), str(f)))
+    for f in python_files(paths):
+        findings.extend(lint_source(f.read_text(), str(f)))
     return findings
+
+
+def print_findings(findings: Sequence[Finding]) -> int:
+    """Print each finding and a count; the exit status (1 if any)."""
+    con = get_console()
+    for f in findings:
+        con.result(str(f))
+    if findings:
+        con.error(f"{len(findings)} finding(s)")
+        return 1
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -328,14 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint")
     args = parser.parse_args(argv)
-    findings = lint_paths(args.paths)
-    con = get_console()
-    for f in findings:
-        con.result(str(f))
-    if findings:
-        con.error(f"{len(findings)} finding(s)")
-        return 1
-    return 0
+    return print_findings(lint_paths(args.paths))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -33,12 +33,12 @@ from __future__ import annotations
 import argparse
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dsm.protocol import PROTOCOL, MessageSpec, payload_class_names
-from ..obs.console import get_console
-from .lint import Finding, is_suppressed
+from .lint import (
+    Finding, is_suppressed, own_scope, print_findings, python_files,
+)
 
 __all__ = ["analyze_paths", "analyze_source", "main"]
 
@@ -50,17 +50,6 @@ MUTATING_METHODS = frozenset({
 
 #: Call names that send a payload (2nd/3rd positional arg is the kind).
 _SEND_FUNCS = frozenset({"_send", "_post"})
-
-
-def _own_scope(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested functions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _root_self_attr(node: ast.AST) -> Optional[str]:
@@ -232,7 +221,7 @@ def _check_proto001(scans: List[_ModuleScan]) -> List[Finding]:
 def _mutations(fn: ast.FunctionDef, attrs: Tuple[str, ...]) -> List[Tuple[str, int]]:
     """(attr, line) for every in-place mutation of ``self.<attr>``."""
     out: List[Tuple[str, int]] = []
-    for node in _own_scope(fn):
+    for node in own_scope(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -261,7 +250,7 @@ def _check_proto002(scans: List[_ModuleScan]) -> List[Finding]:
                         continue
                     hook_called = any(
                         isinstance(n, ast.Call) and _is_hook_call(n, spec.log_hook)
-                        for n in _own_scope(fn)
+                        for n in own_scope(fn)
                     )
                     if hook_called:
                         continue
@@ -292,7 +281,7 @@ def _proto003_in_function(
     built: Dict[str, int] = {}  # var name -> construction line
     sends: List[Tuple[int, Set[str]]] = []  # (line, names referenced)
     raises: List[int] = []
-    for node in _own_scope(fn):
+    for node in own_scope(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             cls = node.value.func
             cls_name = cls.attr if isinstance(cls, ast.Attribute) else (
@@ -361,13 +350,9 @@ def analyze_paths(paths: Sequence[str]) -> List[Finding]:
     PROTO001's consumed-kind set is the union over all scanned files,
     so pass the whole protocol layer (``src/repro/dsm``) at once.
     """
-    scans: List[_ModuleScan] = []
-    for raw in paths:
-        p = Path(raw)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            scans.append(_scan_module(f.read_text(), str(f)))
-    return _run_rules(scans)
+    return _run_rules([
+        _scan_module(f.read_text(), str(f)) for f in python_files(paths)
+    ])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -381,14 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src/repro/dsm"],
                         help="files or directories to check")
     args = parser.parse_args(argv)
-    findings = analyze_paths(args.paths)
-    con = get_console()
-    for f in findings:
-        con.result(str(f))
-    if findings:
-        con.error(f"{len(findings)} finding(s)")
-        return 1
-    return 0
+    return print_findings(analyze_paths(args.paths))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

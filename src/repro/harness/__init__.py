@@ -3,8 +3,9 @@
 Regenerates every table and figure of the paper's evaluation:
 :mod:`repro.harness.runner` runs the campaigns,
 :mod:`repro.harness.tables` and :mod:`repro.harness.figures` render
-Table 1/2 and Figures 4/5, :mod:`repro.harness.sweep` powers the
-ablations, and :mod:`repro.harness.scales` maps dataset scales.
+Table 1/2 and Figures 4/5, :mod:`repro.harness.experiments` defines
+every experiment and its claims once, :mod:`repro.harness.sweep` runs
+its variants, and :mod:`repro.harness.scales` maps dataset scales.
 ``python -m repro`` drives the whole evaluation from the command line.
 """
 

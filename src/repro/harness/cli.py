@@ -7,7 +7,7 @@ Regenerates the paper's evaluation from the terminal::
     python -m repro fig4   [--scale bench] [--jobs 4]
     python -m repro fig5   [--scale bench] [--failed-node 3] [--jobs 4]
     python -m repro all    [--scale test|bench] [--jobs 4]
-    python -m repro ablation [--which disk|pagesize] [--jobs 4]
+    python -m repro ablation [--which NAME] [--jobs 4]
     python -m repro perf   [--out BENCH_perf.json] [--target]
     python -m repro analyze [trace.jsonl | --apps sor --protocol ccl]
     python -m repro chaos  [--seeds 13] [--crash-points 5] [--seed N ...]
@@ -30,7 +30,9 @@ Commands that run simulations also write a run-artifact bundle to
 ``repro critical-path`` analyse their recorded traces (see
 docs/observability.md).  ``--jobs N`` fans independent simulations out
 over N processes; results are gathered in submission order, so the
-rendered tables are byte-identical to a serial run.  ``perf`` runs the
+rendered tables are byte-identical to a serial run.  ``ablation``
+runs one row of the experiment table (:mod:`repro.harness.experiments`)
+and exits 1 when one of its claims fails.  ``perf`` runs the
 microbenchmark suite (see :mod:`repro.harness.perf`), writes
 ``BENCH_perf.json``, and appends the run to
 ``benchmark_results/history.jsonl`` (the committed perf trajectory).
@@ -48,6 +50,7 @@ from ..core.logging_base import PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES
 from ..errors import ReproError
 from ..obs.artifacts import config_dict, result_summary, write_bundle
 from ..obs.console import configure as configure_console
+from .experiments import EXPERIMENTS
 from .figures import fig4_rows, fig5_rows, render_fig4, render_fig5, write_csv
 from .runner import logging_comparison_task, recovery_comparison_task
 from .sweep import parallel_map
@@ -119,10 +122,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan independent simulations out over N processes "
                         "(default: serial; output is byte-identical)")
-    p.add_argument("--which", default="disk",
-                   choices=["disk", "pagesize", "logsize", "adaptive",
-                            "replication"],
-                   help="ablation: which sweep to run")
+    p.add_argument("--which", default="disk", choices=list(EXPERIMENTS),
+                   help="ablation: which experiment-table row to run")
     p.add_argument("--repeat", type=int, default=5,
                    help="perf: timing repetitions per kernel (best-of)")
     p.add_argument("--target", action="store_true",
@@ -340,14 +341,12 @@ def _run_command(args, con) -> int:
         con.result("")
 
     if args.command == "ablation":
-        from .ablations import append_ablation_history, run_ablation
-
-        text, points = run_ablation(args.which, config, jobs=args.jobs)
+        row = EXPERIMENTS[args.which]
+        text, failed = row.run(config, jobs=args.jobs)
         con.result(text)
-        entry = append_ablation_history(args.which, points, args.history)
-        con.info(f"ablation history appended to {args.history} "
-                 f"(rev {entry['git_rev']})")
-        return 0
+        for claim in failed:
+            con.error(f"{row.id} claim failed: {claim.text}")
+        return 1 if failed else 0
 
     if args.command == "perf":
         from .perf import (

@@ -3,8 +3,10 @@
 ``python -m repro report`` (or :func:`generate_report`) runs the whole
 evaluation -- Table 1, the four Table 2 panels in both configurations,
 Figures 4 and 5 -- and emits a single self-contained Markdown document
-with every artefact and the headline claim checks, suitable for
-committing next to EXPERIMENTS.md after a calibration change.
+with every artefact and the paper rows' claims of the experiment table
+(:mod:`repro.harness.experiments`) checked on the comparisons it ran,
+suitable for committing next to EXPERIMENTS.md after a calibration
+change.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import List, Optional
 
 from ..apps import PAPER_APPS
 from ..config import ClusterConfig
+from .experiments import EXPERIMENTS, TABLE2_CLAIMS
 from .figures import render_fig4, render_fig5
 from .runner import logging_comparison, recovery_comparison
 from .tables import render_table1, render_table2_panel
@@ -71,20 +74,12 @@ def generate_report(
         "",
     ]
 
-    checks = []
-    for cmp in sound:
-        checks.append(
-            f"- {cmp.app_name}: CCL {cmp.normalized_time('ccl'):.3f} < "
-            f"ML {cmp.normalized_time('ml'):.3f} -- "
-            + ("OK" if cmp.normalized_time("ccl") < cmp.normalized_time("ml")
-               else "VIOLATED")
-        )
-    for cmp in paper:
-        checks.append(
-            f"- {cmp.app_name} (paper-mode): CCL log = "
-            f"{100 * cmp.ccl_log_fraction:.1f}% of ML -- "
-            + ("OK" if cmp.ccl_log_fraction < 0.25 else "ABOVE BAND")
-        )
+    points = {
+        s_cmp.app_name: {"sound": s_cmp, "paper": p_cmp}
+        for s_cmp, p_cmp in zip(sound, paper)
+    }
+    claims = [("E2-E5", c) for c in TABLE2_CLAIMS]
+    claims += [("E6", c) for c in EXPERIMENTS["fig4"].claims]
 
     if include_recovery:
         recoveries = [
@@ -100,17 +95,14 @@ def generate_report(
             "",
         ]
         for rec in recoveries:
-            checks.append(
-                f"- {rec.app_name}: recovery bit-exact "
-                f"(ML {100 * rec.reduction('ml'):.0f}%, "
-                f"CCL {100 * rec.reduction('ccl'):.0f}% faster than "
-                "re-execution) -- "
-                + ("OK" if rec.ml.ok and rec.ccl.ok
-                   and rec.normalized("ml") < 1 and rec.normalized("ccl") < 1
-                   else "VIOLATED")
-            )
+            points[rec.app_name]["rec"] = rec
+        claims += [("E7", c) for c in EXPERIMENTS["fig5"].claims]
 
     lines += ["## Claim checks", ""]
-    lines += checks
+    lines += [
+        f"- {exp_id}: {claim.text} -- "
+        + ("OK" if claim.holds(points) else "VIOLATED")
+        for exp_id, claim in claims
+    ]
     lines.append("")
     return "\n".join(lines)

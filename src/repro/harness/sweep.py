@@ -1,9 +1,9 @@
-"""Parameter sweeps for the ablation benches, serial or fanned out.
+"""Parameter sweeps for the experiment table, serial or fanned out.
 
 :func:`sweep` runs a measurement function over variants of the cluster
-configuration (disk speed, page size, network latency, node count, home
-policy...) and tabulates one metric per variant -- the machinery behind
-the A1-A5 ablations in DESIGN.md.
+configuration (disk speed, page size, home policy, application...) and
+tabulates its metrics per variant -- the machinery behind every row of
+:mod:`repro.harness.experiments`.
 
 Simulated runs are deterministic and share nothing, so variants (and,
 at the CLI level, applications) fan out safely across processes:
@@ -29,11 +29,12 @@ R = TypeVar("R")
 
 @dataclass
 class SweepPoint:
-    """One sweep variant and its measured metrics."""
+    """One sweep variant and its measured metrics (floats, except the
+    paper rows' comparison objects, which their renderers draw)."""
 
     label: str
     params: Dict[str, Any]
-    metrics: Dict[str, float]
+    metrics: Dict[str, Any]
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> List[R]:
@@ -58,7 +59,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> Lis
 
 
 def _measure_variant(
-    task: Tuple[Callable[[str, Dict[str, Any]], Dict[str, float]], str, Dict[str, Any]],
+    task: Tuple[Callable[[str, Dict[str, Any]], Dict[str, Any]], str, Dict[str, Any]],
 ) -> SweepPoint:
     measure, label, params = task
     return SweepPoint(label, dict(params), measure(label, params))
@@ -66,7 +67,7 @@ def _measure_variant(
 
 def sweep(
     variants: Iterable[Tuple[str, Dict[str, Any]]],
-    measure: Callable[[str, Dict[str, Any]], Dict[str, float]],
+    measure: Callable[[str, Dict[str, Any]], Dict[str, Any]],
     jobs: int = 1,
 ) -> List[SweepPoint]:
     """Run ``measure(label, params)`` for every variant.

@@ -1,5 +1,6 @@
 """Zone/replication chaos CLI plumbing: flag parsing, the zoned
-cluster config, and the ablation history append.
+cluster config, the perf gate's history reader, and the replication
+row of the experiment table.
 
 The full table of fault-model refusals (unknown zones, impossible
 replication, failover without replicas) lives in
@@ -16,9 +17,7 @@ import pytest
 
 from repro.core.chaos import ChaosFaults
 from repro.errors import ConfigError
-from repro.harness.ablations import append_ablation_history
 from repro.harness.chaoscmd import _chaos_inputs, _parse_zone_partition
-from repro.harness.sweep import SweepPoint
 
 
 def _args(**overrides):
@@ -77,32 +76,7 @@ class TestZoneConfigFailFast:
 
 
 class TestAblationHistoryAppend:
-    def test_appends_one_compact_entry(self, tmp_path):
-        path = tmp_path / "nested" / "history.jsonl"
-        points = [
-            SweepPoint("water", {}, {"oh_r2_pct": 4.4, "rec_r2_ms": 1.3}),
-            SweepPoint("mg", {}, {"oh_r2_pct": 6.5, "rec_r2_ms": 1.2}),
-        ]
-        entry = append_ablation_history("replication", points, str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        parsed = json.loads(lines[0])
-        assert parsed == json.loads(json.dumps(entry))
-        assert parsed["kind"] == "ablation"
-        assert parsed["which"] == "replication"
-        assert parsed["points"]["water"]["oh_r2_pct"] == 4.4
-        assert parsed["git_rev"]
-
-    def test_entries_accumulate(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        points = [SweepPoint("x", {}, {"m": 1.0})]
-        append_ablation_history("replication", points, str(path))
-        append_ablation_history("adaptive", points, str(path))
-        kinds = [
-            json.loads(line)["which"]
-            for line in path.read_text().splitlines()
-        ]
-        assert kinds == ["replication", "adaptive"]
+    """History files may still carry ablation entries from older runs."""
 
     def test_perf_gate_skips_ablation_entries(self, tmp_path):
         """The perf gate baselines each family against the most recent
@@ -119,12 +93,13 @@ class TestAblationHistoryAppend:
             "schema": 1, "git_rev": "abc",
             "kernels_ns_per_op": {"k": 10.0}, "sim_events_per_sec": 1e6,
         }
+        ablation_entry = {
+            "schema": 1, "kind": "ablation", "which": "replication",
+            "git_rev": "abd", "points": {"x": {"m": 1.0}},
+        }
         with open(tmp_path / "history.jsonl", "w") as fh:
             fh.write(json.dumps(perf_entry) + "\n")
-        append_ablation_history(
-            "replication", [SweepPoint("x", {}, {"m": 1.0})],
-            str(tmp_path / "history.jsonl"),
-        )
+            fh.write(json.dumps(ablation_entry) + "\n")
         kernels, sim = load_baseline(str(tmp_path / "history.jsonl"))
         assert kernels["kernels_ns_per_op"] == {"k": 10.0}
         assert sim["sim_events_per_sec"] == 1e6
@@ -133,11 +108,11 @@ class TestAblationHistoryAppend:
 class TestReplicationAblationRegistry:
     def test_replication_sweep_is_registered(self):
         from repro.config import ClusterConfig
-        from repro.harness.ablations import ABLATIONS
+        from repro.harness.experiments import EXPERIMENTS
 
-        title, variants_fn, measure = ABLATIONS["replication"]
-        assert "replication" in title
-        variants = variants_fn(ClusterConfig.ultra5(num_nodes=4))
+        row = EXPERIMENTS["replication"]
+        assert row.id == "X5" and "replication" in row.title
+        variants = row.variants(ClusterConfig.ultra5(num_nodes=4))
         labels = [label for label, _params in variants]
         assert labels == ["fft3d", "mg", "shallow", "water"]
-        assert callable(measure)
+        assert callable(row.measure) and row.claims

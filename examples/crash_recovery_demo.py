@@ -38,12 +38,12 @@ def main() -> None:
         )
         (victim,) = res.victims
         status = "bit-exact" if res.ok else f"DIVERGED: {victim.mismatches[:3]}"
-        saving = 100.0 * (1.0 - res.recovery_time / baseline.total_time)
+        change = 100.0 * (res.recovery_time / baseline.total_time - 1.0)
         c = victim.stats.counters
         print(f"{protocol.upper()}-recovery of node {failed_node} "
               f"(crash at seal {victim.at_seal}):")
         print(f"  recovery time : {res.recovery_time * 1e3:8.2f} ms "
-              f"({saving:+.1f}% vs re-execution)")
+              f"({change:+.1f}% vs re-execution)")
         print(f"  verification  : {status}")
         if protocol == "ml":
             print(f"  replay faults : {int(c.get('replay_faults', 0))} "

@@ -5,11 +5,11 @@ Two modes::
     python -m repro analyze trace.jsonl          # check a saved trace
     python -m repro analyze --apps sor --protocol ccl --scale test
 
-The first loads a JSONL trace (``Tracer.save``) and runs the protocol
-invariant checker over it.  The second runs an application with tracing
-forced on, then runs both the invariant checker and the recoverability
-auditor, and prints a combined report.  Exit status is non-zero when
-any finding is reported.
+The first loads a JSONL trace (``Tracer.save``) or a run bundle's trace
+and runs the protocol invariant checker over it.  The second runs an
+application with tracing forced on, then runs both the invariant
+checker and the recoverability auditor, and prints a combined report.
+Exit status is non-zero when any finding is reported.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from ..analysis.invariants import InvariantReport, check_trace
 from ..analysis.recoverability import RecoverabilityReport
 from ..config import ClusterConfig
+from ..obs.artifacts import load_trace
 from ..obs.console import get_console
-from ..sim.trace import Tracer
 
 __all__ = ["analyze_trace", "analyze_app", "run_analyze"]
 
@@ -59,8 +59,8 @@ def _print_audit(report: RecoverabilityReport) -> None:
 
 
 def analyze_trace(path: str) -> int:
-    """Check one saved JSONL trace; returns a process exit code."""
-    tracer = Tracer.load(path)
+    """Check one saved trace or bundle; returns a process exit code."""
+    tracer = load_trace(path)
     get_console().result(f"{path}: {len(tracer)} events")
     report = check_trace(tracer)
     _print_invariants(report)

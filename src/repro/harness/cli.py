@@ -16,7 +16,6 @@ Regenerates the paper's evaluation from the terminal::
     python -m repro modelcheck [--program lock] [--nodes 2] [--pages 1]
     python -m repro timeline [runs/<id> | trace.jsonl]
     python -m repro critical-path [runs/<id> | trace.jsonl]
-    python -m repro compare runs/<A> runs/<B>
     python -m repro query [runs/<id>] [--report locks|pages|phases|flows]
     python -m repro explain runs/<A> runs/<B> | A B --from-history
 
@@ -26,16 +25,17 @@ through the console layer (:mod:`repro.obs.console`): ``--quiet``
 drops progress lines, ``--json`` emits one machine-readable document.
 Commands that run simulations also write a run-artifact bundle to
 ``--runs-dir`` (default ``runs/``; disable with ``--no-artifacts``) --
-``repro compare A B`` diffs two such bundles, ``repro timeline`` and
-``repro critical-path`` analyse their recorded traces (see
-docs/observability.md).  ``--jobs N`` fans independent simulations out
-over N processes; results are gathered in submission order, so the
-rendered tables are byte-identical to a serial run.  ``ablation``
-runs one row of the experiment table (:mod:`repro.harness.experiments`)
-and exits 1 when one of its claims fails.  ``perf`` runs the
-microbenchmark suite (see :mod:`repro.harness.perf`), writes
-``BENCH_perf.json``, and appends the run to
-``benchmark_results/history.jsonl`` (the committed perf trajectory).
+``repro explain A B`` diffs two such bundles, ``repro timeline``,
+``repro critical-path`` and ``repro query`` analyse their recorded
+traces (see docs/observability.md).  ``--jobs N`` fans independent
+simulations out over N processes; results are gathered in submission
+order, so the rendered tables are byte-identical to a serial run.
+``ablation`` runs one row of the experiment table
+(:mod:`repro.harness.experiments`) and exits 1 when one of its claims
+fails.  ``perf`` runs the microbenchmark suite (see
+:mod:`repro.harness.perf`), writes ``BENCH_perf.json``, and appends
+the run to ``benchmark_results/history.jsonl`` (the committed perf
+trajectory).
 """
 
 from __future__ import annotations
@@ -48,10 +48,17 @@ from ..config import ClusterConfig
 from ..core.chaos import DEFAULT_RATES
 from ..core.logging_base import PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES
 from ..errors import ReproError
-from ..obs.artifacts import config_dict, result_summary, write_bundle
+from ..obs.artifacts import result_summary
 from ..obs.console import configure as configure_console
 from .experiments import EXPERIMENTS
 from .figures import fig4_rows, fig5_rows, render_fig4, render_fig5, write_csv
+from .obscmd import (
+    record_bundle,
+    run_critical_path,
+    run_explain,
+    run_query,
+    run_timeline,
+)
 from .runner import logging_comparison_task, recovery_comparison_task
 from .sweep import parallel_map
 from .tables import render_table1, render_table2_panel
@@ -61,7 +68,7 @@ __all__ = ["main"]
 COMMANDS = [
     "table1", "table2", "fig4", "fig5", "breakdown", "report", "analyze",
     "ablation", "perf", "chaos", "modelcheck", "timeline", "critical-path",
-    "compare", "query", "explain", "all",
+    "query", "explain", "all",
 ]
 
 
@@ -78,15 +85,15 @@ def _parser() -> argparse.ArgumentParser:
              "sanitizer, 'perf' the microbenchmark suite, 'chaos' the "
              "seeded fault-injection/recovery property suite, 'modelcheck' "
              "the exhaustive small-scope schedule/crash explorer; "
-             "'timeline', 'critical-path', 'compare', 'query' and "
-             "'explain' work on run-artifact bundles)",
+             "'timeline', 'critical-path', 'query' and 'explain' "
+             "work on run-artifact bundles)",
     )
     p.add_argument("trace", nargs="?", default=None, metavar="TRACE",
                    help="analyze/timeline/critical-path/query: a saved "
                         "JSONL trace or a runs/<id> bundle; "
-                        "compare/explain: bundle A")
+                        "explain: bundle A")
     p.add_argument("trace2", nargs="?", default=None, metavar="TRACE2",
-                   help="compare/explain: bundle B")
+                   help="explain: bundle B")
     p.add_argument("--save-trace", default=None, metavar="PATH",
                    help="analyze: also save the run's trace as JSONL")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -251,26 +258,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write_run_bundle(args, config: ClusterConfig,
-                      summaries: List[Dict[str, Any]],
-                      extra: Optional[Dict[str, Any]] = None) -> None:
-    """Persist one run-artifact bundle for a finished command."""
-    if args.no_artifacts or not summaries:
-        return
-    manifest: Dict[str, Any] = {
-        "command": args.command,
-        "scale": args.scale,
-        "config": config_dict(config),
-        "results": summaries,
-    }
-    if extra:
-        manifest.update(extra)
-    bundle = write_bundle(args.runs_dir, manifest)
-    from ..obs.console import get_console
-
-    get_console().info(f"run bundle: {bundle}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the CLI; returns a process exit code (2 and one error line for
     any :class:`~repro.errors.ReproError`: a refused input, a torn bundle)."""
@@ -312,28 +299,15 @@ def _run_command(args, con) -> int:
         return run_analyze(args)
 
     if args.command == "timeline":
-        from .obscmd import run_timeline
-
         return run_timeline(args, config)
 
     if args.command == "critical-path":
-        from .obscmd import run_critical_path
-
         return run_critical_path(args, config)
 
-    if args.command == "compare":
-        from .obscmd import run_compare
-
-        return run_compare(args)
-
     if args.command == "query":
-        from .querycmd import run_query
-
         return run_query(args, config)
 
     if args.command == "explain":
-        from .querycmd import run_explain
-
         return run_explain(args)
 
     if args.command in ("table1", "all"):
@@ -446,5 +420,5 @@ def _run_command(args, con) -> int:
                 "ccl_recovery_s": rec.ccl.recovery_time,
             })
 
-    _write_run_bundle(args, config, summaries)
+    record_bundle(args, config, summaries)
     return 0

@@ -13,29 +13,23 @@ substrate:
 * :mod:`repro.obs.latency` -- the streaming log-bucketed latency
   recorder (HDR-style, bounded memory, mergeable across nodes) the
   protocol hot paths feed;
-* :mod:`repro.obs.analytics` -- columnar (numpy struct-of-arrays)
-  trace store with cached per-run indexes and the built-in
-  ``repro query`` reports (imported directly, not re-exported here,
-  to keep package import cheap);
-* :mod:`repro.obs.explain` -- perf-regression attribution between two
+* :mod:`repro.obs.analytics` -- a numpy struct-of-arrays view of a
+  trace and the built-in ``repro query`` reports (imported directly,
+  not re-exported here, to keep package import cheap);
+* :mod:`repro.obs.explain` -- the run diff: attribution between two
   runs or two perf-trajectory entries (``repro explain``);
 * :mod:`repro.obs.artifacts` -- per-run ``runs/<id>/manifest.json``
-  bundles, bundle loading, and bundle diffing for ``repro compare``;
+  bundles and their loading, the one reader of a recorded trace;
 * :mod:`repro.obs.console` -- the harness's console output layer
   (``--quiet`` / ``--json``).
 
-Everything here is read-only over a finished run: recording stays in
-the simulator layer, gated on ``Tracer.enabled``, so that tracing off
-remains byte-identical to the pre-telemetry behaviour.
+Everything here is read-only over a finished run, and no reader writes
+into the bundle it reads: recording stays in the simulator layer,
+gated on ``Tracer.enabled``, so that tracing off remains byte-identical
+to the pre-telemetry behaviour.
 """
 
-from .artifacts import (
-    compare_bundles,
-    git_rev,
-    load_bundle,
-    render_compare,
-    write_bundle,
-)
+from .artifacts import git_rev, load_bundle, load_trace, write_bundle
 from .console import Console, get_console
 from .critical import critical_path, flush_overlap, render_overlap, summarize_path
 from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -57,6 +51,5 @@ __all__ = [
     "git_rev",
     "write_bundle",
     "load_bundle",
-    "compare_bundles",
-    "render_compare",
+    "load_trace",
 ]

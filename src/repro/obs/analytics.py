@@ -4,10 +4,9 @@
 spans, edges and event ``t, node, ev`` columns of
 :attr:`repro.sim.trace.Tracer.columns`, its string table, and event
 details flattened to fixed int columns -- so every aggregation is a
-vectorised groupby running in milliseconds.  A ``trace.jsonl`` is loaded
-through :meth:`~repro.sim.trace.Tracer.load`, the one loader, and the
-columns are cached as ``trace.columns.npz`` beside it (keyed by the
-source's size and mtime, so a re-recorded trace re-ingests).
+vectorised groupby running in milliseconds.  A recorded trace reaches
+it through :func:`repro.obs.artifacts.load_trace`, the one loader, and
+:meth:`ColumnarTrace.from_tracer`; nothing is written back.
 
 Tables (missing int values are -1):
 
@@ -29,12 +28,7 @@ each returning a JSON-safe dict with a matching ``render_*`` for the
 
 from __future__ import annotations
 
-import json
-import os
-import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +36,6 @@ import numpy as np
 __all__ = [
     "StringTable",
     "ColumnarTrace",
-    "load_or_ingest",
     "report_locks",
     "report_pages",
     "report_phases",
@@ -52,22 +45,10 @@ __all__ = [
     "render_report",
 ]
 
-#: Columnar cache layout version (bump on any column change).
-COLUMNS_SCHEMA = 1
-
-#: Cache file names, written beside the source ``trace.jsonl``.
-CACHE_NPZ = "trace.columns.npz"
-CACHE_META = "trace.columns.meta.json"
-
 _EVENT_TABLE = ("t", "node", "ev", "lock", "page", "to", "home", "aux")
 _SPAN_TABLE = ("parent", "node", "strand", "name", "cat", "t0", "t1",
                "lock", "page")
-_EDGE_TABLE = ("src", "dst", "kind", "size", "ts", "tr")
 _PAGEROW_TABLE = ("t", "node", "ev", "page", "peer")
-
-#: Table -> columns; a cache must hold exactly these to be read.
-_TABLES = {"events": _EVENT_TABLE, "spans": _SPAN_TABLE, "edges": _EDGE_TABLE,
-           "pagerows": _PAGEROW_TABLE}
 
 
 def _ints(values: Any) -> np.ndarray:
@@ -104,20 +85,13 @@ class StringTable:
 
 @dataclass(eq=False)
 class ColumnarTrace:
-    """Struct-of-arrays view of one run's trace.
-
-    ``source`` records how the instance was materialised: ``"tracer"``
-    (from an in-memory tracer), ``"jsonl"`` (loaded from disk), or
-    ``"cache"`` (loaded from the columnar ``.npz`` without touching the
-    JSONL).
-    """
+    """Struct-of-arrays view of one run's trace."""
 
     strings: StringTable
     events: Dict[str, np.ndarray]
     spans: Dict[str, np.ndarray]
     edges: Dict[str, np.ndarray]
     pagerows: Dict[str, np.ndarray]
-    source: str = "tracer"
 
     # -- sizes ---------------------------------------------------------
     @property
@@ -140,7 +114,7 @@ class ColumnarTrace:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_tracer(cls, tracer: Any, source: str = "tracer") -> "ColumnarTrace":
+    def from_tracer(cls, tracer: Any) -> "ColumnarTrace":
         """The columnar view of a tracer's store: its columns (copied, one
         ``memcpy`` each), plus the detail columns the reports group by."""
         cols, names = tracer.columns, tracer.strings
@@ -164,105 +138,7 @@ class ColumnarTrace:
         tables["pagerows"] = {c: np.array(v, np.float64) if c == "t" else _ints(v) for c, v
                               in zip(_PAGEROW_TABLE, zip(*pagerows) if pagerows else [()] * 5)}
         return cls(StringTable(names), tables["events"], tables["spans"],
-                   tables["edges"], tables["pagerows"], source=source)
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "ColumnarTrace":
-        """Load a ``trace.jsonl`` file from disk (through ``Tracer.load``)."""
-        from ..sim.trace import Tracer
-
-        return cls.from_tracer(Tracer.load(path), source="jsonl")
-
-    # -- cache ---------------------------------------------------------
-    def save_cache(self, trace_path: str) -> Path:
-        """Write the columnar cache beside ``trace_path``; returns it."""
-        directory = Path(trace_path).parent
-        npz = directory / CACHE_NPZ
-        arrays: Dict[str, np.ndarray] = {}
-        for table, cols in (("events", self.events), ("spans", self.spans),
-                            ("edges", self.edges),
-                            ("pagerows", self.pagerows)):
-            for name, arr in cols.items():
-                arrays[f"{table}.{name}"] = arr
-        with open(npz, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        meta = {
-            "schema": COLUMNS_SCHEMA,
-            "source": _signature(trace_path),
-            "strings": self.strings.strings,
-        }
-        with open(directory / CACHE_META, "w") as fh:
-            json.dump(meta, fh, separators=(",", ":"))
-        return npz
-
-    @classmethod
-    def load_cache(cls, trace_path: str) -> Optional["ColumnarTrace"]:
-        """Load the cache beside ``trace_path`` if fresh; else None."""
-        directory = Path(trace_path).parent
-        npz, meta_path = directory / CACHE_NPZ, directory / CACHE_META
-        if not npz.exists() or not meta_path.exists():
-            return None
-        try:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if (meta.get("schema") != COLUMNS_SCHEMA
-                or meta.get("source") != _signature(trace_path)):
-            return None
-        tables: Dict[str, Dict[str, np.ndarray]] = {t: {} for t in _TABLES}
-        try:
-            with np.load(npz) as data:
-                for key in data.files:
-                    table, _, col = key.partition(".")
-                    tables[table][col] = data[key]
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
-                zlib.error):
-            return None  # a torn or corrupt cache: re-ingest the JSONL
-        if any(set(tables[t]) != set(cols) or len({a.shape for a in tables[t].values()}) != 1
-               for t, cols in _TABLES.items()):
-            return None  # a column missing, extra or cut short: stale
-        return cls(StringTable(meta.get("strings", [])),
-                   tables["events"], tables["spans"], tables["edges"],
-                   tables["pagerows"], source="cache")
-
-
-def _signature(path: str) -> Optional[Dict[str, int]]:
-    """Freshness key of the source JSONL (None when it is absent)."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return {"size": st.st_size, "mtime_ns": st.st_mtime_ns}
-
-
-def load_or_ingest(path: str) -> ColumnarTrace:
-    """The columnar view of a run's trace, from cache when fresh.
-
-    ``path`` may be a bundle directory (``runs/<id>``), its
-    ``manifest.json``, or the ``trace.jsonl`` itself.  A cache miss
-    parses the JSONL and writes the cache for next time.
-    """
-    trace_path = resolve_trace_path(path)
-    cached = ColumnarTrace.load_cache(trace_path)
-    if cached is not None:
-        return cached
-    ct = ColumnarTrace.from_jsonl(trace_path)
-    try:
-        ct.save_cache(trace_path)
-    except OSError:
-        pass  # read-only bundle: still serve the parsed view
-    return ct
-
-
-def resolve_trace_path(path: str) -> str:
-    """Map a bundle dir / manifest / trace path to the trace JSONL."""
-    p = Path(path)
-    if p.is_dir():
-        return str(p / "trace.jsonl")
-    if p.name == "manifest.json":
-        return str(p.parent / "trace.jsonl")
-    return str(p)
+                   tables["edges"], tables["pagerows"])
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ runs are comparable after the fact:
 * ``trace.jsonl`` -- the span/edge/event trace, when one was recorded;
 * ``timeline.json`` -- the Perfetto export, when requested.
 
-:func:`compare_bundles` diffs the numeric leaves of two manifests; the
-CLI's ``repro compare A B`` renders it.  Bundle writing is harness-side
+:func:`load_trace` is the one reader of a bundle's trace; ``repro
+explain A B`` diffs two manifests.  Bundle writing is harness-side
 plumbing: nothing here touches the deterministic simulator layer.
 """
 
@@ -22,9 +22,13 @@ import os
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..errors import HarnessError
 from ..jsonio import parse_json, read_text
+
+if TYPE_CHECKING:
+    from ..sim.trace import Tracer
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -36,8 +40,7 @@ __all__ = [
     "result_summary",
     "write_bundle",
     "load_bundle",
-    "compare_bundles",
-    "render_compare",
+    "load_trace",
 ]
 
 #: Manifest layout version.  2 added the ``provenance`` block (full git
@@ -165,74 +168,17 @@ def load_bundle(path: str) -> Dict[str, Any]:
     return parse_json(read_text(str(p)), str(p))
 
 
-# ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
+def load_trace(path: str) -> "Tracer":
+    """The recorded trace of a bundle dir, its ``manifest.json``, or a
+    ``trace.jsonl``; a bundle whose manifest names no trace is refused."""
+    from ..sim.trace import Tracer
 
-def _numeric_leaves(doc: Any, prefix: str = "") -> Dict[str, float]:
-    """Flatten every numeric leaf to a dotted path -> value map."""
-    out: Dict[str, float] = {}
-    if isinstance(doc, bool):
-        return out
-    if isinstance(doc, (int, float)):
-        out[prefix or "value"] = float(doc)
-    elif isinstance(doc, dict):
-        for key in doc:
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            out.update(_numeric_leaves(doc[key], sub))
-    elif isinstance(doc, list):
-        for i, item in enumerate(doc):
-            # results lists are keyed by (app, protocol) when possible
-            tag = str(i)
-            if isinstance(item, dict) and "app" in item and "protocol" in item:
-                tag = f"{item['app']}/{item['protocol']}"
-            out.update(_numeric_leaves(item, f"{prefix}[{tag}]"))
-    return out
-
-
-def compare_bundles(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    """Diff the numeric leaves of two manifests' result sections."""
-    keys = ("results", "metrics", "overlap")
-    la = {k: v for key in keys
-          for k, v in _numeric_leaves(a.get(key), key).items()}
-    lb = {k: v for key in keys
-          for k, v in _numeric_leaves(b.get(key), key).items()}
-    rows: List[Dict[str, Any]] = []
-    for key in sorted(set(la) | set(lb)):
-        va, vb = la.get(key), lb.get(key)
-        row: Dict[str, Any] = {"key": key, "a": va, "b": vb}
-        if va is not None and vb is not None:
-            row["delta"] = vb - va
-            row["ratio"] = vb / va if va else None
-        rows.append(row)
-    return {
-        "a": {"run_id": a.get("run_id"), "git_rev": a.get("git_rev")},
-        "b": {"run_id": b.get("run_id"), "git_rev": b.get("git_rev")},
-        "rows": rows,
-    }
-
-
-def render_compare(cmp: Dict[str, Any], only_changed: bool = True,
-                   tolerance: float = 0.0) -> str:
-    """Human-readable bundle diff table."""
-    head_a = f"{cmp['a']['run_id']} ({cmp['a']['git_rev']})"
-    head_b = f"{cmp['b']['run_id']} ({cmp['b']['git_rev']})"
-    lines = [f"compare: A={head_a}  B={head_b}"]
-    changed = 0
-    for row in cmp["rows"]:
-        va, vb, delta = row["a"], row["b"], row.get("delta")
-        if only_changed and delta is not None and abs(delta) <= tolerance:
-            continue
-        changed += 1
-        fa = "-" if va is None else f"{va:g}"
-        fb = "-" if vb is None else f"{vb:g}"
-        extra = ""
-        if delta is not None:
-            sign = "+" if delta >= 0 else ""
-            extra = f"  ({sign}{delta:g})"
-        lines.append(f"  {row['key']}: {fa} -> {fb}{extra}")
-    if changed == 0:
-        lines.append("  no differences")
-    lines.append(f"{changed} differing metric(s), "
-                 f"{len(cmp['rows'])} compared")
-    return "\n".join(lines)
+    p = Path(path)
+    if p.name == "manifest.json":
+        p = p.parent
+    if p.is_dir():
+        trace_file = load_bundle(str(p)).get("trace_file")
+        if trace_file is None:
+            raise HarnessError(f"bundle {p} has no recorded trace")
+        p = p / trace_file
+    return Tracer.load(str(p))

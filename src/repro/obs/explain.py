@@ -24,7 +24,7 @@ absolute phase deltas, so the top row answers "where did the time go".
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "explain_manifests",
@@ -69,12 +69,67 @@ def _delta_rows(da: Mapping[str, float], db: Mapping[str, float],
     return rows[:top] if top else rows
 
 
+def _result_key(res: Any) -> Optional[Tuple[str, str]]:
+    if isinstance(res, dict) and "app" in res and "protocol" in res:
+        return str(res["app"]), str(res["protocol"])
+    return None
+
+
 def _result_index(manifest: Mapping[str, Any]) -> Dict[Tuple[str, str], Any]:
     out: Dict[Tuple[str, str], Any] = {}
-    for res in manifest.get("results", []) or []:
-        if isinstance(res, dict) and "app" in res and "protocol" in res:
-            out[(str(res["app"]), str(res["protocol"]))] = res
+    for res in manifest.get("results") or []:
+        key = _result_key(res)
+        if key is not None:
+            out[key] = res
     return out
+
+
+def _numeric_leaves(doc: Any, prefix: str = "") -> Dict[str, float]:
+    """Flatten every numeric leaf to a dotted path -> value map."""
+    out: Dict[str, float] = {}
+    if isinstance(doc, bool):
+        return out
+    if isinstance(doc, (int, float)):
+        out[prefix or "value"] = float(doc)
+    elif isinstance(doc, dict):
+        for key in doc:
+            sub = f"{prefix}.{key}" if prefix else str(key)
+            out.update(_numeric_leaves(doc[key], sub))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            # results lists are keyed by (app, protocol) when possible
+            key = _result_key(item)
+            tag = f"{key[0]}/{key[1]}" if key else str(i)
+            out.update(_numeric_leaves(item, f"{prefix}[{tag}]"))
+    return out
+
+
+#: Result fields the headline, phase and counter rows already attribute.
+_ATTRIBUTED = ("total_time", "time", "counters")
+
+
+def _leaf_rows(a: Mapping[str, Any], b: Mapping[str, Any],
+               shared: List[Tuple[str, str]]) -> List[Dict[str, Any]]:
+    """Every other numeric leaf of ``results``/``metrics``/``overlap``
+    that moved or exists on one side only (no ``delta`` then)."""
+    def leaves(manifest: Mapping[str, Any]) -> Dict[str, float]:
+        results = [{k: v for k, v in res.items() if k not in _ATTRIBUTED}
+                   if _result_key(res) in shared else res
+                   for res in manifest.get("results") or []]
+        return _numeric_leaves({"results": results,
+                                "metrics": manifest.get("metrics"),
+                                "overlap": manifest.get("overlap")})
+
+    la, lb = leaves(a), leaves(b)
+    rows = []
+    for key in sorted(set(la) | set(lb)):
+        va, vb = la.get(key), lb.get(key)
+        if va != vb:
+            row: Dict[str, Any] = {"key": key, "a": va, "b": vb}
+            if va is not None and vb is not None:
+                row["delta"] = vb - va
+            rows.append(row)
+    return rows
 
 
 def _span_self_times(ct: Any) -> Dict[str, float]:
@@ -83,7 +138,7 @@ def _span_self_times(ct: Any) -> Dict[str, float]:
         return {}
     from .analytics import report_phases
 
-    doc = report_phases(ct, top=50)
+    doc = report_phases(ct, top=len(ct.strings))  # every span name
     return {row["name"]: row["self_time"] for row in doc["by_name"]}
 
 
@@ -92,7 +147,6 @@ def explain_manifests(
     b: Mapping[str, Any],
     ct_a: Any = None,
     ct_b: Any = None,
-    top: int = 10,
 ) -> Dict[str, Any]:
     """Attribute the A -> B delta between two run manifests."""
     ia, ib = _result_index(a), _result_index(b)
@@ -123,12 +177,13 @@ def explain_manifests(
         "b": _label(b),
         "shared_results": [f"{app}/{proto}" for app, proto in shared],
         "headline": headline,
-        "phases": _delta_rows(phases_a, phases_b, top=top),
-        "counters": _delta_rows(counters_a, counters_b, top=top),
+        "phases": _delta_rows(phases_a, phases_b),
+        "counters": _delta_rows(counters_a, counters_b),
+        "leaves": _leaf_rows(a, b, shared),
     }
     spans_a, spans_b = _span_self_times(ct_a), _span_self_times(ct_b)
     if spans_a or spans_b:
-        doc["spans"] = _delta_rows(spans_a, spans_b, top=top)
+        doc["spans"] = _delta_rows(spans_a, spans_b)
     return doc
 
 
@@ -188,6 +243,19 @@ def _render_rows(title: str, rows: List[Dict[str, Any]],
     return lines
 
 
+def _render_leaves(rows: List[Dict[str, Any]]) -> List[str]:
+    if not rows:
+        return []
+    lines = ["  other manifest leaves:"]
+    for r in rows:
+        fa = "-" if r["a"] is None else _fmt(r["a"])
+        fb = "-" if r["b"] is None else _fmt(r["b"])
+        delta = r.get("delta")
+        extra = "" if delta is None else f"  {'+' if delta >= 0 else ''}{_fmt(delta)}"
+        lines.append(f"    {r['key']}: {fa} -> {fb}{extra}")
+    return lines
+
+
 def render_explain(doc: Dict[str, Any]) -> str:
     """Human-readable ranked attribution table."""
     a, b = doc["a"], doc["b"]
@@ -204,6 +272,10 @@ def render_explain(doc: Dict[str, Any]) -> str:
         lines += _render_rows("span self-time attribution (virtual s)",
                               doc.get("spans", []))
         lines += _render_rows("counter movements", doc.get("counters", []))
+        lines += _render_leaves(doc.get("leaves", []))
+        if not any(r["delta"] for r in doc["headline"]) and not any(
+                doc.get(k) for k in ("phases", "spans", "counters", "leaves")):
+            lines.append("  no differences")
     else:
         lines += _render_rows("kernel ns/op", doc.get("kernels", []))
         lines += _render_rows("app wall time (s)", doc.get("apps_wall_s", []))

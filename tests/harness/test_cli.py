@@ -93,16 +93,19 @@ def test_compare_round_trips_bundles(tmp_path, capsys):
     a, b = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
     assert main(
-        ["compare", str(tmp_path / a), str(tmp_path / b), "--no-artifacts"]
+        ["explain", str(tmp_path / a), str(tmp_path / b), "--no-artifacts"]
     ) == 0
     out = capsys.readouterr().out
-    assert "compare:" in out
+    assert "explain:" in out
     # identical deterministic runs: every shared metric matches
     assert "no differences" in out
 
 
 def test_compare_requires_two_bundles(capsys):
-    assert main(["compare", "--no-artifacts"]) == 2
+    assert main(["explain", "--no-artifacts"]) == 2
+    with pytest.raises(SystemExit) as exc:  # explain is the one run diff
+        main(["compare", "a", "b"])
+    assert exc.value.code == 2
 
 
 def test_bad_command_rejected():

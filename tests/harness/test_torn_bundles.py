@@ -1,13 +1,16 @@
-"""A torn or corrupt run bundle is one diagnosed line and exit 2.
+"""A torn or corrupt run bundle is one diagnosed line and exit 2, and no
+command that reads a bundle writes into it.
 
 One real bundle -- a traced 2-node ``sor`` run recorded by ``repro
-query``, so it holds ``manifest.json``, ``trace.jsonl`` and the columnar
-cache ``trace.columns.npz`` -- is damaged by seeded truncations and byte
-flips, and every command that reads the damaged file runs on it.  A
-damaged ``trace.jsonl`` or ``manifest.json`` makes the command print one
-error line naming the file and exit 2, never a traceback.  The npz is a
-cache: a damaged one is re-ingested from the JSONL, and the command
-prints what it prints on the undamaged bundle.
+query``, so it holds ``manifest.json`` and ``trace.jsonl`` -- is damaged
+by seeded truncations and byte flips, and every command that reads the
+damaged file runs on it.  A damaged ``trace.jsonl`` or ``manifest.json``
+makes the command print one error line naming the file and exit 2,
+never a traceback.  On an undamaged bundle, one recorded by ``repro
+timeline``, the same commands leave every file byte-identical.  A
+``table2`` bundle records no trace: every command that needs one
+refuses it with the same line and exit 2, and ``explain`` diffs its
+manifest without span rows.
 """
 
 import random
@@ -19,34 +22,48 @@ from repro.harness.cli import main
 
 SEEDS = range(3)
 
-#: file -> the commands that read it (``{b}``: the damaged bundle)
+#: file -> the commands that read it (``{b}``: the bundle, ``{o}``: a
+#: directory outside it); ``trace_file``: the commands that need the
+#: trace a manifest names
 READERS = {
     "trace.jsonl": [
         ["query", "{b}"],
-        ["timeline", "{b}", "--out", "{b}/timeline.json"],
+        ["timeline", "{b}", "--out", "{o}/timeline.json"],
         ["critical-path", "{b}"],
         ["analyze", "{b}/trace.jsonl"],
     ],
     "manifest.json": [
-        ["compare", "{b}", "{b}"],
+        ["explain", "{b}", "{b}/manifest.json"],
         ["explain", "{b}", "{b}"],
-        ["timeline", "{b}", "--out", "{b}/timeline.json"],
+        ["timeline", "{b}", "--out", "{o}/timeline.json"],
     ],
-    "trace.columns.npz": [
+    "trace_file": [
+        ["timeline", "{b}", "--out", "{o}/timeline.json"],
+        ["critical-path", "{b}"],
         ["query", "{b}"],
-        ["explain", "{b}", "{b}"],
+        ["analyze", "{b}"],
     ],
 }
 
 
+def _record(tmp_path_factory, command, *argv):
+    runs = tmp_path_factory.mktemp(command)
+    assert main([command, "--apps", "sor", "--scale", "test", "--nodes", "2",
+                 "--runs-dir", str(runs), "--quiet", *argv]) == 0
+    (path,) = runs.iterdir()
+    return path
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    runs = tmp_path_factory.mktemp("runs")
-    assert main(["query", "--apps", "sor", "--scale", "test", "--nodes", "2",
-                 "--runs-dir", str(runs), "--quiet"]) == 0
-    (path,) = runs.iterdir()
-    assert (path / "trace.columns.npz").exists()
+    path = _record(tmp_path_factory, "query")
+    assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "trace.jsonl"]
     return path
+
+
+@pytest.fixture(scope="module")
+def untraced(tmp_path_factory):
+    return _record(tmp_path_factory, "table2")
 
 
 def _truncate(data: bytes, rng: random.Random) -> bytes:
@@ -64,8 +81,8 @@ def _flip(data: bytes, rng: random.Random) -> bytes:
     return data[:at] + bytes([data[at] ^ 0x80]) + data[at + 1:]
 
 
-def _run(argv, bundle, capsys):
-    code = main([arg.format(b=bundle) for arg in argv] + ["--quiet"])
+def _run(argv, bundle, out_dir, capsys):
+    code = main([arg.format(b=bundle, o=out_dir) for arg in argv] + ["--quiet"])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -80,23 +97,36 @@ def test_a_damaged_bundle_file_is_one_error_line(bundle, tmp_path, capsys,
         target = copy / name
         target.write_bytes(damage(target.read_bytes(), random.Random(seed)))
         for argv in READERS[name]:
-            code, out, err = _run(argv, copy, capsys)
+            code, out, err = _run(argv, copy, tmp_path, capsys)
             (line,) = err.strip().splitlines()
             assert code == 2, (argv, seed, out, err)
             assert name in line and "Traceback" not in err, line
             assert line.startswith(f"{argv[0]}: "), line
 
 
-@pytest.mark.parametrize("damage", [_truncate, _flip])
-def test_a_damaged_columnar_cache_is_re_ingested(bundle, tmp_path, capsys,
-                                                 damage):
-    for argv in READERS["trace.columns.npz"]:
-        want = _run(argv, bundle, capsys)
-        for seed in SEEDS:
-            copy = tmp_path / f"{argv[0]}-{seed}"
-            shutil.copytree(bundle, copy)
-            npz = copy / "trace.columns.npz"
-            npz.write_bytes(damage(npz.read_bytes(), random.Random(seed)))
-            code, out, err = _run(argv, copy, capsys)
-            assert (code, err) == (0, ""), (argv, seed, err)
-            assert out == want[1].replace(str(bundle), str(copy))
+def test_reading_a_bundle_leaves_it_byte_identical(tmp_path_factory, tmp_path,
+                                                  capsys):
+    bundle = _record(tmp_path_factory, "timeline")
+
+    def files():
+        return {p.name: p.read_bytes() for p in bundle.iterdir()}
+
+    before = files()
+    assert sorted(before) == ["manifest.json", "timeline.json", "trace.jsonl"]
+    for argv in sorted({tuple(a) for rows in READERS.values() for a in rows}):
+        code, out, err = _run(argv, bundle, tmp_path, capsys)
+        assert (code, err) == (0, ""), (argv, err)
+        assert files() == before, argv
+
+
+def test_a_bundle_without_a_trace_is_one_refusal(untraced, tmp_path, capsys):
+    refusals = set()
+    for argv in READERS["trace_file"]:
+        code, out, err = _run(argv, untraced, tmp_path, capsys)
+        (line,) = err.strip().splitlines()
+        assert code == 2 and line.startswith(f"{argv[0]}: "), (argv, err)
+        refusals.add(line[len(argv[0]) + 2:])
+    assert refusals == {f"bundle {untraced} has no recorded trace"}
+    code, out, err = _run(["explain", "{b}", "{b}"], untraced, tmp_path, capsys)
+    assert (code, err) == (0, ""), err
+    assert "no differences" in out and "span self-time" not in out

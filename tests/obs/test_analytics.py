@@ -1,12 +1,13 @@
-"""Columnar trace store: ingest, caching, and the built-in reports."""
+"""Columnar trace store: ingest through the one loader, and the built-in
+reports."""
 
-import json
 import time
 
 import pytest
 
 from repro.config import ClusterConfig
 from repro.obs import analytics
+from repro.obs.artifacts import load_trace
 from repro.sim.trace import Tracer
 
 
@@ -54,7 +55,6 @@ def ct():
 
 
 def test_ingest_counts(ct):
-    assert ct.source == "tracer"
     s = ct.summary()
     assert s["events"] == 9
     assert s["spans"] == 4
@@ -117,7 +117,7 @@ def test_render_and_run_report_roundtrip(ct):
 
 
 # ----------------------------------------------------------------------
-# JSONL ingest + columnar cache
+# JSONL ingest through the loader
 # ----------------------------------------------------------------------
 
 def _write_trace(tmp_path):
@@ -129,47 +129,10 @@ def _write_trace(tmp_path):
 
 def test_jsonl_roundtrip_matches_tracer_ingest(tmp_path, ct):
     path = _write_trace(tmp_path)
-    ct2 = analytics.ColumnarTrace.from_jsonl(str(path))
+    ct2 = analytics.ColumnarTrace.from_tracer(load_trace(str(path)))
     assert ct2.summary() == ct.summary()
     for name in analytics.REPORTS:
         assert analytics.run_report(ct2, name) == analytics.run_report(ct, name)
-
-
-def test_cache_is_used_without_reparsing(tmp_path, monkeypatch):
-    path = _write_trace(tmp_path)
-    first = analytics.load_or_ingest(str(tmp_path))
-    assert first.source == "jsonl"
-    assert (tmp_path / analytics.CACHE_NPZ).exists()
-
-    def boom(_path):
-        raise AssertionError("cached load must not re-parse the JSONL")
-
-    monkeypatch.setattr(Tracer, "load", boom)
-    second = analytics.load_or_ingest(str(tmp_path))
-    assert second.source == "cache"
-    assert second.summary() == first.summary()
-    for name in analytics.REPORTS:
-        assert (analytics.run_report(second, name)
-                == analytics.run_report(first, name))
-
-
-def test_cache_invalidated_when_trace_changes(tmp_path):
-    path = _write_trace(tmp_path)
-    analytics.load_or_ingest(str(tmp_path))
-    # append one more event; size changes -> signature mismatch
-    with open(path, "a") as fh:
-        fh.write(json.dumps({"t": 9.9, "n": 0, "e": "fault", "d": 3}) + "\n")
-    again = analytics.load_or_ingest(str(tmp_path))
-    assert again.source == "jsonl"
-    assert again.num_events == 10
-
-
-def test_cache_schema_bump_invalidates(tmp_path, monkeypatch):
-    _write_trace(tmp_path)
-    analytics.load_or_ingest(str(tmp_path))
-    monkeypatch.setattr(analytics, "COLUMNS_SCHEMA", 999)
-    again = analytics.load_or_ingest(str(tmp_path))
-    assert again.source == "jsonl"
 
 
 def test_ingest_100k_events_under_one_second(tmp_path):
@@ -180,7 +143,7 @@ def test_ingest_100k_events_under_one_second(tmp_path):
             fh.write('{"t":%f,"n":%d,"e":"page_fetch","d":{"page":%d,"home":%d}}\n'
                      % (i * 1e-6, i % 8, i % 512, i % 8))
     t0 = time.perf_counter()
-    ct = analytics.ColumnarTrace.from_jsonl(str(path))
+    ct = analytics.ColumnarTrace.from_tracer(load_trace(str(path)))
     elapsed = time.perf_counter() - t0
     assert ct.num_events == 100_000
     assert elapsed < 1.0, f"ingest took {elapsed:.2f}s for 100k events"
@@ -203,7 +166,7 @@ def test_reports_on_real_run(tmp_path):
         _result, system = run_application(
             "water", "ccl", ClusterConfig.ultra5(num_nodes=4), "test")
     system.tracer.save(str(tmp_path / "trace.jsonl"))
-    ct = analytics.load_or_ingest(str(tmp_path))
+    ct = analytics.ColumnarTrace.from_tracer(load_trace(str(tmp_path / "trace.jsonl")))
     assert ct.num_spans > 0 and ct.num_edges > 0
     locks = analytics.report_locks(ct)
     assert locks["locks"], "water takes per-block locks; report must see them"

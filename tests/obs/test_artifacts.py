@@ -3,14 +3,13 @@
 import json
 
 from repro.obs.artifacts import (
-    compare_bundles,
     config_dict,
     git_rev,
     load_bundle,
     new_run_id,
-    render_compare,
     write_bundle,
 )
+from repro.obs.explain import explain_manifests, render_explain
 from repro.sim.trace import Tracer
 
 
@@ -80,25 +79,29 @@ class TestBundleIO:
 
 
 class TestCompare:
+    """``explain`` is the bundle diff."""
+
     def test_identical_manifests_report_no_differences(self, tmp_path):
         a = load_bundle(str(write_bundle(str(tmp_path), _manifest())))
         b = load_bundle(str(write_bundle(str(tmp_path), _manifest())))
-        cmp = compare_bundles(a, b)
-        assert all(row.get("delta") == 0.0 for row in cmp["rows"])
-        assert "no differences" in render_compare(cmp)
+        doc = explain_manifests(a, b)
+        assert all(row["delta"] == 0.0 for row in doc["headline"])
+        assert doc["leaves"] == []
+        assert "no differences" in render_explain(doc)
 
     def test_changed_metric_shows_delta_and_ratio(self, tmp_path):
         a = load_bundle(str(write_bundle(str(tmp_path), _manifest(1.0))))
         b = load_bundle(str(write_bundle(str(tmp_path), _manifest(1.5))))
-        cmp = compare_bundles(a, b)
-        row = next(r for r in cmp["rows"] if "total_time" in r["key"])
+        doc = explain_manifests(a, b)
+        row = next(r for r in doc["headline"] if "total_time" in r["key"])
         assert "sor/ccl" in row["key"]  # keyed by app/protocol, not index
-        assert row["delta"] == 0.5 and row["ratio"] == 1.5
-        assert "total_time" in render_compare(cmp)
+        assert row["delta"] == 0.5 and row["pct"] == 0.5
+        assert "total_time" in render_explain(doc)
 
     def test_metric_present_on_one_side_only(self):
         a = dict(_manifest(), metrics={"x": 1})
         b = _manifest()
-        cmp = compare_bundles(a, b)
-        row = next(r for r in cmp["rows"] if r["key"] == "metrics.x")
+        doc = explain_manifests(a, b)
+        row = next(r for r in doc["leaves"] if r["key"] == "metrics.x")
         assert row["a"] == 1.0 and row["b"] is None and "delta" not in row
+        assert "metrics.x: 1 -> -" in render_explain(doc)

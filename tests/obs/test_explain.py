@@ -84,6 +84,26 @@ def test_explain_disjoint_manifests():
     assert "no (app, protocol) results in common" in render_explain(doc)
 
 
+def test_explain_lists_every_other_moved_leaf():
+    def manifest(run_id, network_bytes, msgs, overlap, **metrics):
+        return {"run_id": run_id,
+                "results": [{"app": "sor", "protocol": "ccl", "total_time": 1.0,
+                             "network_bytes": network_bytes,
+                             "time": {"compute": 1.0}, "counters": {"faults": 3}}],
+                "metrics": {"net": {"msgs": msgs}, "same": 1, **metrics},
+                "overlap": {"sor": overlap}}
+
+    doc = explain_manifests(manifest("a", 100, 5, 0.5),
+                            manifest("b", 120, 6, 0.25, extra=7))
+    assert [(r["key"], r.get("delta")) for r in doc["leaves"]] == [
+        ("metrics.extra", None), ("metrics.net.msgs", 1.0),
+        ("overlap.sor", -0.25), ("results[sor/ccl].network_bytes", 20.0)]
+    assert doc["phases"] == doc["counters"] == []
+    text = render_explain(doc)
+    assert "results[sor/ccl].network_bytes: 100 -> 120  +20" in text
+    assert "no differences" not in text
+
+
 def test_explain_history_ranks_kernel_regressions():
     ea = {"ts": "t0", "git_rev": "aaa", "sim_events_per_sec": 1e6,
           "kernels_ns_per_op": {"create_diff_dense": 100.0,

@@ -1,24 +1,21 @@
 """The one trace loader against damaged input, through the CLI.
 
-``Tracer.load`` is the only reader of ``trace.jsonl``; ``repro query``
-also reads the columnar cache ``trace.columns.npz``.  A damaged trace or
-cache must never surface as a traceback: ``timeline``, ``critical-path``
-and ``query`` either succeed or exit 2 with one line.  Two pinned cases
-(a cache missing a column, a span whose ``t0`` is a string) and a seeded
-fuzz over four kinds of damage: a dropped key, a value of another type,
-a torn line, and an npz column deleted or cut short.
+``repro.obs.artifacts.load_trace`` (over ``Tracer.load``) is the only
+reader of ``trace.jsonl``.  A damaged trace must never surface as a
+traceback: ``timeline``, ``critical-path`` and ``query`` either succeed
+or exit 2 with one line.  One pinned case (a span whose ``t0`` is a
+string) and a seeded fuzz over three kinds of damage: a dropped key, a
+value of another type, and a torn line.
 """
 
 import json
 import random
 
-import numpy as np
 import pytest
 
 from repro import ClusterConfig, DsmSystem, make_app, make_hooks_factory
 from repro.harness.cli import main
 from repro.harness.scales import app_kwargs
-from repro.obs import analytics
 from repro.sim.trace import Tracer
 
 COMMANDS = ("timeline", "critical-path", "query")
@@ -55,21 +52,6 @@ def _run(command, directory, capsys):
 
 def _refused_in_one_line(code, lines):
     return code == 0 or (code == 2 and len(lines) == 1)
-
-
-def test_a_cache_missing_a_column_is_stale_and_reingested(saved_lines, tmp_path, capsys):
-    run = _write(tmp_path / "run", saved_lines)
-    assert main(["query", str(run), "--report", "phases"]) == 0
-    first = analytics.load_or_ingest(str(run))
-    assert first.source == "cache"
-    npz = run / analytics.CACHE_NPZ
-    columns = dict(np.load(npz))
-    del columns["spans.t0"]
-    np.savez_compressed(npz, **columns)
-    capsys.readouterr()
-    assert main(["query", str(run), "--report", "phases"]) == 0
-    again = analytics.load_or_ingest(str(run))
-    assert again.source == "cache" and again.summary() == first.summary()
 
 
 def test_a_wrong_typed_field_is_refused_naming_file_and_line(saved_lines, tmp_path, capsys):
@@ -115,22 +97,3 @@ def test_damaged_jsonl_succeeds_or_exits_2_with_one_line(kind, saved_lines, tmp_
         for command in COMMANDS:
             code, out = _run(command, run, capsys)
             assert _refused_in_one_line(code, out), (kind, case, command, code, out)
-
-
-def test_damaged_npz_column_succeeds_or_exits_2_with_one_line(saved_lines, tmp_path, capsys):
-    rng = random.Random("trace-loader-npz")
-    for case in range(6):
-        run = _write(tmp_path / f"npz{case}", saved_lines)
-        assert main(["query", str(run)]) == 0
-        npz = run / analytics.CACHE_NPZ
-        columns = dict(np.load(npz))
-        name = rng.choice(sorted(columns))
-        if case % 2:
-            columns[name] = columns[name][:len(columns[name]) // 2]
-        else:
-            del columns[name]
-        np.savez_compressed(npz, **columns)
-        capsys.readouterr()
-        for command in COMMANDS:
-            code, out = _run(command, run, capsys)
-            assert _refused_in_one_line(code, out), (case, name, command, code, out)

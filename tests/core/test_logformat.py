@@ -6,6 +6,7 @@ must recover the longest valid frame prefix of a torn byte string --
 the primitive the salvage scan is built on.
 """
 
+import hashlib
 import random
 import struct
 import zlib
@@ -172,6 +173,33 @@ class TestSegments:
 
     def test_magic_is_seg1(self):
         assert SEGMENT_MAGIC.to_bytes(4, "big") == b"SEG1"
+
+
+#: sha256 of ``encode_segment(7, sample_records())`` and of each
+#: record's frame: the sizes are pinned elsewhere, these pin the bytes.
+GOLDEN_SEGMENT = (
+    "75eeaa548c46c1366af41f7f79696f120f91b72d4dfeef79915bfdebb5b8e8db")
+GOLDEN_FRAMES = [
+    "71241cc95b781428673d8ab1c0e93b49e3ed998e2ab48a05f7928dfb082d3b17",
+    "535b263f45b99a39f6ff13cfb27beefbb761d18132dbd14fc68fdfd94db1cc54",
+    "f9be06a67d3c732a2827e10f1dec3ffbaa76962daaef5b01b55a660e615ae907",
+    "3583f5b0c9786e2963e9e9f3955e17cbd010d1d33792fbbafc1fadad8143f9a3",
+    "64128ee92d612f5638b8fca3bb06c3e9b17747c0729ffd14fbd00ea29e5e3c1b",
+    "c48c5db0e95fb17c0b61c932bba72943cd6ed18a5d74f777f240e384cae71989",
+    "420e3f89acb3315d4c3070306709b34deabeaa8b0afd8ae6601b6b1b1016bdab",
+    "622c32d712ccaf139f9a7422d4d35db9840192fadcbe9e57ce6168361cf7030a",
+    "e3741c86840bc286a95f9ec9ac0844801ba58ad158f0129f7f17340d753c3e85",
+    "18d2c178613ec2ffc2d8bdc08f9a2c4859c5e776a0de6310e7a0f7a0437936ac",
+]
+
+
+def test_golden_encoded_bytes():
+    """Every byte of the on-disk encoding, not just its size."""
+    records = sample_records()
+    assert (hashlib.sha256(encode_segment(7, records)).hexdigest()
+            == GOLDEN_SEGMENT)
+    assert [hashlib.sha256(encode_record(r)).hexdigest()
+            for r in records] == GOLDEN_FRAMES
 
 
 class TestSegmentFuzz:

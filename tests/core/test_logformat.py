@@ -10,6 +10,7 @@ import hashlib
 import random
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.core.logformat import (
     encode_record,
     encode_segment,
 )
+from repro.core.logrecords import RECORD_TYPES
 from repro.dsm import IntervalRecord, VectorClock
 from repro.errors import LogFormatError
 from repro.memory import Diff, create_diff
@@ -202,6 +204,41 @@ def test_golden_encoded_bytes():
             for r in records] == GOLDEN_FRAMES
 
 
+def _doc_row(cls):
+    """``docs/recovery.md``'s payload table row for one record type:
+    prefix slots (a list's slot is its count), then the bodies."""
+    head = [f"`{n}` count" if c.size else (f"`{n}` {c.name}" if n else c.name)
+            for n, c in cls.FIELDS if c.fmt]
+    body = [f"`{n}` {c.name}" for n, c in cls.FIELDS if c.size]
+    return (f"| {cls.TAG} | `{cls.__name__}` | `{cls.LAYOUT.prefix.format}` "
+            f"| {', '.join(head + body)} |")
+
+
+def test_doc_payload_table_matches_the_declarations():
+    doc = Path(__file__).parents[2] / "docs" / "recovery.md"
+    rows = [line for line in doc.read_text().splitlines()
+            if line.startswith("| ") and line[2:3].isdigit()]
+    assert rows == [_doc_row(RECORD_TYPES[t]) for t in sorted(RECORD_TYPES)]
+
+
+def _field_spans(rec):
+    """``(offset, width)`` in the payload of each declared field of
+    ``rec``: its prefix slot, or the first (up to 4) bytes of its body."""
+    spans, fmt = [], "<"
+    body = rec.LAYOUT.prefix.size
+    for name, codec in rec.FIELDS:
+        if codec.fmt:
+            start = struct.calcsize(fmt)
+            fmt += codec.fmt
+            spans.append((start, struct.calcsize(fmt) - start))
+        if codec.size:
+            size = codec.size(getattr(rec, name))
+            if not codec.fmt:
+                spans.append((body, min(4, size)))
+            body += size
+    return spans
+
+
 class TestSegmentFuzz:
     """Seeded mutations of a sound segment: whatever the damage,
     ``decode_segment`` returns a prefix of its frames and never raises."""
@@ -254,3 +291,25 @@ class TestSegmentFuzz:
             else:
                 assert len(recs) == len(frames)
         assert rejected > self.MUTATIONS // 10
+
+    def test_boundary_values_in_every_declared_field(self):
+        """Each of five boundary words, written into each declared
+        field under a recomputed CRC, decodes or raises LogFormatError."""
+        tried = 0
+        for rec in sample_records():
+            frame = encode_record(rec)
+            for off, width in _field_spans(rec):
+                for value in (0, 1, 0x7FFFFFFF, 0xFFFFFFFE, 0xFFFFFFFF):
+                    buf = bytearray(frame)
+                    at = FRAME_HEADER_BYTES + off
+                    buf[at:at + width] = (
+                        value & (1 << 8 * width) - 1).to_bytes(width, "little")
+                    crc = zlib.crc32(buf[FRAME_HEADER_BYTES:],
+                                     zlib.crc32(buf[:12]))
+                    struct.pack_into("<I", buf, 12, crc)
+                    try:
+                        decode_record(bytes(buf))
+                    except LogFormatError:
+                        pass
+                    tried += 1
+        assert tried == 5 * sum(len(_field_spans(r)) for r in sample_records())

@@ -138,15 +138,6 @@ class FaultPlan:
         self.kills[node] = at_time
         return self
 
-    def kill_zone(self, nodes, at_time: float) -> "FaultPlan":
-        """Schedule a live kill of a whole fault domain at one instant."""
-        nodes = tuple(nodes)
-        if not nodes:
-            raise SimulationError("kill_zone needs at least one node")
-        for node in nodes:
-            self.kill(node, at_time)
-        return self
-
     def partition(self, side_a, side_b, start: float,
                   until: float = float("inf")) -> "FaultPlan":
         """Partition ``side_a`` from ``side_b`` during ``[start, until)``.

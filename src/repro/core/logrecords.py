@@ -187,8 +187,8 @@ class Layout:
         ns = {"prefix": self.prefix, "make": make}
         sizes, slots, writes = [str(header + self.prefix.size)], [], []
         unpacked, reads, kws = [], [], []
-        for k, (name, c) in enumerate((n, c) for n, c in fields if n):
-            v, x = f"o[{k}]" if items else f"o.{name}", f"x{k}"
+        for k, (fname, c) in enumerate((n, c) for n, c in fields if n):
+            v, x = f"o[{k}]" if items else f"o.{fname}", f"x{k}"
             ns.update({f"w{k}": c.wire, f"s{k}": c.size, f"e{k}": c.enc,
                        f"d{k}": c.dec})
             if c.fmt:
@@ -200,7 +200,7 @@ class Layout:
             if c.dec:
                 slot = x if c.fmt else None
                 reads.append(f"    {x}, off = d{k}(buf, off, {slot})")
-            kws.append(f"{name}={x}")
+            kws.append(f"{fname}={x}")
         self.source = "\n".join([
             "def size(o):",
             f"    return {' + '.join(sizes)}",

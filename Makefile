@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint sanitize test bench perf perf-gate bench-parallel
+.PHONY: check lint sanitize test bench perf perf-gate bench-parallel linemap
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 4)
 
@@ -25,6 +25,12 @@ sanitize:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The src/repro lines tier-1 never runs in-process, per file, into
+# linemap.json (several minutes; not a gate).  Tests with a wall-clock
+# bound may fail under the tracer's slowdown; the map is written anyway.
+linemap:
+	-PYTHONPATH=$(PYTHONPATH):tools $(PYTHON) -m pytest -q -p linemap --linemap-out linemap.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

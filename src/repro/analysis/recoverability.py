@@ -234,7 +234,7 @@ def audit_recoverability(system, tracer: Optional[Tracer] = None) -> Recoverabil
                 k = cursors.get(key, 0)
                 cursors[key] = k + 1
                 if k >= len(fifo):
-                    continue  # tracer missed this fetch (enabled late / maxlen)
+                    continue  # tracer missed this fetch (enabled late)
                 version, traced = fifo[k]
                 if version != rec.version.as_tuple():
                     continue

@@ -78,8 +78,8 @@ def _dec_vt(buf, off: int, _slot) -> Tuple[Optional[VectorClock], int]:
     (count,) = _U32.unpack_from(buf, off)
     if count == _NONE:
         return None, off + 4
-    vals = struct.unpack_from(f"<{count}I", buf, off + 4)
-    return VectorClock(vals), off + 4 + 4 * count
+    vals = struct.unpack_from(f"<{count}I", buf, off + 4)  # unsigned: none negative
+    return VectorClock._trusted(vals), off + 4 + 4 * count
 
 
 def _enc_diff(out: bytearray, d: Diff) -> None:

@@ -415,10 +415,6 @@ class ReplayNode(PageAccess):
         """Re-execute application work (full cost in timed mode)."""
         yield from self._spend("compute", self.cfg.cpu.compute_time(flops))
 
-    def idle(self, seconds: float) -> Generator[Any, Any, None]:
-        """Re-execute an idle phase."""
-        yield from self._spend("compute", seconds)
-
     def acquire(self, lock_id: int) -> Generator[Any, Any, None]:
         """Recovery acquire: local, fed from the logged notices."""
         yield from self._spend("sync", self.cfg.cpu.sync_overhead_s)

@@ -95,8 +95,6 @@ class BarrierState:
                 if self.gather is not None:
                     self.gather.observe(self.clock() - self._first_checkin)
                 self._first_checkin = None
-            if self._tracing:
-                self.on_event(Ev.BARRIER_ALL_IN, {"episode": self.episode})
             sig.trigger(self.episode)
         return sig
 

@@ -509,7 +509,7 @@ class HlrcNode(PageAccess):
                 "writer": batch.writer, "index": batch.interval_index,
                 "part": batch.part, "pages": [d.page for d in batch.diffs],
                 "vt": list(batch.vt.as_tuple())})
-        self.hooks.notify_update_received(batch)
+        self.hooks.on_update_received(batch)
         if self.replicator is not None:
             self.replicator.record_update(batch)
         self._post(batch.writer, "diff_ack",
@@ -532,10 +532,6 @@ class HlrcNode(PageAccess):
         yield self.cfg.cpu.diff_apply_per_byte_s * nbytes
         accepted = rep.apply_update(upd, self.sim.now)
         self.stats.count("mirrors_applied" if accepted else "mirrors_fenced")
-        if self._tracing:
-            self._trace("replica_update", {
-                "primary": upd.primary, "epoch": upd.epoch, "seal": upd.seal,
-                "upto": upd.upto, "accepted": accepted})
         self._post(upd.primary, "replica_ack",
                    ReplicaAck(upd.primary, self.id, upd.epoch, upd.seal, accepted))
 
@@ -603,13 +599,6 @@ class HlrcNode(PageAccess):
         yield dt
         self._span_end(sid)
 
-    def idle(self, seconds: float) -> Generator[Any, Any, None]:
-        """Charge raw wall time (I/O-ish application phases)."""
-        self.stats.charge("compute", seconds)
-        sid = self._span("idle", "cpu")
-        yield seconds
-        self._span_end(sid)
-
     # ------------------------------------------------------------------
     def _sync_entry(self) -> Generator[Any, Any, None]:
         """Every sync operation's start: overhead, then ML's synchronous flush."""
@@ -640,13 +629,11 @@ class HlrcNode(PageAccess):
         self.stats.charge("sync", self.sim.now - t0)
         self.stats.observe("lock_acquire", self.sim.now - t0)
         self.stats.count("lock_acquires")
-        if self._tracing:
-            self._trace("acquire", lock_id)
         yield from self._apply_notices(grant.records, grant.cut)
         self.acq_seq += 1
         if self._tracing:
             self._trace(Ev.LOCK_ACQUIRED, {"lock": lock_id, "vt": list(self.vt.as_tuple())})
-        self.hooks.notify_notices_received(grant.records, self.acq_seq)
+        self.hooks.on_notices_received(grant.records, self.acq_seq)
         self._span_end(osid)
 
     def _acquire_local(self, lock_id: int) -> Generator[Any, Any, LockGrant]:
@@ -673,8 +660,6 @@ class HlrcNode(PageAccess):
                                   LockRelease(lock_id, self.id, records))
             self.peer_known_vt[mgr] = self.peer_known_vt[mgr].merge(self.vt)
         self.stats.count("lock_releases")
-        if self._tracing:
-            self._trace("release", lock_id)
         self._span_end(osid)
 
     # ------------------------------------------------------------------
@@ -697,8 +682,6 @@ class HlrcNode(PageAccess):
         self.stats.charge("sync", self.sim.now - t0)
         self.stats.observe("barrier", self.sim.now - t0)
         self.stats.count("barriers")
-        if self._tracing:
-            self._trace("barrier", barrier_id)
         # after a barrier every node's history covers the global cut, so
         # interval records at or below it can never be requested again.
         # The release's records are counted, not inserted and dropped: no
@@ -722,7 +705,7 @@ class HlrcNode(PageAccess):
         self.barrier_episode += 1
         release: BarrierRelease = msg.payload
         yield from self._apply_notices(release.records, release.cut, barrier=True)
-        self.hooks.notify_notices_received(release.records, 0)
+        self.hooks.on_notices_received(release.records, 0)
         # after a barrier everyone's history is global: the manager covers it
         self.peer_known_vt[mgr] = self.vt
         return release.records
@@ -746,7 +729,7 @@ class HlrcNode(PageAccess):
                 yield from self._send(node, "barrier_release", release)
         own = batch.lacking(self.vt)
         yield from self._apply_notices(own, batch.cut, barrier=True)
-        self.hooks.notify_notices_received(own, 0)
+        self.hooks.on_notices_received(own, 0)
         for node, _vt in participants:
             self.peer_known_vt[node] = self.peer_known_vt[node].merge(self.vt)
         self.barrier_state.next_episode()
@@ -803,7 +786,7 @@ class HlrcNode(PageAccess):
                 self._trace(Ev.EARLY_DIFF, {
                     "page": p, "part": part, "vt": list(early_vt.as_tuple()),
                     "runs": (d.mask, d.run_count)})  # a table when read
-            self.hooks.notify_early_diff(d, part, early_vt)
+            self.hooks.on_early_diff(d, part, early_vt)
             self.stats.count("early_diffs")
             self.stats.count("diff_bytes_sent", d.nbytes)
         if scan_cost:
@@ -870,7 +853,7 @@ class HlrcNode(PageAccess):
 
         # let the logging protocol capture the interval before anything
         # is sent (CCL logs its own diffs; ML has nothing to do here)
-        self.hooks.notify_interval_end(
+        self.hooks.on_interval_end(
             self.interval_index, new_vt if new_vt is not None else self.vt,
             remote_diffs, home_diffs, record)
 
@@ -933,8 +916,6 @@ class HlrcNode(PageAccess):
                     "pages": list(record.pages),
                     "writes": [(d.page, d.mask, d.run_count)  # dicts when read
                                for d in remote_diffs + home_diffs]})
-        if self._tracing:
-            self._trace("seal", self.interval_index)
         self.interval_index += 1
         self.acq_seq = 0
         self.interval_parts = 0
@@ -981,9 +962,8 @@ class HlrcNode(PageAccess):
         self.stats.charge("fault", self.sim.now - t0)
         self.stats.observe("page_fetch", self.sim.now - t0)
         if self._tracing:
-            self._trace("fault", page)
             version = reply.version
             self._trace(Ev.PAGE_FETCH, {
                 "page": page, "home": entry.home, "crc": zlib.crc32(reply.contents),
                 "version": None if version is None else list(version.as_tuple())})
-        self.hooks.notify_page_fetched(page, reply.contents, reply.version, self.acq_seq)
+        self.hooks.on_page_fetched(page, reply.contents, reply.version, self.acq_seq)

@@ -34,9 +34,9 @@ class VectorClock:
     whose effects are covered.  Standard partial order:
     ``a.dominates(b)`` iff ``a[i] >= b[i]`` for every ``i``.
 
-    The public constructor validates its input (it is what decodes
-    untrusted log bytes); ``tick``/``merge``/``join`` derive clocks from
-    already-validated ones and build them through :meth:`_trusted`.
+    The public constructor validates its input; ``tick``/``merge``/``join``
+    derive clocks from already-validated ones, and the log decoder from
+    unsigned words, and build them through :meth:`_trusted`.
     Because clocks are immutable, ``merge`` and ``join`` hand back an
     operand that already is the result instead of a copy.
     """

@@ -81,9 +81,6 @@ class LockState:
         self.queue.append((requester, vt))
         if self.clock is not None:
             self._queued_at[requester] = self.clock()
-        if self._tracing:
-            self.on_event(Ev.LOCK_QUEUE,
-                          {"lock": self.lock_id, "requester": requester})
         return False
 
     def release(self, releaser: int) -> Optional[Tuple[int, VectorClock]]:
@@ -111,7 +108,4 @@ class LockState:
             return (nxt, vt)
         self.held = False
         self.holder = None
-        if self._tracing:
-            self.on_event(Ev.LOCK_FREE,
-                          {"lock": self.lock_id, "releaser": releaser})
         return None

@@ -29,9 +29,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..memory.diff import Diff
-from ..sim import trace as _trc
 from ..sim.events import Signal
-from ..sim.trace import Ev
 from .interval import IntervalRecord, VectorClock
 from .messages import DiffBatch
 
@@ -138,92 +136,6 @@ class LoggingHooks:
         record: Optional[IntervalRecord],
     ) -> None:
         """The node closed an interval (diffs created, record built)."""
-
-    # ------------------------------------------------------------------
-    # traced entry points (the coherence layer calls these; they emit a
-    # LOG_* trace event, then dispatch to the overridable hook above)
-    # ------------------------------------------------------------------
-    def notify_notices_received(
-        self, records: List[IntervalRecord], window: int
-    ) -> None:
-        node = self.node
-        if _trc.TRACING_ACTIVE and node.system.tracer.enabled:
-            node._trace(
-                Ev.LOG_NOTICES,
-                {
-                    "protocol": self.name,
-                    "window": window,
-                    "records": [[r.node, r.index] for r in records],
-                },
-            )
-        self.on_notices_received(records, window)
-
-    def notify_page_fetched(
-        self, page: int, contents: np.ndarray, version: VectorClock, window: int
-    ) -> None:
-        node = self.node
-        if _trc.TRACING_ACTIVE and node.system.tracer.enabled:
-            node._trace(
-                Ev.LOG_FETCH,
-                {
-                    "protocol": self.name,
-                    "page": page,
-                    "window": window,
-                    "version": list(version.as_tuple()),
-                },
-            )
-        self.on_page_fetched(page, contents, version, window)
-
-    def notify_update_received(self, batch: DiffBatch) -> None:
-        node = self.node
-        if _trc.TRACING_ACTIVE and node.system.tracer.enabled:
-            node._trace(
-                Ev.LOG_UPDATE,
-                {
-                    "protocol": self.name,
-                    "writer": batch.writer,
-                    "interval": batch.interval_index,
-                    "part": batch.part,
-                    "pages": [d.page for d in batch.diffs],
-                },
-            )
-        self.on_update_received(batch)
-
-    def notify_early_diff(self, diff: Diff, part: int, vt: VectorClock) -> None:
-        node = self.node
-        if _trc.TRACING_ACTIVE and node.system.tracer.enabled:
-            node._trace(
-                Ev.LOG_EARLY_DIFF,
-                {
-                    "protocol": self.name,
-                    "page": diff.page,
-                    "part": part,
-                    "vt": list(vt.as_tuple()),
-                },
-            )
-        self.on_early_diff(diff, part, vt)
-
-    def notify_interval_end(
-        self,
-        interval_index: int,
-        vt: VectorClock,
-        remote_diffs: List[Diff],
-        home_diffs: List[Diff],
-        record: Optional[IntervalRecord],
-    ) -> None:
-        node = self.node
-        if _trc.TRACING_ACTIVE and node.system.tracer.enabled:
-            node._trace(
-                Ev.LOG_INTERVAL,
-                {
-                    "protocol": self.name,
-                    "interval": interval_index,
-                    "vt": list(vt.as_tuple()),
-                    "remote_pages": [d.page for d in remote_diffs],
-                    "home_pages": [d.page for d in home_diffs],
-                },
-            )
-        self.on_interval_end(interval_index, vt, remote_diffs, home_diffs, record)
 
     # ------------------------------------------------------------------
     # flush scheduling

@@ -64,19 +64,19 @@ _SPECS = (
         "page_reply", "PageReply",
         consumers=("_fault_fetch",),
         logged_state=("memory",),
-        log_hook="notify_page_fetched",
+        log_hook="on_page_fetched",
     ),
     MessageSpec(
         "diff", "DiffBatch",
         consumers=("_apply_incoming_diffs",),
         logged_state=("home_events", "memory"),
-        log_hook="notify_update_received",
+        log_hook="on_update_received",
     ),
     MessageSpec(
         "diff_ack", "DiffAck",
         consumers=("_end_interval", "_early_diff_flush"),
         logged_state=("vt", "interval_index"),
-        log_hook="notify_interval_end",
+        log_hook="on_interval_end",
     ),
     # -- lock path ------------------------------------------------------
     MessageSpec(
@@ -87,7 +87,7 @@ _SPECS = (
         "lock_grant", "LockGrant",
         consumers=("acquire",),
         logged_state=("acq_seq", "peer_known_vt"),
-        log_hook="notify_notices_received",
+        log_hook="on_notices_received",
     ),
     MessageSpec(
         "lock_rel", "LockRelease",
@@ -107,7 +107,7 @@ _SPECS = (
         "barrier_release", "BarrierRelease",
         consumers=("_barrier_as_worker",),
         logged_state=("barrier_episode", "peer_known_vt"),
-        log_hook="notify_notices_received",
+        log_hook="on_notices_received",
     ),
     # -- reliable transport ---------------------------------------------
     MessageSpec(

@@ -33,6 +33,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sim.trace import Ev
+
 __all__ = [
     "StringTable",
     "ColumnarTrace",
@@ -57,11 +59,8 @@ def _ints(values: Any) -> np.ndarray:
                      for v in values], dtype=np.int32)
 
 
-#: Multi-page events exploded into ``pagerows``, with their peer's key;
-#: the column a legacy scalar event's bare id fills.
-_PAGE_PEERS = {"diff_send": "home", "diff_apply": "writer"}
-_SCALAR_COLUMN = {"acquire": "lock", "release": "lock", "barrier": "aux",
-                  "seal": "aux", "fault": "page"}
+#: Multi-page events exploded into ``pagerows``, with their peer's key.
+_PAGE_PEERS = {Ev.DIFF_SEND: "home", Ev.DIFF_APPLY: "writer"}
 
 
 class StringTable:
@@ -125,14 +124,12 @@ class ColumnarTrace:
         events = [d if type(d) is dict else {} for d in details]
         for c in _EVENT_TABLE[3:7]:
             tables["events"][c] = _ints([d.get(c) for d in events])
-        tables["events"]["aux"] = _ints([d.get("writer", d.get("requester", d.get(
-            "index", d.get("episode")))) for d in events])
+        tables["events"]["aux"] = _ints([d.get("writer", d.get("index", d.get("episode")))
+                                         for d in events])
         pagerows: List[Tuple[Any, ...]] = []
         for row, (ev, d) in enumerate(zip(cols["events"]["ev"], details)):
             name = names[ev]
-            if type(d) is not dict and name in _SCALAR_COLUMN:  # a legacy bare id
-                tables["events"][_SCALAR_COLUMN[name]][row] = _ints([d])[0]
-            elif name in _PAGE_PEERS and isinstance(events[row].get("pages"), (list, tuple)):
+            if name in _PAGE_PEERS and isinstance(events[row].get("pages"), (list, tuple)):
                 pagerows.extend((cols["events"]["t"][row], cols["events"]["node"][row], ev,
                                  p, d.get(_PAGE_PEERS[name])) for p in d["pages"])
         tables["pagerows"] = {c: np.array(v, np.float64) if c == "t" else _ints(v) for c, v
@@ -181,7 +178,7 @@ def report_locks(ct: ColumnarTrace, top: int = 10,
     waits = (sp["t1"] - sp["t0"])[closed]
 
     ev = ct.events
-    grant_id = ct.strings.get("lock_grant")
+    grant_id = ct.strings.get(Ev.LOCK_GRANT)
     grants = ev["ev"] == grant_id
     g_lock, g_to = ev["lock"][grants], ev["to"][grants]
 
@@ -215,26 +212,22 @@ def report_locks(ct: ColumnarTrace, top: int = 10,
 def report_pages(ct: ColumnarTrace, top: int = 10) -> Dict[str, Any]:
     """Hot-page / home heatmap: fetch and diff traffic per page.
 
-    Combines single-page ``page_fetch``/``page_serve``/``fault`` events
-    with the exploded per-page diff rows, and summarises per-home load
-    (fetches served + diffs applied at each home) with an imbalance
-    factor ``max/mean``.
+    Combines single-page ``page_fetch`` events with the exploded per-page
+    diff rows, and summarises per-home load (fetches served + diffs
+    applied at each home) with an imbalance factor ``max/mean``.
     """
     ev = ct.events
-    fetch_id = ct.strings.get("page_fetch")
-    fault_id = ct.strings.get("fault")
+    fetch_id = ct.strings.get(Ev.PAGE_FETCH)
     pr = ct.pagerows
-    send_id = ct.strings.get("diff_send")
-    apply_id = ct.strings.get("diff_apply")
+    send_id = ct.strings.get(Ev.DIFF_SEND)
+    apply_id = ct.strings.get(Ev.DIFF_APPLY)
 
     fetch_rows = ev["ev"] == fetch_id
     fetches = _group_count(ev["page"][fetch_rows])
-    faults = _group_count(ev["page"][ev["ev"] == fault_id])
     diff_sends = _group_count(pr["page"][pr["ev"] == send_id])
     diff_applies = _group_count(pr["page"][pr["ev"] == apply_id])
 
-    pages = sorted(set(fetches) | set(faults) | set(diff_sends)
-                   | set(diff_applies))
+    pages = sorted(set(fetches) | set(diff_sends) | set(diff_applies))
     page_home: Dict[int, int] = {}
     fp, fh = ev["page"][fetch_rows], ev["home"][fetch_rows]
     for p, h in zip(fp.tolist(), fh.tolist()):
@@ -253,7 +246,6 @@ def report_pages(ct: ColumnarTrace, top: int = 10) -> Dict[str, Any]:
             "page": page,
             "home": page_home.get(page, -1),
             "fetches": fetches.get(page, 0),
-            "faults": faults.get(page, 0),
             "diff_sends": diff_sends.get(page, 0),
             "diff_applies": diff_applies.get(page, 0),
         })
@@ -398,7 +390,7 @@ def _render_pages(doc: Dict[str, Any]) -> str:
     for r in doc["pages"]:
         lines.append(
             f"  page {r['page']:>5} @home {r['home']:>2}: "
-            f"fetches={r['fetches']:<6} faults={r['faults']:<6} "
+            f"fetches={r['fetches']:<6} "
             f"diff_sends={r['diff_sends']:<6} diff_applies={r['diff_applies']}"
         )
     if doc["home_load"]:

@@ -25,7 +25,7 @@ import pickle
 import weakref
 from array import array
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -59,19 +59,12 @@ def _release_enabled() -> None:
 class Ev:
     """Typed event-name constants of the trace schema.
 
-    The legacy scalar events carry a bare id as detail, the rest a
-    JSON-safe dict: ``vt`` is the emitting node's applied vector
-    timestamp, :attr:`INTERVAL_END` carries word-granularity write runs,
-    :attr:`PAGE_SERVE`/:attr:`PAGE_FETCH` a CRC32 of the page, and the
-    ``LOG_*`` events come from :class:`~repro.dsm.logginghooks.LoggingHooks`.
+    Each event carries a JSON-safe dict: ``vt`` is the emitting node's
+    applied vector timestamp, :attr:`INTERVAL_END` carries
+    word-granularity write runs and :attr:`PAGE_SERVE`/:attr:`PAGE_FETCH`
+    a CRC32 of the page.  Every kind has a reader in
+    :mod:`repro.analysis` or :mod:`repro.obs`.
     """
-
-    # -- legacy scalar events (kept stable for existing tooling) -------
-    ACQUIRE = "acquire"
-    RELEASE = "release"
-    BARRIER = "barrier"
-    SEAL = "seal"
-    FAULT = "fault"
 
     # -- synchronisation (carry the node's own vt) ---------------------
     LOCK_ACQUIRED = "lock_acquired"
@@ -81,10 +74,7 @@ class Ev:
 
     # -- manager side --------------------------------------------------
     LOCK_GRANT = "lock_grant"
-    LOCK_QUEUE = "lock_queue"
-    LOCK_FREE = "lock_free"
     BARRIER_CHECKIN = "barrier_checkin"
-    BARRIER_ALL_IN = "barrier_all_in"
 
     # -- intervals and diffs -------------------------------------------
     INTERVAL_END = "interval_end"
@@ -97,13 +87,6 @@ class Ev:
     PAGE_SERVE = "page_serve"
     PAGE_FETCH = "page_fetch"
     PAGE_STATE = "page_state"
-
-    # -- logging layer ---------------------------------------------------
-    LOG_NOTICES = "log_notices"
-    LOG_FETCH = "log_fetch"
-    LOG_UPDATE = "log_update"
-    LOG_EARLY_DIFF = "log_early_diff"
-    LOG_INTERVAL = "log_interval"
 
     #: Events whose ``detail["vt"]`` is the emitting node's own applied
     #: timestamp (the invariant checker's monotonicity set).
@@ -231,17 +214,11 @@ def _field(obj: Dict[str, Any], key: str, kinds: Tuple[type, ...], bits: int = 6
 
 
 class Tracer:
-    """Append-only columnar trace store with simple filtering helpers.
+    """Append-only columnar trace store with simple filtering helpers."""
 
-    ``maxlen`` bounds the events: only the newest ``maxlen`` are kept,
-    each built at once rather than stored as a row (older ones are counted
-    in :attr:`dropped`); unbounded by default, for the invariant checker.
-    """
-
-    def __init__(self, enabled: bool = False, maxlen: Optional[int] = None):
+    def __init__(self, enabled: bool = False):
         self._enabled = False
         self.enabled = enabled
-        self.maxlen = maxlen
         self._reset()
 
     def _reset(self) -> None:
@@ -264,8 +241,7 @@ class Tracer:
         self._cache: Tuple[Any, List[Any]] = (None, [])
         #: Diff masks a live detail names by index (the diffs' own arrays).
         self._masks: List[np.ndarray] = []
-        self._events: Any = [] if self.maxlen is None else deque(maxlen=self.maxlen)
-        self.dropped = 0
+        self._events: List[TraceEvent] = []
         #: Open-span stack per (node, strand), and the stack of each open span.
         self._stacks: Dict[Tuple[int, str], List[int]] = defaultdict(list)
         self._open: Dict[int, List[int]] = {}
@@ -379,7 +355,7 @@ class Tracer:
     def record(self, time: float, node: int, event: str, detail: Any = None) -> None:
         """Record an event if tracing is enabled (built when first read)."""
         if self._enabled:
-            if event in _MASKED and type(detail) is dict and self.maxlen is None:
+            if event in _MASKED and type(detail) is dict:
                 runs, writes = detail.get("runs"), detail.get("writes")
                 if type(runs) is tuple:  # a live diff's (mask, run count)
                     detail["runs"] = (self._mask(runs[0]), runs[1])
@@ -396,10 +372,6 @@ class Tracer:
                         (page, old._value_, new._value_, reason, home))
 
     def _event(self, time: float, node: int, event: str, detail: Any) -> None:
-        if self.maxlen is not None:
-            self.dropped += len(self._events) == self.maxlen
-            self._events.append(TraceEvent(time, node, event, self._read(event, detail)))
-            return
         self._ev_rows += time, node, event
         details = self._ev_details
         details.append(detail)
@@ -408,13 +380,12 @@ class Tracer:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """Every retained event, in record order (built on first read)."""
-        if self.maxlen is None:
-            cols, start = self.columns["events"], len(self._events)
-            self._events.extend(map(
-                TraceEvent, cols["t"][start:], cols["node"][start:],
-                map(self.strings.__getitem__, cols["ev"][start:]),
-                self.details("events", range(start, len(cols["t"])))))
+        """Every event, in record order (built on first read)."""
+        cols, start = self.columns["events"], len(self._events)
+        self._events.extend(map(
+            TraceEvent, cols["t"][start:], cols["node"][start:],
+            map(self.strings.__getitem__, cols["ev"][start:]),
+            self.details("events", range(start, len(cols["t"])))))
         return self._events
 
     def begin(self, time: float, node: int, name: str, cat: str, strand: str = "main",
@@ -509,8 +480,6 @@ class Tracer:
         self._reset()
 
     def __len__(self) -> int:  # counts without building events
-        if self.maxlen is not None:
-            return len(self._events)
         return self._stored["events"] + len(self._ev_rows) // 3
 
     def to_jsonl(self) -> str:
@@ -522,12 +491,11 @@ class Tracer:
         return "\n".join(lines)
 
     @classmethod
-    def from_jsonl(cls, text: str, maxlen: Optional[int] = None,
-                   source: str = "trace") -> "Tracer":
+    def from_jsonl(cls, text: str, source: str = "trace") -> "Tracer":
         """A (disabled) tracer of :meth:`to_jsonl` output, recorded anew; a
         torn line, a missing field or one of the wrong type is a
         :class:`~repro.errors.BundleError` naming ``source`` and the line."""
-        tracer = cls(enabled=True, maxlen=maxlen)
+        tracer = cls(enabled=True)
         rows, details = tracer._ev_rows, tracer._ev_details
 
         def add(obj: Dict[str, Any]) -> None:
@@ -536,9 +504,7 @@ class Tracer:
                 if type(t) not in _NUMBER or type(n) is not int or type(e) is not str \
                         or not -_I32 <= n < _I32 or not t >= 0:
                     _field(obj, "t", _TIME), _field(obj, "n", _INT, 32), _field(obj, "e", _TEXT)
-                if maxlen is not None:
-                    return tracer._event(t, n, e, obj.get("d"))
-                rows.extend((t, n, e))  # the unbounded path of _event, inline
+                rows.extend((t, n, e))  # _event, inline
                 details.append(obj.get("d"))
                 if len(details) >= _DETAILS:
                     tracer._seal("events")

@@ -108,7 +108,7 @@ def test_replay_rejects_stale_decision_index():
 # acceptance criterion: a dropped log hook is caught
 # ----------------------------------------------------------------------
 class _DroppedNoticeHook(ModelChecker):
-    """CCL with ``notify_notices_received`` silenced: lock-grant /
+    """CCL with ``on_notices_received`` silenced: lock-grant /
     barrier-release notices never reach the log, so replay of the
     victim diverges from its pre-crash state."""
 
@@ -117,7 +117,7 @@ class _DroppedNoticeHook(ModelChecker):
 
         def factory(_node_id):
             hooks = make_hooks(self.protocol)
-            hooks.notify_notices_received = lambda *a, **kw: None
+            hooks.on_notices_received = lambda *a, **kw: None
             return hooks
 
         return factory

@@ -116,7 +116,7 @@ _PROTO002_GOOD = """
         def _apply_incoming_diffs(self, msg):
             self.memory[msg.page] = msg.data
             self.home_events.append(msg)
-            self.hooks.notify_update_received(msg)
+            self.hooks.on_update_received(msg)
 """
 
 
@@ -126,7 +126,7 @@ def test_proto002_dropped_update_hook_flagged():
     findings = _analyze(_PROTO002_BAD)
     assert "PROTO002" in _codes(findings)
     f = next(f for f in findings if f.code == "PROTO002")
-    assert "notify_update_received" in f.message
+    assert "on_update_received" in f.message
 
 
 def test_proto002_clean_when_hook_called():

@@ -1,11 +1,11 @@
-"""Tracer serialization: JSONL round-trip and the bounded buffer."""
+"""Tracer serialization: JSONL round-trip and the event buffer."""
 
 from repro.sim.trace import Ev, MsgEdge, Span, TraceEvent, Tracer
 
 
 def _sample_tracer() -> Tracer:
     t = Tracer(enabled=True)
-    t.record(0.0, 0, Ev.ACQUIRE, 1)
+    t.record(0.0, 0, Ev.LOCK_GRANT, {"lock": 1, "to": 1, "queued": False})
     t.record(1.5, 1, Ev.LOCK_ACQUIRED, {"lock": 1, "vt": [1, 0]})
     t.record(2.0, 1, Ev.PAGE_FETCH,
              {"page": 3, "home": 0, "crc": 0xDEADBEEF, "version": [1, 0]})
@@ -37,7 +37,7 @@ class TestJsonlRoundTrip:
 
 
 def _span_tracer() -> Tracer:
-    """Events (legacy scalar + structured), spans, and edges together."""
+    """Events, spans, and edges together."""
     t = _sample_tracer()
     outer = t.begin(0.0, 0, "barrier", "sync")
     inner = t.begin(0.25, 0, "diff_wait", "wait")  # nested on main strand
@@ -110,22 +110,16 @@ class TestSpanEdgeRoundTrip:
 
 
 class TestBoundedBuffer:
-    def test_maxlen_keeps_newest_and_counts_dropped(self):
-        t = Tracer(enabled=True, maxlen=4)
-        for i in range(10):
-            t.record(float(i), 0, Ev.SEAL, i)
-        assert len(t) == 4
-        assert t.dropped == 6
-        assert [e.detail for e in t.events] == [6, 7, 8, 9]
+    """The buffer keeps every record while enabled and none while disabled."""
 
     def test_unbounded_drops_nothing(self):
         t = Tracer(enabled=True)
         for i in range(10):
-            t.record(float(i), 0, Ev.SEAL, i)
+            t.record(float(i), 0, Ev.BARRIER_CHECKIN, {"episode": i})
         assert len(t) == 10
-        assert t.dropped == 0
+        assert [e.detail["episode"] for e in t.events] == list(range(10))
 
     def test_disabled_records_nothing(self):
         t = Tracer(enabled=False)
-        t.record(0.0, 0, Ev.SEAL, 1)
+        t.record(0.0, 0, Ev.BARRIER_CHECKIN, {"episode": 1})
         assert len(t) == 0

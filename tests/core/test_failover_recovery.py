@@ -18,6 +18,7 @@ from repro.config import ClusterConfig
 from repro.core import make_hooks_factory, run_recovery_experiment
 from repro.core.failover_recovery import choose_candidate, recover_via_failover
 from repro.core.failure import CrashProbe
+from repro.core.stablelog import StableLog
 from repro.dsm import DsmSystem
 from repro.errors import RecoveryError
 from repro.harness.scales import app_kwargs
@@ -29,8 +30,8 @@ def _app(name="sor"):
     return make_app(name, **app_kwargs(name, "test"))
 
 
-def _failover(**kwargs):
-    return run_recovery_experiment(_app(), CONFIG, "failover", **kwargs)
+def _failover(app="sor", **kwargs):
+    return run_recovery_experiment(_app(app), CONFIG, "failover", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,23 @@ class TestFailoverExperiment:
         assert res.ok, v.mismatches[:3]
         assert v.promotion is not None and v.salvage is not None
         assert 1 <= v.at_seal < failover_result.victims[0].at_seal
+
+    def test_promoted_node_serves_its_own_suffix_diffs(self, monkeypatch):
+        """An early mg crash leaves suffix diffs the promoted follower
+        wrote itself: it reads them from its own log, not over the wire."""
+        horizon = _failover(app="mg", failed_nodes=(1,), replication=2).phase_a.total_time
+        readers = []
+        find = StableLog.find_own_diff
+
+        def spy(log, *args):
+            readers.append(log.node_id)
+            return find(log, *args)
+
+        monkeypatch.setattr(StableLog, "find_own_diff", spy)
+        res = _failover(app="mg", failed_nodes=(1,), replication=2, at_time=0.1 * horizon)
+        (v,) = res.victims
+        assert res.ok, v.mismatches[:3]
+        assert v.promotion.promoted in readers
 
     def test_bad_failed_node_is_a_diagnosed_refusal(self):
         with pytest.raises(RecoveryError, match="not a valid rank"):

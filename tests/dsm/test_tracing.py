@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.dsm import DsmSystem
-from repro.sim.trace import Tracer
+from repro.sim.trace import Ev, Tracer
 from tests.dsm.conftest import MiniApp
 
 
@@ -37,13 +37,14 @@ def test_tracer_records_sync_and_fault_events():
     system = make_system(tracer)
     system.run()
     events = {e.event for e in tracer.events}
-    assert {"acquire", "release", "barrier", "seal", "fault"} <= events
+    assert {Ev.LOCK_ACQUIRED, Ev.LOCK_RELEASED, Ev.BARRIER_ENTER, Ev.BARRIER_EXIT,
+            Ev.INTERVAL_END, Ev.PAGE_FETCH} <= events
     # per-node filtering works and timestamps are monotone per node
     for node in (0, 1):
         times = [e.time for e in tracer.filter(node=node)]
         assert times == sorted(times)
     # only the non-home rank faults
-    fault_nodes = {e.node for e in tracer.filter(event="fault")}
+    fault_nodes = {e.node for e in tracer.filter(event=Ev.PAGE_FETCH)}
     assert fault_nodes == {1}
 
 
@@ -51,6 +52,6 @@ def test_trace_details_carry_ids():
     tracer = Tracer(enabled=True)
     system = make_system(tracer)
     system.run()
-    assert {e.detail for e in tracer.filter(event="acquire")} == {1}
-    seals = tracer.filter(event="seal", node=0)
-    assert [e.detail for e in seals] == list(range(len(seals)))
+    assert {e.detail["lock"] for e in tracer.filter(event=Ev.LOCK_ACQUIRED)} == {1}
+    seals = tracer.filter(event=Ev.INTERVAL_END, node=0)
+    assert seals and [e.detail["interval"] for e in seals] == list(range(len(seals)))

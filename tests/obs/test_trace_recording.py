@@ -11,8 +11,7 @@ an eager tracer would have built, byte for byte
 * ``system.run()`` constructs no ``TraceEvent`` and builds no run table;
 * ``len(tracer)`` counts without materialising, and agrees afterwards;
 * reading ``events`` mid-run (from a crash probe) and again at the end
-  gives the sequence one read at the end gives;
-* a ``maxlen`` tracer keeps the eager rule's suffix and ``dropped``.
+  gives the sequence one read at the end gives.
 """
 
 import pytest
@@ -24,9 +23,9 @@ from repro.sim import trace as trace_mod
 from repro.sim.trace import Ev, TraceEvent, Tracer
 
 
-def _traced_shallow(maxlen=None, probe=None):
+def _traced_shallow(probe=None):
     """A traced 4-node ``shallow/ccl`` system at test scale, and its tracer."""
-    tracer = Tracer(enabled=True, maxlen=maxlen)
+    tracer = Tracer(enabled=True)
     system = DsmSystem(
         make_app("shallow", **app_kwargs("shallow", "test")),
         ClusterConfig.ultra5(num_nodes=4),
@@ -102,13 +101,3 @@ def test_mid_run_reads_give_the_sequence_one_read_gives(read_at_end):
     assert _lines(tracer.events) == read_at_end
     # a read materialises only what is pending: a second one changes nothing
     assert _lines(tracer.events) == read_at_end
-
-
-@pytest.mark.parametrize("maxlen", [1, 500])
-def test_bounded_tracer_keeps_the_eager_suffix(maxlen, read_at_end, request):
-    if request.config.getoption("--sanitize"):
-        pytest.skip("--sanitize checks the trace, and a bounded one lacks its start")
-    tracer = _run(*_traced_shallow(maxlen=maxlen))
-    assert len(tracer) == maxlen
-    assert tracer.dropped == len(read_at_end) - maxlen
-    assert _lines(tracer.events) == read_at_end[-maxlen:]

@@ -6,7 +6,7 @@ the packed stable-log encoding, and raw simulator event throughput --
 against the preserved pre-vectorisation references in
 :mod:`repro.memory.reference`.  The numbers land in
 ``benchmark.extra_info`` and ``benchmark_results/micro.txt``; the
-committed ``BENCH_perf.json`` (from ``python -m repro perf``) is the
+committed ``BENCH_perf.json`` (from ``make perf``) is the
 tracked-over-time copy.
 
 Run standalone for CI's perf-smoke job::

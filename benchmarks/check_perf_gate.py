@@ -3,7 +3,7 @@
 Re-times the hot kernels, the simulator event loop and the long-run
 headline, then compares against the most recent entries of
 ``benchmark_results/history.jsonl`` (the committed perf trajectory that
-every ``python -m repro perf`` run appends to) that recorded each
+``make perf`` appends to) that recorded each
 metric.  The gate fails (exit 1) when, beyond ``--tolerance`` (default
 10%):
 
@@ -74,7 +74,7 @@ def readable_entries(path: str) -> list:
     with open(path) as fh:
         entries = [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
     if not entries:
-        raise SystemExit(f"perf-gate: {path} is empty -- run `python -m repro perf`")
+        raise SystemExit(f"perf-gate: {path} is empty -- run `make perf`")
     readable = []
     for i, e in enumerate(entries):
         schema = e.get("schema", 1)
@@ -87,7 +87,7 @@ def readable_entries(path: str) -> list:
     if not readable:
         raise SystemExit(
             f"perf-gate: no readable entries in {path} -- every entry has an "
-            f"unknown schema; update the checkout or re-run `python -m repro perf`"
+            f"unknown schema; update the checkout or re-run `make perf`"
         )
     return readable
 

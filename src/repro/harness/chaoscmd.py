@@ -129,10 +129,18 @@ def _dump_failure_bundles(report: ChaosReport, factories, config, args) -> None:
 
 
 def _run_report(args, factories, config, faults) -> ChaosReport:
-    """The suite, or the single-seed repro path a failure prints."""
+    """The suite, or the single-seed repro path a failure prints; a
+    case's pins without the ``--seed`` they pin are refused."""
     # the app scale is the one flag of a case chaos cannot know
     repro_extra = f"--scale {args.scale}"
     if args.seed is None:
+        pins = {"--crash-time": args.crash_time is not None,
+                "--crash-node": args.crash_node is not None,
+                "--live-kill": args.live_kill}
+        pinned = [flag for flag, given in pins.items() if given]
+        if pinned:
+            raise ConfigError(f"{pinned[0]} pins one case of a seed; "
+                              "pass --seed N")
         return run_chaos_suite(
             factories, config, protocols=tuple(args.protocols),
             seeds=args.seeds, first_seed=args.first_seed,
@@ -158,13 +166,8 @@ def _run_report(args, factories, config, faults) -> ChaosReport:
 
 def run_chaos(args) -> int:
     con = get_console()
-    try:
-        config, faults = _chaos_inputs(args)
-    except ConfigError as exc:
-        con.result(f"chaos: {exc}")
-        return 2
-    apps = args.apps if args.apps_given else list(DEFAULT_CHAOS_APPS)
-    factories = _factories(apps, args.scale)
+    config, faults = _chaos_inputs(args)
+    factories = _factories(args.apps, args.scale)
     report = _run_report(args, factories, config, faults)
     con.result(report.render())
     if report.failures and not args.no_artifacts:

@@ -61,7 +61,7 @@ def run_modelcheck_cmd(args) -> int:
     if not report.ok:
         return 1
     if report.truncated and args.schedule is None:
-        if getattr(args, "allow_truncated", False):
+        if args.allow_truncated:
             con.info("state space not exhausted within --budget "
                      f"{args.budget} (coverage run, --allow-truncated)")
             return 0

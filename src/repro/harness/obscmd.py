@@ -56,19 +56,19 @@ __all__ = ["record_bundle", "run_timeline", "run_critical_path",
            "run_query", "run_explain"]
 
 
-def record_bundle(args, config: ClusterConfig, results: List[Dict[str, Any]],
+def record_bundle(args, results: List[Dict[str, Any]],
                   tracer: Optional[Tracer] = None,
                   timeline: Optional[Dict[str, Any]] = None,
                   **extra: Any) -> Optional[Path]:
-    """Write the run bundle of a command that recorded ``results``;
-    returns its directory (None under ``--no-artifacts`` or with no
-    results)."""
+    """Write the run bundle of a command that recorded ``results`` on
+    its ``--nodes`` cluster; returns its directory (None under
+    ``--no-artifacts`` or with no results)."""
     if args.no_artifacts or not results:
         return None
     manifest: Dict[str, Any] = {
         "command": args.command,
         "scale": args.scale,
-        "config": config_dict(config),
+        "config": config_dict(ClusterConfig.ultra5(num_nodes=args.nodes)),
         "results": results,
         **extra,
     }
@@ -78,20 +78,20 @@ def record_bundle(args, config: ClusterConfig, results: List[Dict[str, Any]],
     return bundle
 
 
-def _record_traced(
-    app: str, protocol: str, config: ClusterConfig, scale: str
-) -> Tuple[Any, Tracer]:
-    """One traced run of ``app`` under ``protocol``."""
+def _record_traced(args, app: str) -> Tuple[Any, Tracer]:
+    """One traced run of ``app`` under the command's protocol, scale
+    and cluster."""
     from ..analysis.sanitize import traced
     from .runner import run_application
 
+    config = ClusterConfig.ultra5(num_nodes=args.nodes)
     with traced():
-        result, system = run_application(app, protocol, config, scale)
+        result, system = run_application(app, args.protocol, config, args.scale)
     return result, system.tracer
 
 
 # ----------------------------------------------------------------------
-def run_timeline(args, config: ClusterConfig) -> int:
+def run_timeline(args) -> int:
     """Export a Perfetto-loadable timeline; returns exit code."""
     con = get_console()
     if args.trace is not None:
@@ -104,11 +104,11 @@ def run_timeline(args, config: ClusterConfig) -> int:
         )
     else:
         app = args.apps[0]
-        result, tracer = _record_traced(app, args.protocol, config, args.scale)
+        result, tracer = _record_traced(args, app)
         source = f"{app}/{args.protocol}@{args.scale}"
         doc = chrome_trace(tracer)
         bundle = record_bundle(
-            args, config, [result_summary(result)], tracer=tracer, timeline=doc,
+            args, [result_summary(result)], tracer=tracer, timeline=doc,
             metrics=MetricsRegistry.from_run(result, tracer).snapshot())
         default_out = str(bundle / "timeline.json") if bundle else "timeline.json"
 
@@ -153,7 +153,7 @@ def args_limit(path) -> int:
     return 0 if len(path) <= 20 else 12
 
 
-def run_critical_path(args, config: ClusterConfig) -> int:
+def run_critical_path(args) -> int:
     """Critical-path + flush-overlap report; returns exit code."""
     con = get_console()
     payload: dict = {}
@@ -164,27 +164,27 @@ def run_critical_path(args, config: ClusterConfig) -> int:
         summaries = []
         overlaps = {}
         for app in args.apps:
-            result, tracer = _record_traced(app, args.protocol, config, args.scale)
+            result, tracer = _record_traced(args, app)
             label = f"{app}/{args.protocol}@{args.scale}"
             _report_one(label, tracer, con, payload, args.protocol)
             summaries.append(result_summary(result))
             overlaps[app] = payload[label]["overlap_fraction"]
-        record_bundle(args, config, summaries, overlap=overlaps)
+        record_bundle(args, summaries, overlap=overlaps)
     con.emit("critical_path", payload)
     return 0
 
 
 # ----------------------------------------------------------------------
-def run_query(args, config: ClusterConfig) -> int:
+def run_query(args) -> int:
     """Aggregate built-in reports over a run's columnar view."""
     con = get_console()
     source = args.trace
     if source is None:
         app = args.apps[0]
-        result, tracer = _record_traced(app, args.protocol, config, args.scale)
+        result, tracer = _record_traced(args, app)
         source = f"{app}/{args.protocol}@{args.scale}"
         bundle = record_bundle(
-            args, config, [result_summary(result)], tracer=tracer,
+            args, [result_summary(result)], tracer=tracer,
             metrics=MetricsRegistry.from_run(result, tracer).snapshot())
         if bundle is not None:
             source = str(bundle)
@@ -226,18 +226,13 @@ def _columnar(path: str, manifest: Dict[str, Any]) -> Any:
 def run_explain(args) -> int:
     """Diff two runs, or two history entries; returns exit code."""
     con = get_console()
-    if args.trace is None or args.trace2 is None:
-        con.error("explain needs two runs: repro explain A B "
-                  "(or --from-history A B with integer indices)")
-        return 2
-
     if args.from_history:
         entries = _history_entries(args.history)
         if not entries:
             con.error(f"history {args.history} is empty")
             return 2
         try:
-            ia, ib = int(args.trace), int(args.trace2)
+            ia, ib = int(args.run_a), int(args.run_b)
             ea, eb = entries[ia], entries[ib]
         except (ValueError, IndexError):
             con.error(f"--from-history wants two indices into the "
@@ -246,9 +241,9 @@ def run_explain(args) -> int:
             return 2
         doc = explain_history(ea, eb)
     else:
-        a, b = load_bundle(args.trace), load_bundle(args.trace2)
-        doc = explain_manifests(a, b, ct_a=_columnar(args.trace, a),
-                                ct_b=_columnar(args.trace2, b))
+        a, b = load_bundle(args.run_a), load_bundle(args.run_b)
+        doc = explain_manifests(a, b, ct_a=_columnar(args.run_a, a),
+                                ct_b=_columnar(args.run_b, b))
     con.result(render_explain(doc))
     con.emit("explain", doc)
     return 0

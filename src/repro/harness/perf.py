@@ -3,7 +3,7 @@
 Measures the hot kernels the paper's protocols exercise at every
 release/barrier -- diff creation, merging, application, the packed
 wire/log encoding -- plus the simulator's raw event throughput and
-end-to-end application wall times, and writes everything to
+end-to-end application wall times; ``make perf`` writes everything to
 ``BENCH_perf.json`` so later performance PRs have a recorded trajectory
 to compare against.
 
@@ -415,7 +415,7 @@ def append_perf_history(
     """Append one compact trajectory entry; returns the entry.
 
     ``history.jsonl`` is the committed perf record: one line per
-    ``repro perf`` run with the timestamp, git revision, and the
+    ``make perf`` run with the timestamp, git revision, and the
     headline numbers (kernel ns/op, simulator events/s, and app wall
     times), so regressions show up as a diff in review instead of
     vanishing with the runner.  ``benchmarks/check_perf_gate.py`` reads

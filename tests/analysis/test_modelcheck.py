@@ -7,14 +7,18 @@ repro line, and the acceptance-criterion mutation test -- a protocol
 with a dropped log hook must be caught as a recovery violation.
 """
 
+import shlex
+
 import pytest
 
 from repro.analysis.modelcheck import (
+    McViolation,
     ModelChecker,
     parse_schedule,
     run_modelcheck,
 )
 from repro.errors import ConfigError
+from repro.harness.cli import _parser
 from repro.harness.cli import main as cli_main
 
 
@@ -158,9 +162,9 @@ def test_cli_modelcheck_smoke(capsys):
 
 
 def test_cli_modelcheck_bare_runs_the_two_node_default(capsys):
-    # the global --nodes default (8) is outside the small scope; the
-    # bare command runs the documented 2-node config instead
-    code = cli_main(["modelcheck", "--quiet", "--no-artifacts"])
+    # the other commands' --nodes default (8) is outside the small
+    # scope; the bare command runs the documented 2-node config instead
+    code = cli_main(["modelcheck", "--quiet"])
     out = capsys.readouterr().out
     assert code == 0
     assert "lock nodes=2 pages=1 protocol=ccl" in out
@@ -175,6 +179,16 @@ def test_cli_modelcheck_bad_schedule_is_one_line(schedule, capsys):
     assert captured.out == ""
     (line,) = captured.err.strip().splitlines()
     assert "--schedule" in line
+
+
+def test_violation_repro_command_parses_back_to_its_config():
+    line = McViolation("recovery", "0.2.1", "replay diverged").repro_command(
+        "barrier", 3, 2, "ml")
+    argv = shlex.split(line)
+    assert argv[:4] == ["python", "-m", "repro", "modelcheck"]
+    args = _parser().parse_args(argv[3:])
+    assert (args.program, args.nodes, args.pages, args.protocol,
+            args.schedule) == ("barrier", 3, 2, "ml", "0.2.1")
 
 
 def test_cli_modelcheck_out_of_scope_nodes_is_one_line(capsys):

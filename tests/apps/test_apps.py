@@ -98,6 +98,7 @@ class TestProtocolBehaviour:
         for node in system.nodes:
             assert len(node.table) <= 2 * len(system.nodes)
 
+    @pytest.mark.wallclock
     def test_scaled_datasets_run_quickly(self):
         import time
 

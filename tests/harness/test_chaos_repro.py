@@ -4,11 +4,12 @@ rendered back into flags, and reproduced by the command a case prints.
 A case's repro command must rebuild the same fault model and sanitizer
 setting, so its re-run draws the same plan and reaches the same verdict
 at the same crash instant.  A fault model that cannot run is refused in
-one line by both ``run_chaos_run`` and ``repro chaos`` (exit 2) before
-any ``DsmSystem`` is built.
+one line by both ``run_chaos_run`` and ``repro chaos`` (exit 2, on
+stderr) before any ``DsmSystem`` is built.
 """
 
 import shlex
+from dataclasses import fields
 
 import pytest
 
@@ -60,8 +61,9 @@ def test_bad_fault_model_is_refused(monkeypatch, capsys, zones, faults,
             "--seeds", "1", "--protocols", protocol, "--no-artifacts",
             *flags.split()]
     assert main(argv) == 2
-    (line,) = capsys.readouterr().out.strip().splitlines()
-    assert line.startswith("chaos: ") and refusal in line
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert out == "" and line.startswith("repro chaos: ") and refusal in line
 
 
 def test_valid_fault_model_is_accepted_and_renders_its_flags():
@@ -84,7 +86,6 @@ def _cli_run(argv):
     """Run ``repro chaos`` argv down the CLI's own path; returns the
     inputs it resolved to and the report."""
     args = _parser().parse_args(argv)
-    args.apps_given = True  # what the CLI dispatcher records for --apps
     config, faults = _chaos_inputs(args)
     report = _run_report(args, _factories(args.apps, args.scale), config,
                          faults)
@@ -119,3 +120,43 @@ def test_repro_command_reproduces_the_case(flags):
     assert (same.ok, same.stop_at, same.detail) == (
         case.ok, case.stop_at, case.detail
     )
+
+
+def _no_system(*args, **kwargs):
+    raise AssertionError("a DsmSystem was built before the refusal")
+
+
+@pytest.mark.parametrize("pin", ["--crash-time 0.01", "--crash-node 1",
+                                 "--live-kill"])
+def test_a_pin_without_a_seed_is_refused(monkeypatch, capsys, pin):
+    # the suite draws its own victims and instants: a pin would be dropped
+    monkeypatch.setattr(DsmSystem, "__init__", _no_system)
+    assert main(["chaos", "--apps", "sor", "--scale", "test", "--nodes", "4",
+                 "--seeds", "1", *pin.split()]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith(f"repro chaos: {pin.split()[0]} ")
+    assert "--seed N" in line
+
+
+def test_repro_command_parses_back_to_every_field_of_its_case():
+    flags = ("--zones 2 --zone-wan 0.0002 --drop 0.1 --dup 0.02 "
+             "--delay-rate 0.2 --reorder 0.05 --disk-torn 0.5 "
+             "--disk-write-error 0.1 --disk-bitrot 0.3 --replication 2 "
+             "--zone-kill 1 --zone-partition 0,1 --sanitize")
+    (config, faults, sanitize), report = _cli_run(shlex.split(
+        "chaos --apps sor --protocols ccl --seed 3 --scale test --nodes 4 "
+        f"--crash-points 1 {flags}"))
+    assert [f.name for f in fields(faults)
+            if getattr(faults, f.name) == f.default] == []
+    assert report.cases
+    for case in report.cases:
+        argv = shlex.split(case.repro_command())
+        assert argv[:4] == ["python", "-m", "repro", "chaos"]
+        args = _parser().parse_args(argv[3:])
+        assert _chaos_inputs(args) == (config, faults)
+        assert (args.apps, args.protocols, args.seed, args.scale,
+                args.crash_time, args.crash_node, args.live_kill,
+                args.sanitize) == (
+            [case.app], [case.protocol], case.seed, "test", case.crash_time,
+            case.crash_node, case.live_kill, sanitize)

@@ -2,8 +2,7 @@
 
 import json
 
-import pytest
-
+from repro.harness import cli
 from repro.harness.cli import main
 
 
@@ -93,7 +92,7 @@ def test_compare_round_trips_bundles(tmp_path, capsys):
     a, b = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
     assert main(
-        ["explain", str(tmp_path / a), str(tmp_path / b), "--no-artifacts"]
+        ["explain", str(tmp_path / a), str(tmp_path / b)]
     ) == 0
     out = capsys.readouterr().out
     assert "explain:" in out
@@ -102,12 +101,34 @@ def test_compare_round_trips_bundles(tmp_path, capsys):
 
 
 def test_compare_requires_two_bundles(capsys):
-    assert main(["explain", "--no-artifacts"]) == 2
-    with pytest.raises(SystemExit) as exc:  # explain is the one run diff
-        main(["compare", "a", "b"])
-    assert exc.value.code == 2
+    assert main(["explain"]) == 2
+    assert main(["explain", "a"]) == 2
+    assert main(["compare", "a", "b"]) == 2  # explain is the one run diff
 
 
-def test_bad_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_bad_command_rejected(capsys):
+    assert main(["frobnicate"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro: ") and "'frobnicate'" in line
+
+
+def _fake_suite(apps, repeat):
+    return {"schema": 1, "kernels": {}, "apps_wall_s": {a: 0.0 for a in apps}}
+
+
+def test_bare_perf_prints_its_report_and_writes_nothing(monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_perf_suite", _fake_suite)
+    assert main(["perf", "--apps", "sor"]) == 0
+    assert json.loads(capsys.readouterr().out)["apps_wall_s"] == {"sor": 0.0}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perf_writes_the_files_its_flags_name(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_perf_suite", _fake_suite)
+    out, history = tmp_path / "perf.json", tmp_path / "history.jsonl"
+    assert main(["perf", "--out", str(out), "--history", str(history)]) == 0
+    assert json.loads(out.read_text())["schema"] == 1
+    (entry,) = history.read_text().splitlines()
+    assert json.loads(entry)["apps_wall_s"]["water"] == 0.0

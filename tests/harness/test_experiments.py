@@ -4,8 +4,7 @@ import re
 from pathlib import Path
 
 from repro.config import ClusterConfig
-from repro.harness import cli
-from repro.harness.cli import main
+from repro.harness.cli import _parser, main
 from repro.harness.experiments import EXPERIMENTS, Claim, Experiment
 
 DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
@@ -23,8 +22,9 @@ def _row(*claims):
 
 
 def test_which_choices_are_the_table_keys():
-    (which,) = [a for a in cli._parser()._actions if a.dest == "which"]
-    assert list(which.choices) == list(EXPERIMENTS)
+    for name in EXPERIMENTS:
+        assert _parser().parse_args(["ablation", "--which", name]).which == name
+    assert main(["ablation", "--which", "nonesuch"]) == 2
 
 
 def test_ids_match_design_index():
@@ -38,7 +38,7 @@ def test_failed_claim_exits_1_and_is_printed(monkeypatch, capsys):
         Claim("x is one", lambda p: p["a"]["x"] == 1.0),
         Claim("x is two", lambda p: p["a"]["x"] == 2.0),
     ))
-    assert main(["ablation", "--which", "fake", "--no-artifacts"]) == 1
+    assert main(["ablation", "--which", "fake"]) == 1
     out = capsys.readouterr()
     assert out.out.startswith("T1: a one-variant row\n")
     assert "T1 claim failed: x is two" in out.err
@@ -49,7 +49,7 @@ def test_holding_claims_exit_0(monkeypatch):
     monkeypatch.setitem(EXPERIMENTS, "fake", _row(
         Claim("x is one", lambda p: p["a"]["x"] == 1.0),
     ))
-    assert main(["ablation", "--which", "fake", "--no-artifacts"]) == 0
+    assert main(["ablation", "--which", "fake"]) == 0
 
 
 def test_run_renders_and_checks_one_row():

@@ -101,7 +101,7 @@ def test_a_damaged_bundle_file_is_one_error_line(bundle, tmp_path, capsys,
             (line,) = err.strip().splitlines()
             assert code == 2, (argv, seed, out, err)
             assert name in line and "Traceback" not in err, line
-            assert line.startswith(f"{argv[0]}: "), line
+            assert line.startswith(f"repro {argv[0]}: "), line
 
 
 def test_reading_a_bundle_leaves_it_byte_identical(tmp_path_factory, tmp_path,
@@ -124,8 +124,8 @@ def test_a_bundle_without_a_trace_is_one_refusal(untraced, tmp_path, capsys):
     for argv in READERS["trace_file"]:
         code, out, err = _run(argv, untraced, tmp_path, capsys)
         (line,) = err.strip().splitlines()
-        assert code == 2 and line.startswith(f"{argv[0]}: "), (argv, err)
-        refusals.add(line[len(argv[0]) + 2:])
+        assert code == 2 and line.startswith(f"repro {argv[0]}: "), (argv, err)
+        refusals.add(line[len(f"repro {argv[0]}: "):])
     assert refusals == {f"bundle {untraced} has no recorded trace"}
     code, out, err = _run(["explain", "{b}", "{b}"], untraced, tmp_path, capsys)
     assert (code, err) == (0, ""), err

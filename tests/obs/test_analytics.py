@@ -135,6 +135,7 @@ def test_jsonl_roundtrip_matches_tracer_ingest(tmp_path, ct):
         assert analytics.run_report(ct2, name) == analytics.run_report(ct, name)
 
 
+@pytest.mark.wallclock
 def test_ingest_100k_events_under_one_second(tmp_path):
     """Acceptance bound: >=100k-record trace ingests in <1s."""
     path = tmp_path / "trace.jsonl"

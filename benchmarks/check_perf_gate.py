@@ -3,16 +3,16 @@
 Re-times the hot kernels, the simulator event loop and the long-run
 headline, then compares against the most recent entries of
 ``benchmark_results/history.jsonl`` (the committed perf trajectory that
-``make perf`` appends to) that recorded each
-metric.  The gate fails (exit 1) when, beyond ``--tolerance`` (default
-10%):
+``make perf`` and ``repro perf --target --history`` append to) that
+recorded each metric.  The gate fails (exit 1) when, beyond
+``--tolerance`` (default 10%):
 
 * ``sim_event_throughput`` (events/s) dropped -- the event-loop
   rewrite's headline number; or
 * ``longrun_wall_s`` rose -- the host wall-clock of the long
-  application run ``repro perf --target`` records (64-node ``sor/ccl``:
-  where vector-clock and notice bookkeeping, not the engine, is the
-  cost); or
+  application run ``repro perf --target --history PATH`` appends
+  (64-node ``sor/ccl``: where vector-clock and notice bookkeeping,
+  not the engine, is the cost); or
 * any *parity-gated* kernel (the diff/encode kernels that have a
   preserved reference oracle, see ``bench_micro.py --check``) got
   slower in ns/op.

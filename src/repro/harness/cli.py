@@ -318,7 +318,7 @@ def _tables(args) -> int:
                 "ml_recovery_s": rec.ml.recovery_time,
                 "ccl_recovery_s": rec.ccl.recovery_time,
             })
-    record_bundle(args, summaries)
+    record_bundle(args, config, summaries)
     return 0
 
 
@@ -334,7 +334,7 @@ def _breakdown(args) -> int:
         con.result(render_breakdown(result))
         con.result("")
         summaries.append(result_summary(result))
-    record_bundle(args, summaries)
+    record_bundle(args, config, summaries)
     return 0
 
 
@@ -380,7 +380,7 @@ def _perf(args) -> int:
         )
     else:
         report = run_perf_suite(apps=args.apps, repeat=args.repeat)
-        if not args.out:
+        if not args.out and not con.json_mode:
             con.result(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         write_perf_json(report, args.out)

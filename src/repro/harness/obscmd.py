@@ -56,19 +56,19 @@ __all__ = ["record_bundle", "run_timeline", "run_critical_path",
            "run_query", "run_explain"]
 
 
-def record_bundle(args, results: List[Dict[str, Any]],
+def record_bundle(args, config: ClusterConfig, results: List[Dict[str, Any]],
                   tracer: Optional[Tracer] = None,
                   timeline: Optional[Dict[str, Any]] = None,
                   **extra: Any) -> Optional[Path]:
     """Write the run bundle of a command that recorded ``results`` on
-    its ``--nodes`` cluster; returns its directory (None under
-    ``--no-artifacts`` or with no results)."""
+    ``config``; returns its directory (None under ``--no-artifacts`` or
+    with no results)."""
     if args.no_artifacts or not results:
         return None
     manifest: Dict[str, Any] = {
         "command": args.command,
         "scale": args.scale,
-        "config": config_dict(ClusterConfig.ultra5(num_nodes=args.nodes)),
+        "config": config_dict(config),
         "results": results,
         **extra,
     }
@@ -78,13 +78,13 @@ def record_bundle(args, results: List[Dict[str, Any]],
     return bundle
 
 
-def _record_traced(args, app: str) -> Tuple[Any, Tracer]:
-    """One traced run of ``app`` under the command's protocol, scale
-    and cluster."""
+def _record_traced(args, config: ClusterConfig,
+                   app: str) -> Tuple[Any, Tracer]:
+    """One traced run of ``app`` on ``config`` under the command's
+    protocol and scale."""
     from ..analysis.sanitize import traced
     from .runner import run_application
 
-    config = ClusterConfig.ultra5(num_nodes=args.nodes)
     with traced():
         result, system = run_application(app, args.protocol, config, args.scale)
     return result, system.tracer
@@ -104,11 +104,12 @@ def run_timeline(args) -> int:
         )
     else:
         app = args.apps[0]
-        result, tracer = _record_traced(args, app)
+        config = ClusterConfig.ultra5(num_nodes=args.nodes)
+        result, tracer = _record_traced(args, config, app)
         source = f"{app}/{args.protocol}@{args.scale}"
         doc = chrome_trace(tracer)
         bundle = record_bundle(
-            args, [result_summary(result)], tracer=tracer, timeline=doc,
+            args, config, [result_summary(result)], tracer=tracer, timeline=doc,
             metrics=MetricsRegistry.from_run(result, tracer).snapshot())
         default_out = str(bundle / "timeline.json") if bundle else "timeline.json"
 
@@ -161,15 +162,16 @@ def run_critical_path(args) -> int:
         tracer = load_trace(args.trace)
         _report_one(args.trace, tracer, con, payload, args.protocol)
     else:
+        config = ClusterConfig.ultra5(num_nodes=args.nodes)
         summaries = []
         overlaps = {}
         for app in args.apps:
-            result, tracer = _record_traced(args, app)
+            result, tracer = _record_traced(args, config, app)
             label = f"{app}/{args.protocol}@{args.scale}"
             _report_one(label, tracer, con, payload, args.protocol)
             summaries.append(result_summary(result))
             overlaps[app] = payload[label]["overlap_fraction"]
-        record_bundle(args, summaries, overlap=overlaps)
+        record_bundle(args, config, summaries, overlap=overlaps)
     con.emit("critical_path", payload)
     return 0
 
@@ -181,10 +183,11 @@ def run_query(args) -> int:
     source = args.trace
     if source is None:
         app = args.apps[0]
-        result, tracer = _record_traced(args, app)
+        config = ClusterConfig.ultra5(num_nodes=args.nodes)
+        result, tracer = _record_traced(args, config, app)
         source = f"{app}/{args.protocol}@{args.scale}"
         bundle = record_bundle(
-            args, [result_summary(result)], tracer=tracer,
+            args, config, [result_summary(result)], tracer=tracer,
             metrics=MetricsRegistry.from_run(result, tracer).snapshot())
         if bundle is not None:
             source = str(bundle)

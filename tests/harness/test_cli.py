@@ -125,6 +125,15 @@ def test_bare_perf_prints_its_report_and_writes_nothing(monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_perf_json_carries_the_report_once(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_perf_suite", _fake_suite)
+    assert main(["perf", "--apps", "sor", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["output"] == []
+    assert doc["perf"]["apps_wall_s"] == {"sor": 0.0}
+
+
 def test_perf_writes_the_files_its_flags_name(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "run_perf_suite", _fake_suite)
     out, history = tmp_path / "perf.json", tmp_path / "history.jsonl"

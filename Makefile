@@ -53,7 +53,4 @@ perf-gate:
 # The paper's figures and both ablations, fanned out over all cores.
 # Output is byte-identical to serial runs (see docs/performance.md).
 bench-parallel:
-	$(PYTHON) -m repro fig4 --jobs $(JOBS)
-	$(PYTHON) -m repro fig5 --jobs $(JOBS)
-	$(PYTHON) -m repro ablation --which disk --jobs $(JOBS)
-	$(PYTHON) -m repro ablation --which pagesize --jobs $(JOBS)
+	$(PYTHON) -m repro experiments fig4 fig5 disk pagesize --jobs $(JOBS)

@@ -15,7 +15,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..apps import PAPER_APPS
 from ..config import ClusterConfig
 from ..core.chaos import DEFAULT_RATES
-from ..core.logging_base import PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES
+from ..core.logging_base import (PROTOCOL_NAMES, RECOVERY_PROTOCOL_NAMES,
+                                 SCHEMES)
 from ..errors import ConfigError, ReproError
 from ..obs.artifacts import result_summary
 from ..obs.console import configure as configure_console
@@ -24,18 +25,13 @@ from .analyze import run_analyze
 from .breakdown import render_breakdown
 from .chaoscmd import DEFAULT_CHAOS_APPS, run_chaos
 from .experiments import EXPERIMENTS
-from .figures import fig4_rows, fig5_rows, render_fig4, render_fig5, write_csv
 from .modelcheckcmd import run_modelcheck_cmd
 from .obscmd import (record_bundle, run_critical_path, run_explain, run_query,
                      run_timeline)
 from .perf import (append_perf_history, run_perf_suite, run_target_headline,
                    write_perf_json)
-from .report import generate_report
-from .runner import (logging_comparison_task, recovery_comparison_task,
-                     run_application)
+from .runner import run_application
 from .scales import SCALES
-from .sweep import parallel_map
-from .tables import render_table1, render_table2_panel
 
 __all__ = ["main"]
 
@@ -60,16 +56,6 @@ _SHARED: Dict[str, Tuple[str, Dict[str, Any]]] = {
                                             help="write no run bundle")),
     "protocol": ("--protocol", dict(default="ccl", choices=list(PROTOCOL_NAMES),
                                     help="logging protocol")),
-    "paper_mode": ("--paper-mode", dict(
-        action="store_true", help="writer-aligned homes + no home-write "
-        "logging (the paper's log-size ratios; see EXPERIMENTS.md)")),
-    "failed_node": ("--failed-node", dict(type=int, default=3,
-                                          help="node crashed in recovery runs")),
-    "csv": ("--csv", dict(metavar="PREFIX",
-                          help="also write CSV files with this path prefix")),
-    "jobs": ("--jobs", dict(type=int, default=1, metavar="N",
-                            help="fan simulations out over N processes "
-                                 "(output is byte-identical)")),
     "out": ("--out", dict(metavar="PATH",
                           help="write the command's document here")),
 }
@@ -112,14 +98,14 @@ def _parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
         return cmd
 
-    tables = (*WORKLOAD, *BUNDLE, "jobs", "csv")
-    command("table1", _tables, "Table 1: the applications", "apps")
-    command("table2", _tables, "Table 2(a)-(d): failure-free statistics",
-            *tables, "paper_mode")
-    command("fig4", _tables, "Figure 4: failure-free logging overhead",
-            *tables, "paper_mode")
-    command("fig5", _tables, "Figure 5: recovery time", *tables,
-            "failed_node")
+    rows = command("experiments", _experiments, "experiment-table rows, all "
+                   "by default; exits 1 when a claim fails", "nodes")
+    rows.add_argument("rows", nargs="*", metavar="ROW", type=_row,
+                      help="rows to run (default: every row, in table "
+                           "order): " + ", ".join(EXPERIMENTS))
+    rows.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="fan simulations out over N processes "
+                           "(output is byte-identical)")
     breakdown = command("breakdown", _breakdown,
                         "per-node execution-time breakdown", *WORKLOAD,
                         *BUNDLE, "protocol")
@@ -127,17 +113,11 @@ def _parser() -> argparse.ArgumentParser:
                            help="adaptive protocol only: worst-case recovery "
                                 "time (virtual seconds) its cost model "
                                 "enforces (default: none)")
-    command("report", _report, "the whole evaluation as one Markdown report",
-            *WORKLOAD, "failed_node", "out")
     analyze = command("analyze", run_analyze, "coherence sanitizer over a "
                       "trace or a traced run; exits 1 on a finding", "trace",
                       *WORKLOAD, "protocol")
     analyze.add_argument("--save-trace", metavar="PATH",
                          help="also save the run's trace")
-    ablation = command("ablation", _ablation, "one experiment-table row; "
-                       "exits 1 when a claim fails", "nodes", "jobs")
-    ablation.add_argument("--which", default="disk", choices=list(EXPERIMENTS),
-                          help="which experiment-table row to run")
     perf = command("perf", _perf, "microbenchmark suite; prints its report "
                    "unless --out names a file", "apps", "out")
     perf.add_argument("--repeat", type=int, default=5,
@@ -152,7 +132,11 @@ def _parser() -> argparse.ArgumentParser:
                          "arbitrary-instant crash suite", *WORKLOAD, *BUNDLE,
                          apps=DEFAULT_CHAOS_APPS))
     mc = command("modelcheck", run_modelcheck_cmd, "small-scope exhaustive "
-                 "schedule/crash exploration", "nodes", "protocol", nodes=2)
+                 "schedule/crash exploration", "nodes", nodes=2)
+    mc.add_argument("--protocol", default="ccl",
+                    choices=[n for n, s in SCHEMES.items() if not s.promotes],
+                    help="logging protocol (a crashed node is recovered by "
+                         "replay, so no promoting scheme)")
     mc.add_argument("--program", default="lock", choices=["lock", "barrier"],
                     help="bounded preset (lock: one contended lock; "
                          "barrier: neighbour reads after a barrier)")
@@ -190,8 +174,6 @@ def _parser() -> argparse.ArgumentParser:
     explain.add_argument("--history", metavar="PATH",
                          default="benchmark_results/history.jsonl",
                          help="the perf trajectory --from-history reads")
-    command("all", _tables, "Table 1, Table 2, Figures 4 and 5", *tables,
-            "paper_mode", "failed_node")
     return p
 
 
@@ -278,48 +260,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_console()  # reset modes for in-process callers (tests)
 
 
-def _tables(args) -> int:
-    """table1, table2, fig4, fig5 and all: the paper's artefacts."""
+def _row(name: str) -> str:
+    """An ``EXPERIMENTS`` key (``choices`` would refuse an empty list)."""
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(EXPERIMENTS)})")
+    return name
+
+
+def _experiments(args) -> int:
+    """Each row's artefact, then a line per failed claim on stderr."""
     con = get_console()
-    if args.command in ("table1", "all"):
-        con.result(render_table1(args.apps))
-        con.result("")
-    if args.command == "table1":
-        return 0
     config = ClusterConfig.ultra5(num_nodes=args.nodes)
-    summaries: List[Dict[str, Any]] = []
-    if args.command != "fig5":
-        specs = [dict(app_name=name, config=config, scale=args.scale,
-                      paper_mode=args.paper_mode) for name in args.apps]
-        comparisons = parallel_map(logging_comparison_task, specs, jobs=args.jobs)
-        if args.command in ("table2", "all"):
-            for cmp in comparisons:
-                con.result(render_table2_panel(cmp))
-                con.result("")
-        if args.command in ("fig4", "all"):
-            con.result(render_fig4(comparisons))
-        if args.csv:
-            write_csv(fig4_rows(comparisons), f"{args.csv}_fig4.csv")
-        for cmp in comparisons:
-            for _protocol, result in sorted(cmp.results.items()):
-                summaries.append(result_summary(result))
-    if args.command in ("fig5", "all"):
-        specs = [dict(app_name=name, config=config, scale=args.scale,
-                      failed_node=args.failed_node) for name in args.apps]
-        recoveries = parallel_map(recovery_comparison_task, specs, jobs=args.jobs)
-        con.result(render_fig5(recoveries))
-        if args.csv:
-            write_csv(fig5_rows(recoveries), f"{args.csv}_fig5.csv")
-        for rec in recoveries:
-            summaries.append({
-                "app": rec.app_name,
-                "protocol": "recovery",
-                "reexecution_s": rec.reexecution_s,
-                "ml_recovery_s": rec.ml.recovery_time,
-                "ccl_recovery_s": rec.ccl.recovery_time,
-            })
-    record_bundle(args, config, summaries)
-    return 0
+    failures = 0
+    for i, name in enumerate(args.rows or EXPERIMENTS):
+        row = EXPERIMENTS[name]
+        text, failed = row.run(config, jobs=args.jobs)
+        con.result("\n" + text if i else text)
+        for claim in failed:
+            con.error(f"{row.id} claim failed: {claim.text}")
+        failures += len(failed)
+    return 1 if failures else 0
 
 
 def _breakdown(args) -> int:
@@ -336,30 +297,6 @@ def _breakdown(args) -> int:
         summaries.append(result_summary(result))
     record_bundle(args, config, summaries)
     return 0
-
-
-def _report(args) -> int:
-    con = get_console()
-    text = generate_report(ClusterConfig.ultra5(num_nodes=args.nodes),
-                           args.scale, args.apps, failed_node=args.failed_node)
-    if not args.out:
-        con.result(text)
-        return 0
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    con.info(f"report written to {args.out}")
-    return 0
-
-
-def _ablation(args) -> int:
-    con = get_console()
-    row = EXPERIMENTS[args.which]
-    text, failed = row.run(ClusterConfig.ultra5(num_nodes=args.nodes),
-                           jobs=args.jobs)
-    con.result(text)
-    for claim in failed:
-        con.error(f"{row.id} claim failed: {claim.text}")
-    return 1 if failed else 0
 
 
 def _perf(args) -> int:

@@ -1,8 +1,7 @@
 """Text renderers for the paper's figures.
 
 Both evaluation figures are normalised bar charts; we render them as
-ASCII bars plus the underlying numbers, and expose the series as plain
-rows for CSV emission.
+ASCII bars plus the underlying numbers.
 
 * **Figure 4** -- failure-free execution time under None (=1.0), ML,
   and CCL, per application.
@@ -12,18 +11,11 @@ rows for CSV emission.
 
 from __future__ import annotations
 
-import io
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
 from .runner import LoggingComparison, RecoveryComparison
 
-__all__ = [
-    "render_fig4",
-    "render_fig5",
-    "fig4_rows",
-    "fig5_rows",
-    "write_csv",
-]
+__all__ = ["render_fig4", "render_fig5"]
 
 _BAR_WIDTH = 44
 
@@ -31,22 +23,6 @@ _BAR_WIDTH = 44
 def _bar(value: float, vmax: float) -> str:
     n = max(1, int(round(_BAR_WIDTH * value / max(vmax, 1e-12))))
     return "#" * n
-
-
-def fig4_rows(comparisons: Iterable[LoggingComparison]) -> List[Dict[str, float]]:
-    """Figure 4 data: normalised execution time per app per protocol."""
-    rows = []
-    for cmp in comparisons:
-        for protocol in ("none", "ml", "ccl"):
-            rows.append(
-                {
-                    "app": cmp.app_name,
-                    "protocol": protocol,
-                    "normalized_time": cmp.normalized_time(protocol),
-                    "exec_time_s": cmp.row(protocol).exec_time_s,
-                }
-            )
-    return rows
 
 
 def render_fig4(comparisons: Sequence[LoggingComparison]) -> str:
@@ -73,22 +49,6 @@ def render_fig4(comparisons: Sequence[LoggingComparison]) -> str:
     return "\n".join(lines)
 
 
-def fig5_rows(comparisons: Iterable[RecoveryComparison]) -> List[Dict[str, float]]:
-    """Figure 5 data: normalised recovery time per app per scheme."""
-    rows = []
-    for cmp in comparisons:
-        for scheme in ("reexec", "ml", "ccl"):
-            rows.append(
-                {
-                    "app": cmp.app_name,
-                    "scheme": scheme,
-                    "normalized_time": cmp.normalized(scheme),
-                    "reduction_pct": 100.0 * cmp.reduction(scheme),
-                }
-            )
-    return rows
-
-
 def render_fig5(comparisons: Sequence[RecoveryComparison]) -> str:
     """ASCII rendering of Figure 5 (crash recovery speed)."""
     lines = [
@@ -110,28 +70,3 @@ def render_fig5(comparisons: Sequence[RecoveryComparison]) -> str:
             lines.append(f"  {label[scheme]} {v:5.3f} |{_bar(v, 1.0)}{suffix}")
         lines.append("")
     return "\n".join(lines)
-
-
-def write_csv(rows: List[Dict], path: str) -> None:
-    """Write figure/table rows to a CSV file."""
-    if not rows:
-        raise ValueError("no rows to write")
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def rows_to_csv_text(rows: List[Dict]) -> str:
-    """CSV text for embedding in reports."""
-    if not rows:
-        return ""
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()

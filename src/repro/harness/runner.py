@@ -7,7 +7,7 @@ Three entry points mirror the paper's three measurement campaigns:
   None, ML, and CCL, with log-size and flush statistics;
 * :func:`recovery_comparison` -- Figure 5: re-execution (the
   failure-free run's duration) vs ML-recovery vs CCL recovery, with the
-  crash injected at the failed node's final interval by default.
+  crash injected at the failed node's final interval.
 """
 
 from __future__ import annotations
@@ -196,8 +196,6 @@ def recovery_comparison(
     config: Optional[ClusterConfig] = None,
     scale: str = "bench",
     failed_node: int = 3,
-    at_seal: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
     **app_overrides,
 ) -> RecoveryComparison:
     """Run the Figure 5 experiment for one application.
@@ -220,8 +218,6 @@ def recovery_comparison(
             config,
             protocol,
             failed_nodes=(failed_node,),
-            at_seal=at_seal,
-            checkpoint_every=checkpoint_every,
         )
         if not res.ok:
             raise HarnessError(

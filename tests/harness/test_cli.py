@@ -1,59 +1,58 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
-from repro.harness import cli
+from repro.dsm.system import DsmSystem
+from repro.harness import cli, experiments
 from repro.harness.cli import main
 
+RESULTS = Path(__file__).resolve().parents[2] / "benchmark_results"
 
-def test_table1_prints(capsys):
-    assert main(["table1"]) == 0
+
+def _artefact(name):
+    return (RESULTS / f"{name}.txt").read_text()
+
+
+def test_table1_prints(monkeypatch, capsys):
+    """Table 1 documents the paper's datasets: it simulates nothing."""
+    def no_system(*args, **kwargs):
+        raise AssertionError("Table 1 built a DsmSystem")
+
+    monkeypatch.setattr(DsmSystem, "__init__", no_system)
+    assert main(["experiments", "table1"]) == 0
+    assert capsys.readouterr().out == _artefact("table1")
+
+
+def test_table2_single_app(capsys):
+    assert main(["experiments", "table2a"]) == 0
+    assert capsys.readouterr().out == _artefact("table2a_fft3d")
+
+
+def test_fig5_runs_recovery(monkeypatch, capsys):
+    task = experiments.recovery_comparison_task
+    monkeypatch.setattr(experiments, "recovery_comparison_task",
+                        lambda spec: task(dict(spec, scale="test")))
+    assert main(["experiments", "fig5"]) == 0
     out = capsys.readouterr().out
-    assert "3D-FFT" in out and "Water" in out
+    assert out.startswith("Figure 5") and out.count("Our Recovery") == 4
 
 
-def test_table2_single_app(tmp_path, capsys):
-    assert main(
-        ["table2", "--apps", "sor", "--scale", "test", "--nodes", "4",
-         "--runs-dir", str(tmp_path)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "Table 2" in out and "CCL" in out
-    # the run wrote a comparable artifact bundle
-    bundles = list(tmp_path.iterdir())
-    assert len(bundles) == 1
-    manifest = json.loads((bundles[0] / "manifest.json").read_text())
-    assert manifest["command"] == "table2"
-    assert {r["protocol"] for r in manifest["results"]} == {"none", "ml", "ccl"}
-
-
-def test_fig4_with_csv(tmp_path, capsys):
-    prefix = str(tmp_path / "out")
-    code = main(
-        ["fig4", "--apps", "sor", "--scale", "test", "--nodes", "4",
-         "--csv", prefix, "--no-artifacts"]
-    )
-    assert code == 0
-    assert "Figure 4" in capsys.readouterr().out
-    assert (tmp_path / "out_fig4.csv").exists()
-
-
-def test_fig5_runs_recovery(capsys):
-    assert main(
-        ["fig5", "--apps", "sor", "--scale", "test", "--nodes", "4",
-         "--no-artifacts"]
-    ) == 0
-    assert "Figure 5" in capsys.readouterr().out
+def test_rows_print_in_the_order_given(capsys):
+    assert main(["experiments", "table2a", "table1"]) == 0
+    expected = _artefact("table2a_fft3d") + "\n" + _artefact("table1")
+    assert capsys.readouterr().out == expected
 
 
 def test_quiet_drops_progress_but_keeps_results(tmp_path, capsys):
     assert main(
-        ["table2", "--apps", "sor", "--scale", "test", "--nodes", "4",
-         "--runs-dir", str(tmp_path), "--quiet"]
+        ["breakdown", "--apps", "sor", "--scale", "test", "--nodes", "4",
+         "--protocol", "ccl", "--runs-dir", str(tmp_path), "--quiet"]
     ) == 0
     out = capsys.readouterr().out
-    assert "Table 2" in out
+    assert "Execution breakdown" in out
     assert "run bundle" not in out  # progress lines suppressed
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_json_mode_emits_one_document(tmp_path, capsys):
@@ -86,8 +85,8 @@ def test_timeline_writes_valid_chrome_trace(tmp_path, capsys):
 def test_compare_round_trips_bundles(tmp_path, capsys):
     for _ in range(2):
         assert main(
-            ["table2", "--apps", "sor", "--scale", "test", "--nodes", "4",
-             "--runs-dir", str(tmp_path), "--quiet"]
+            ["breakdown", "--apps", "sor", "--scale", "test", "--nodes", "4",
+             "--protocol", "ccl", "--runs-dir", str(tmp_path), "--quiet"]
         ) == 0
     a, b = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()

@@ -30,14 +30,9 @@ HARNESS = ROOT / "src" / "repro" / "harness"
 #: ``module:function`` under src/repro/harness; the first is the
 #: handler the command is bound to.
 HANDLERS = {
-    "table1": ("cli.py:_tables",),
-    "table2": ("cli.py:_tables", "obscmd.py:record_bundle"),
-    "fig4": ("cli.py:_tables", "obscmd.py:record_bundle"),
-    "fig5": ("cli.py:_tables", "obscmd.py:record_bundle"),
+    "experiments": ("cli.py:_experiments",),
     "breakdown": ("cli.py:_breakdown", "obscmd.py:record_bundle"),
-    "report": ("cli.py:_report",),
     "analyze": ("analyze.py:run_analyze",),
-    "ablation": ("cli.py:_ablation",),
     "perf": ("cli.py:_perf",),
     "chaos": ("chaoscmd.py:run_chaos", "chaoscmd.py"),
     "modelcheck": ("modelcheckcmd.py:run_modelcheck_cmd",),
@@ -48,9 +43,20 @@ HANDLERS = {
     "query": ("obscmd.py:run_query", "obscmd.py:_record_traced",
               "obscmd.py:record_bundle"),
     "explain": ("obscmd.py:run_explain",),
-    "all": ("cli.py:_tables", "obscmd.py:record_bundle"),
 }
 ALL_COMMANDS = ("cli.py:main",)
+
+#: The commands folded into ``experiments``, and the line replacing each.
+PAPER = "experiments table1 table2a table2b table2c table2d fig4 fig5"
+FOLDED = {
+    "table1": "experiments table1",
+    "table2": "experiments table2a table2b table2c table2d",
+    "fig4": "experiments fig4",
+    "fig5": "experiments fig5",
+    "report": PAPER,
+    "ablation": "experiments disk",
+    "all": PAPER,
+}
 
 
 def _commands():
@@ -96,43 +102,56 @@ def test_every_command_has_a_handler_row():
     assert set(HANDLERS) == set(_commands())
 
 
-@pytest.mark.parametrize("command", list(HANDLERS))
+def _folded(command):
+    """A folded command's replacement line, parsed; the command is gone."""
+    assert command not in _commands()
+    return _parser().parse_args(FOLDED[command].split())
+
+
+@pytest.mark.parametrize("command", list(HANDLERS) + list(FOLDED))
 def test_the_command_is_bound_to_its_first_scope(command):
-    handler = _commands()[command].get_default("handler")
+    if command in FOLDED:
+        args = _folded(command)
+        command, handler = args.command, args.handler
+    else:
+        handler = _commands()[command].get_default("handler")
     module, _, function = HANDLERS[command][0].partition(":")
     assert handler.__module__ == f"repro.harness.{module[:-3]}"
     assert handler.__name__ == function
 
 
-@pytest.mark.parametrize("command", list(HANDLERS))
+@pytest.mark.parametrize("command", list(HANDLERS) + list(FOLDED))
 def test_every_declared_flag_is_read(command):
+    if command in FOLDED:
+        args = _folded(command)
+        command, declared = args.command, set(vars(args)) - {"command",
+                                                              "handler"}
+    else:
+        declared = {a.dest for a in _declared(_commands()[command])}
     read = set().union(*map(_reads, HANDLERS[command] + ALL_COMMANDS))
-    declared = {a.dest for a in _declared(_commands()[command])}
     assert sorted(declared - read) == []
 
 
-#: One flag each command does not take (the first four are the probes
+#: One flag each command does not take (the first three are the probes
 #: that exited 0 under the flat parser), and the flag the refusal names.
 REFUSED = [
-    ("table1 --zone-kill 1 --disk-torn 0.5 --which adaptive --sanitize",
-     "--zone-kill"),
     ("modelcheck --program lock --replication 3 --disk-bitrot 0.2",
      "--replication"),
     ("perf --which pagesize --live-kill --repeat 1", "--which"),
     ("modelcheck --no-artifacts", "--no-artifacts"),
-    ("table2 --failed-node 1", "--failed-node"),
-    ("fig4 --protocol ml", "--protocol"),
-    ("fig5 --paper-mode", "--paper-mode"),
+    ("experiments --which fig4", "--which"),
+    ("experiments fig4 --scale test --paper-mode", "--scale"),
     ("breakdown --jobs 2", "--jobs"),
-    ("report --runs-dir runs", "--runs-dir"),
     ("analyze --out x.json", "--out"),
-    ("ablation --scale test", "--scale"),
     ("chaos --protocol ccl", "--protocol"),
+    # replay-only: a crashed node is never promoted, so failover's own
+    # recovery would go unexplored
+    ("modelcheck --protocol failover --budget 200 --allow-truncated",
+     "--protocol"),
     ("timeline --report all", "--report"),
     ("critical-path --out x.json", "--out"),
     ("query --save-trace x.jsonl", "--save-trace"),
     ("explain a b --no-artifacts", "--no-artifacts"),
-    ("all --which disk", "--which"),
 ]
 
 
@@ -168,10 +187,10 @@ def test_a_malformed_command_line_is_one_refusal(capsys, argv):
 def test_a_shared_flag_default_is_its_commands_own():
     parser = _parser()
     assert parser.parse_args(["chaos"]).apps == ("sor", "water")
-    assert parser.parse_args(["table2"]).apps == ("fft3d", "mg", "shallow",
-                                                  "water")
+    assert parser.parse_args(["breakdown"]).apps == ("fft3d", "mg", "shallow",
+                                                     "water")
     assert parser.parse_args(["modelcheck"]).nodes == 2
-    assert parser.parse_args(["fig5"]).nodes == 8
+    assert parser.parse_args(["experiments"]).nodes == 8
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +201,8 @@ def _table():
     def arg(action):
         if action.option_strings:
             return f"`{action.option_strings[0]}`"
-        return f"`[{action.metavar}]`" if action.nargs == "?" else f"`{action.metavar}`"
+        return {"?": f"`[{action.metavar}]`", "*": f"`[{action.metavar} ...]`"}.get(
+            action.nargs, f"`{action.metavar}`")
     def positional_first(action):
         return bool(action.option_strings)
     return [f"| `{name}` | {sub.description} | " + " ".join(
@@ -199,12 +219,14 @@ def test_documented_table_is_the_parsers():
 
 
 def _documented_command_lines():
-    """Every ``python -m repro ...`` line of the README, docs/*.md and the
-    Makefile, continuation lines joined and ``...`` elisions dropped."""
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
-                 ROOT / "Makefile"]:
+    """Every ``python -m repro ...`` line of the README, EXPERIMENTS.md,
+    DESIGN.md, docs/*.md, the Makefile and the verify skill, continuation
+    lines joined, ``...`` elisions and shell redirections dropped."""
+    for path in [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+                 ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md")),
+                 ROOT / "Makefile", ROOT / ".claude/skills/verify/SKILL.md"]:
         text = path.read_text().replace("\\\n", " ").replace("$(JOBS)", "2")
-        for match in re.finditer(r"-m repro ([^`#\n]*)", text):
+        for match in re.finditer(r"-m repro ([^`#>|\n]*)", text):
             argv = [t for t in shlex.split(match.group(1)) if t != "..."]
             yield pytest.param(argv, id=f"{path.name}: {' '.join(argv)}")
 

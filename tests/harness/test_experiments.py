@@ -3,9 +3,13 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.config import ClusterConfig
+from repro.harness import experiments
 from repro.harness.cli import _parser, main
 from repro.harness.experiments import EXPERIMENTS, Claim, Experiment
+from repro.harness.runner import LoggingComparison, ProtocolRow
 
 DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
@@ -21,12 +25,13 @@ def _row(*claims):
     )
 
 
-def test_which_choices_are_the_table_keys():
-    (sub,) = [a for a in _parser()._actions if a.dest == "command"]
-    (which,) = [a for a in sub.choices["ablation"]._actions
-                if a.dest == "which"]
-    assert list(which.choices) == list(EXPERIMENTS)
-    assert main(["ablation", "--which", "nonesuch"]) == 2
+def test_which_choices_are_the_table_keys(capsys):
+    parser = _parser()
+    assert parser.parse_args(["experiments", *EXPERIMENTS]).rows == list(EXPERIMENTS)
+    assert main(["experiments", "fig4", "nonesuch"]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("repro experiments: ") and "nonesuch" in line
 
 
 def test_ids_match_design_index():
@@ -40,7 +45,7 @@ def test_failed_claim_exits_1_and_is_printed(monkeypatch, capsys):
         Claim("x is one", lambda p: p["a"]["x"] == 1.0),
         Claim("x is two", lambda p: p["a"]["x"] == 2.0),
     ))
-    assert main(["ablation", "--which", "fake"]) == 1
+    assert main(["experiments", "fake"]) == 1
     out = capsys.readouterr()
     assert out.out.startswith("T1: a one-variant row\n")
     assert "T1 claim failed: x is two" in out.err
@@ -51,7 +56,7 @@ def test_holding_claims_exit_0(monkeypatch):
     monkeypatch.setitem(EXPERIMENTS, "fake", _row(
         Claim("x is one", lambda p: p["a"]["x"] == 1.0),
     ))
-    assert main(["ablation", "--which", "fake"]) == 0
+    assert main(["experiments", "fake"]) == 0
 
 
 def test_run_renders_and_checks_one_row():
@@ -60,3 +65,27 @@ def test_run_renders_and_checks_one_row():
     )
     assert text.splitlines()[-1].split() == ["a", "1"]
     assert [c.text for c in failed] == ["never"]
+
+
+@pytest.fixture
+def no_cached_comparisons():
+    experiments._comparison.cache_clear()
+    yield
+    experiments._comparison.cache_clear()
+
+
+def test_fig4_reuses_the_table2_comparisons(monkeypatch, capsys,
+                                            no_cached_comparisons):
+    """E2-E5 run each app sound and paper-mode; E6 needs only the sound
+    runs, so at ``--jobs 1`` it runs none of its own."""
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return LoggingComparison(spec["app_name"], [
+            ProtocolRow(p, 1.0, 1.0, 1.0, 1) for p in ("none", "ml", "ccl")])
+
+    monkeypatch.setattr(experiments, "logging_comparison_task", counted)
+    main(["experiments", "table2a", "table2b", "table2c", "table2d", "fig4"])
+    assert len(specs) == 8
+    assert "Figure 4" in capsys.readouterr().out

@@ -1,11 +1,9 @@
-"""Tests for table/figure rendering and CSV emission."""
+"""Tests for table/figure rendering."""
 
 import pytest
 
 from repro.config import ClusterConfig
 from repro.harness import (
-    fig4_rows,
-    fig5_rows,
     logging_comparison,
     recovery_comparison,
     render_fig4,
@@ -15,7 +13,6 @@ from repro.harness import (
     render_table2_panel,
     sweep,
     table1_rows,
-    write_csv,
 )
 
 CFG = ClusterConfig.ultra5(num_nodes=4)
@@ -54,13 +51,6 @@ class TestTable2:
 
 
 class TestFig4:
-    def test_rows_schema(self, cmp_sor):
-        rows = fig4_rows([cmp_sor])
-        assert len(rows) == 3
-        assert {r["protocol"] for r in rows} == {"none", "ml", "ccl"}
-        none_row = next(r for r in rows if r["protocol"] == "none")
-        assert none_row["normalized_time"] == 1.0
-
     def test_render(self, cmp_sor):
         text = render_fig4([cmp_sor])
         assert "Figure 4" in text
@@ -68,30 +58,10 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_rows_schema(self, rec_sor):
-        rows = fig5_rows([rec_sor])
-        assert len(rows) == 3
-        reexec = next(r for r in rows if r["scheme"] == "reexec")
-        assert reexec["normalized_time"] == 1.0
-
     def test_render(self, rec_sor):
         text = render_fig5([rec_sor])
         assert "Figure 5" in text
         assert "Re-Execution" in text and "Our Recovery" in text
-
-
-class TestCsv:
-    def test_write_csv_roundtrip(self, cmp_sor, tmp_path):
-        rows = fig4_rows([cmp_sor])
-        path = tmp_path / "fig4.csv"
-        write_csv(rows, str(path))
-        text = path.read_text()
-        assert text.splitlines()[0] == "app,protocol,normalized_time,exec_time_s"
-        assert len(text.splitlines()) == 4
-
-    def test_write_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv([], str(tmp_path / "x.csv"))
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ damaged file runs on it.  A damaged ``trace.jsonl`` or ``manifest.json``
 makes the command print one error line naming the file and exit 2,
 never a traceback.  On an undamaged bundle, one recorded by ``repro
 timeline``, the same commands leave every file byte-identical.  A
-``table2`` bundle records no trace: every command that needs one
+``breakdown`` bundle records no trace: every command that needs one
 refuses it with the same line and exit 2, and ``explain`` diffs its
 manifest without span rows.
 """
@@ -63,7 +63,7 @@ def bundle(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def untraced(tmp_path_factory):
-    return _record(tmp_path_factory, "table2")
+    return _record(tmp_path_factory, "breakdown")
 
 
 def _truncate(data: bytes, rng: random.Random) -> bytes:
